@@ -492,9 +492,9 @@ def run(config: dict, out_dir: str) -> dict:
     """Execute one resolved experiment config; returns the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    start = time.time()
+    start = time.perf_counter()
     summary = _BODIES[config["experiment"]](config, out)
-    wall = time.time() - start
+    wall = time.perf_counter() - start
     outputs = {
         name: _sha256_file(out / name) for name in summary.pop("outputs", [])
     }

@@ -262,7 +262,7 @@ def wilson_interval(count: int, n: int, z: float = 1.96) -> tuple[float, float]:
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return max(0.0, float(center - half)), min(1.0, float(center + half))
 
 
 @dataclass(frozen=True)

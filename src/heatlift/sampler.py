@@ -12,11 +12,20 @@ Randomness is counter-based: one Philox stream per (seed, replica,
 component), with each mode reading a fixed block of that stream (blocks
 ordered 0, +1, -1, +2, -2, ...).  Replicas are therefore reproducible
 independently and in parallel.
+
+sample_field projects the coefficients onto the trigonometric basis
+evaluated at the grid nodes.  That matrix depends only on (n_modes,
+grid_level), so each process keeps one read-only copy of it for the most
+recent such pair: (2*n_modes + 1) * (2**grid_level + 1) * 8 bytes,
+4.2 MB at the command-line defaults.  A different pair replaces it.  The
+copy is built by basis_matrix and used unchanged, so outputs do not
+depend on it.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +116,22 @@ def basis_matrix(n_modes: int, x: np.ndarray) -> np.ndarray:
     return np.stack([basis_eval(n, x) for n in _mode_order(n_modes)])
 
 
+_basis_lock = threading.Lock()
+_basis_entry: tuple[tuple[int, int], np.ndarray] | None = None
+
+
+def _grid_basis(config: SpectralConfig) -> np.ndarray:
+    """basis_matrix(n_modes, nodes()), cached for the last (n_modes, grid_level)."""
+    global _basis_entry
+    key = (config.n_modes, config.grid_level)
+    with _basis_lock:
+        if _basis_entry is None or _basis_entry[0] != key:
+            basis = basis_matrix(config.n_modes, config.nodes())
+            basis.flags.writeable = False
+            _basis_entry = (key, basis)
+        return _basis_entry[1]
+
+
 def ou_step(lam: float, delta: float, prev, xi) -> np.ndarray:
     """One exact Ornstein-Uhlenbeck transition over a step of length delta.
 
@@ -163,7 +188,7 @@ def sample_field(config: SpectralConfig, replica: int = 0) -> FieldSample:
             f"field would hold {entries} values "
             f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid"
         )
-    basis = basis_matrix(config.n_modes, config.nodes())
+    basis = _grid_basis(config)
     values = np.empty((config.n_time + 1, config.n_nodes, config.dim))
     for component in range(config.dim):
         coeffs = _simulate_coefficients(config, replica, component)

@@ -261,3 +261,8 @@ class TestExperiments:
         lines = (tmp_path / "tails.csv").read_text().splitlines()
         assert lines[0].startswith("# heatlift-csv tails v1")
         assert len(lines) == 2 + 2
+        header = lines[1].split(",")
+        lo, hi = header.index("ci_low"), header.index("ci_high")
+        for line in lines[2:]:
+            fields = line.split(",")
+            assert 0.0 <= float(fields[lo]) <= float(fields[hi]) <= 1.0

@@ -3,6 +3,8 @@ import pytest
 
 from heatlift.dyadic import (
     ConvergenceTable,
+    _level2_sup,
+    _sibling_products,
     convergence_study,
     level2_telescope,
     lift_level,
@@ -178,6 +180,38 @@ class TestTelescope:
         stride = 2 ** (6 - k)
         gap = finer.values[:, ::stride, :] - coarse.values[:, ::stride, :]
         assert np.max(np.abs(gap)) == 0.0
+
+
+def level2_sup_loop(sample, k):
+    """Reference: one telescoping prefix spread per time index."""
+    worst = 0.0
+    for t_index in range(sample.values.shape[0]):
+        w = _sibling_products(sample, k, t_index)
+        prefix = np.concatenate(
+            [np.zeros((1,) + w.shape[1:]), np.cumsum(w, axis=0)], axis=0
+        )
+        spread = prefix.max(axis=0) - prefix.min(axis=0)
+        worst = max(worst, 0.5 * float(spread.max()))
+    return worst
+
+
+class TestLevel2Sup:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("grid_level", [4, 7])
+    def test_equals_per_time_loop(self, dim, grid_level):
+        for seed in (20, 21):
+            sample = make_sample(seed=seed, grid_level=grid_level, n_time=5, dim=dim)
+            for k in range(grid_level):
+                assert _level2_sup(sample, k) == level2_sup_loop(sample, k)
+
+    def test_scalar_field_is_zero(self):
+        sample = make_sample(seed=22, dim=1)
+        assert _level2_sup(sample, 3) == 0.0
+
+    def test_rejects_level_without_headroom(self):
+        sample = make_sample(seed=23, grid_level=4)
+        with pytest.raises(ValueError):
+            _level2_sup(sample, 4)
 
 
 class TestBesovParamValidation:

@@ -220,11 +220,13 @@ class TestWilson:
     def test_basic_properties(self):
         lo, hi = wilson_interval(5, 100)
         assert 0.0 < lo < 0.05 < hi < 1.0
+        assert type(lo) is float and type(hi) is float
 
     def test_zero_count_upper_positive(self):
         lo, hi = wilson_interval(0, 50)
         assert lo == 0.0
         assert 0.0 < hi < 0.2
+        assert type(lo) is float and type(hi) is float
 
 
 class TestTailProbability:

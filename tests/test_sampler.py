@@ -1,12 +1,19 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import heatlift.sampler as sampler_module
 from heatlift.covariance import cov
 from heatlift.sampler import (
     FieldSample,
     GridTooLargeError,
     SpectralConfig,
+    _grid_basis,
+    _simulate_coefficients,
     basis_eval,
+    basis_matrix,
     field_to_csv,
     load_field,
     mode_rate,
@@ -153,8 +160,6 @@ class TestSampleField:
         # modes already present (canonical block order).
         small = SpectralConfig(n_modes=8, n_time=4, grid_level=3, dim=1, seed=3)
         big = SpectralConfig(n_modes=16, n_time=4, grid_level=3, dim=1, seed=3)
-        from heatlift.sampler import _simulate_coefficients
-
         ca = _simulate_coefficients(small, 0, 0)
         cb = _simulate_coefficients(big, 0, 0)
         assert np.array_equal(ca, cb[:, : ca.shape[1]])
@@ -163,6 +168,73 @@ class TestSampleField:
         cfg = SpectralConfig(n_modes=4, n_time=2**16, grid_level=14, dim=4, seed=0)
         with pytest.raises(GridTooLargeError):
             sample_field(cfg, 0)
+
+
+def uncached_field(cfg, replica):
+    basis = basis_matrix(cfg.n_modes, cfg.nodes())
+    return np.stack(
+        [_simulate_coefficients(cfg, replica, c) @ basis for c in range(cfg.dim)],
+        axis=-1,
+    )
+
+
+class TestBasisCache:
+    CONFIGS = (
+        SpectralConfig(n_modes=16, n_time=4, grid_level=4, dim=2, seed=31),
+        SpectralConfig(n_modes=24, n_time=3, grid_level=5, dim=3, seed=32),
+        SpectralConfig(n_modes=16, n_time=4, grid_level=6, dim=1, seed=33),
+    )
+
+    def test_matches_uncached_projection_across_keys(self):
+        for r in range(3):
+            for cfg in self.CONFIGS:
+                assert np.array_equal(
+                    sample_field(cfg, r).values, uncached_field(cfg, r)
+                )
+
+    def test_one_build_per_key_change(self, monkeypatch):
+        builds = []
+
+        def counting(n_modes, x):
+            builds.append((n_modes, len(x)))
+            return basis_matrix(n_modes, x)
+
+        sample_field(self.CONFIGS[0], 0)  # a key neither config below uses
+        monkeypatch.setattr(sampler_module, "basis_matrix", counting)
+        a = SpectralConfig(n_modes=5, n_time=2, grid_level=3, dim=1, seed=34)
+        b = SpectralConfig(n_modes=5, n_time=2, grid_level=2, dim=1, seed=34)
+        for cfg in (a, a, b, b, a):
+            sample_field(cfg, 0)
+        assert builds == [(5, 9), (5, 5), (5, 9)]
+
+    def test_cached_basis_read_only(self):
+        cfg = self.CONFIGS[1]
+        sample_field(cfg, 0)
+        basis = _grid_basis(cfg)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
+
+    def test_threads_interleaving_keys(self):
+        expected = {
+            (i, r): uncached_field(cfg, r)
+            for i, cfg in enumerate(self.CONFIGS)
+            for r in range(4)
+        }
+
+        def check(item):
+            i, r = item
+            values = sample_field(self.CONFIGS[i], r).values
+            return np.array_equal(values, expected[item])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(check, item) for item in list(expected) * 4]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestMarginalSampler:
