@@ -3,7 +3,8 @@
 Every run writes its artifacts plus a manifest (resolved config, config
 hash, seed, version, wall time, output hashes).  Re-running from a
 manifest reproduces the artifacts bit-for-bit at equal thread counts.
-Exit codes: 0 success, 2 infeasible/invalid parameters, 1 runtime error.
+Exit codes: 0 success, 2 infeasible/invalid parameters (including a field
+past the sampler's allocation guard), 1 runtime error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .dyadic import (
     lift_level,
     validate_besov_params,
 )
-from .group import GEOMETRIC_TOL
+from .group import GEOMETRIC_TOL, multiply
 from .ldp import (
     CMControl,
     cameron_martin_path,
@@ -37,7 +38,7 @@ from .ldp import (
     schilder_point_check,
     tail_probability,
 )
-from .sampler import SpectralConfig, sample_field, save_field
+from .sampler import GridTooLargeError, SpectralConfig, sample_field, save_field
 from .sheets import increment, save_sheet
 
 EXPERIMENTS = (
@@ -261,12 +262,8 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
             left = increment(sl, int(i), int(k))
             right_a = increment(sl, int(i), int(j))
             right_b = increment(sl, int(j), int(k))
-            comp2 = (
-                right_a.level2
-                + right_b.level2
-                + np.outer(right_a.level1, right_b.level1)
-            )
-            max_chen = max(max_chen, float(np.max(np.abs(left.level2 - comp2))))
+            comp = multiply(right_a, right_b)
+            max_chen = max(max_chen, float(np.max(np.abs(left.level2 - comp.level2))))
             max_sym = max(max_sym, left.symmetric_defect())
     # Telescoping identity on random node pairs.
     k_level = int(p["telescope_k"])
@@ -545,7 +542,7 @@ def main(argv=None) -> int:
             {"seed": args.seed, "threads": args.threads, "set": args.set},
         )
         manifest = run(config, args.out)
-    except ConstraintError as exc:
+    except (ConstraintError, GridTooLargeError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

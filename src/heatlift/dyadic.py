@@ -24,7 +24,7 @@ import numpy as np
 
 from .parallel import deterministic_map
 from .sampler import FieldSample, SpectralConfig, sample_field
-from .sheets import RoughSheet, spacetime_besov_norm
+from .sheets import RoughSheet, _lift_values, spacetime_besov_norm
 
 SUP_KIND = "sup"
 BESOV_KIND = "besov"
@@ -71,25 +71,6 @@ def polygonal_restrict(sample: FieldSample, k: int) -> FieldSample:
     values = left * (1.0 - w)[None, :, None] + right * w[None, :, None]
     # Exactness at the kept nodes (w = 0) is automatic.
     return FieldSample(values=values, config=sample.config, replica=sample.replica)
-
-
-def _lift_values(times: np.ndarray, values: np.ndarray, grid_level: int) -> RoughSheet:
-    """Lift every time slice of a field; prefix products vectorized in t."""
-    deltas = np.diff(values, axis=1)  # (nt, n_cells, d)
-    nt, n_cells, d = deltas.shape
-    # Level-1 prefixes telescope exactly (values[j] - values[0]).
-    level1 = values - values[:, :1, :]
-    contrib = np.einsum("tca,tcb->tcab", level1[:, :-1], deltas)
-    contrib += 0.5 * np.einsum("tca,tcb->tcab", deltas, deltas)
-    level2 = np.zeros((nt, n_cells + 1, d, d))
-    np.cumsum(contrib, axis=1, out=level2[:, 1:])
-    return RoughSheet(
-        times=times,
-        grid_level=grid_level,
-        level1=level1,
-        level2=level2,
-        initial_values=values[:, 0, :].copy(),
-    )
 
 
 def lift_level(sample: FieldSample, k: int) -> RoughSheet:

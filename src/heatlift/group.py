@@ -108,8 +108,37 @@ def dilate(lam: float, g: GroupElement) -> GroupElement:
     return GroupElement(lam * g.level1, lam * lam * g.level2)
 
 
+def _pair_increment(l1_i, l2_i, l1_j, l2_j):
+    """Levels of g^{-1} ⊗ h for g = (l1_i, l2_i), h = (l1_j, l2_j),
+    broadcast over any leading axes.
+
+    The product is expanded in difference form (h2 - g2 - g1 ⊗ (h1 - g1)),
+    which is algebraically identical but cancels exactly when g = h, so
+    the square root in the norm cannot amplify round-off into a spurious
+    positive self-distance.
+    """
+    a1 = l1_j - l1_i
+    a2 = l2_j - l2_i
+    # Callers often pass freshly gathered copies that only this frame
+    # references; dropping them before the product term keeps one table
+    # fewer live, which keeps the Besov increment tables as fast as the
+    # unshared expression they replaced.
+    del l2_i, l2_j
+    a2 -= np.einsum("...a,...b->...ab", l1_i, a1)
+    return a1, a2
+
+
 # Largest coefficient keeping the norm sub-additive under ⊗.
 AREA_COEFF = 2.0 ** 0.75
+
+
+def _hom_norms(l1, l2):
+    """Homogeneous norms of the elements (l1, l2), broadcast over any
+    leading axes; no geometricity check."""
+    anti = 0.5 * (l2 - np.swapaxes(l2, -1, -2))
+    n1 = np.linalg.norm(l1, axis=-1)
+    nf = np.sqrt(np.sum(anti * anti, axis=(-2, -1)))
+    return np.maximum(n1, AREA_COEFF * np.sqrt(nf))
 
 
 def hom_norm(g: GroupElement, tol: float = GEOMETRIC_TOL) -> float:
@@ -121,32 +150,18 @@ def hom_norm(g: GroupElement, tol: float = GEOMETRIC_TOL) -> float:
     defect = g.symmetric_defect()
     if defect > tol:
         raise NonGeometricError(defect, tol)
-    anti = 0.5 * (g.level2 - g.level2.T)
-    return float(
-        max(
-            np.linalg.norm(g.level1),
-            AREA_COEFF * np.sqrt(np.linalg.norm(anti)),
-        )
-    )
+    return float(_hom_norms(g.level1, g.level2))
 
 
 def group_dist(g: GroupElement, h: GroupElement, tol: float = GEOMETRIC_TOL) -> float:
-    """Left-invariant distance ||g^{-1} ⊗ h|| between geometric elements.
-
-    The product is expanded in difference form (h2 - g2 - g1 ⊗ (h1 - g1)),
-    which is algebraically identical but cancels exactly when g = h, so
-    the square root in the norm cannot amplify round-off into a spurious
-    positive self-distance.
-    """
+    """Left-invariant distance ||g^{-1} ⊗ h|| between geometric elements."""
     if g.dim != h.dim:
         raise DimensionMismatchError(f"dims {g.dim} and {h.dim} differ")
     for e in (g, h):
         defect = e.symmetric_defect()
         if defect > tol:
             raise NonGeometricError(defect, tol)
-    u1 = h.level1 - g.level1
-    u2 = h.level2 - g.level2 - np.outer(g.level1, u1)
-    return hom_norm(GroupElement(u1, u2), tol=np.inf)
+    return float(_hom_norms(*_pair_increment(g.level1, g.level2, h.level1, h.level2)))
 
 
 def random_geometric(

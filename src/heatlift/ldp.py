@@ -32,7 +32,7 @@ from .sampler import (
     sample_field,
     sample_slice_marginal,
 )
-from .sheets import _increment_tables, dist_infty
+from .sheets import _increment_tables, _node_pairs, dist_infty
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,7 @@ def cm_regularity_check(
         gamma = q - 0.75
     values = path.field.values
     K = path.config.grid_level
-    n = 2**K
-    iu, ju = np.triu_indices(n + 1, k=1)
-    sep = (ju - iu) / n
+    iu, ju, sep = _node_pairs(2**K)
     holder = 0.0
     for t_index in range(values.shape[0]):
         diffs = np.linalg.norm(values[t_index, ju, :] - values[t_index, iu, :], axis=1)
@@ -239,8 +237,7 @@ def cm_lift_uniform_convergence(
     with k_max the full grid level."""
     config = path.config
     ref = lift_level(path.field, config.grid_level)
-    n = 2**config.grid_level
-    iu, ju = np.triu_indices(n + 1, k=1)
+    iu, ju, _ = _node_pairs(2**config.grid_level)
     ref1, ref2 = _increment_tables(ref, iu, ju)
     rows = []
     for k in sorted(int(k) for k in k_range):

@@ -290,17 +290,3 @@ def load_field(path: str) -> FieldSample:
         )
         return FieldSample(values=values.astype(float), config=cfg, replica=replica)
 
-
-def field_to_csv(sample: FieldSample, path: str):
-    """Flat (t, x, component, value) rows with a header."""
-    times = sample.config.times()
-    nodes = sample.config.nodes()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x,component,value\n")
-        for it, t in enumerate(times):
-            for ix, x in enumerate(nodes):
-                for c in range(sample.config.dim):
-                    fh.write(
-                        f"{float(t)!r},{float(x)!r},{c},"
-                        f"{float(sample.values[it, ix, c])!r}\n"
-                    )

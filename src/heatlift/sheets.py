@@ -9,6 +9,18 @@ reconstructed exactly (Chen's identity holds by construction) in O(1):
 A RoughSheet stacks one slice per time-grid point together with the
 initial-value path v_t = a(t, 0), which enters all distances additively.
 
+Each mathematical object has one kernel here:
+
+- the increment: every increment and distance goes through the
+  broadcasting pair increment group._pair_increment and, for distances,
+  the vectorized homogeneous norm group._hom_norms;
+- the lift: _lift_values builds the prefixes of every time slice at
+  once, for single slices (lift_piecewise_linear) and dyadic levels
+  (dyadic.lift_level) alike;
+- the quadrature: _node_pairs enumerates the grid pairs, _pair_weights
+  gives their Riemann weights, _holder_sup the sup-over-pairs Hoelder
+  ratio and _besov the Besov sum over pairs.
+
 Besov integrals are discretized as node-pair Riemann sums with uniform
 weight (2^-K)^2 per pair; the near-diagonal singularity is integrable
 under the stated parameter constraints and refinement behaviour is
@@ -23,10 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import AREA_COEFF, GroupElement
+from .group import GroupElement, _hom_norms, _pair_increment
 from .parallel import chunk_indices, deterministic_map
 
 _BINARY_MAGIC = b"HLSHEET1"
+
+# (s, t) pairs per partial sum of the space-time Besov quadrature; the
+# sums are reduced in block order, so this fixes the result's bits.
+_BESOV_BLOCK = 128
 
 
 class GridMismatchError(ValueError):
@@ -114,29 +130,35 @@ class RoughSheet:
         )
 
 
-def lift_piecewise_linear(slice_: PathSlice) -> RoughSlice:
-    """Natural lift of the piecewise-linear interpolant of the slice.
+def _lift_values(times: np.ndarray, values: np.ndarray, grid_level: int) -> RoughSheet:
+    """Lift every time slice of values (nt, 2^K + 1, d); prefix products
+    vectorized in t.
 
     Each cell contributes the exact segment lift (Δ, Δ ⊗ Δ / 2); prefixes
     are the running Chen products, so every reconstructed increment equals
     the exact iterated integral of the interpolant.
     """
-    values = slice_.values
-    deltas = np.diff(values, axis=0)  # (n_cells, d)
-    n_cells, d = deltas.shape
-    # Prefixes telescope exactly: A^1(0, x_j) = values[j] - values[0].
-    level1 = values - values[0]
+    deltas = np.diff(values, axis=1)  # (nt, n_cells, d)
+    nt, n_cells, d = deltas.shape
+    # Level-1 prefixes telescope exactly (values[j] - values[0]).
+    level1 = values - values[:, :1, :]
     # level2[j+1] = level2[j] + level1[j] ⊗ Δ_j + Δ_j ⊗ Δ_j / 2
-    contrib = np.einsum("ca,cb->cab", level1[:-1], deltas)
-    contrib += 0.5 * np.einsum("ca,cb->cab", deltas, deltas)
-    level2 = np.zeros((n_cells + 1, d, d))
-    np.cumsum(contrib, axis=0, out=level2[1:])
-    return RoughSlice(
-        grid_level=slice_.grid_level,
+    contrib = np.einsum("tca,tcb->tcab", level1[:, :-1], deltas)
+    contrib += 0.5 * np.einsum("tca,tcb->tcab", deltas, deltas)
+    level2 = np.zeros((nt, n_cells + 1, d, d))
+    np.cumsum(contrib, axis=1, out=level2[:, 1:])
+    return RoughSheet(
+        times=times,
+        grid_level=grid_level,
         level1=level1,
         level2=level2,
-        initial_value=values[0].copy(),
+        initial_values=values[:, 0, :].copy(),
     )
+
+
+def lift_piecewise_linear(slice_: PathSlice) -> RoughSlice:
+    """Natural lift of the piecewise-linear interpolant of the slice."""
+    return _lift_values(np.zeros(1), slice_.values[None], slice_.grid_level).slice(0)
 
 
 def increment(rough: RoughSlice, i: int, j: int) -> GroupElement:
@@ -144,13 +166,39 @@ def increment(rough: RoughSlice, i: int, j: int) -> GroupElement:
     n = rough.n_cells
     if not (0 <= i <= j <= n):
         raise IndexError(f"need 0 <= i <= j <= {n}, got i={i}, j={j}")
-    a1 = rough.level1[j] - rough.level1[i]
-    a2 = (
-        rough.level2[j]
-        - rough.level2[i]
-        - np.outer(rough.level1[i], a1)
+    return GroupElement(
+        *_pair_increment(
+            rough.level1[i], rough.level2[i], rough.level1[j], rough.level2[j]
+        )
     )
-    return GroupElement(a1, a2)
+
+
+def _node_pairs(n: int):
+    """Index arrays (i, j) of the node pairs i < j of a grid with n cells,
+    and their separations (j - i) / n."""
+    iu, ju = np.triu_indices(n + 1, k=1)
+    return iu, ju, (ju - iu) / n
+
+
+def _pair_weights(sep: np.ndarray, mesh: float, expo: float) -> np.ndarray:
+    """Riemann weights mesh^2 / sep^expo of grid pairs at separations sep."""
+    return mesh**2 / sep**expo
+
+
+def _row_norms(table: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each table[p] over all its axes."""
+    return np.sqrt(np.sum(table * table, axis=tuple(range(1, table.ndim))))
+
+
+def _holder_sup(table: np.ndarray, sep: np.ndarray, expo: float) -> float:
+    """sup over pairs p of |table[p]| / sep[p]^expo."""
+    return float(np.max(_row_norms(table) / sep**expo))
+
+
+def _besov(table: np.ndarray, level: int, m: float, weights: np.ndarray) -> float:
+    """Level-wise Besov Riemann sum over pairs p,
+    (sum_p |table[p]|^(m/level) * weights[p])^(level/m)."""
+    return float(_row_norms(table) ** (m / level) @ weights) ** (level / m)
 
 
 def _pair_arrays(rough: RoughSlice):
@@ -159,14 +207,9 @@ def _pair_arrays(rough: RoughSlice):
     Returns (sep, A1, A2) with sep the grid separations x_j - x_i,
     A1 of shape (n_pairs, d) and A2 of shape (n_pairs, d, d).
     """
-    n = rough.n_cells
-    iu, ju = np.triu_indices(n + 1, k=1)
-    sep = (ju - iu) / n
-    a1 = rough.level1[ju] - rough.level1[iu]
-    a2 = (
-        rough.level2[ju]
-        - rough.level2[iu]
-        - np.einsum("pa,pb->pab", rough.level1[iu], a1)
+    iu, ju, sep = _node_pairs(rough.n_cells)
+    a1, a2 = _pair_increment(
+        rough.level1[iu], rough.level2[iu], rough.level1[ju], rough.level2[ju]
     )
     return sep, a1, a2
 
@@ -184,15 +227,7 @@ def holder_norm(rough: RoughSlice, level: int, alpha: float) -> float:
     """
     _check_level(level)
     sep, a1, a2 = _pair_arrays(rough)
-    if level == 1:
-        mags = np.linalg.norm(a1, axis=1)
-        expo = alpha
-    else:
-        mags = np.linalg.norm(a2.reshape(a2.shape[0], -1), axis=1)
-        expo = 2.0 * alpha
-    if mags.size == 0:
-        return 0.0
-    return float(np.max(mags / sep**expo))
+    return _holder_sup(a1 if level == 1 else a2, sep, level * alpha)
 
 
 def besov_norm(rough: RoughSlice, level: int, alpha: float, m: float) -> float:
@@ -207,15 +242,8 @@ def besov_norm(rough: RoughSlice, level: int, alpha: float, m: float) -> float:
     if m * alpha <= 1.0:
         raise ValueError(f"need m*alpha > 1 for integrability, got {m * alpha:.4g}")
     sep, a1, a2 = _pair_arrays(rough)
-    weight = (1.0 / rough.n_cells) ** 2
-    if level == 1:
-        mags = np.linalg.norm(a1, axis=1)
-        power = m
-    else:
-        mags = np.linalg.norm(a2.reshape(a2.shape[0], -1), axis=1)
-        power = m / 2.0
-    total = float(np.sum(mags**power / sep ** (1.0 + m * alpha))) * weight
-    return total ** (level / m)
+    weights = _pair_weights(sep, 1.0 / rough.n_cells, 1.0 + m * alpha)
+    return _besov(a1 if level == 1 else a2, level, m, weights)
 
 
 @dataclass(frozen=True)
@@ -228,15 +256,17 @@ class SpacetimeBesovNorm:
 
 
 def _increment_tables(sheet: RoughSheet, iu, ju):
-    """Per-time increment tables A^1_t, A^2_t over the node pairs."""
-    nt = sheet.n_times
-    f1 = sheet.level1[:, ju, :] - sheet.level1[:, iu, :]
-    f2 = (
-        sheet.level2[:, ju, :, :]
-        - sheet.level2[:, iu, :, :]
-        - np.einsum("tpa,tpb->tpab", sheet.level1[:, iu, :], f1)
-    )
-    return f1.reshape(nt, f1.shape[1], -1), f2.reshape(nt, f2.shape[1], -1)
+    """Per-time increment tables A^1_t, A^2_t over the node pairs.
+
+    Built one time at a time, so only one time's gathered prefixes are
+    live next to the tables.
+    """
+    f1 = np.empty((sheet.n_times, iu.shape[0], sheet.dim))
+    f2 = np.empty((sheet.n_times, iu.shape[0], sheet.dim**2))
+    for t, (l1, l2) in enumerate(zip(sheet.level1, sheet.level2)):
+        f1[t], a2 = _pair_increment(l1[iu], l2[iu], l1[ju], l2[ju])
+        f2[t] = a2.reshape(f2.shape[1:])
+    return f1, f2
 
 
 def spacetime_besov_norm(
@@ -246,7 +276,6 @@ def spacetime_besov_norm(
     m: float,
     relative_to: RoughSheet | None = None,
     threads: int = 1,
-    _block: int = 128,
 ) -> SpacetimeBesovNorm:
     """Quadruple Riemann sum over (s < t) x (x < y) grid pairs.
 
@@ -269,9 +298,8 @@ def spacetime_besov_norm(
     nt = sheet.n_times
     times = sheet.times
     n = 2**sheet.grid_level
-    iu, ju = np.triu_indices(n + 1, k=1)
-    sep = (ju - iu) / n
-    x_weight = (1.0 / n) ** 2 / sep ** (1.0 + m * alpha)
+    iu, ju, sep = _node_pairs(n)
+    x_weight = _pair_weights(sep, 1.0 / n, 1.0 + m * alpha)
 
     f1m, f2m = _increment_tables(sheet, iu, ju)
     v = sheet.initial_values
@@ -288,11 +316,9 @@ def spacetime_besov_norm(
         dt = (times[-1] - times[0]) / (nt - 1)
     else:
         dt = 1.0
-    t_weight = dt**2 / tsep ** (1.0 + beta * m)
+    t_weight = _pair_weights(tsep, dt, 1.0 + beta * m)
 
     def block_sums(block: range) -> tuple[float, float]:
-        s1 = 0.0
-        s2 = 0.0
         idx = np.array(block)
         d1 = f1m[ti[idx]] - f1m[si[idx]]
         d2 = f2m[ti[idx]] - f2m[si[idx]]
@@ -302,7 +328,7 @@ def spacetime_besov_norm(
         s2 = float((mags2 ** (m / 2.0) @ x_weight) @ t_weight[idx])
         return s1, s2
 
-    blocks = chunk_indices(si.shape[0], _block)
+    blocks = chunk_indices(si.shape[0], _BESOV_BLOCK)
     partials = deterministic_map(block_sums, blocks, threads=threads)
     sum1 = 0.0
     sum2 = 0.0
@@ -310,10 +336,7 @@ def spacetime_besov_norm(
         sum1 += p1
         sum2 += p2
 
-    dv = np.linalg.norm(v[ti] - v[si], axis=1)
-    v_sum = float(np.sum(dv**m / tsep ** (1.0 + beta * m)) * dt**2)
-    v_norm = float(np.linalg.norm(v[0])) + v_sum ** (1.0 / m)
-
+    v_norm = float(np.linalg.norm(v[0])) + _besov(v[ti] - v[si], 1, m, t_weight)
     return SpacetimeBesovNorm(
         initial_value=v_norm,
         level1=sum1 ** (1.0 / m),
@@ -336,16 +359,8 @@ def dist_infty(a: RoughSheet, b: RoughSheet) -> float:
     by eps scales the distance by eps.
     """
     _require_matching(a, b)
-    u1 = b.level1 - a.level1
-    u2 = (
-        b.level2
-        - a.level2
-        - np.einsum("tna,tnb->tnab", a.level1, u1)
-    )
-    anti = 0.5 * (u2 - np.swapaxes(u2, 2, 3))
-    n1 = np.linalg.norm(u1, axis=2)
-    nf = np.sqrt(np.sum(anti * anti, axis=(2, 3)))
-    group_part = float(np.max(np.maximum(n1, AREA_COEFF * np.sqrt(nf))))
+    u1, u2 = _pair_increment(a.level1, a.level2, b.level1, b.level2)
+    group_part = float(np.max(_hom_norms(u1, u2)))
     v_part = float(np.max(np.linalg.norm(b.initial_values - a.initial_values, axis=1)))
     return group_part + v_part
 
@@ -403,31 +418,19 @@ def embedding_ratio(
     sep, a1, a2 = _pair_arrays(a)
     _, b1, b2 = _pair_arrays(b)
     d1 = a1 - b1
-    d2 = (a2 - b2).reshape(a2.shape[0], -1)
-    a2f = a2.reshape(a2.shape[0], -1)
-    b2f = b2.reshape(b2.shape[0], -1)
-    w = (1.0 / a.n_cells) ** 2
-    denom = sep ** (1.0 + m * alpha)
+    d2 = a2 - b2
+    weights = _pair_weights(sep, 1.0 / a.n_cells, 1.0 + m * alpha)
 
-    def bes1(v):
-        return float(np.sum(np.linalg.norm(v, axis=1) ** m / denom) * w) ** (1.0 / m)
+    def bes(table, level):
+        return _besov(table, level, m, weights)
 
-    def bes2(v):
-        return float(
-            np.sum(np.linalg.norm(v, axis=1) ** (m / 2.0) / denom) * w
-        ) ** (2.0 / m)
-
-    holder1 = float(np.max(np.linalg.norm(d1, axis=1) / sep ** (alpha - 1.0 / m)))
-    holder2 = float(
-        np.max(np.linalg.norm(d2, axis=1) / sep ** (2.0 * alpha - 2.0 / m))
-    )
-    diff_b = bes1(d1) + bes2(d2)
-    paths_b = bes1(a1) + bes2(a2f) + bes1(b1) + bes2(b2f)
+    besov1 = bes(d1, 1)
+    paths_b = bes(a1, 1) + bes(a2, 2) + bes(b1, 1) + bes(b2, 2)
     return EmbeddingRatioReport(
-        holder1=holder1,
-        besov1=bes1(d1),
-        holder2=holder2,
-        product_bound=diff_b * paths_b,
+        holder1=_holder_sup(d1, sep, alpha - 1.0 / m),
+        besov1=besov1,
+        holder2=_holder_sup(d2, sep, 2.0 * alpha - 2.0 / m),
+        product_bound=(besov1 + bes(d2, 2)) * paths_b,
     )
 
 

@@ -79,6 +79,16 @@ class TestExitCodes:
         code = main(["schilder", "--out", str(tmp_path), "--set", "oops"])
         assert code == 2
 
+    def test_oversized_grid_exit_2(self, tmp_path, capsys):
+        # 129 * (2^22 + 1) field values trip the sampler's guard before
+        # anything is allocated.
+        code = main(["sample", "--out", str(tmp_path), "--set", "grid_level=22"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "field would hold 541065345 values" in err
+        assert "guard is 268435456" in err
+        assert not (tmp_path / "field.csv").exists()
+
 
 class TestDeterminism:
     def test_sample_reruns_bit_identical(self, tmp_path):
@@ -139,6 +149,19 @@ class TestDeterminism:
 
 
 class TestExperiments:
+    def test_sample_field_csv_layout(self, tmp_path):
+        code = main(
+            ["sample", "--out", str(tmp_path), "--seed", "5", "--set", "n_modes=4"]
+            + ["--set", "n_time=2", "--set", "grid_level=2", "--set", "dim=2"]
+        )
+        assert code == 0
+        lines = (tmp_path / "field.csv").read_text().splitlines()
+        assert lines[0] == "# heatlift-csv field v1"
+        assert lines[1] == "t,x,component,value"
+        assert len(lines) == 2 + 3 * 5 * 2
+        t, x, c, v = lines[2].split(",")
+        assert float(t) == 0.0 and float(x) == 0.0 and c == "0" and float(v) == 0.0
+
     def test_schilder_outputs(self, tmp_path):
         assert main(["schilder", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "schilder.json").read_text())

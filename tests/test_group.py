@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatlift.group import (
     DimensionMismatchError,
     GroupElement,
     NonGeometricError,
+    _pair_increment,
     dilate,
     group_dist,
     hom_norm,
@@ -12,6 +15,12 @@ from heatlift.group import (
     multiply,
     random_geometric,
     unit,
+)
+
+
+# (seed, dim, scale) of a batch of random geometric elements.
+element_batches = st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.floats(0.05, 2.0)
 )
 
 
@@ -67,6 +76,28 @@ class TestMultiply:
                 float(np.max(np.abs(a.level2 - b.level2))) / scale,
             )
         assert worst <= 1e-12
+
+
+class TestPairIncrement:
+    @settings(max_examples=60, deadline=None)
+    @given(element_batches, st.integers(1, 6))
+    def test_matches_inverse_times_product(self, batch, count):
+        # Stacked pairs broadcast through the kernel in one call; each
+        # row must equal the product of the group operations.
+        seed, d, scale = batch
+        rng = np.random.default_rng(seed)
+        gs = [random_geometric(rng, d, scale) for _ in range(count)]
+        hs = [random_geometric(rng, d, scale) for _ in range(count)]
+        a1, a2 = _pair_increment(
+            np.stack([g.level1 for g in gs]),
+            np.stack([g.level2 for g in gs]),
+            np.stack([h.level1 for h in hs]),
+            np.stack([h.level2 for h in hs]),
+        )
+        for row, (g, h) in enumerate(zip(gs, hs)):
+            ref = multiply(inverse(g), h)
+            assert np.max(np.abs(a1[row] - ref.level1)) <= 1e-12
+            assert np.max(np.abs(a2[row] - ref.level2)) <= 1e-12
 
 
 class TestInverse:
@@ -156,6 +187,15 @@ class TestHomNorm:
             b = random_geometric(rng, d)
             assert multiply(a, b) is not None
             assert hom_norm(multiply(a, b)) <= hom_norm(a) + hom_norm(b) + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(element_batches)
+    def test_subadditive_property(self, batch):
+        seed, d, scale = batch
+        rng = np.random.default_rng(seed)
+        a = random_geometric(rng, d, scale)
+        b = random_geometric(rng, d, float(rng.uniform(0.05, 2.0)))
+        assert hom_norm(multiply(a, b)) <= hom_norm(a) + hom_norm(b) + 1e-12
 
     def test_non_geometric_rejected_with_defect(self):
         g = GroupElement(np.array([1.0, 0.0]), np.full((2, 2), 0.3))

@@ -14,7 +14,6 @@ from heatlift.sampler import (
     _simulate_coefficients,
     basis_eval,
     basis_matrix,
-    field_to_csv,
     load_field,
     mode_rate,
     ou_step,
@@ -293,14 +292,3 @@ class TestFieldIO:
         assert np.array_equal(back.values, sample.values)
         assert back.config == cfg
         assert back.replica == 2
-
-    def test_csv_layout(self, tmp_path):
-        cfg = SpectralConfig(n_modes=4, n_time=2, grid_level=2, dim=1, seed=5)
-        sample = sample_field(cfg, 0)
-        path = tmp_path / "field.csv"
-        field_to_csv(sample, str(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t,x,component,value"
-        assert len(lines) == 1 + 3 * 5 * 1
-        t, x, c, v = lines[1].split(",")
-        assert float(t) == 0.0 and float(v) == 0.0

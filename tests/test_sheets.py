@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatlift.dyadic import lift_level
+from heatlift.group import group_dist
 from heatlift.sampler import FieldSample, SpectralConfig, sample_field
 from heatlift.sheets import (
     GridMismatchError,
     PathSlice,
+    RoughSheet,
     besov_norm,
     dilate_sheet,
     dist_infty,
@@ -308,7 +312,48 @@ class TestSpacetimeBesov:
             assert abs(a - b) / b <= 0.05
 
 
+def random_sheet(rng, grid_level: int, n_times: int, dim: int) -> RoughSheet:
+    """Sheet of independently lifted random slices, one per time."""
+    shape = (2**grid_level + 1, dim)
+    slices = [
+        lift_piecewise_linear(
+            PathSlice(values=rng.standard_normal(shape), grid_level=grid_level)
+        )
+        for _ in range(n_times)
+    ]
+    return RoughSheet(
+        times=np.linspace(0.0, 1.0, n_times),
+        grid_level=grid_level,
+        level1=np.stack([s.level1 for s in slices]),
+        level2=np.stack([s.level2 for s in slices]),
+        initial_values=np.stack([s.initial_value for s in slices]),
+    )
+
+
 class TestDistInfty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    def test_matches_prefix_group_distances(self, seed, grid_level, n_times, dim):
+        rng = np.random.default_rng(seed)
+        a = random_sheet(rng, grid_level, n_times, dim)
+        b = random_sheet(rng, grid_level, n_times, dim)
+        group_part = max(
+            group_dist(a.slice(t).prefix(j), b.slice(t).prefix(j))
+            for t in range(n_times)
+            for j in range(2**grid_level + 1)
+        )
+        v_part = max(
+            float(np.linalg.norm(b.initial_values[t] - a.initial_values[t]))
+            for t in range(n_times)
+        )
+        expected = group_part + v_part
+        assert abs(dist_infty(a, b) - expected) <= 1e-14 * max(1.0, expected)
+
     def test_self_distance_zero(self):
         sheet = small_sheet(2)
         assert dist_infty(sheet, sheet) == 0.0
