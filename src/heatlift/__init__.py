@@ -64,6 +64,7 @@ from .ldp import (
     ChaosReport,
     ModeControl,
     SchilderReport,
+    TailRow,
     cameron_martin_path,
     chaos_moment_ratio,
     cm_lift_uniform_convergence,
@@ -71,6 +72,7 @@ from .ldp import (
     rate_function,
     schilder_point_check,
     tail_probability,
+    validate_tail_params,
 )
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from .ldp import (
     rate_function,
     schilder_point_check,
     tail_probability,
+    validate_tail_params,
 )
 from .sampler import GridTooLargeError, SpectralConfig, sample_field, save_field
 from .sheets import increment, save_sheet
@@ -338,17 +339,17 @@ def _exp_converge(config: dict, out: Path) -> dict:
 def _exp_tails(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     p = config["params"]
-    rows = []
-    for eps in p["eps_list"]:
-        row = tail_probability(
-            float(p["delta"]),
-            float(eps),
-            int(p["k"]),
-            int(p["replicas"]),
-            cfg,
-            threads=int(config["threads"]),
-        )
-        rows.append(row)
+    delta, k, replicas = float(p["delta"]), int(p["k"]), int(p["replicas"])
+    if not isinstance(p["eps_list"], list):
+        raise ConstraintError(f"eps_list must be a list, got {p['eps_list']!r}")
+    eps_list = [float(eps) for eps in p["eps_list"]]
+    try:
+        validate_tail_params(delta, eps_list, k, replicas, cfg.grid_level)
+    except ValueError as exc:
+        raise ConstraintError(str(exc)) from exc
+    rows = tail_probability(
+        delta, eps_list, k, replicas, cfg, threads=int(config["threads"])
+    )
     _write_csv(
         out / "tails.csv",
         "tails",

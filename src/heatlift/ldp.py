@@ -9,9 +9,12 @@ by step, exactly.
 
 The rate function on lifted shifts is ||h||_H^2 / 2.  Tail probabilities
 of the approximation gap are estimated by Monte Carlo with Wilson
-intervals (a zero count reports the interval bound, never -inf), chaos
-moment growth is fitted from batched scalar replicas, and the pointwise
-Schilder scaling check is fully analytic via the Gaussian tail.
+intervals (a zero count reports the interval bound, never -inf).  The
+dilation eps only moves the threshold to delta / eps, so one pass
+samples, lifts and measures each replica once and thresholds the same
+distances for every eps.  Chaos moment growth is fitted from batched
+scalar replicas, and the pointwise Schilder scaling check is fully
+analytic via the Gaussian tail.
 """
 
 from __future__ import annotations
@@ -212,7 +215,7 @@ def cm_regularity_check(
             total += k**gamma * float(np.sum(incs**q))
         qvar = max(qvar, total)
     qvar_lin = qvar ** (1.0 / q)
-    h = np.sqrt(path.h_norm_sq)
+    h = float(np.sqrt(path.h_norm_sq))
     return CMRegularityReport(
         q=q,
         gamma=float(gamma),
@@ -276,24 +279,46 @@ class TailRow:
     zero_count: bool
 
 
+def validate_tail_params(
+    delta: float, eps_list, k: int, replicas: int, grid_level: int
+):
+    """Constraints of the tail experiment; raises with the violated one
+    named."""
+    if len(eps_list) == 0:
+        raise ValueError("eps_list must hold at least one epsilon")
+    for eps in eps_list:
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"0 < epsilon < inf violated: epsilon={eps!r}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"0 < delta < inf violated: delta={delta!r}")
+    if replicas < 1:
+        raise ValueError(f"replicas >= 1 violated: replicas={replicas}")
+    if not 0 <= k <= grid_level:
+        raise ValueError(
+            f"0 <= k <= grid_level violated: k={k}, grid_level={grid_level}"
+        )
+
+
 def tail_probability(
     delta: float,
-    epsilon: float,
+    eps_list,
     k: int,
     replicas: int,
     config: SpectralConfig,
     threads: int = 1,
-) -> TailRow:
-    """Monte Carlo estimate of P(dist_inf(eps*Psi, eps*Psi(k)) > delta).
+) -> tuple[TailRow, ...]:
+    """Monte Carlo estimates of P(dist_inf(eps*Psi, eps*Psi(k)) > delta),
+    one row per eps, in eps_list order.
 
-    By exact homogeneity of dist_inf this is computed through the single
-    code path P(dist_inf(Psi, Psi(k)) > delta / eps).  When no replica
-    exceeds the threshold, eps^2 * log of the Wilson upper bound is
-    reported instead of -inf.
+    By exact homogeneity of dist_inf each estimate is
+    P(dist_inf(Psi, Psi(k)) > delta / eps).  Every replica is therefore
+    sampled, lifted at levels K and k and measured once, and the one
+    ordered array of distances is thresholded at delta / eps for every
+    eps.  When no replica exceeds a threshold, eps^2 * log of the Wilson
+    upper bound is reported instead of -inf.
     """
-    if replicas < 1:
-        raise ValueError("need replicas >= 1")
-    threshold = delta / epsilon
+    eps_list = tuple(float(eps) for eps in eps_list)
+    validate_tail_params(delta, eps_list, k, replicas, config.grid_level)
 
     def one(r: int) -> float:
         sample = sample_field(config, r)
@@ -301,24 +326,29 @@ def tail_probability(
         approx = lift_level(sample, k)
         return dist_infty(full, approx)
 
-    dists = deterministic_map(one, list(range(replicas)), threads=threads)
-    count = int(np.sum(np.asarray(dists) > threshold))
-    p_hat = count / replicas
-    lo, hi = wilson_interval(count, replicas)
-    zero = count == 0
-    basis = p_hat if not zero else hi
-    return TailRow(
-        epsilon=epsilon,
-        delta=delta,
-        k=k,
-        replicas=replicas,
-        count=count,
-        p_hat=p_hat,
-        ci_low=lo,
-        ci_high=hi,
-        eps2_log=float(epsilon**2 * np.log(basis)),
-        zero_count=zero,
-    )
+    dists = np.asarray(deterministic_map(one, list(range(replicas)), threads=threads))
+    rows = []
+    for epsilon in eps_list:
+        count = int(np.sum(dists > delta / epsilon))
+        p_hat = count / replicas
+        lo, hi = wilson_interval(count, replicas)
+        zero = count == 0
+        basis = p_hat if not zero else hi
+        rows.append(
+            TailRow(
+                epsilon=epsilon,
+                delta=delta,
+                k=k,
+                replicas=replicas,
+                count=count,
+                p_hat=p_hat,
+                ci_low=lo,
+                ci_high=hi,
+                eps2_log=float(epsilon**2 * np.log(basis)),
+                zero_count=zero,
+            )
+        )
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +399,8 @@ def chaos_moment_ratio(
     chaos order instead of being averaged toward Gaussian by aggregation
     over many cells.
     """
-    q_arr = np.asarray(sorted(set(float(q) for q in q_list)))
+    q_sorted = tuple(sorted(set(float(q) for q in q_list)))
+    q_arr = np.asarray(q_sorted)
     if np.any(q_arr < 2.0):
         raise ValueError("moment orders below 2 are rejected")
     if y is None:
@@ -410,7 +441,7 @@ def chaos_moment_ratio(
         return ChaosReport(
             functional=functional,
             degree=degree,
-            q_list=tuple(q_arr),
+            q_list=q_sorted,
             norm_ratios={},
             exponent=float("nan"),
             exponent_stderr=float("nan"),
@@ -450,7 +481,7 @@ def chaos_moment_ratio(
     return ChaosReport(
         functional=functional,
         degree=degree,
-        q_list=tuple(q_arr),
+        q_list=q_sorted,
         norm_ratios={float(q): float(r) for q, r in zip(q_arr, full_ratios)},
         exponent=exponent,
         exponent_stderr=exp_se,

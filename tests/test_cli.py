@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from heatlift import ldp
 from heatlift.cli import main, resolve_config, run
 
 
@@ -78,6 +80,33 @@ class TestExitCodes:
     def test_bad_set_syntax_exit_2(self, tmp_path):
         code = main(["schilder", "--out", str(tmp_path), "--set", "oops"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            ("eps_list=[0.0]", "0 < epsilon < inf violated: epsilon=0.0"),
+            ("eps_list=[-1.0]", "0 < epsilon < inf violated: epsilon=-1.0"),
+            ("eps_list=[]", "eps_list must hold at least one epsilon"),
+            ("eps_list=0.5", "eps_list must be a list, got 0.5"),
+            ("delta=0", "0 < delta < inf violated: delta=0.0"),
+            ("replicas=0", "replicas >= 1 violated: replicas=0"),
+            ("k=-1", "0 <= k <= grid_level violated: k=-1, grid_level=4"),
+            ("k=5", "0 <= k <= grid_level violated: k=5, grid_level=4"),
+        ],
+    )
+    def test_invalid_tails_parameters_exit_2(
+        self, tmp_path, capsys, monkeypatch, setting, named
+    ):
+        def refuse(config, replica):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(ldp, "sample_field", refuse)
+        code = main(
+            ["tails", "--out", str(tmp_path), "--set", setting] + SMALL_SPECTRAL
+        )
+        assert code == 2
+        assert f"parameter error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "tails.csv").exists()
 
     def test_oversized_grid_exit_2(self, tmp_path, capsys):
         # 129 * (2^22 + 1) field values trip the sampler's guard before
@@ -208,7 +237,7 @@ class TestExperiments:
         assert payload["max_symmetric_defect"] <= 1e-12
         assert payload["max_telescope_defect"] <= 1e-12
 
-    def test_chaos_cli(self, tmp_path):
+    def test_chaos_cli(self, tmp_path, capsys):
         code = main(
             [
                 "chaos",
@@ -224,6 +253,9 @@ class TestExperiments:
         payload = json.loads((tmp_path / "chaos.json").read_text())
         assert payload["degree"] == 1
         assert 0.2 <= payload["exponent"] <= 0.8
+        out = capsys.readouterr().out
+        assert "q_list: [2.0, 3.0, 4.0, 6.0, 8.0]" in out
+        assert "np.float64" not in out
 
     def test_cm_cli(self, tmp_path):
         code = main(
@@ -245,6 +277,35 @@ class TestExperiments:
         payload = json.loads((tmp_path / "cm.json").read_text())
         assert payload["rate_function"] == pytest.approx(0.5)
         assert len(payload["lift_decay"]) == 3
+
+    def test_cm_mode_one_control_lift_decay(self, tmp_path, capsys):
+        # A control varying in space (mode 1), unlike the default mode-0
+        # control whose lift-decay rows are all exactly zero.
+        code = main(
+            [
+                "cm",
+                "--out",
+                str(tmp_path),
+                "--set",
+                "n_modes=8",
+                "--set",
+                "n_time=8",
+                "--set",
+                "grid_level=9",
+                "--set",
+                'controls=[{"mode": 1, "component": 0, "breakpoints": [0.0, 1.0], "values": [1.0]}]',
+            ]
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "cm.json").read_text())
+        rows = payload["lift_decay"]
+        assert [r["k"] for r in rows] == [2, 3, 4, 5, 6, 7, 8]
+        for key in ("level1_sup", "level2_sup"):
+            sups = [r[key] for r in rows]
+            assert all(math.isfinite(v) and v > 0 for v in sups)
+            assert all(a > b for a, b in zip(sups, sups[1:]))
+        assert payload["regularity"]["holder_half"] > 0
+        assert "np.float64" not in capsys.readouterr().out
 
     def test_cm_rejects_mode_beyond_cutoff(self, tmp_path):
         code = main(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatlift.covariance import (
     bound_scan,
@@ -161,6 +163,26 @@ class TestRectVar:
                 space_increment_var(t, x, y) + space_increment_var(s, x, y)
             )
             assert lhs <= rhs + 1e-12
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        st.sampled_from(["fourier", "theta"]),
+    )
+    def test_nonnegative_on_random_grids(self, points, method):
+        s, x, t, y = (np.asarray(c) for c in zip(*points))
+        out = rect_var(np.minimum(s, t), x, np.maximum(s, t), y, method=method)
+        assert np.all(out >= 0.0)
 
 
 class TestSecondDiffCov:

@@ -260,6 +260,18 @@ class TestGroupDist:
             assert group_dist(g, h) == pytest.approx(group_dist(h, g), rel=1e-12)
             assert group_dist(g, k) <= group_dist(g, h) + group_dist(h, k) + 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(element_batches)
+    def test_symmetry_and_triangle_property(self, batch):
+        seed, d, scale = batch
+        rng = np.random.default_rng(seed)
+        g, h, k = (
+            random_geometric(rng, d, scale * float(rng.uniform(0.05, 2.0)))
+            for _ in range(3)
+        )
+        assert group_dist(g, h) == pytest.approx(group_dist(h, g), rel=1e-12)
+        assert group_dist(g, k) <= group_dist(g, h) + group_dist(h, k) + 1e-12
+
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(14)
         g = random_geometric(rng, 2)

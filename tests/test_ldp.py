@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from heatlift import ldp
 from heatlift.covariance import cov
+from heatlift.dyadic import lift_level
 from heatlift.ldp import (
     CMControl,
+    CMRegularityReport,
     ModeControl,
     cameron_martin_path,
     chaos_moment_ratio,
@@ -11,10 +14,12 @@ from heatlift.ldp import (
     cm_regularity_check,
     rate_function,
     schilder_point_check,
+    TailRow,
     tail_probability,
     wilson_interval,
 )
-from heatlift.sampler import SpectralConfig, mode_rate
+from heatlift.sampler import SpectralConfig, mode_rate, sample_field
+from heatlift.sheets import dist_infty
 
 
 def constant_control(mode=0, component=0, value=1.0, horizon=1.0):
@@ -166,6 +171,8 @@ class TestRegularityCheck:
         assert r2.holder_half_normalized == pytest.approx(
             r1.holder_half_normalized, rel=1e-12
         )
+        for name in CMRegularityReport.__dataclass_fields__:
+            assert type(getattr(r2, name)) is float, name
 
     def test_single_mode_stable_under_refinement(self):
         values = {}
@@ -191,8 +198,6 @@ class TestLiftUniformConvergence:
 
     def test_level1_prefix_reproduces_path(self):
         # The lift's level-1 prefix at (t, x) is h(t, x) - h(t, 0) exactly.
-        from heatlift.dyadic import lift_level
-
         cfg = small_config(grid_level=6, n_modes=8)
         ctrl = CMControl(
             (constant_control(mode=1), constant_control(mode=-2, value=0.7))
@@ -229,16 +234,50 @@ class TestWilson:
         assert type(lo) is float and type(hi) is float
 
 
+def per_epsilon_reference(delta, eps_list, k, replicas, config):
+    """The per-epsilon loop the single pass replaced: every epsilon
+    re-samples, re-lifts and re-measures every replica."""
+    rows = []
+    for epsilon in eps_list:
+        threshold = delta / epsilon
+        dists = []
+        for r in range(replicas):
+            sample = sample_field(config, r)
+            full = lift_level(sample, config.grid_level)
+            approx = lift_level(sample, k)
+            dists.append(dist_infty(full, approx))
+        count = int(np.sum(np.asarray(dists) > threshold))
+        p_hat = count / replicas
+        lo, hi = wilson_interval(count, replicas)
+        zero = count == 0
+        basis = p_hat if not zero else hi
+        rows.append(
+            TailRow(
+                epsilon=epsilon,
+                delta=delta,
+                k=k,
+                replicas=replicas,
+                count=count,
+                p_hat=p_hat,
+                ci_low=lo,
+                ci_high=hi,
+                eps2_log=float(epsilon**2 * np.log(basis)),
+                zero_count=zero,
+            )
+        )
+    return tuple(rows)
+
+
 class TestTailProbability:
     def test_threshold_below_minimum_gives_one(self):
         cfg = small_config(grid_level=5, n_time=4, n_modes=32, dim=2)
-        row = tail_probability(1e-9, 1.0, 2, 20, cfg)
+        (row,) = tail_probability(1e-9, [1.0], 2, 20, cfg)
         assert row.p_hat == 1.0
         assert not row.zero_count
 
     def test_astronomical_threshold_gives_zero_with_ci(self):
         cfg = small_config(grid_level=5, n_time=4, n_modes=32, dim=2)
-        row = tail_probability(1e6, 1.0, 2, 20, cfg)
+        (row,) = tail_probability(1e6, [1.0], 2, 20, cfg)
         assert row.p_hat == 0.0
         assert row.zero_count
         assert np.isfinite(row.eps2_log)
@@ -249,18 +288,77 @@ class TestTailProbability:
         # so the scaled log-probabilities are directly comparable.
         cfg = small_config(grid_level=6, n_time=4, n_modes=64, dim=2)
         delta, m_rep = 0.25, 200
-        rows = [
-            tail_probability(delta, eps, 2, m_rep, cfg) for eps in (1.0, 0.5, 0.25)
-        ]
+        rows = tail_probability(delta, [1.0, 0.5, 0.25], 2, m_rep, cfg)
+        assert [r.epsilon for r in rows] == [1.0, 0.5, 0.25]
         assert not any(r.zero_count for r in rows)
         logs = [r.eps2_log for r in rows]
         assert logs[0] >= logs[1] >= logs[2]
-        finer = tail_probability(delta, 0.5, 4, m_rep, cfg)
+        (finer,) = tail_probability(delta, [0.5], 4, m_rep, cfg)
         assert finer.p_hat <= rows[1].p_hat
 
     def test_replica_guard(self):
         with pytest.raises(ValueError):
-            tail_probability(0.5, 1.0, 2, 0, small_config())
+            tail_probability(0.5, [1.0], 2, 0, small_config())
+
+    def test_single_pass_equals_per_epsilon_loop(self):
+        # The last epsilon has a zero count, so the Wilson-bound branch
+        # is compared as well; the order of eps_list is kept.
+        cfg = small_config(grid_level=6, n_time=4, n_modes=32, dim=2)
+        delta, eps_list, k, replicas = 0.5, (1.0, 0.25, 0.5, 0.01), 2, 12
+        rows = tail_probability(delta, eps_list, k, replicas, cfg)
+        expected = per_epsilon_reference(delta, eps_list, k, replicas, cfg)
+        assert rows[3].zero_count and not rows[0].zero_count
+        assert type(rows) is tuple and len(rows) == len(expected)
+        for row, ref in zip(rows, expected):
+            for name in TailRow.__dataclass_fields__:
+                assert getattr(row, name) == getattr(ref, name), name
+            assert type(row.epsilon) is float and type(row.eps2_log) is float
+
+    def test_thread_count_does_not_change_rows(self):
+        cfg = small_config(grid_level=6, n_time=4, n_modes=32, dim=2)
+        args = (0.5, [1.0, 0.5, 0.25], 2, 9, cfg)
+        assert tail_probability(*args, threads=2) == tail_probability(*args, threads=1)
+
+    def test_one_sample_per_replica(self, monkeypatch):
+        calls = []
+
+        def counting(config, replica):
+            calls.append(replica)
+            return sample_field(config, replica)
+
+        monkeypatch.setattr(ldp, "sample_field", counting)
+        tail_probability(0.5, [1.0, 0.5, 0.25], 2, 5, small_config(dim=2))
+        assert calls == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "delta, eps_list, k, replicas, named",
+        [
+            (0.5, [], 2, 4, "eps_list"),
+            (0.5, [1.0, 0.0], 2, 4, "0 < epsilon"),
+            (0.5, [-1.0], 2, 4, "0 < epsilon"),
+            (0.5, [float("nan")], 2, 4, "0 < epsilon"),
+            (0.5, [float("inf")], 2, 4, "0 < epsilon"),
+            (0.0, [1.0], 2, 4, "0 < delta"),
+            (-0.5, [1.0], 2, 4, "0 < delta"),
+            (0.5, [1.0], 2, 0, "replicas >= 1"),
+            (0.5, [1.0], -1, 4, "0 <= k <= grid_level"),
+            (0.5, [1.0], 6, 4, "0 <= k <= grid_level"),
+        ],
+    )
+    def test_invalid_parameters_rejected_before_sampling(
+        self, monkeypatch, delta, eps_list, k, replicas, named
+    ):
+        def refuse(config, replica):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(ldp, "sample_field", refuse)
+        with pytest.raises(ValueError, match=named):
+            tail_probability(delta, eps_list, k, replicas, small_config())
+
+    def test_k_equal_to_grid_level_gives_zero_distance(self):
+        cfg = small_config(grid_level=4, n_time=2, dim=2)
+        (row,) = tail_probability(1e-12, [1.0], 4, 3, cfg)
+        assert row.count == 0 and row.zero_count
 
 
 class TestChaosMoments:
@@ -276,6 +374,8 @@ class TestChaosMoments:
         cfg = small_config(n_modes=64, seed=6)
         rep = chaos_moment_ratio("level1", [2, 3, 4, 6, 8], 30_000, cfg)
         assert 0.35 <= rep.exponent <= 0.65
+        assert rep.q_list == (2.0, 3.0, 4.0, 6.0, 8.0)
+        assert all(type(q) is float for q in rep.q_list)
 
     def test_degree_two_growth_exponent(self):
         cfg = small_config(n_modes=64, dim=2, seed=1)
@@ -294,6 +394,8 @@ class TestChaosMoments:
         cfg = small_config(n_modes=16, seed=8)
         rep = chaos_moment_ratio("level1", [2, 4], 100, cfg, x=0.25, y=0.25)
         assert rep.empty
+        assert rep.q_list == (2.0, 4.0)
+        assert all(type(q) is float for q in rep.q_list)
 
     def test_low_moment_rejected(self):
         cfg = small_config()

@@ -354,6 +354,24 @@ class TestDistInfty:
         expected = group_part + v_part
         assert abs(dist_infty(a, b) - expected) <= 1e-14 * max(1.0, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.floats(1e-3, 1e3),
+    )
+    def test_exact_dilation_property(self, seed, grid_level, n_times, dim, lam):
+        # The identity behind the tail experiment's single pass:
+        # dist(eps*a, eps*b) > delta  iff  dist(a, b) > delta / eps.
+        rng = np.random.default_rng(seed)
+        a = random_sheet(rng, grid_level, n_times, dim)
+        b = random_sheet(rng, grid_level, n_times, dim)
+        base = dist_infty(a, b)
+        scaled = dist_infty(dilate_sheet(lam, a), dilate_sheet(lam, b))
+        assert abs(scaled - lam * base) <= 1e-14 * lam * base
+
     def test_self_distance_zero(self):
         sheet = small_sheet(2)
         assert dist_infty(sheet, sheet) == 0.0
