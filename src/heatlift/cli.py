@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -325,13 +326,17 @@ def _exp_converge(config: dict, out: Path) -> dict:
     _write_csv(
         out / "convergence.csv",
         "convergence",
-        table.csv_rows()[0],
-        table.csv_rows()[1:],
+        "k,level,norm_kind,estimate,stderr,replicas",
+        [
+            f"{r.k},{r.level},{r.norm_kind},{r.estimate!r},{r.stderr!r},{r.replicas}"
+            for r in table.rows
+        ],
     )
-    _write_json(out / "convergence_fits.json", table.fits_json())
+    fits = table.fits_json()
+    _write_json(out / "convergence_fits.json", fits)
     return {
         "outputs": ["convergence.csv", "convergence_fits.json"],
-        "fits": table.fits_json(),
+        "fits": fits,
         "empty": table.empty,
     }
 
@@ -410,18 +415,8 @@ def _exp_cm(config: dict, out: Path) -> dict:
     payload = {
         "rate_function": rate_function(ctrl),
         "h_norm_sq": path.h_norm_sq,
-        "regularity": {
-            "q": reg.q,
-            "gamma": reg.gamma,
-            "holder_half": reg.holder_half,
-            "qvar_surrogate": reg.qvar_surrogate,
-            "holder_half_normalized": reg.holder_half_normalized,
-            "qvar_normalized": reg.qvar_normalized,
-        },
-        "lift_decay": [
-            {"k": r.k, "level1_sup": r.level1_sup, "level2_sup": r.level2_sup}
-            for r in decay
-        ],
+        "regularity": asdict(reg),
+        "lift_decay": [asdict(r) for r in decay],
     }
     _write_json(out / "cm.json", payload)
     return {"outputs": ["cm.json"], **payload}
@@ -455,15 +450,7 @@ def _exp_schilder(config: dict, out: Path) -> dict:
         {
             "sigma_sq": report.sigma_sq,
             "limit": report.limit,
-            "rows": [
-                {
-                    "epsilon": r.epsilon,
-                    "threshold": r.threshold,
-                    "probability": r.probability,
-                    "eps2_log": r.eps2_log,
-                }
-                for r in report.rows
-            ],
+            "rows": [asdict(r) for r in report.rows],
         },
     )
     return {
@@ -543,10 +530,7 @@ def main(argv=None) -> int:
             {"seed": args.seed, "threads": args.threads, "set": args.set},
         )
         manifest = run(config, args.out)
-    except (ConstraintError, GridTooLargeError) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, GridTooLargeError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

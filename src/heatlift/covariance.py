@@ -35,10 +35,8 @@ _THETA_WINDOW = 64  # image cap; terms decay like exp(-n^2/(8T))
 # -ln of the term cutoff (1e-16, with margin): summation stops once the
 # Gaussian factor drops below it.
 _LOG_CUTOFF = 37.5
-# Below this time separation the mode series is evaluated at tau = 0
-# via the closed form; the switch changes the value by at most
-# sqrt(tau)/pi ~ 1e-7 and only triggers for separations no time grid
-# here resolves.
+# At or below this time the mode series would need more than 3e6 terms;
+# it is evaluated in closed form instead (see _fourier_series).
 _TAU_FLOOR = 1e-13
 
 
@@ -68,21 +66,24 @@ def _theta_cov(s, x, t, y) -> np.ndarray:
     window = min(_THETA_WINDOW, max(2, need))
     offsets = np.arange(-window, window + 1)
     q = np.abs(delta[:, None] - offsets[None, :])
-
-    def antideriv(l):
-        l = l[:, None]
-        out = np.zeros_like(q)
-        pos = np.broadcast_to(l > 0, q.shape)
-        lp = np.broadcast_to(l, q.shape)[pos]
-        qp = q[pos]
-        sq = np.sqrt(lp)
-        out[pos] = 2.0 * sq * np.exp(-(qp**2) / (4.0 * lp)) - qp * np.sqrt(
-            np.pi
-        ) * erfc(qp / (2.0 * sq))
-        return out
-
-    terms = antideriv(l1) - antideriv(l0)
+    terms = _antideriv(q, l1[:, None]) - _antideriv(q, l0[:, None])
     return terms.sum(axis=1) / (4.0 * np.sqrt(np.pi))
+
+
+def _antideriv(q: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """F_q(l) = 2 sqrt(l) exp(-q^2/(4l)) - q sqrt(pi) erfc(q/(2 sqrt(l)))
+    where l > 0, and its limit 0 at l = 0; l broadcasts against q."""
+    out = np.zeros_like(q)
+    pos = np.broadcast_to(l > 0, q.shape)
+    lp = np.broadcast_to(l, q.shape)[pos]
+    qp = q[pos]
+    sq = np.sqrt(lp)
+    # For subnormal l the exponent overflows to -inf and exp gives the
+    # right limit 0, so the overflow is expected here and not reported.
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-(qp**2) / (4.0 * lp))
+    out[pos] = 2.0 * sq * gauss - qp * np.sqrt(np.pi) * erfc(qp / (2.0 * sq))
+    return out
 
 
 def _bernoulli_tail(delta: np.ndarray) -> np.ndarray:
@@ -95,7 +96,14 @@ def _fourier_series(tau: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """C(tau, delta) = sum_{n>=1} cos(2 pi n delta) e^{-lam_n tau} / lam_n."""
     out = np.empty_like(tau)
     zero = tau <= _TAU_FLOOR
-    out[zero] = _bernoulli_tail(delta[zero])
+    # dC/dtau = -(theta(tau, delta) - 1)/2 with theta the wrapped heat
+    # kernel, so C(tau) = C(0) + tau/2 - sum_m F_{|delta - m|}(tau)/(4 sqrt(pi)),
+    # exact for every tau.  Below the floor only the two images nearest
+    # delta are above the term cutoff; at tau = 0 this is C(0) itself.
+    u = np.mod(delta[zero], 1.0)
+    q = np.abs(u[:, None] - np.array([0.0, 1.0]))
+    images = _antideriv(q, tau[zero][:, None]).sum(axis=1)
+    out[zero] = _bernoulli_tail(u) + tau[zero] / 2.0 - images / (4.0 * np.sqrt(np.pi))
     for tval in np.unique(tau[~zero]):
         sel = tau == tval
         # e^{-4 pi^2 n^2 tau} < 1e-16 beyond this n.

@@ -175,14 +175,6 @@ class ConvergenceTable:
     def empty(self) -> bool:
         return not self.rows
 
-    def csv_rows(self) -> list[str]:
-        out = ["k,level,norm_kind,estimate,stderr,replicas"]
-        for r in self.rows:
-            out.append(
-                f"{r.k},{r.level},{r.norm_kind},{r.estimate!r},{r.stderr!r},{r.replicas}"
-            )
-        return out
-
     def fits_json(self) -> dict:
         return {
             key: {

@@ -35,7 +35,13 @@ from .sampler import (
     sample_field,
     sample_slice_marginal,
 )
-from .sheets import _increment_tables, _node_pairs, dist_infty
+from .sheets import (
+    _holder_sup,
+    _increment_tables,
+    _lift_values,
+    _node_pairs,
+    dist_infty,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +207,7 @@ def cm_regularity_check(
     values = path.field.values
     K = path.config.grid_level
     iu, ju, sep = _node_pairs(2**K)
-    holder = 0.0
-    for t_index in range(values.shape[0]):
-        diffs = np.linalg.norm(values[t_index, ju, :] - values[t_index, iu, :], axis=1)
-        holder = max(holder, float(np.max(diffs / np.sqrt(sep))))
+    holder = max(_holder_sup(v[ju] - v[iu], sep, 0.5) for v in values)
     qvar = 0.0
     for t_index in range(values.shape[0]):
         total = 0.0
@@ -427,11 +430,9 @@ def chaos_moment_ratio(
         n_cells = int(round(n_cells))
         nodes = lo + np.arange(n_cells + 1) * 2.0**-level
         fields = sample_slice_marginal(config, t, replicas, rng, nodes=nodes)
-        deltas = np.diff(fields[:, :, :2], axis=1)  # (M, n_cells, 2)
-        p1 = np.cumsum(deltas, axis=1)
-        p1 = np.concatenate([np.zeros((replicas, 1, 2)), p1], axis=1)
-        z = np.einsum("mc,mc->m", p1[:, :-1, 0], deltas[:, :, 1])
-        z += 0.5 * np.einsum("mc,mc->m", deltas[:, :, 0], deltas[:, :, 1])
+        # One path per replica on the leading axis; only level2 is read.
+        lifted = _lift_values(np.zeros(replicas), fields[:, :, :2], level)
+        z = lifted.level2[:, -1, 0, 1]
     else:
         raise ValueError(f"unknown functional {functional!r}")
 

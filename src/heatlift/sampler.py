@@ -6,7 +6,10 @@ Ornstein-Uhlenbeck process with rate 4*pi^2*n^2 (a Brownian motion for
 n = 0), driven by its own standard Brownian motion.  Simulating those
 coefficients with the exact OU transition makes every time-grid marginal
 exact in law up to the mode cutoff, so discrepancies in downstream tests
-are attributable to truncation or Monte Carlo noise only.
+are attributable to truncation or Monte Carlo noise only.  The
+transition's standard deviation is written once, in _ou_sd, and serves
+ou_step, the time stepping of sample_field and the fixed-time marginal
+of sample_slice_marginal (the same formula with the step equal to t).
 
 Randomness is counter-based: one Philox stream per (seed, replica,
 component), with each mode reading a fixed block of that stream (blocks
@@ -143,10 +146,17 @@ def ou_step(lam: float, delta: float, prev, xi) -> np.ndarray:
         raise ValueError("delta must be positive")
     prev = np.asarray(prev, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if lam == 0.0:
-        return prev + xi * np.sqrt(delta)
-    sd = np.sqrt(-np.expm1(-2.0 * lam * delta) / (2.0 * lam))
-    return np.exp(-lam * delta) * prev + xi * sd
+    return np.exp(-lam * delta) * prev + xi * _ou_sd(lam, delta)
+
+
+def _ou_sd(lam, h: float) -> np.ndarray:
+    """Standard deviation of the exact OU transition over a step h, per
+    rate: sqrt((1 - exp(-2*lam*h))/(2*lam)), and sqrt(h) where lam = 0."""
+    lam = np.asarray(lam, dtype=float)
+    sd = np.full(lam.shape, np.sqrt(h))
+    pos = lam != 0.0
+    sd[pos] = np.sqrt(-np.expm1(-2.0 * lam[pos] * h) / (2.0 * lam[pos]))
+    return sd
 
 
 def _philox(seed: int, replica: int, component: int) -> np.random.Generator:
@@ -169,10 +179,7 @@ def _simulate_coefficients(
     delta = config.time_horizon / config.n_time
     lam = mode_rate(order)
     decay = np.exp(-lam * delta)
-    sd = np.empty(n_rows)
-    zero = lam == 0.0
-    sd[zero] = np.sqrt(delta)
-    sd[~zero] = np.sqrt(-np.expm1(-2.0 * lam[~zero] * delta) / (2.0 * lam[~zero]))
+    sd = _ou_sd(lam, delta)
 
     coeffs = np.zeros((config.n_time + 1, n_rows))
     for j in range(config.n_time):
@@ -215,17 +222,14 @@ def sample_slice_marginal(
         raise ValueError("need t > 0 for a nondegenerate marginal")
     if nodes is None:
         nodes = config.nodes()
-    order = np.array(_mode_order(config.n_modes))
-    lam = mode_rate(order)
-    var = np.empty(order.shape[0])
-    zero = lam == 0.0
-    var[zero] = t
-    var[~zero] = -np.expm1(-2.0 * lam[~zero] * t) / (2.0 * lam[~zero])
+    scale = _ou_sd(mode_rate(_mode_order(config.n_modes)), t)
     basis = basis_matrix(config.n_modes, np.asarray(nodes, dtype=float))
     out = np.empty((n_replicas, basis.shape[1], config.dim))
-    scale = np.sqrt(var)
     for component in range(config.dim):
-        coeffs = rng.standard_normal((n_replicas, order.shape[0])) * scale
+        # Scaled in place: a scaled copy would be a second replicas x modes
+        # array, the largest allocation of the chaos experiment.
+        coeffs = rng.standard_normal((n_replicas, scale.shape[0]))
+        coeffs *= scale
         out[:, :, component] = coeffs @ basis
     return out
 

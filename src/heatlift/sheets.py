@@ -14,17 +14,21 @@ Each mathematical object has one kernel here:
 - the increment: every increment and distance goes through the
   broadcasting pair increment group._pair_increment and, for distances,
   the vectorized homogeneous norm group._hom_norms;
-- the lift: _lift_values builds the prefixes of every time slice at
-  once, for single slices (lift_piecewise_linear) and dyadic levels
-  (dyadic.lift_level) alike;
+- the lift: _lift_values builds the prefixes of every path on its
+  leading axis at once, for single slices (lift_piecewise_linear),
+  dyadic levels (dyadic.lift_level) and the per-replica chaos paths of
+  ldp.chaos_moment_ratio alike;
 - the quadrature: _node_pairs enumerates the grid pairs, _pair_weights
   gives their Riemann weights, _holder_sup the sup-over-pairs Hoelder
-  ratio and _besov the Besov sum over pairs.
+  ratio (also of the Cameron-Martin paths in ldp.cm_regularity_check)
+  and _besov the Besov sum over pairs.
 
 Besov integrals are discretized as node-pair Riemann sums with uniform
 weight (2^-K)^2 per pair; the near-diagonal singularity is integrable
 under the stated parameter constraints and refinement behaviour is
-measured, not assumed.
+measured, not assumed.  The space-time sum runs on one thread over
+blocks of _BESOV_BLOCK time pairs, reduced in block order; callers
+parallelize over replicas instead.
 """
 
 from __future__ import annotations
@@ -275,7 +279,6 @@ def spacetime_besov_norm(
     alpha: float,
     m: float,
     relative_to: RoughSheet | None = None,
-    threads: int = 1,
 ) -> SpacetimeBesovNorm:
     """Quadruple Riemann sum over (s < t) x (x < y) grid pairs.
 
@@ -288,8 +291,8 @@ def spacetime_besov_norm(
     the two sheets' increments and initial values (the distance whose
     level-wise decay the dyadic convergence study estimates).
 
-    Partial sums over fixed-size blocks of (s, t) pairs are reduced in
-    block order, so the result is bit-stable for any thread count.
+    Partial sums over blocks of _BESOV_BLOCK (s, t) pairs are reduced in
+    block order, so the block size alone fixes the result's bits.
     """
     if beta <= 1.0 / m:
         raise ValueError(f"need beta > 1/m, got beta={beta:.4g}, 1/m={1.0 / m:.4g}")
@@ -329,7 +332,7 @@ def spacetime_besov_norm(
         return s1, s2
 
     blocks = chunk_indices(si.shape[0], _BESOV_BLOCK)
-    partials = deterministic_map(block_sums, blocks, threads=threads)
+    partials = deterministic_map(block_sums, blocks)
     sum1 = 0.0
     sum2 = 0.0
     for p1, p2 in partials:

@@ -191,6 +191,24 @@ class TestExperiments:
         t, x, c, v = lines[2].split(",")
         assert float(t) == 0.0 and float(x) == 0.0 and c == "0" and float(v) == 0.0
 
+    def test_converge_csv_layout(self, tmp_path):
+        code = main(
+            ["converge", "--out", str(tmp_path), "--seed", "4", "--set", "n_modes=16"]
+            + ["--set", "n_time=4", "--set", "grid_level=5", "--set", "dim=2"]
+            + ["--set", "k_min=2", "--set", "k_max=3", "--set", "replicas=3"]
+        )
+        assert code == 0
+        lines = (tmp_path / "convergence.csv").read_text().splitlines()
+        assert lines[0] == "# heatlift-csv convergence v1"
+        assert lines[1] == "k,level,norm_kind,estimate,stderr,replicas"
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == 4
+        assert sorted((int(r[0]), int(r[1])) for r in rows) == [
+            (2, 1), (2, 2), (3, 1), (3, 2)
+        ]
+        assert all(r[2] == "sup" and r[5] == "3" for r in rows)
+        assert all(float(r[3]) > 0 and math.isfinite(float(r[4])) for r in rows)
+
     def test_schilder_outputs(self, tmp_path):
         assert main(["schilder", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "schilder.json").read_text())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,21 @@ class TestCov:
             reference = cov_quad(*point)
             assert cov(*point, method="theta") == pytest.approx(reference, abs=1e-10)
             assert cov(*point, method="fourier") == pytest.approx(reference, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "s, x, t, y",
+        [
+            (0.3, 0.1, 0.3 + 1e-14, 0.1),
+            (0.3, 0.1, 0.3 + 1e-14, 0.1 + 1e-7),
+            (1e-14, 0.0, 2e-14, 0.0),
+            (0.7, 0.25, 0.7 + 5e-14, 0.9),
+        ],
+    )
+    def test_routes_agree_below_series_floor(self, s, x, t, y):
+        # |t - s| below the floor where the mode sum is replaced by its
+        # closed form: the routes agree to rounding, not to sqrt(|t - s|).
+        fourier = cov(s, x, t, y, method="fourier")
+        assert abs(fourier - cov(s, x, t, y, method="theta")) <= 1e-15
 
     def test_truncated_fourier_monotone_in_cutoff(self):
         full = cov(0.5, 0.0, 0.5, 0.0, method="fourier")
@@ -183,6 +200,23 @@ class TestRectVar:
         s, x, t, y = (np.asarray(c) for c in zip(*points))
         out = rect_var(np.minimum(s, t), x, np.maximum(s, t), y, method=method)
         assert np.all(out >= 0.0)
+
+    def test_tiny_times_stay_nonnegative(self):
+        # Time separation just below the series floor while s + t lies just
+        # above it: the two regimes must agree to rounding, or the ten
+        # covariances leave an error of order sqrt(t) ~ 1e-7.
+        out = rect_var(1.1470623235402315e-22, 0.5, 1e-13, 0.0, method="fourier")
+        theta = rect_var(1.1470623235402315e-22, 0.5, 1e-13, 0.0, method="theta")
+        assert out >= 0.0
+        assert out == pytest.approx(theta, rel=1e-6)
+
+    def test_subnormal_time_raises_no_warning(self):
+        # q^2 / (4 l) overflows for subnormal l; exp(-inf) = 0 is the
+        # right limit, so the value stands and no warning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = rect_var(0.0, 0.1, 1e-310, 0.6, method="theta")
+        assert value == 7.978845608028642e-156
 
 
 class TestSecondDiffCov:

@@ -290,20 +290,13 @@ class TestConvergenceStudy:
         cfg = SpectralConfig(
             n_modes=32, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=3
         )
-        a = convergence_study(cfg, range(2, 5), replicas=8, threads=1)
-        b = convergence_study(cfg, range(2, 5), replicas=8, threads=3)
+        besov = dict(kinds=("sup", "besov"), alpha=0.4, beta=0.04, m=30.0)
+        a = convergence_study(cfg, range(2, 5), replicas=8, threads=1, **besov)
+        b = convergence_study(cfg, range(2, 5), replicas=8, threads=3, **besov)
+        assert len(a.rows) == 12
         assert [(r.estimate, r.stderr) for r in a.rows] == [
             (r.estimate, r.stderr) for r in b.rows
         ]
-
-    def test_csv_rows_schema(self):
-        cfg = SpectralConfig(
-            n_modes=16, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=4
-        )
-        table = convergence_study(cfg, range(2, 4), replicas=3)
-        rows = table.csv_rows()
-        assert rows[0] == "k,level,norm_kind,estimate,stderr,replicas"
-        assert len(rows) == 1 + 4
 
 
 class TestMonotoneRefinement:

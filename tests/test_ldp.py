@@ -18,8 +18,13 @@ from heatlift.ldp import (
     tail_probability,
     wilson_interval,
 )
-from heatlift.sampler import SpectralConfig, mode_rate, sample_field
-from heatlift.sheets import dist_infty
+from heatlift.sampler import (
+    SpectralConfig,
+    mode_rate,
+    sample_field,
+    sample_slice_marginal,
+)
+from heatlift.sheets import _node_pairs, dist_infty
 
 
 def constant_control(mode=0, component=0, value=1.0, horizon=1.0):
@@ -173,6 +178,29 @@ class TestRegularityCheck:
         )
         for name in CMRegularityReport.__dataclass_fields__:
             assert type(getattr(r2, name)) is float, name
+
+    def test_holder_half_matches_per_time_loop(self):
+        # Reference: one Euclidean-norm pass per time index, on a mode-1 /
+        # mode -3 control at K = 9 (a mode-0 control gives 0.0).
+        cfg = small_config(grid_level=9, n_modes=8)
+        ctrl = CMControl(
+            (
+                ModeControl(1, 0, (0.0, 0.5, 1.0), (1.0, -2.0)),
+                constant_control(mode=-3, value=0.5),
+            )
+        )
+        path = cameron_martin_path(ctrl, cfg)
+        values = path.field.values
+        iu, ju, sep = _node_pairs(2**cfg.grid_level)
+        holder = 0.0
+        for t_index in range(values.shape[0]):
+            diffs = np.linalg.norm(
+                values[t_index, ju, :] - values[t_index, iu, :], axis=1
+            )
+            holder = max(holder, float(np.max(diffs / np.sqrt(sep))))
+        rep = cm_regularity_check(path, q=1.5)
+        assert holder > 0.0
+        assert rep.holder_half == holder
 
     def test_single_mode_stable_under_refinement(self):
         values = {}
@@ -389,6 +417,39 @@ class TestChaosMoments:
         cfg = small_config(n_modes=64, dim=2, seed=9)
         rep = chaos_moment_ratio("level2", [2, 4], 50_000, cfg)
         assert abs(rep.ratio4 - np.sqrt(3.0)) <= 3.0 * rep.ratio4_stderr
+
+    @staticmethod
+    def cumsum_level2_ratios(cfg, q_list, replicas, y, level=5):
+        # Reference: the level-2 entry from a prefix cumsum and two
+        # einsums, then the same norm ratios.
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([cfg.seed, 0xC4A05], dtype=np.uint64))
+        )
+        n_cells = int(round(y * 2**level))
+        nodes = np.arange(n_cells + 1) * 2.0**-level
+        fields = sample_slice_marginal(cfg, 1.0, replicas, rng, nodes=nodes)
+        deltas = np.diff(fields[:, :, :2], axis=1)
+        p1 = np.cumsum(deltas, axis=1)
+        p1 = np.concatenate([np.zeros((replicas, 1, 2)), p1], axis=1)
+        z = np.einsum("mc,mc->m", p1[:, :-1, 0], deltas[:, :, 1])
+        z += 0.5 * np.einsum("mc,mc->m", deltas[:, :, 0], deltas[:, :, 1])
+        absz = np.abs(z)
+        base = float(np.mean(absz**2)) ** 0.5
+        return {
+            float(q): float(np.mean(absz**q)) ** (1.0 / q) / base for q in q_list
+        }
+
+    def test_level2_lift_matches_cumsum_formula(self):
+        cfg = small_config(n_modes=64, dim=2, seed=1)
+        q_list = [2.0, 3.0, 4.0, 6.0, 8.0]
+        rep = chaos_moment_ratio("level2", q_list, 20_000, cfg)
+        assert rep.norm_ratios == self.cumsum_level2_ratios(cfg, q_list, 20_000, 2.0**-5)
+        # Over several cells the two sums associate differently, so only
+        # rounding separates them.
+        rep = chaos_moment_ratio("level2", q_list, 20_000, cfg, y=0.25)
+        ref = self.cumsum_level2_ratios(cfg, q_list, 20_000, 0.25)
+        for q in q_list:
+            assert rep.norm_ratios[q] == pytest.approx(ref[q], rel=1e-12, abs=0.0)
 
     def test_degenerate_functional_reports_empty(self):
         cfg = small_config(n_modes=16, seed=8)

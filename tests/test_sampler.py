@@ -11,6 +11,9 @@ from heatlift.sampler import (
     GridTooLargeError,
     SpectralConfig,
     _grid_basis,
+    _mode_order,
+    _ou_sd,
+    _philox,
     _simulate_coefficients,
     basis_eval,
     basis_matrix,
@@ -87,6 +90,108 @@ class TestOuStep:
         ess = (n_steps - burn) * (1.0 - rho2) / (1.0 + rho2)
         se = 0.5 * np.sqrt(2.0 / ess)
         assert abs(var - 0.5) <= 3.0 * se
+
+
+def separate_ou_step(lam, delta, prev, xi):
+    """Reference: the exact transition with its own lam = 0 branch."""
+    prev = np.asarray(prev, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    if lam == 0.0:
+        return prev + xi * np.sqrt(delta)
+    sd = np.sqrt(-np.expm1(-2.0 * lam * delta) / (2.0 * lam))
+    return np.exp(-lam * delta) * prev + xi * sd
+
+
+def separate_step_sd(lam, delta):
+    """Reference: the step deviation, masked by lam == 0."""
+    sd = np.empty(lam.shape[0])
+    zero = lam == 0.0
+    sd[zero] = np.sqrt(delta)
+    sd[~zero] = np.sqrt(-np.expm1(-2.0 * lam[~zero] * delta) / (2.0 * lam[~zero]))
+    return sd
+
+
+def separate_marginal_scale(lam, t):
+    """Reference: the fixed-time deviation, as the root of the variance."""
+    var = np.empty(lam.shape[0])
+    zero = lam == 0.0
+    var[zero] = t
+    var[~zero] = -np.expm1(-2.0 * lam[~zero] * t) / (2.0 * lam[~zero])
+    return np.sqrt(var)
+
+
+def separate_marginal(config, t, n_replicas, rng, nodes):
+    """Reference: sample_slice_marginal with its own deviation."""
+    order = np.array(_mode_order(config.n_modes))
+    basis = basis_matrix(config.n_modes, np.asarray(nodes, dtype=float))
+    out = np.empty((n_replicas, basis.shape[1], config.dim))
+    scale = separate_marginal_scale(mode_rate(order), t)
+    for component in range(config.dim):
+        coeffs = rng.standard_normal((n_replicas, order.shape[0])) * scale
+        out[:, :, component] = coeffs @ basis
+    return out
+
+
+def separate_coefficients(config, replica, component):
+    """Reference: _simulate_coefficients with its own step deviation."""
+    order = np.array(_mode_order(config.n_modes))
+    n_rows = order.shape[0]
+    gen = _philox(config.seed, replica, component)
+    xi = gen.standard_normal(n_rows * config.n_time).reshape(n_rows, config.n_time)
+    delta = config.time_horizon / config.n_time
+    lam = mode_rate(order)
+    decay = np.exp(-lam * delta)
+    sd = separate_step_sd(lam, delta)
+    coeffs = np.zeros((config.n_time + 1, n_rows))
+    for j in range(config.n_time):
+        coeffs[j + 1] = decay * coeffs[j] + sd * xi[:, j]
+    return coeffs
+
+
+class TestOuDeviation:
+    """The one exact-OU deviation equals each form it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n_modes", [16, 64, 256])
+    @pytest.mark.parametrize("h", [1.0 / 128, 1.0 / 16, 0.3, 1.0])
+    def test_matches_step_and_marginal_forms(self, n_modes, h):
+        lam = mode_rate(_mode_order(n_modes))
+        sd = _ou_sd(lam, h)
+        assert lam[0] == 0.0 and sd[0] == np.sqrt(h)
+        assert np.array_equal(sd, separate_step_sd(lam, h))
+        assert np.array_equal(sd, separate_marginal_scale(lam, h))
+
+    def test_ou_step_matches_separate_form(self):
+        rng = np.random.default_rng(7)
+        rates = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 49)])
+        prev = rng.standard_normal(11)
+        xi = rng.standard_normal(11)
+        for lam in rates:
+            for delta in (1.0 / 128, 0.25, 1.0):
+                assert np.array_equal(
+                    ou_step(lam, delta, prev, xi),
+                    separate_ou_step(lam, delta, prev, xi),
+                )
+                assert ou_step(lam, delta, prev[0], xi[0]) == separate_ou_step(
+                    lam, delta, prev[0], xi[0]
+                )
+
+    @pytest.mark.parametrize("n_modes", [16, 64])
+    def test_simulate_coefficients_matches_separate_form(self, n_modes):
+        cfg = SpectralConfig(n_modes=n_modes, n_time=16, grid_level=3, dim=2, seed=12)
+        for replica in range(3):
+            for component in range(cfg.dim):
+                assert np.array_equal(
+                    _simulate_coefficients(cfg, replica, component),
+                    separate_coefficients(cfg, replica, component),
+                )
+
+    @pytest.mark.parametrize("t", [0.05, 1.0])
+    def test_slice_marginal_matches_separate_form(self, t):
+        cfg = SpectralConfig(n_modes=64, grid_level=4, dim=2, seed=13)
+        nodes = np.array([0.0, 0.25, 0.5])
+        got = sample_slice_marginal(cfg, t, 500, np.random.default_rng(4), nodes=nodes)
+        ref = separate_marginal(cfg, t, 500, np.random.default_rng(4), nodes)
+        assert np.array_equal(got, ref)
 
 
 class TestSampleField:

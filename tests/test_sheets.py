@@ -278,12 +278,6 @@ class TestSpacetimeBesov:
         with pytest.raises(ValueError):
             spacetime_besov_norm(sheet, beta=0.2, alpha=0.1, m=8.0)  # m*alpha <= 1
 
-    def test_thread_count_does_not_change_result(self):
-        sheet = small_sheet(1)
-        a = spacetime_besov_norm(sheet, 0.2, 0.4, 8.0, threads=1)
-        b = spacetime_besov_norm(sheet, 0.2, 0.4, 8.0, threads=4)
-        assert a == b
-
     def test_stability_under_time_refinement(self):
         # Same realization on a 128-step time grid versus its 64-step
         # subsampling: the quadrature moves by only a few percent.
