@@ -144,7 +144,6 @@ def resolve_config(experiment: str, file_config: dict, overrides: dict) -> dict:
             if overrides.get("threads") is not None
             else file_config.get("threads", 1)
         ),
-        "format": file_config.get("format", "json"),
         "spectral": spectral,
         "params": params,
     }
@@ -232,7 +231,7 @@ def _exp_bounds_scan(config: dict, out: Path) -> dict:
     reports = []
     for bound_id in p["bounds"]:
         kappa = p["kappa"] if bound_id in ("estD2", "cq2") else None
-        reports.append(bound_scan(bound_id, kappa=kappa).to_json_dict())
+        reports.append(asdict(bound_scan(bound_id, kappa=kappa)))
     _write_json(out / "bound_scans.json", {"reports": reports})
     worst = max(abs(r["refinement_ratio"] - 1.0) for r in reports)
     return {
@@ -307,7 +306,10 @@ def _exp_converge(config: dict, out: Path) -> dict:
             validate_besov_params(float(p["alpha"]), float(p["beta"]), float(p["m"]))
         except ValueError as exc:
             raise ConstraintError(str(exc)) from exc
-    k_range = range(int(p["k_min"]), int(p["k_max"]) + 1)
+    k_min, k_max = int(p["k_min"]), int(p["k_max"])
+    if k_min > k_max:
+        raise ConstraintError(f"k_min <= k_max violated: k_min={k_min}, k_max={k_max}")
+    k_range = range(k_min, k_max + 1)
     if max(k_range) + 1 > cfg.grid_level:
         raise ConstraintError(
             f"k_max {max(k_range)} needs grid_level >= {max(k_range) + 1}, "
@@ -332,7 +334,7 @@ def _exp_converge(config: dict, out: Path) -> dict:
             for r in table.rows
         ],
     )
-    fits = table.fits_json()
+    fits = {key: asdict(f) for key, f in table.fits.items()}
     _write_json(out / "convergence_fits.json", fits)
     return {
         "outputs": ["convergence.csv", "convergence_fits.json"],
@@ -341,13 +343,17 @@ def _exp_converge(config: dict, out: Path) -> dict:
     }
 
 
+def _eps_list(p: dict) -> list[float]:
+    if not isinstance(p["eps_list"], list):
+        raise ConstraintError(f"eps_list must be a list, got {p['eps_list']!r}")
+    return [float(eps) for eps in p["eps_list"]]
+
+
 def _exp_tails(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     p = config["params"]
     delta, k, replicas = float(p["delta"]), int(p["k"]), int(p["replicas"])
-    if not isinstance(p["eps_list"], list):
-        raise ConstraintError(f"eps_list must be a list, got {p['eps_list']!r}")
-    eps_list = [float(eps) for eps in p["eps_list"]]
+    eps_list = _eps_list(p)
     try:
         validate_tail_params(delta, eps_list, k, replicas, cfg.grid_level)
     except ValueError as exc:
@@ -432,7 +438,7 @@ def _exp_schilder(config: dict, out: Path) -> dict:
         else:
             threshold = float(p["a"])
         report = schilder_point_check(
-            t, xval, int(p["component"]), threshold, p["eps_list"]
+            t, xval, int(p["component"]), threshold, _eps_list(p)
         )
     except ValueError as exc:
         raise ConstraintError(str(exc)) from exc

@@ -313,19 +313,6 @@ class BoundScanReport:
     diverged: bool
     empty: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "kappa": self.kappa,
-            "grid": self.grid,
-            "max_ratio": self.max_ratio,
-            "base_ratio": self.base_ratio,
-            "argmax": self.argmax,
-            "refinement_ratio": self.refinement_ratio,
-            "diverged": self.diverged,
-            "empty": self.empty,
-        }
-
 
 def default_scan_grid(bound_id: str) -> dict:
     if bound_id == "estD2":

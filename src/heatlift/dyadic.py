@@ -175,17 +175,6 @@ class ConvergenceTable:
     def empty(self) -> bool:
         return not self.rows
 
-    def fits_json(self) -> dict:
-        return {
-            key: {
-                "slope": f.slope,
-                "intercept": f.intercept,
-                "slope_stderr": f.slope_stderr,
-                "n_points": f.n_points,
-            }
-            for key, f in self.fits.items()
-        }
-
 
 def _fit_log2_slope(ks: np.ndarray, estimates: np.ndarray) -> SlopeFit:
     y = np.log2(estimates)

@@ -4,8 +4,10 @@ Cameron-Martin shifts are parameterized by finitely many per-mode L^2
 controls f_n: the shifted mean path has coefficients
 hat{h}_n(t) = int_0^t e^{-lam_n (t-r)} f_n(r) dr and squared norm
 sum ||f_n||_{L^2}^2.  With piecewise-constant controls whose breakpoints
-sit on the time grid, the convolution is evaluated in closed form step
-by step, exactly.
+sit on the time grid, the convolution is exact step by step: each step
+adds the gain sampler._ou_integral(lam, step) times the control value,
+through the same recursion sampler._ou_paths that steps the sampled
+coefficients.
 
 The rate function on lifted shifts is ||h||_H^2 / 2.  Tail probabilities
 of the approximation gap are estimated by Monte Carlo with Wilson
@@ -30,6 +32,8 @@ from .parallel import deterministic_map
 from .sampler import (
     FieldSample,
     SpectralConfig,
+    _ou_integral,
+    _ou_paths,
     basis_eval,
     mode_rate,
     sample_field,
@@ -161,16 +165,9 @@ def cameron_martin_path(ctrl: CMControl, config: SpectralConfig) -> CameronMarti
     delta = config.time_horizon / config.n_time
     values = np.zeros((config.n_time + 1, config.n_nodes, config.dim))
     for c in ctrl.controls:
-        lam = float(mode_rate(abs(c.mode)))
-        steps = _step_values(c, times)
-        coeff = np.zeros(config.n_time + 1)
-        if lam == 0.0:
-            decay, gain = 1.0, delta
-        else:
-            decay = np.exp(-lam * delta)
-            gain = -np.expm1(-lam * delta) / lam
-        for j in range(config.n_time):
-            coeff[j + 1] = decay * coeff[j] + steps[j] * gain
+        lam = mode_rate(abs(c.mode))
+        drive = _step_values(c, times) * _ou_integral(lam, delta)
+        coeff = _ou_paths(np.exp(-lam * delta), drive)
         values[:, :, c.component] += np.outer(coeff, basis_eval(c.mode, nodes))
     return CameronMartinPath(
         field=FieldSample(values=values, config=config, replica=-1),
@@ -282,16 +279,20 @@ class TailRow:
     zero_count: bool
 
 
-def validate_tail_params(
-    delta: float, eps_list, k: int, replicas: int, grid_level: int
-):
-    """Constraints of the tail experiment; raises with the violated one
-    named."""
+def _check_eps_list(eps_list):
     if len(eps_list) == 0:
         raise ValueError("eps_list must hold at least one epsilon")
     for eps in eps_list:
         if not 0.0 < eps < np.inf:
             raise ValueError(f"0 < epsilon < inf violated: epsilon={eps!r}")
+
+
+def validate_tail_params(
+    delta: float, eps_list, k: int, replicas: int, grid_level: int
+):
+    """Constraints of the tail experiment; raises with the violated one
+    named."""
+    _check_eps_list(eps_list)
     if not 0.0 < delta < np.inf:
         raise ValueError(f"0 < delta < inf violated: delta={delta!r}")
     if replicas < 1:
@@ -394,7 +395,8 @@ def chaos_moment_ratio(
     increment (first Wiener chaos); "level2" evaluates an off-diagonal
     entry of the level-`level` polygonal lift between x and y (second
     chaos; needs dim >= 2).  Scalar replicas are drawn from the exact
-    single-time marginal.
+    single-time marginal.  Standard errors come from `batches` equal
+    batches, so replicas >= batches.
 
     y defaults to x + 1/2 for level1 and to one dyadic cell x + 2^-level
     for level2: over a single cell the entry is a plain product of
@@ -406,6 +408,10 @@ def chaos_moment_ratio(
     q_arr = np.asarray(q_sorted)
     if np.any(q_arr < 2.0):
         raise ValueError("moment orders below 2 are rejected")
+    if replicas < batches:
+        raise ValueError(
+            f"replicas >= batches violated: replicas={replicas}, batches={batches}"
+        )
     if y is None:
         y = x + (0.5 if functional == "level1" else 2.0**-level)
     rng = np.random.Generator(
@@ -466,8 +472,6 @@ def chaos_moment_ratio(
     batch_exp = []
     batch_r4 = []
     for part in batch_parts:
-        if part.size == 0:
-            continue
         r = ratios_of(part)
         batch_exp.append(_fit_exponent(q_arr, r))
         if q4.size:
@@ -525,8 +529,14 @@ def schilder_point_check(
 
     The Gaussian tail gives the exact scaled log-probability via the
     normal log-CDF, so no sampling is involved; the curve increases to
-    -a^2 / (2 sigma^2) from below as eps decreases.
+    -a^2 / (2 sigma^2) from below as eps decreases.  Needs
+    0 < eps < inf and 0 <= a < inf; below a = 0 that limit would be
+    wrong, since the probability then tends to one.
     """
+    eps_list = tuple(float(eps) for eps in eps_list)
+    _check_eps_list(eps_list)
+    if not 0.0 <= a < np.inf:
+        raise ValueError(f"0 <= a < inf violated: a={a!r}")
     sigma_sq = float(cov(t, x, t, x, method=method))
     if sigma_sq <= 0.0:
         raise ValueError(f"degenerate marginal at t={t} (variance {sigma_sq})")
@@ -536,7 +546,7 @@ def schilder_point_check(
         log_p = float(log_ndtr(-a / (eps * sigma)))
         rows.append(
             SchilderRow(
-                epsilon=float(eps),
+                epsilon=eps,
                 threshold=float(a),
                 probability=float(np.exp(log_p)),
                 eps2_log=float(eps * eps * log_p),

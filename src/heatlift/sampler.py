@@ -6,15 +6,19 @@ Ornstein-Uhlenbeck process with rate 4*pi^2*n^2 (a Brownian motion for
 n = 0), driven by its own standard Brownian motion.  Simulating those
 coefficients with the exact OU transition makes every time-grid marginal
 exact in law up to the mode cutoff, so discrepancies in downstream tests
-are attributable to truncation or Monte Carlo noise only.  The
-transition's standard deviation is written once, in _ou_sd, and serves
-ou_step, the time stepping of sample_field and the fixed-time marginal
-of sample_slice_marginal (the same formula with the step equal to t).
+are attributable to truncation or Monte Carlo noise only.  Each OU
+formula is written once: _ou_integral (int_0^h e^{-a r} dr, the one
+rate -> 0 limit) gives the transition deviation _ou_sd at rate 2*lam
+and the Cameron-Martin gain at rate lam, and _ou_paths is the one
+recursion c_{j+1} = decay*c_j + drive_j, driven by sd*xi here and by
+gain*f in ldp.cameron_martin_path.
 
 Randomness is counter-based: one Philox stream per (seed, replica,
 component), with each mode reading a fixed block of that stream (blocks
 ordered 0, +1, -1, +2, -2, ...).  Replicas are therefore reproducible
-independently and in parallel.
+independently and in parallel.  The key packs replica << 8 | component
+into one uint64, so streams stay distinct only for dim <= 256 and
+replicas below 2^56.
 
 sample_field projects the coefficients onto the trigonometric basis
 evaluated at the grid nodes.  That matrix depends only on (n_modes,
@@ -39,6 +43,10 @@ _FIELD_MAGIC = b"HLFIELD1"
 # Refuse allocations beyond this many float64 entries instead of dying
 # with an opaque MemoryError mid-simulation.
 _MAX_FIELD_ENTRIES = 1 << 28
+
+# Most replicas sample_slice_marginal draws and projects at once:
+# 4096 x 513 normals are 16.8 MB at the default cutoff.
+_MARGINAL_CHUNK = 4096
 
 
 class GridTooLargeError(RuntimeError):
@@ -65,8 +73,10 @@ class SpectralConfig:
             raise ValueError("n_modes must be >= 1")
         if self.n_time < 1 or self.time_horizon <= 0:
             raise ValueError("need n_time >= 1 and time_horizon > 0")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not 1 <= self.dim <= 256:
+            raise ValueError(f"1 <= dim <= 256 violated: dim={self.dim}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"0 <= seed < 2^64 violated: seed={self.seed}")
 
     @property
     def n_nodes(self) -> int:
@@ -149,14 +159,29 @@ def ou_step(lam: float, delta: float, prev, xi) -> np.ndarray:
     return np.exp(-lam * delta) * prev + xi * _ou_sd(lam, delta)
 
 
+def _ou_integral(a, h: float) -> np.ndarray:
+    """int_0^h exp(-a*r) dr per rate a: (1 - exp(-a*h))/a, and h where a = 0."""
+    a = np.asarray(a, dtype=float)
+    out = np.full(a.shape, h)
+    pos = a != 0.0
+    out[pos] = -np.expm1(-a[pos] * h) / a[pos]
+    return out
+
+
 def _ou_sd(lam, h: float) -> np.ndarray:
     """Standard deviation of the exact OU transition over a step h, per
     rate: sqrt((1 - exp(-2*lam*h))/(2*lam)), and sqrt(h) where lam = 0."""
-    lam = np.asarray(lam, dtype=float)
-    sd = np.full(lam.shape, np.sqrt(h))
-    pos = lam != 0.0
-    sd[pos] = np.sqrt(-np.expm1(-2.0 * lam[pos] * h) / (2.0 * lam[pos]))
-    return sd
+    return np.sqrt(_ou_integral(2.0 * lam, h))
+
+
+def _ou_paths(decay, drive: np.ndarray) -> np.ndarray:
+    """Paths c_0 = 0, c_{j+1} = decay*c_j + drive[j]; drive has one row
+    per time step, the result one more."""
+    drive = np.asarray(drive, dtype=float)
+    paths = np.zeros((drive.shape[0] + 1,) + drive.shape[1:])
+    for j, step in enumerate(drive):
+        paths[j + 1] = decay * paths[j] + step
+    return paths
 
 
 def _philox(seed: int, replica: int, component: int) -> np.random.Generator:
@@ -181,14 +206,13 @@ def _simulate_coefficients(
     decay = np.exp(-lam * delta)
     sd = _ou_sd(lam, delta)
 
-    coeffs = np.zeros((config.n_time + 1, n_rows))
-    for j in range(config.n_time):
-        coeffs[j + 1] = decay * coeffs[j] + sd * xi[:, j]
-    return coeffs
+    return _ou_paths(decay, (sd[:, None] * xi).T)
 
 
 def sample_field(config: SpectralConfig, replica: int = 0) -> FieldSample:
     """Simulate one field realization; components are independent."""
+    if not 0 <= replica < 2**56:
+        raise ValueError(f"0 <= replica < 2^56 violated: replica={replica}")
     entries = (config.n_time + 1) * config.n_nodes * config.dim
     if entries > _MAX_FIELD_ENTRIES:
         raise GridTooLargeError(
@@ -225,12 +249,18 @@ def sample_slice_marginal(
     scale = _ou_sd(mode_rate(_mode_order(config.n_modes)), t)
     basis = basis_matrix(config.n_modes, np.asarray(nodes, dtype=float))
     out = np.empty((n_replicas, basis.shape[1], config.dim))
+    # Equal chunks read the generator in the order of one block draw.  No
+    # chunk is below half of _MARGINAL_CHUNK, which keeps every GEMM off
+    # the BLAS small-matrix path: with OpenBLAS the rows then equal one
+    # block product's up to 129 nodes (from 257 nodes a chunk's last
+    # rows can differ in the last bit of the last column).
+    n_chunks = max(1, -(-n_replicas // _MARGINAL_CHUNK))
+    bounds = [n_replicas * i // n_chunks for i in range(n_chunks + 1)]
     for component in range(config.dim):
-        # Scaled in place: a scaled copy would be a second replicas x modes
-        # array, the largest allocation of the chaos experiment.
-        coeffs = rng.standard_normal((n_replicas, scale.shape[0]))
-        coeffs *= scale
-        out[:, :, component] = coeffs @ basis
+        for lo, hi in zip(bounds, bounds[1:]):
+            coeffs = rng.standard_normal((hi - lo, scale.shape[0]))
+            coeffs *= scale
+            out[lo:hi, :, component] = coeffs @ basis
     return out
 
 

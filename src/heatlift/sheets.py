@@ -33,7 +33,6 @@ parallelize over replicas instead.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
@@ -440,39 +439,8 @@ def embedding_ratio(
 # ---------------------------------------------------------------------------
 # Serialization (cache format shared with the CLI)
 
-def sheet_to_json_dict(sheet: RoughSheet) -> dict:
-    return {
-        "format": "heatlift-sheet",
-        "version": 1,
-        "d": sheet.dim,
-        "K": sheet.grid_level,
-        "times": sheet.times.tolist(),
-        "initial_values": sheet.initial_values.tolist(),
-        "level1": sheet.level1.tolist(),
-        "level2": sheet.level2.tolist(),
-    }
-
-
-def sheet_from_json_dict(doc: dict) -> RoughSheet:
-    if doc.get("format") != "heatlift-sheet":
-        raise ValueError("not a heatlift sheet record")
-    return RoughSheet(
-        times=np.asarray(doc["times"], dtype=float),
-        grid_level=int(doc["K"]),
-        level1=np.asarray(doc["level1"], dtype=float),
-        level2=np.asarray(doc["level2"], dtype=float),
-        initial_values=np.asarray(doc["initial_values"], dtype=float),
-    )
-
-
-def save_sheet(sheet: RoughSheet, path: str, fmt: str = "binary"):
-    """Write a sheet cache; binary is little-endian float64 throughout."""
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(sheet_to_json_dict(sheet), fh)
-        return
-    if fmt != "binary":
-        raise ValueError(f"unknown format {fmt!r}")
+def save_sheet(sheet: RoughSheet, path: str):
+    """Write a sheet cache: header then little-endian float64 throughout."""
     nt = sheet.n_times
     with open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC)
@@ -488,25 +456,23 @@ def save_sheet(sheet: RoughSheet, path: str, fmt: str = "binary"):
 
 def load_sheet(path: str) -> RoughSheet:
     with open(path, "rb") as fh:
-        head = fh.read(len(_BINARY_MAGIC))
-        if head == _BINARY_MAGIC:
-            d, k, nt = struct.unpack("<qqq", fh.read(24))
-            n = 2**k + 1
+        if fh.read(len(_BINARY_MAGIC)) != _BINARY_MAGIC:
+            raise ValueError("not a heatlift sheet cache")
+        d, k, nt = struct.unpack("<qqq", fh.read(24))
+        n = 2**k + 1
 
-            def read(shape):
-                count = int(np.prod(shape))
-                return np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
+        def read(shape):
+            count = int(np.prod(shape))
+            return np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
 
-            times = read((nt,)).astype(float)
-            iv = read((nt, d)).astype(float)
-            l1 = read((nt, n, d)).astype(float)
-            l2 = read((nt, n, d, d)).astype(float)
-            return RoughSheet(
-                times=times,
-                grid_level=k,
-                level1=l1,
-                level2=l2,
-                initial_values=iv,
-            )
-    with open(path, "r", encoding="utf-8") as fh:
-        return sheet_from_json_dict(json.load(fh))
+        times = read((nt,)).astype(float)
+        iv = read((nt, d)).astype(float)
+        l1 = read((nt, n, d)).astype(float)
+        l2 = read((nt, n, d, d)).astype(float)
+        return RoughSheet(
+            times=times,
+            grid_level=k,
+            level1=l1,
+            level2=l2,
+            initial_values=iv,
+        )

@@ -36,6 +36,7 @@ class TestResolveConfig:
         assert config["threads"] == 2
         assert config["params"]["n_s"] == 7
         assert config["spectral"]["n_modes"] == 256
+        assert set(config) == {"experiment", "seed", "threads", "spectral", "params"}
 
     def test_manifest_feedback(self):
         inner = resolve_config("schilder", {}, {})
@@ -107,6 +108,63 @@ class TestExitCodes:
         assert code == 2
         assert f"parameter error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "tails.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, named, artifact",
+        [
+            (
+                ["schilder", "--set", "eps_list=[-0.5]"],
+                "0 < epsilon < inf violated: epsilon=-0.5",
+                "schilder.csv",
+            ),
+            (
+                ["schilder", "--set", "eps_list=[0.0]"],
+                "0 < epsilon < inf violated: epsilon=0.0",
+                "schilder.csv",
+            ),
+            (
+                ["schilder", "--set", "eps_list=0.5"],
+                "eps_list must be a list, got 0.5",
+                "schilder.csv",
+            ),
+            (
+                ["schilder", "--set", "a=-1"],
+                "0 <= a < inf violated: a=-1.0",
+                "schilder.csv",
+            ),
+            (
+                ["chaos", "--set", "replicas=1"],
+                "replicas >= batches violated: replicas=1, batches=25",
+                "chaos.json",
+            ),
+            (
+                ["sample", "--seed", "-1"] + SMALL_SPECTRAL,
+                "0 <= seed < 2^64 violated: seed=-1",
+                "field.csv",
+            ),
+            (
+                ["sample", "--set", "replica=-1"] + SMALL_SPECTRAL,
+                "0 <= replica < 2^56 violated: replica=-1",
+                "field.csv",
+            ),
+            (
+                ["sample", "--set", "dim=257"] + SMALL_SPECTRAL,
+                "1 <= dim <= 256 violated: dim=257",
+                "field.csv",
+            ),
+            (
+                ["converge", "--set", "k_min=5", "--set", "k_max=3"] + SMALL_SPECTRAL,
+                "k_min <= k_max violated: k_min=5, k_max=3",
+                "convergence.csv",
+            ),
+        ],
+    )
+    def test_invalid_parameters_exit_2(self, tmp_path, capsys, argv, named, artifact):
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        assert f"parameter error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / artifact).exists()
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_oversized_grid_exit_2(self, tmp_path, capsys):
         # 129 * (2^22 + 1) field values trip the sampler's guard before

@@ -20,6 +20,7 @@ from heatlift.ldp import (
 )
 from heatlift.sampler import (
     SpectralConfig,
+    basis_eval,
     mode_rate,
     sample_field,
     sample_slice_marginal,
@@ -119,6 +120,71 @@ class TestCameronMartinPath:
         expected = np.minimum(times, 0.5)
         assert np.allclose(values, expected, atol=1e-12)
         assert path.h_norm_sq == pytest.approx(0.5)
+
+
+def separate_cm_values(ctrl, config):
+    """Reference: the Cameron-Martin path with its own lam = 0 branch,
+    expm1 gain and recursion loop."""
+    times = config.times()
+    nodes = config.nodes()
+    delta = config.time_horizon / config.n_time
+    values = np.zeros((config.n_time + 1, config.n_nodes, config.dim))
+    for c in ctrl.controls:
+        lam = float(mode_rate(abs(c.mode)))
+        steps = ldp._step_values(c, times)
+        coeff = np.zeros(config.n_time + 1)
+        if lam == 0.0:
+            decay, gain = 1.0, delta
+        else:
+            decay = np.exp(-lam * delta)
+            gain = -np.expm1(-lam * delta) / lam
+        for j in range(config.n_time):
+            coeff[j + 1] = decay * coeff[j] + steps[j] * gain
+        values[:, :, c.component] += np.outer(coeff, basis_eval(c.mode, nodes))
+    return values
+
+
+def _cm_control_sets(horizon):
+    def ctrl(mode, component, fractions, values):
+        return ModeControl(
+            mode, component, tuple(f * horizon for f in fractions), values
+        )
+
+    return {
+        "empty": (),
+        "mode0": (ctrl(0, 0, (0.0, 1.0), (1.0,)),),
+        "mode1": (ctrl(1, 0, (0.0, 1.0), (1.0,)),),
+        "mode1_minus3": (
+            ctrl(1, 0, (0.0, 1.0), (1.0,)),
+            ctrl(-3, 0, (0.0, 1.0), (-0.7,)),
+        ),
+        "piecewise_mix": (
+            ctrl(0, 0, (0.0, 0.5, 1.0), (1.0, 0.0)),
+            ctrl(2, 0, (0.0, 0.25, 0.75, 1.0), (0.3, -1.2, 2.5)),
+            ctrl(-1, 0, (0.0, 0.75, 1.0), (-0.4, 0.9)),
+        ),
+        "both_components": (
+            ctrl(1, 0, (0.0, 1.0), (1.0,)),
+            ctrl(-3, 0, (0.0, 0.5, 1.0), (2.0, -1.0)),
+            ctrl(2, 1, (0.0, 0.25, 1.0), (0.5, 1.5)),
+        ),
+    }
+
+
+class TestCameronMartinMatchesSeparateForm:
+    """The path through the sampler's OU integral and recursion equals the
+    form with its own branch and loop, bit for bit."""
+
+    @pytest.mark.parametrize("grid_level", [5, 6, 9, 10])
+    @pytest.mark.parametrize("horizon", [1.0, 0.3])
+    @pytest.mark.parametrize("name", sorted(_cm_control_sets(1.0)))
+    def test_bit_identical(self, grid_level, horizon, name):
+        cfg = small_config(grid_level=grid_level, time_horizon=horizon, dim=2)
+        ctrl = CMControl(_cm_control_sets(horizon)[name])
+        got = cameron_martin_path(ctrl, cfg).field.values
+        ref = separate_cm_values(ctrl, cfg)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestRateFunction:

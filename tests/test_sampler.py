@@ -12,6 +12,8 @@ from heatlift.sampler import (
     SpectralConfig,
     _grid_basis,
     _mode_order,
+    _ou_integral,
+    _ou_paths,
     _ou_sd,
     _philox,
     _simulate_coefficients,
@@ -148,17 +150,37 @@ def separate_coefficients(config, replica, component):
     return coeffs
 
 
+class TestOuIntegral:
+    """One exact-OU integral and one recursion serve every caller."""
+
+    def test_integral_limits(self):
+        assert _ou_integral(0.0, 0.25) == 0.25
+        a = np.array([0.0, 1e-12, 1.0, 1e4])
+        got = _ou_integral(a, 0.5)
+        assert got[0] == 0.5
+        assert got[1] == pytest.approx(0.5, rel=1e-11)
+        assert got[2] == pytest.approx(1.0 - np.exp(-0.5), rel=1e-15)
+        assert got[3] == pytest.approx(1e-4, rel=1e-15)
+
+    def test_paths_recursion(self):
+        decay = np.array([1.0, 0.5])
+        drive = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
+        expected = np.array([[0.0, 0.0], [1.0, 2.0], [4.0, 5.0], [4.0, 2.5]])
+        assert np.array_equal(_ou_paths(decay, drive), expected)
+
+
 class TestOuDeviation:
     """The one exact-OU deviation equals each form it replaced, bit for bit."""
 
-    @pytest.mark.parametrize("n_modes", [16, 64, 256])
-    @pytest.mark.parametrize("h", [1.0 / 128, 1.0 / 16, 0.3, 1.0])
+    @pytest.mark.parametrize("n_modes", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("h", [1e-9, 1e-5, 1.0 / 128, 1.0 / 16, 0.3, 1.0])
     def test_matches_step_and_marginal_forms(self, n_modes, h):
         lam = mode_rate(_mode_order(n_modes))
         sd = _ou_sd(lam, h)
         assert lam[0] == 0.0 and sd[0] == np.sqrt(h)
         assert np.array_equal(sd, separate_step_sd(lam, h))
         assert np.array_equal(sd, separate_marginal_scale(lam, h))
+        assert np.array_equal(sd, np.sqrt(_ou_integral(2.0 * lam, h)))
 
     def test_ou_step_matches_separate_form(self):
         rng = np.random.default_rng(7)
@@ -175,7 +197,7 @@ class TestOuDeviation:
                     lam, delta, prev[0], xi[0]
                 )
 
-    @pytest.mark.parametrize("n_modes", [16, 64])
+    @pytest.mark.parametrize("n_modes", [16, 64, 256])
     def test_simulate_coefficients_matches_separate_form(self, n_modes):
         cfg = SpectralConfig(n_modes=n_modes, n_time=16, grid_level=3, dim=2, seed=12)
         for replica in range(3):
@@ -191,6 +213,23 @@ class TestOuDeviation:
         nodes = np.array([0.0, 0.25, 0.5])
         got = sample_slice_marginal(cfg, t, 500, np.random.default_rng(4), nodes=nodes)
         ref = separate_marginal(cfg, t, 500, np.random.default_rng(4), nodes)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n_nodes", [2, 9, 129])
+    @pytest.mark.parametrize("n_replicas", [4097, 12289])
+    def test_chunked_marginal_matches_one_block(self, dim, n_nodes, n_replicas):
+        # Both counts exceed sampler_module._MARGINAL_CHUNK, so the draw is
+        # split; the one-block reference draws and projects all at once.
+        assert n_replicas > sampler_module._MARGINAL_CHUNK
+        cfg = SpectralConfig(n_modes=256, grid_level=4, dim=dim, seed=14)
+        nodes = np.linspace(0.0, 1.0, n_nodes)
+        got = sample_slice_marginal(
+            cfg, 0.7, n_replicas, np.random.default_rng(n_replicas), nodes=nodes
+        )
+        ref = separate_marginal(
+            cfg, 0.7, n_replicas, np.random.default_rng(n_replicas), nodes
+        )
         assert np.array_equal(got, ref)
 
 
@@ -267,6 +306,21 @@ class TestSampleField:
         ca = _simulate_coefficients(small, 0, 0)
         cb = _simulate_coefficients(big, 0, 0)
         assert np.array_equal(ca, cb[:, : ca.shape[1]])
+
+    def test_stream_key_bounds(self):
+        # Component 256 would read replica 1's component-0 stream.
+        a = _philox(0, 0, 256).standard_normal(4)
+        b = _philox(0, 1, 0).standard_normal(4)
+        assert np.array_equal(a, b)
+        SpectralConfig(dim=256)
+        with pytest.raises(ValueError, match="1 <= dim <= 256 violated"):
+            SpectralConfig(dim=257)
+        with pytest.raises(ValueError, match="0 <= seed < 2\\^64 violated"):
+            SpectralConfig(seed=-1)
+        cfg = SpectralConfig(n_modes=4, n_time=2, grid_level=2)
+        for replica in (-1, 2**56):
+            with pytest.raises(ValueError, match="0 <= replica < 2\\^56 violated"):
+                sample_field(cfg, replica)
 
     def test_absurd_grid_reported(self):
         cfg = SpectralConfig(n_modes=4, n_time=2**16, grid_level=14, dim=4, seed=0)

@@ -468,13 +468,11 @@ class TestSerialization:
         assert np.array_equal(back.level2, sheet.level2)
         assert np.array_equal(back.initial_values, sheet.initial_values)
 
-    def test_json_roundtrip(self, tmp_path):
-        sheet = small_sheet(5, grid_level=3, n_time=3)
+    def test_non_sheet_file_rejected(self, tmp_path):
         path = tmp_path / "sheet.json"
-        save_sheet(sheet, str(path), fmt="json")
-        back = load_sheet(str(path))
-        assert np.array_equal(back.level1, sheet.level1)
-        assert np.array_equal(back.level2, sheet.level2)
+        path.write_text('{"format": "heatlift-sheet", "version": 1}')
+        with pytest.raises(ValueError, match="not a heatlift sheet cache"):
+            load_sheet(str(path))
 
     def test_binary_is_little_endian_f64(self, tmp_path):
         sheet = small_sheet(6, grid_level=2, n_time=2)
