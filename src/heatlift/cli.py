@@ -1,8 +1,9 @@
 """Experiment runner: `heatlift <experiment> --config FILE [flags]`.
 
 Every run writes its artifacts plus a manifest (resolved config, config
-hash, seed, version, wall time, output hashes).  Re-running from a
-manifest reproduces the artifacts bit-for-bit at equal thread counts.
+hash, seed, version, wall time, output hashes, and the numpy and BLAS
+runtime).  Re-running from a manifest reproduces the artifacts
+bit-for-bit at equal thread counts and equal BLAS thread counts.
 Exit codes: 0 success, 2 infeasible/invalid parameters (including a field
 past the sampler's allocation guard), 1 runtime error.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -309,6 +311,10 @@ def _exp_converge(config: dict, out: Path) -> dict:
     k_min, k_max = int(p["k_min"]), int(p["k_max"])
     if k_min > k_max:
         raise ConstraintError(f"k_min <= k_max violated: k_min={k_min}, k_max={k_max}")
+    replicas = int(p["replicas"])
+    if replicas < 2:
+        # One replica has no standard error: every stderr would be NaN.
+        raise ConstraintError(f"replicas >= 2 violated: replicas={replicas}")
     k_range = range(k_min, k_max + 1)
     if max(k_range) + 1 > cfg.grid_level:
         raise ConstraintError(
@@ -318,7 +324,7 @@ def _exp_converge(config: dict, out: Path) -> dict:
     table = convergence_study(
         cfg,
         k_range,
-        int(p["replicas"]),
+        replicas,
         kinds=kinds,
         alpha=p["alpha"],
         beta=p["beta"],
@@ -479,6 +485,21 @@ _BODIES = {
 }
 
 
+def _runtime() -> dict:
+    """What the output bits depend on besides the config: the field
+    projection's GEMM sums in an order that depends on the BLAS and its
+    thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+    }
+
+
 def run(config: dict, out_dir: str) -> dict:
     """Execute one resolved experiment config; returns the manifest."""
     out = Path(out_dir)
@@ -497,6 +518,7 @@ def run(config: dict, out_dir: str) -> dict:
         "threads": config["threads"],
         "package_version": __version__,
         "wall_time_s": wall,
+        "runtime": _runtime(),
         "outputs": outputs,
         "summary": summary,
     }

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .parallel import deterministic_map
-from .sampler import FieldSample, SpectralConfig, sample_field
+from .sampler import (
+    _MAX_FIELD_ENTRIES, FieldSample, GridTooLargeError, SpectralConfig, sample_field,
+)
 from .sheets import RoughSheet, _lift_values, spacetime_besov_norm
 
 SUP_KIND = "sup"
@@ -162,7 +164,7 @@ class ConvergenceRow:
 class SlopeFit:
     slope: float
     intercept: float
-    slope_stderr: float
+    slope_stderr: float | None  # None below 3 points (no residual dof)
     n_points: int
 
 
@@ -186,7 +188,7 @@ def _fit_log2_slope(ks: np.ndarray, estimates: np.ndarray) -> SlopeFit:
         sigma2 = float(np.sum(resid**2)) / (n - 2)
         se = float(np.sqrt(sigma2 / np.sum((x - x.mean()) ** 2)))
     else:
-        se = float("nan")
+        se = None
     return SlopeFit(
         slope=float(slope), intercept=float(intercept), slope_stderr=se, n_points=n
     )
@@ -211,7 +213,9 @@ def convergence_study(
     requires the full parameter chain to be feasible.
 
     Replicas run independently (parallelizable) and are reduced in
-    replica order.
+    replica order.  Besov mode raises GridTooLargeError before sampling
+    when the increment tables live at once would pass the sampler's
+    allocation guard.
     """
     k_range = sorted(int(k) for k in k_range)
     if kinds and k_range:
@@ -225,6 +229,15 @@ def convergence_study(
         if alpha is None or beta is None or m is None:
             raise ValueError("besov kind needs alpha, beta and m")
         validate_besov_params(alpha, beta, m)
+        n, d = 2**config.grid_level, config.dim
+        per_table = (config.n_time + 1) * (n * (n + 1) // 2) * (d + d * d)
+        # Per replica in flight: two lifts' tables and their difference.
+        entries = 3 * per_table * max(1, min(threads, replicas))
+        if entries > _MAX_FIELD_ENTRIES:
+            raise GridTooLargeError(
+                f"Besov increment tables would hold {entries} values at once "
+                f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid or the threads"
+            )
 
     table = ConvergenceTable()
     if replicas <= 0 or not k_range or not kinds:
@@ -233,17 +246,19 @@ def convergence_study(
     def one_replica(r: int):
         sample = sample_field(config, r)
         out = {}
+        # Walking k upward, the fine lift of one difference is the coarse
+        # lift of the next and carries its increment tables along, so at
+        # most two lifts' tables are live.
         lifts = {}
-        if use_besov:
-            for k in range(min(k_range), max(k_range) + 2):
-                lifts[k] = lift_level(sample, k)
         for k in k_range:
             if SUP_KIND in kinds:
                 out[(k, 1, SUP_KIND)] = _level1_sup(sample, k) ** 2
                 out[(k, 2, SUP_KIND)] = _level2_sup(sample, k)
             if use_besov:
+                coarse = lifts.pop(k) if k in lifts else lift_level(sample, k)
+                lifts = {k + 1: lift_level(sample, k + 1)}
                 norm = spacetime_besov_norm(
-                    lifts[k + 1], beta, alpha, m, relative_to=lifts[k]
+                    lifts[k + 1], beta, alpha, m, relative_to=coarse
                 )
                 out[(k, 1, BESOV_KIND)] = norm.level1
                 out[(k, 2, BESOV_KIND)] = norm.level2

@@ -44,6 +44,7 @@ from .sheets import (
     _increment_tables,
     _lift_values,
     _node_pairs,
+    _row_norms,
     dist_infty,
 )
 
@@ -246,8 +247,8 @@ def cm_lift_uniform_convergence(
     for k in sorted(int(k) for k in k_range):
         lifted = lift_level(path.field, k)
         f1, f2 = _increment_tables(lifted, iu, ju)
-        sup1 = float(np.max(np.linalg.norm(f1 - ref1, axis=2)))
-        sup2 = float(np.max(np.linalg.norm(f2 - ref2, axis=2)))
+        sup1 = float(np.max(_row_norms((f1 - ref1).reshape(-1, f1.shape[2]))))
+        sup2 = float(np.max(_row_norms((f2 - ref2).reshape(-1, f2.shape[2]))))
         rows.append(LiftDecayRow(k=k, level1_sup=sup1, level2_sup=sup2))
     return rows
 

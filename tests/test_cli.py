@@ -3,9 +3,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from heatlift import ldp
+from heatlift import dyadic, ldp
 from heatlift.cli import main, resolve_config, run
 
 
@@ -157,6 +158,12 @@ class TestExitCodes:
                 "k_min <= k_max violated: k_min=5, k_max=3",
                 "convergence.csv",
             ),
+            (
+                ["converge", "--set", "replicas=1", "--set", "k_min=2"]
+                + ["--set", "k_max=3"] + SMALL_SPECTRAL,
+                "replicas >= 2 violated: replicas=1",
+                "convergence.csv",
+            ),
         ],
     )
     def test_invalid_parameters_exit_2(self, tmp_path, capsys, argv, named, artifact):
@@ -175,6 +182,26 @@ class TestExitCodes:
         assert "field would hold 541065345 values" in err
         assert "guard is 268435456" in err
         assert not (tmp_path / "field.csv").exists()
+
+
+    def test_oversized_besov_tables_exit_2(self, tmp_path, capsys, monkeypatch):
+        # At the default grid (K=10, 129 times) one dim-2 table holds
+        # 129 * 2^10 * (2^10 + 1) / 2 * 6 = 406,195,200 values; three are
+        # live per replica.
+        def refuse(config, replica):
+            raise AssertionError("sampled before the guard")
+
+        monkeypatch.setattr(dyadic, "sample_field", refuse)
+        code = main(
+            ["converge", "--out", str(tmp_path), "--set", 'kinds=["besov"]']
+            + ["--set", "alpha=0.45", "--set", "beta=0.02", "--set", "m=60"]
+            + ["--set", "dim=2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Besov increment tables would hold 1218585600 values" in err
+        assert "guard is 268435456" in err
+        assert not (tmp_path / "convergence.csv").exists()
 
 
 class TestDeterminism:
@@ -233,6 +260,11 @@ class TestDeterminism:
             assert file_hash(out / name) == digest
         assert manifest["config_hash"]
         assert manifest["threads"] == 1
+        runtime = manifest["runtime"]
+        assert set(runtime) == {"numpy", "blas", "openblas_num_threads"}
+        assert runtime["numpy"] == np.__version__
+        assert set(runtime["blas"]) == {"name", "version"}
+        assert isinstance(runtime["openblas_num_threads"], str)
 
 
 class TestExperiments:
@@ -266,6 +298,30 @@ class TestExperiments:
         ]
         assert all(r[2] == "sup" and r[5] == "3" for r in rows)
         assert all(float(r[3]) > 0 and math.isfinite(float(r[4])) for r in rows)
+
+    @pytest.mark.parametrize("k_max", [3, 4])
+    def test_converge_fits_layout(self, tmp_path, k_max):
+        code = main(
+            ["converge", "--out", str(tmp_path), "--seed", "4", "--set", "n_modes=16"]
+            + ["--set", "n_time=4", "--set", "grid_level=5", "--set", "dim=2"]
+            + ["--set", "k_min=2", "--set", f"k_max={k_max}", "--set", "replicas=3"]
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"not valid JSON: {token}")
+
+        text = (tmp_path / "convergence_fits.json").read_text()
+        fits = json.loads(text, parse_constant=reject)
+        assert sorted(fits) == ["sup:1", "sup:2"]
+        for fit in fits.values():
+            assert set(fit) == {"slope", "intercept", "slope_stderr", "n_points"}
+            assert fit["n_points"] == k_max - 1
+            if k_max == 3:
+                # Two points leave no residual degree of freedom.
+                assert fit["slope_stderr"] is None
+            else:
+                assert math.isfinite(fit["slope_stderr"])
 
     def test_schilder_outputs(self, tmp_path):
         assert main(["schilder", "--out", str(tmp_path)]) == 0

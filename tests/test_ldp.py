@@ -25,7 +25,7 @@ from heatlift.sampler import (
     sample_field,
     sample_slice_marginal,
 )
-from heatlift.sheets import _node_pairs, dist_infty
+from heatlift.sheets import _increment_tables, _node_pairs, dist_infty
 
 
 def constant_control(mode=0, component=0, value=1.0, horizon=1.0):
@@ -313,6 +313,40 @@ class TestLiftUniformConvergence:
         # level-2 differences decay as well
         sups2 = [r.level2_sup for r in rows]
         assert all(a > b for a, b in zip(sups2, sups2[1:]))
+
+
+def reference_lift_decay(path, k_range):
+    """cm_lift_uniform_convergence's former body, with np.linalg.norm
+    over the component axis."""
+    K = path.config.grid_level
+    iu, ju, _ = _node_pairs(2**K)
+    ref1, ref2 = _increment_tables(lift_level(path.field, K), iu, ju)
+    rows = []
+    for k in k_range:
+        f1, f2 = _increment_tables(lift_level(path.field, k), iu, ju)
+        rows.append(
+            (
+                k,
+                float(np.max(np.linalg.norm(f1 - ref1, axis=2))),
+                float(np.max(np.linalg.norm(f2 - ref2, axis=2))),
+            )
+        )
+    return rows
+
+
+class TestLiftDecayMatchesReference:
+    def test_two_component_controls(self):
+        # Mode 1 on component 0 and mode 2 on component 1: every row is
+        # nonzero at both levels (a mode-0 control gives all zeros).
+        cfg = small_config(grid_level=7, n_time=8, n_modes=8, dim=2)
+        ctrl = CMControl(
+            (constant_control(mode=1), constant_control(mode=2, component=1))
+        )
+        path = cameron_martin_path(ctrl, cfg)
+        rows = cm_lift_uniform_convergence(path, range(2, 7))
+        got = [(r.k, r.level1_sup, r.level2_sup) for r in rows]
+        assert got == reference_lift_decay(path, range(2, 7))
+        assert all(r.level1_sup > 0 and r.level2_sup > 0 for r in rows)
 
 
 class TestWilson:

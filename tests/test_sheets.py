@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatlift.dyadic import lift_level
-from heatlift.group import group_dist
+from heatlift.dyadic import convergence_study, lift_level
+from heatlift.group import _pair_increment, group_dist
 from heatlift.sampler import FieldSample, SpectralConfig, sample_field
 from heatlift.sheets import (
     GridMismatchError,
@@ -19,6 +19,7 @@ from heatlift.sheets import (
     lift_piecewise_linear,
     load_sheet,
     save_sheet,
+    _row_norms,
     spacetime_besov_norm,
 )
 
@@ -271,6 +272,20 @@ class TestSpacetimeBesov:
         expected = (t_factor * space**m) ** (1.0 / m)
         assert norm.level1 == pytest.approx(expected, rel=1e-12)
 
+    def test_single_time_sheet(self):
+        # No time pairs: only |v_0| remains.
+        rough = lift_piecewise_linear(sampled_slice(3, grid_level=4, dim=2))
+        sheet = RoughSheet(
+            times=np.zeros(1),
+            grid_level=4,
+            level1=rough.level1[None],
+            level2=rough.level2[None],
+            initial_values=rough.initial_value[None],
+        )
+        norm = spacetime_besov_norm(sheet, beta=0.2, alpha=0.4, m=8.0)
+        assert norm.initial_value == float(np.linalg.norm(rough.initial_value))
+        assert norm.level1 == 0.0 and norm.level2 == 0.0
+
     def test_parameter_guards(self):
         sheet = small_sheet(0)
         with pytest.raises(ValueError):
@@ -304,6 +319,117 @@ class TestSpacetimeBesov:
         for a, b in ((nf.level1, nc.level1), (nf.level2, nc.level2)):
             assert np.isfinite(a) and np.isfinite(b)
             assert abs(a - b) / b <= 0.05
+
+
+def reference_spacetime_besov(sheet, beta, alpha, m, relative_to=None):
+    """The quadrature's former body: both sheets tabulated on every call,
+    each block's time-pair differences gathered whole and reduced with
+    np.linalg.norm."""
+    nt, n = sheet.n_times, 2**sheet.grid_level
+    iu, ju = np.triu_indices(n + 1, k=1)
+    x_weight = (1.0 / n) ** 2 / ((ju - iu) / n) ** (1.0 + m * alpha)
+
+    def tables(sh):
+        f1 = np.empty((nt, iu.shape[0], sh.dim))
+        f2 = np.empty((nt, iu.shape[0], sh.dim**2))
+        for t, (l1, l2) in enumerate(zip(sh.level1, sh.level2)):
+            f1[t], a2 = _pair_increment(l1[iu], l2[iu], l1[ju], l2[ju])
+            f2[t] = a2.reshape(f2.shape[1:])
+        return f1, f2
+
+    f1m, f2m = tables(sheet)
+    v = sheet.initial_values
+    if relative_to is not None:
+        g1m, g2m = tables(relative_to)
+        f1m = f1m - g1m
+        f2m = f2m - g2m
+        v = v - relative_to.initial_values
+    si, ti = np.triu_indices(nt, k=1)
+    dt = (sheet.times[-1] - sheet.times[0]) / (nt - 1)
+    t_weight = dt**2 / (sheet.times[ti] - sheet.times[si]) ** (1.0 + beta * m)
+    sum1 = sum2 = 0.0
+    for lo in range(0, si.shape[0], 128):
+        idx = np.arange(lo, min(lo + 128, si.shape[0]))
+        mags1 = np.linalg.norm(f1m[ti[idx]] - f1m[si[idx]], axis=2)
+        mags2 = np.linalg.norm(f2m[ti[idx]] - f2m[si[idx]], axis=2)
+        sum1 += float((mags1**m @ x_weight) @ t_weight[idx])
+        sum2 += float((mags2 ** (m / 2.0) @ x_weight) @ t_weight[idx])
+    dv = np.sqrt(np.sum((v[ti] - v[si]) ** 2, axis=1))
+    v_norm = float(np.linalg.norm(v[0])) + float(dv**m @ t_weight) ** (1.0 / m)
+    return (v_norm, sum1 ** (1.0 / m), sum2 ** (2.0 / m))
+
+
+class TestSpacetimeBesovMatchesReference:
+    @pytest.mark.parametrize("comps", [1, 2, 3, 4, 7, 8, 9, 16, 17, 129, 300])
+    def test_row_norms_equal_numpy(self, comps):
+        rng = np.random.default_rng(comps)
+        table = rng.standard_normal((500, comps))
+        table *= np.exp(4.0 * rng.standard_normal(table.shape))
+        assert np.array_equal(_row_norms(table), np.linalg.norm(table, axis=1))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_row_norms_equal_numpy_over_matrices(self, dim):
+        table = np.random.default_rng(dim).standard_normal((500, dim, dim))
+        expected = np.sqrt(np.sum(table * table, axis=(1, 2)))
+        assert np.array_equal(_row_norms(table), expected)
+
+    # n_time=16 gives 136 time pairs, i.e. two blocks.
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_time", [5, 16])
+    def test_equals_block_gather_form(self, dim, n_time):
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=n_time, grid_level=5, dim=dim,
+            seed=dim,
+        )
+        sample = sample_field(cfg, 0)
+        fine, coarse = lift_level(sample, 4), lift_level(sample, 3)
+        params = dict(beta=0.04, alpha=0.4, m=30.0)
+        # Coarse first alone, then as relative_to with its tables already
+        # built, then the fine sheet alone from its kept tables.
+        for sheet, other in ((coarse, None), (fine, coarse), (fine, None)):
+            norm = spacetime_besov_norm(sheet, relative_to=other, **params)
+            got = (norm.initial_value, norm.level1, norm.level2)
+            assert got == reference_spacetime_besov(sheet, relative_to=other, **params)
+            assert all(np.isfinite(got)) and got[1] > 0
+
+    @pytest.mark.parametrize(
+        "k_range, threads, dim",
+        [([2, 4], 1, 2), (range(2, 5), 1, 2), (range(2, 5), 3, 3)],
+    )
+    def test_convergence_rows_equal_reference(self, k_range, threads, dim):
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=4, grid_level=5, dim=dim, seed=9
+        )
+        replicas = 4
+        params = dict(alpha=0.4, beta=0.04, m=30.0)
+        table = convergence_study(
+            cfg, k_range, replicas, kinds=("besov",), threads=threads, **params
+        )
+        per_replica = []
+        for r in range(replicas):
+            sample = sample_field(cfg, r)
+            per_replica.append(
+                {
+                    k: reference_spacetime_besov(
+                        lift_level(sample, k + 1),
+                        params["beta"],
+                        params["alpha"],
+                        params["m"],
+                        relative_to=lift_level(sample, k),
+                    )
+                    for k in k_range
+                }
+            )
+        expected = []
+        for level in (1, 2):
+            for k in k_range:
+                vals = np.array([res[k][level] for res in per_replica])
+                expected.append(
+                    (k, level, float(vals.mean()),
+                     float(vals.std(ddof=1) / np.sqrt(replicas)))
+                )
+        got = [(r.k, r.level, r.estimate, r.stderr) for r in table.rows]
+        assert got == expected
 
 
 def random_sheet(rng, grid_level: int, n_times: int, dim: int) -> RoughSheet:
