@@ -215,7 +215,8 @@ def convergence_study(
     Replicas run independently (parallelizable) and are reduced in
     replica order.  Besov mode raises GridTooLargeError before sampling
     when the increment tables live at once would pass the sampler's
-    allocation guard.
+    allocation guard.  One replica raises ValueError (it has no standard
+    error); zero replicas give an empty table.
     """
     k_range = sorted(int(k) for k in k_range)
     if kinds and k_range:
@@ -238,6 +239,10 @@ def convergence_study(
                 f"Besov increment tables would hold {entries} values at once "
                 f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid or the threads"
             )
+
+    if replicas == 1:
+        # One replica has no standard error: every stderr would be NaN.
+        raise ValueError(f"replicas >= 2 violated: replicas={replicas}")
 
     table = ConvergenceTable()
     if replicas <= 0 or not k_range or not kinds:
@@ -276,9 +281,7 @@ def convergence_study(
                 level=level,
                 norm_kind=kind,
                 estimate=float(vals.mean()),
-                stderr=float(vals.std(ddof=1) / np.sqrt(replicas))
-                if replicas > 1
-                else float("nan"),
+                stderr=float(vals.std(ddof=1) / np.sqrt(replicas)),
                 replicas=replicas,
             )
         )

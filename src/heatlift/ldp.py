@@ -44,7 +44,7 @@ from .sheets import (
     _increment_tables,
     _lift_values,
     _node_pairs,
-    _row_norms,
+    _table_sup,
     dist_infty,
 )
 
@@ -247,8 +247,8 @@ def cm_lift_uniform_convergence(
     for k in sorted(int(k) for k in k_range):
         lifted = lift_level(path.field, k)
         f1, f2 = _increment_tables(lifted, iu, ju)
-        sup1 = float(np.max(_row_norms((f1 - ref1).reshape(-1, f1.shape[2]))))
-        sup2 = float(np.max(_row_norms((f2 - ref2).reshape(-1, f2.shape[2]))))
+        sup1 = _table_sup(f1 - ref1)
+        sup2 = _table_sup(f2 - ref2)
         rows.append(LiftDecayRow(k=k, level1_sup=sup1, level2_sup=sup2))
     return rows
 

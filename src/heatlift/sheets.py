@@ -18,27 +18,40 @@ Each mathematical object has one kernel here:
   leading axis at once, for single slices (lift_piecewise_linear),
   dyadic levels (dyadic.lift_level) and the per-replica chaos paths of
   ldp.chaos_moment_ratio alike;
-- the quadrature: _node_pairs enumerates the grid pairs, _pair_weights
-  gives their Riemann weights, _row_norms the Euclidean norm of every
-  pair's entries, _holder_sup the sup-over-pairs Hoelder ratio (also of
-  the Cameron-Martin paths in ldp.cm_regularity_check) and _besov the
-  Besov sum over pairs.
+- the quadrature: _node_pairs enumerates the grid pairs, _log_weights
+  gives the logs of their Riemann weights, _row_sumsq the squared
+  Euclidean norm of every pair's entries (_row_norms its root),
+  _holder_sup the sup-over-pairs Hoelder ratio (also of the
+  Cameron-Martin paths in ldp.cm_regularity_check), _table_sup the sup
+  of an increment table (ldp.cm_lift_uniform_convergence) and
+  _log_besov_sum the one log-domain Besov sum, behind the slice norms,
+  the initial-value term and every block of the space-time norm.
 
 Besov integrals are discretized as node-pair Riemann sums with uniform
 weight (2^-K)^2 per pair; the near-diagonal singularity is integrable
 under the stated parameter constraints and refinement behaviour is
-measured, not assumed.  A sheet's increment tables over all node pairs
-are built once, on its first Besov norm, and kept on the sheet, so a
-lift shared by two consecutive differences (fine in one, coarse in the
-next) is tabulated once.  Each (s, t) row of the space-time sum is the
-difference of two table rows, formed and reduced to magnitudes one time
-pair at a time, so no block-sized gather is ever live.  The sum runs on
-one thread over blocks of _BESOV_BLOCK time pairs, reduced in block
-order; callers parallelize over replicas instead.
+measured, not assumed.  The sums are taken in log space: each term's
+log is (m/(2*level)) log|increment|^2 + log w, the weights' logs are
+formed without the power sep^(1+m*alpha), and each sum is reduced by
+log-sum-exp about its largest term.  No term overflows or underflows to
+a subnormal, whatever m is, so the cost does not depend on m; a Besov
+norm that still comes out non-finite raises FloatingPointError.
+
+A sheet's increment tables over all node pairs are built once, on its
+first Besov norm, and kept on the sheet component-major, (n_times,
+components, pairs), so a lift shared by two consecutive differences
+(fine in one, coarse in the next) is tabulated once and every component
+of a time row is contiguous.  Each (s, t) row of the space-time sum is
+the difference of two table rows, formed and reduced to squared
+magnitudes one time pair at a time, so no block-sized gather is ever
+live.  The sum runs on one thread over blocks of _BESOV_BLOCK time
+pairs, combined in block order; callers parallelize over replicas
+instead.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -50,8 +63,16 @@ from .parallel import chunk_indices, deterministic_map
 _BINARY_MAGIC = b"HLSHEET1"
 
 # (s, t) pairs per partial sum of the space-time Besov quadrature; the
-# sums are reduced in block order, so this fixes the result's bits.
+# sums are combined in block order, so this fixes the result's bits.
 _BESOV_BLOCK = 128
+
+# Logs above this overflow exp.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+# Log-sum-exp clamps shifted log-terms at this floor before exp.  A term
+# that far below the largest one is under 1e-304 of the sum, so the
+# clamp cannot change it, and it keeps exp off its slow subnormal path.
+_LOG_FLOOR = -700.0
 
 
 class GridMismatchError(ValueError):
@@ -193,27 +214,37 @@ def _node_pairs(n: int):
     return iu, ju, (ju - iu) / n
 
 
-def _pair_weights(sep: np.ndarray, mesh: float, expo: float) -> np.ndarray:
-    """Riemann weights mesh^2 / sep^expo of grid pairs at separations sep."""
-    return mesh**2 / sep**expo
+def _log_weights(sep: np.ndarray, mesh: float, expo: float) -> np.ndarray:
+    """Logs of the Riemann weights mesh^2 / sep^expo of grid pairs at
+    separations sep, formed without sep^expo (which underflows to 0 at
+    large expo and turns the weight into inf)."""
+    return 2.0 * math.log(mesh) - expo * np.log(sep)
 
 
-def _row_norms(table: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each table[p] over all its other axes.
+def _row_sumsq(table: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each table[p] over all its other axes.
 
     Below 8 components numpy's add.reduce sums a contiguous axis
     sequentially, so summing the squares one component column at a time
-    gives np.linalg.norm's bits without its slow reduction over a short
-    axis.  From 8 components on numpy sums pairwise, and its own
-    reduction is used.
+    gives np.linalg.norm's order without its slow reduction over a short
+    axis (and a transposed component-major table reads contiguous
+    columns).  From 8 components on numpy sums a contiguous row
+    pairwise, and its own reduction over contiguous rows is used.
     """
     flat = table.reshape(table.shape[0], int(np.prod(table.shape[1:])))
     if flat.shape[1] >= 8:
-        return np.sqrt(np.add.reduce(flat * flat, axis=1))
+        flat = np.ascontiguousarray(flat)
+        return np.add.reduce(flat * flat, axis=1)
     total = flat[:, 0] * flat[:, 0]
     for c in range(1, flat.shape[1]):
         total += flat[:, c] * flat[:, c]
-    return np.sqrt(total)
+    return total
+
+
+def _row_norms(table: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each table[p] over all its other axes; the same
+    bits as np.linalg.norm (see _row_sumsq)."""
+    return np.sqrt(_row_sumsq(table))
 
 
 def _holder_sup(table: np.ndarray, sep: np.ndarray, expo: float) -> float:
@@ -221,10 +252,50 @@ def _holder_sup(table: np.ndarray, sep: np.ndarray, expo: float) -> float:
     return float(np.max(_row_norms(table) / sep**expo))
 
 
-def _besov(table: np.ndarray, level: int, m: float, weights: np.ndarray) -> float:
+def _logsumexp(terms: np.ndarray) -> float:
+    """log of sum(exp(terms)), reduced about the largest term; overwrites
+    terms.  Empty or all -inf terms give -inf; a non-finite largest term
+    is returned as it is."""
+    if terms.size == 0:
+        return -math.inf
+    top = float(np.max(terms))
+    if not math.isfinite(top):
+        return top
+    terms -= top
+    np.maximum(terms, _LOG_FLOOR, out=terms)
+    return top + math.log(float(np.sum(np.exp(terms, out=terms))))
+
+
+def _log_besov_sum(sumsq: np.ndarray, level: int, m: float, *log_ws) -> float:
+    """log of the Besov Riemann sum  sum_p |a_p|^(m/level) * w_p,  with
+    sumsq[p] = |a_p|^2 and log w_p the sum of the log_ws (broadcast
+    against sumsq); overwrites sumsq with the terms' logs."""
+    # A zero increment's log is -inf.  If every term is zero the sum's log
+    # is -inf and the norm exactly 0; otherwise _logsumexp counts a zero
+    # term like any term clamped at _LOG_FLOOR (<= 1e-304 of the sum).
+    with np.errstate(divide="ignore"):
+        terms = np.log(sumsq, out=sumsq)
+    terms *= m / (2.0 * level)
+    for log_w in log_ws:
+        terms += log_w
+    return _logsumexp(terms)
+
+
+def _besov_root(log_sum: float, level: int, m: float) -> float:
+    """The norm (sum)^(level/m) from the sum's log; raises
+    FloatingPointError when it is not finite."""
+    log_norm = level / m * log_sum
+    if not log_norm < _LOG_MAX:
+        raise FloatingPointError(
+            f"non-finite level-{level} Besov norm (log of the norm: {log_norm})"
+        )
+    return math.exp(log_norm)
+
+
+def _besov(table: np.ndarray, level: int, m: float, log_w: np.ndarray) -> float:
     """Level-wise Besov Riemann sum over pairs p,
-    (sum_p |table[p]|^(m/level) * weights[p])^(level/m)."""
-    return float(_row_norms(table) ** (m / level) @ weights) ** (level / m)
+    (sum_p |table[p]|^(m/level) * w[p])^(level/m), with log_w = log w."""
+    return _besov_root(_log_besov_sum(_row_sumsq(table), level, m, log_w), level, m)
 
 
 def _pair_arrays(rough: RoughSlice):
@@ -268,8 +339,8 @@ def besov_norm(rough: RoughSlice, level: int, alpha: float, m: float) -> float:
     if m * alpha <= 1.0:
         raise ValueError(f"need m*alpha > 1 for integrability, got {m * alpha:.4g}")
     sep, a1, a2 = _pair_arrays(rough)
-    weights = _pair_weights(sep, 1.0 / rough.n_cells, 1.0 + m * alpha)
-    return _besov(a1 if level == 1 else a2, level, m, weights)
+    log_w = _log_weights(sep, 1.0 / rough.n_cells, 1.0 + m * alpha)
+    return _besov(a1 if level == 1 else a2, level, m, log_w)
 
 
 @dataclass(frozen=True)
@@ -282,21 +353,29 @@ class SpacetimeBesovNorm:
 
 
 def _increment_tables(sheet: RoughSheet, iu, ju):
-    """Per-time increment tables A^1_t, A^2_t over the node pairs.
+    """Per-time increment tables A^1_t, A^2_t over the node pairs,
+    component-major: (n_times, d, pairs) and (n_times, d^2, pairs).
 
     Built one time at a time, so only one time's gathered prefixes are
     live next to the tables (np.take gathers the same rows as fancy
     indexing, at a third of its cost).
     """
-    f1 = np.empty((sheet.n_times, iu.shape[0], sheet.dim))
-    f2 = np.empty((sheet.n_times, iu.shape[0], sheet.dim**2))
+    f1 = np.empty((sheet.n_times, sheet.dim, iu.shape[0]))
+    f2 = np.empty((sheet.n_times, sheet.dim**2, iu.shape[0]))
     for t, (l1, l2) in enumerate(zip(sheet.level1, sheet.level2)):
-        f1[t], a2 = _pair_increment(
+        a1, a2 = _pair_increment(
             np.take(l1, iu, 0), np.take(l2, iu, 0),
             np.take(l1, ju, 0), np.take(l2, ju, 0),
         )
-        f2[t] = a2.reshape(f2.shape[1:])
+        f1[t] = a1.T
+        f2[t] = a2.reshape(iu.shape[0], -1).T
     return f1, f2
+
+
+def _table_sup(table: np.ndarray) -> float:
+    """max over times and node pairs of the Euclidean norm of an increment
+    table's entries (the tables of _increment_tables)."""
+    return max(float(np.max(_row_norms(rows.T))) for rows in table)
 
 
 def _sheet_tables(sheet: RoughSheet):
@@ -326,9 +405,11 @@ def spacetime_besov_norm(
     the two sheets' increments and initial values (the distance whose
     level-wise decay the dyadic convergence study estimates).
 
-    Both sheets keep their increment tables (_sheet_tables).  Partial
-    sums over blocks of _BESOV_BLOCK (s, t) pairs are reduced in block
-    order, so the block size alone fixes the result's bits.
+    Both sheets keep their increment tables (_sheet_tables).  The sum is
+    taken in log space (_log_besov_sum) over blocks of _BESOV_BLOCK (s, t)
+    pairs, whose logs are combined in block order, so the block size
+    alone fixes the result's bits.  Raises FloatingPointError when any
+    component is not finite.
     """
     if beta <= 1.0 / m:
         raise ValueError(f"need beta > 1/m, got beta={beta:.4g}, 1/m={1.0 / m:.4g}")
@@ -338,7 +419,7 @@ def spacetime_besov_norm(
     times = sheet.times
     n = 2**sheet.grid_level
     _, _, sep = _node_pairs(n)
-    x_weight = _pair_weights(sep, 1.0 / n, 1.0 + m * alpha)
+    log_wx = _log_weights(sep, 1.0 / n, 1.0 + m * alpha)
 
     f1m, f2m = _sheet_tables(sheet)
     v = sheet.initial_values
@@ -355,31 +436,34 @@ def spacetime_besov_norm(
         dt = (times[-1] - times[0]) / (nt - 1)
     else:
         dt = 1.0
-    t_weight = _pair_weights(tsep, dt, 1.0 + beta * m)
+    log_wt = _log_weights(tsep, dt, 1.0 + beta * m)
 
-    def block_sums(block: range) -> tuple[float, float]:
-        mags1 = np.empty((len(block), sep.shape[0]))
-        mags2 = np.empty_like(mags1)
+    def block_logs(block: range) -> tuple[float, float]:
+        sumsq1 = np.empty((len(block), sep.shape[0]))
+        sumsq2 = np.empty_like(sumsq1)
+        # One difference buffer per level for all rows: a fresh array per
+        # row cost more than the row's arithmetic.
+        diff1, diff2 = np.empty_like(f1m[0]), np.empty_like(f2m[0])
         for row, p in enumerate(block):
-            mags1[row] = _row_norms(f1m[ti[p]] - f1m[si[p]])
-            mags2[row] = _row_norms(f2m[ti[p]] - f2m[si[p]])
-        s1 = float((mags1**m @ x_weight) @ t_weight[block])
-        s2 = float((mags2 ** (m / 2.0) @ x_weight) @ t_weight[block])
-        return s1, s2
+            s, t = si[p], ti[p]
+            sumsq1[row] = _row_sumsq(np.subtract(f1m[t], f1m[s], out=diff1).T)
+            sumsq2[row] = _row_sumsq(np.subtract(f2m[t], f2m[s], out=diff2).T)
+        log_wt_block = log_wt[block, None]
+        return (
+            _log_besov_sum(sumsq1, 1, m, log_wx, log_wt_block),
+            _log_besov_sum(sumsq2, 2, m, log_wx, log_wt_block),
+        )
 
     blocks = chunk_indices(si.shape[0], _BESOV_BLOCK)
-    partials = deterministic_map(block_sums, blocks)
-    sum1 = 0.0
-    sum2 = 0.0
-    for p1, p2 in partials:
-        sum1 += p1
-        sum2 += p2
+    log1, log2 = np.array(deterministic_map(block_logs, blocks)).reshape(-1, 2).T
 
-    v_norm = float(np.linalg.norm(v[0])) + _besov(v[ti] - v[si], 1, m, t_weight)
+    v_norm = float(np.linalg.norm(v[0])) + _besov(v[ti] - v[si], 1, m, log_wt)
+    if not math.isfinite(v_norm):
+        raise FloatingPointError(f"non-finite initial-value norm {v_norm}")
     return SpacetimeBesovNorm(
         initial_value=v_norm,
-        level1=sum1 ** (1.0 / m),
-        level2=sum2 ** (2.0 / m),
+        level1=_besov_root(_logsumexp(log1), 1, m),
+        level2=_besov_root(_logsumexp(log2), 2, m),
     )
 
 
@@ -458,10 +542,10 @@ def embedding_ratio(
     _, b1, b2 = _pair_arrays(b)
     d1 = a1 - b1
     d2 = a2 - b2
-    weights = _pair_weights(sep, 1.0 / a.n_cells, 1.0 + m * alpha)
+    log_w = _log_weights(sep, 1.0 / a.n_cells, 1.0 + m * alpha)
 
     def bes(table, level):
-        return _besov(table, level, m, weights)
+        return _besov(table, level, m, log_w)
 
     besov1 = bes(d1, 1)
     paths_b = bes(a1, 1) + bes(a2, 2) + bes(b1, 1) + bes(b2, 2)

@@ -203,6 +203,21 @@ class TestExitCodes:
         assert "guard is 268435456" in err
         assert not (tmp_path / "convergence.csv").exists()
 
+    def test_non_finite_besov_norm_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A non-finite norm is an internal failure, not a parameter error.
+        def non_finite(*args, **kwargs):
+            raise FloatingPointError("non-finite level-1 Besov norm")
+
+        monkeypatch.setattr(dyadic, "spacetime_besov_norm", non_finite)
+        code = main(
+            ["converge", "--out", str(tmp_path), "--set", 'kinds=["besov"]']
+            + ["--set", "alpha=0.45", "--set", "beta=0.02", "--set", "m=60"]
+            + SMALL_SPECTRAL + ["--set", "k_min=2", "--set", "k_max=3"]
+            + ["--set", "replicas=2"]
+        )
+        assert code == 1
+        assert "runtime failure: non-finite level-1 Besov norm" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_sample_reruns_bit_identical(self, tmp_path):
@@ -298,6 +313,25 @@ class TestExperiments:
         ]
         assert all(r[2] == "sup" and r[5] == "3" for r in rows)
         assert all(float(r[3]) > 0 and math.isfinite(float(r[4])) for r in rows)
+
+    def test_converge_besov_at_overflow_point_is_finite(self, tmp_path):
+        # At (alpha, beta, m) = (0.49, 0.004, 300) and grid level 8 the
+        # power-domain weights (1/n)^2 / sep^148 overflow; every row was NaN.
+        code = main(
+            ["converge", "--out", str(tmp_path), "--seed", "4"]
+            + ["--set", 'kinds=["besov"]', "--set", "grid_level=8"]
+            + ["--set", "n_time=2", "--set", "dim=1", "--set", "k_min=6"]
+            + ["--set", "k_max=7", "--set", "replicas=2", "--set", "alpha=0.49"]
+            + ["--set", "beta=0.004", "--set", "m=300"]
+        )
+        assert code == 0
+        lines = (tmp_path / "convergence.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == 4
+        assert all(
+            float(r[3]) > 0 and math.isfinite(float(r[3])) and math.isfinite(float(r[4]))
+            for r in rows
+        )
 
     @pytest.mark.parametrize("k_max", [3, 4])
     def test_converge_fits_layout(self, tmp_path, k_max):

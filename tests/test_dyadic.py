@@ -247,7 +247,7 @@ class TestConvergenceStudy:
         cfg = SpectralConfig(
             n_modes=16, time_horizon=1.0, n_time=4, grid_level=4, dim=2, seed=0
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs grid_level >= 5"):
             convergence_study(cfg, range(2, 5), replicas=1)
 
     def test_sup_estimates_decay(self):
@@ -283,8 +283,17 @@ class TestConvergenceStudy:
         cfg = SpectralConfig(
             n_modes=16, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=0
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="besov kind needs alpha, beta and m"):
             convergence_study(cfg, range(2, 4), replicas=1, kinds=("besov",))
+
+    def test_one_replica_rejected(self):
+        # One replica has no standard error; the check follows the k-range
+        # and Besov-parameter checks above.
+        cfg = SpectralConfig(
+            n_modes=16, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=0
+        )
+        with pytest.raises(ValueError, match="replicas >= 2 violated: replicas=1"):
+            convergence_study(cfg, range(2, 4), replicas=1)
 
     def test_threads_do_not_change_results(self):
         cfg = SpectralConfig(

@@ -317,7 +317,7 @@ class TestLiftUniformConvergence:
 
 def reference_lift_decay(path, k_range):
     """cm_lift_uniform_convergence's former body, with np.linalg.norm
-    over the component axis."""
+    over the component axis (axis 1 of the component-major tables)."""
     K = path.config.grid_level
     iu, ju, _ = _node_pairs(2**K)
     ref1, ref2 = _increment_tables(lift_level(path.field, K), iu, ju)
@@ -327,8 +327,8 @@ def reference_lift_decay(path, k_range):
         rows.append(
             (
                 k,
-                float(np.max(np.linalg.norm(f1 - ref1, axis=2))),
-                float(np.max(np.linalg.norm(f2 - ref2, axis=2))),
+                float(np.max(np.linalg.norm(f1 - ref1, axis=1))),
+                float(np.max(np.linalg.norm(f2 - ref2, axis=1))),
             )
         )
     return rows

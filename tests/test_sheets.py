@@ -286,6 +286,26 @@ class TestSpacetimeBesov:
         assert norm.initial_value == float(np.linalg.norm(rough.initial_value))
         assert norm.level1 == 0.0 and norm.level2 == 0.0
 
+    def test_non_finite_norm_raises(self):
+        sheet = small_sheet(0)
+        sheet.level1[2, 3, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite level-1 Besov norm"):
+            spacetime_besov_norm(sheet, beta=0.2, alpha=0.4, m=8.0)
+        rough = lift_piecewise_linear(linear_slice(4))
+        rough.level2[5, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite level-2 Besov norm"):
+            besov_norm(rough, 2, 0.4, 8.0)
+        # One time: no Besov sum runs, only |v_0|.
+        single = RoughSheet(
+            times=np.zeros(1),
+            grid_level=4,
+            level1=rough.level1[None],
+            level2=np.zeros_like(rough.level2)[None],
+            initial_values=np.array([[np.inf]]),
+        )
+        with pytest.raises(FloatingPointError, match="non-finite initial-value norm"):
+            spacetime_besov_norm(single, beta=0.2, alpha=0.4, m=8.0)
+
     def test_parameter_guards(self):
         sheet = small_sheet(0)
         with pytest.raises(ValueError):
@@ -385,11 +405,14 @@ class TestSpacetimeBesovMatchesReference:
         fine, coarse = lift_level(sample, 4), lift_level(sample, 3)
         params = dict(beta=0.04, alpha=0.4, m=30.0)
         # Coarse first alone, then as relative_to with its tables already
-        # built, then the fine sheet alone from its kept tables.
+        # built, then the fine sheet alone from its kept tables.  The sum is
+        # now taken in log space, so it agrees to rounding, not bit for bit
+        # (measured gap <= 4e-16; TestBesovMatchesMpmath gates accuracy).
         for sheet, other in ((coarse, None), (fine, coarse), (fine, None)):
             norm = spacetime_besov_norm(sheet, relative_to=other, **params)
             got = (norm.initial_value, norm.level1, norm.level2)
-            assert got == reference_spacetime_besov(sheet, relative_to=other, **params)
+            expected = reference_spacetime_besov(sheet, relative_to=other, **params)
+            assert got == pytest.approx(expected, rel=1e-13)
             assert all(np.isfinite(got)) and got[1] > 0
 
     @pytest.mark.parametrize(
@@ -428,8 +451,151 @@ class TestSpacetimeBesovMatchesReference:
                     (k, level, float(vals.mean()),
                      float(vals.std(ddof=1) / np.sqrt(replicas)))
                 )
-        got = [(r.k, r.level, r.estimate, r.stderr) for r in table.rows]
-        assert got == expected
+        assert [(r.k, r.level) for r in table.rows] == [e[:2] for e in expected]
+        for row, (_, _, estimate, stderr) in zip(table.rows, expected):
+            assert (row.estimate, row.stderr) == pytest.approx(
+                (estimate, stderr), rel=1e-13
+            )
+
+
+# (alpha, beta, m): validate_besov_params accepts both.  At the first,
+# (1/n)^2 / sep^(1+m*alpha) overflows at grid level 8 and |a|^m underflows,
+# so the former power-domain sums give NaN.
+MP_POINTS = ((0.49, 0.004, 300.0), (0.45, 0.02, 60.0))
+
+try:
+    import mpmath as mp
+except ImportError:  # only the 40-digit comparisons need it
+    mp = None
+needs_mpmath = pytest.mark.skipif(mp is None, reason="mpmath is not installed")
+
+
+def mp_sumsq(rows):
+    """Squared norms of rows of mpf entries (40 digits hold them exactly)."""
+    out = []
+    for row in rows:
+        total = row[0] * row[0]
+        for x in row[1:]:
+            total += x * x
+        out.append(total)
+    return out
+
+
+def mp_entries(table):
+    """The float table's rows, (pairs, components), as lists of mpf."""
+    flat = table.reshape(table.shape[0], -1).tolist()
+    return [[mp.mpf(x) for x in row] for row in flat]
+
+
+def mp_weights(seps, mesh, expo):
+    """Riemann weights mesh^2 / sep^expo, the float inputs taken exactly."""
+    weight = {
+        sep: mp.mpf(mesh) ** 2 / mp.power(mp.mpf(sep), mp.mpf(expo))
+        for sep in set(seps)
+    }
+    return [weight[sep] for sep in seps]
+
+
+def mp_besov(sumsq_rows, row_weights, x_weights, level, m):
+    """(sum_r row_weights[r] sum_p x_weights[p] sumsq_rows[r][p]^(m/(2 level)))
+    ^(level/m), every term formed and summed at full precision."""
+    power = m / (2 * level)
+    assert power == int(power)  # integer powers keep mpmath fast
+    total = mp.fsum(
+        w * mp.fdot(x_weights, [s ** int(power) for s in row])
+        for w, row in zip(row_weights, sumsq_rows)
+    )
+    return float(total ** (mp.mpf(level) / mp.mpf(m)))
+
+
+def mp_pair_sumsq(level1, level2, time_pairs):
+    """Exact squared norms of the increment differences A_t - A_s over all
+    node pairs, per level and per (s, t) in time_pairs."""
+    iu, ju = np.triu_indices(level1.shape[1], k=1)
+    tables = [[], []]
+    for l1, l2 in zip(level1, level2):
+        for table, a in zip(tables, _pair_increment(l1[iu], l2[iu], l1[ju], l2[ju])):
+            table.append(mp_entries(a))
+    return [
+        [
+            mp_sumsq(
+                [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(table[t], table[s])]
+                if s is not None else table[t]
+            )
+            for s, t in time_pairs
+        ]
+        for table in tables
+    ]
+
+
+def overflow_sheet():
+    cfg = SpectralConfig(
+        n_modes=128, time_horizon=1.0, n_time=2, grid_level=8, dim=1, seed=4
+    )
+    return lift_level(sample_field(cfg, 0), 8)
+
+
+class TestBesovMatchesMpmath:
+    """The log-domain sums against the same Riemann sums taken term by term
+    in 40-digit arithmetic, where nothing overflows or underflows."""
+
+    @pytest.fixture(scope="class")
+    def slice_case(self):
+        rough = lift_piecewise_linear(sampled_slice(4, grid_level=8, dim=2))
+        with mp.workdps(40):
+            return rough, mp_pair_sumsq(
+                rough.level1[None], rough.level2[None], [(None, 0)]
+            )
+
+    @pytest.fixture(scope="class")
+    def sheet_case(self):
+        sheet = overflow_sheet()
+        si, ti = np.triu_indices(sheet.n_times, k=1)
+        with mp.workdps(40):
+            return sheet, mp_pair_sumsq(sheet.level1, sheet.level2, list(zip(si, ti)))
+
+    @needs_mpmath
+    @pytest.mark.parametrize("alpha, beta, m", MP_POINTS)
+    def test_slice_norm(self, slice_case, alpha, beta, m):
+        rough, sumsq = slice_case
+        n = rough.n_cells
+        iu, ju = np.triu_indices(n + 1, k=1)
+        with mp.workdps(40):
+            x_w = mp_weights(((ju - iu) / n).tolist(), 1.0 / n, 1.0 + m * alpha)
+            for level in (1, 2):
+                exact = mp_besov(sumsq[level - 1], [1], x_w, level, m)
+                got = besov_norm(rough, level, alpha, m)
+                assert got == pytest.approx(exact, rel=1e-13)
+
+    @needs_mpmath
+    @pytest.mark.parametrize("alpha, beta, m", MP_POINTS)
+    def test_spacetime_norm(self, sheet_case, alpha, beta, m):
+        sheet, sumsq = sheet_case
+        norm = spacetime_besov_norm(sheet, beta, alpha, m)
+        n, times = 2**sheet.grid_level, sheet.times
+        iu, ju = np.triu_indices(n + 1, k=1)
+        si, ti = np.triu_indices(sheet.n_times, k=1)
+        dt = (times[-1] - times[0]) / (sheet.n_times - 1)
+        with mp.workdps(40):
+            x_w = mp_weights(((ju - iu) / n).tolist(), 1.0 / n, 1.0 + m * alpha)
+            t_w = mp_weights((times[ti] - times[si]).tolist(), dt, 1.0 + beta * m)
+            for level, got in ((1, norm.level1), (2, norm.level2)):
+                exact = mp_besov(sumsq[level - 1], t_w, x_w, level, m)
+                assert got == pytest.approx(exact, rel=1e-13)
+            v = mp_entries(sheet.initial_values)
+            v_rows = mp_sumsq(
+                [[a - b for a, b in zip(v[t], v[s])] for s, t in zip(si, ti)]
+            )
+            exact_v = float(mp.sqrt(mp_sumsq(v[:1])[0])) + mp_besov(
+                [v_rows], [1], t_w, 1, m
+            )
+        assert norm.initial_value == pytest.approx(exact_v, rel=1e-13)
+
+    def test_former_body_is_nan_at_overflow_point(self):
+        alpha, beta, m = MP_POINTS[0]
+        with np.errstate(all="ignore"):
+            former = reference_spacetime_besov(overflow_sheet(), beta, alpha, m)
+        assert np.isnan(former[1]) and np.isnan(former[2])
 
 
 def random_sheet(rng, grid_level: int, n_times: int, dim: int) -> RoughSheet:
