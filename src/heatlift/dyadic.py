@@ -26,7 +26,7 @@ from .parallel import deterministic_map
 from .sampler import (
     _MAX_FIELD_ENTRIES, FieldSample, GridTooLargeError, SpectralConfig, sample_field,
 )
-from .sheets import RoughSheet, _lift_values, spacetime_besov_norm
+from .sheets import RoughSheet, _lift_values, _table_entries, spacetime_besov_norm
 
 SUP_KIND = "sup"
 BESOV_KIND = "besov"
@@ -53,10 +53,11 @@ def polygonal_restrict(sample: FieldSample, k: int) -> FieldSample:
     """Linear interpolation between level-k nodes, on the full grid.
 
     Level K input is returned unchanged (every node is a level-K node).
+    Raises ValueError unless 0 <= k <= K.
     """
     K = sample.config.grid_level
-    if k > K:
-        raise ValueError(f"restriction level {k} exceeds grid level {K}")
+    if not 0 <= k <= K:
+        raise ValueError(f"0 <= k <= grid_level violated: k={k}, grid_level={K}")
     if k == K:
         return FieldSample(
             values=sample.values.copy(),
@@ -213,13 +214,20 @@ def convergence_study(
     requires the full parameter chain to be feasible.
 
     Replicas run independently (parallelizable) and are reduced in
-    replica order.  Besov mode raises GridTooLargeError before sampling
-    when the increment tables live at once would pass the sampler's
-    allocation guard.  One replica raises ValueError (it has no standard
-    error); zero replicas give an empty table.
+    replica order.  A kind other than sup and besov, or a negative k,
+    raises ValueError before sampling.  Besov mode raises
+    GridTooLargeError before sampling when the increment tables live at
+    once would pass the sampler's allocation guard.  One replica raises
+    ValueError (it has no standard error); zero replicas give an empty
+    table.
     """
     k_range = sorted(int(k) for k in k_range)
+    for kind in kinds:
+        if kind not in (SUP_KIND, BESOV_KIND):
+            raise ValueError(f"kind in {{sup, besov}} violated: kind={kind!r}")
     if kinds and k_range:
+        if k_range[0] < 0:
+            raise ValueError(f"k >= 0 violated: k={k_range[0]}")
         if max(k_range) + 1 > config.grid_level:
             raise ValueError(
                 f"k range up to {max(k_range)} needs grid_level >= "
@@ -230,8 +238,7 @@ def convergence_study(
         if alpha is None or beta is None or m is None:
             raise ValueError("besov kind needs alpha, beta and m")
         validate_besov_params(alpha, beta, m)
-        n, d = 2**config.grid_level, config.dim
-        per_table = (config.n_time + 1) * (n * (n + 1) // 2) * (d + d * d)
+        per_table = _table_entries(config.n_time + 1, config.grid_level, config.dim)
         # Per replica in flight: two lifts' tables and their difference.
         entries = 3 * per_table * max(1, min(threads, replicas))
         if entries > _MAX_FIELD_ENTRIES:

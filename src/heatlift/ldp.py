@@ -44,7 +44,7 @@ from .sheets import (
     _increment_tables,
     _lift_values,
     _node_pairs,
-    _table_sup,
+    _row_norms,
     dist_infty,
 )
 
@@ -205,7 +205,7 @@ def cm_regularity_check(
     values = path.field.values
     K = path.config.grid_level
     iu, ju, sep = _node_pairs(2**K)
-    holder = max(_holder_sup(v[ju] - v[iu], sep, 0.5) for v in values)
+    holder = max(_holder_sup(v.T[:, ju] - v.T[:, iu], sep, 0.5) for v in values)
     qvar = 0.0
     for t_index in range(values.shape[0]):
         total = 0.0
@@ -242,13 +242,13 @@ def cm_lift_uniform_convergence(
     config = path.config
     ref = lift_level(path.field, config.grid_level)
     iu, ju, _ = _node_pairs(2**config.grid_level)
-    ref1, ref2 = _increment_tables(ref, iu, ju)
+    ref1, ref2 = _increment_tables(ref.level1, ref.level2, iu, ju)
     rows = []
     for k in sorted(int(k) for k in k_range):
         lifted = lift_level(path.field, k)
-        f1, f2 = _increment_tables(lifted, iu, ju)
-        sup1 = _table_sup(f1 - ref1)
-        sup2 = _table_sup(f2 - ref2)
+        f1, f2 = _increment_tables(lifted.level1, lifted.level2, iu, ju)
+        sup1 = max(float(np.max(_row_norms(r))) for r in f1 - ref1)
+        sup2 = max(float(np.max(_row_norms(r))) for r in f2 - ref2)
         rows.append(LiftDecayRow(k=k, level1_sup=sup1, level2_sup=sup2))
     return rows
 

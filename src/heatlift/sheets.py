@@ -18,14 +18,17 @@ Each mathematical object has one kernel here:
   leading axis at once, for single slices (lift_piecewise_linear),
   dyadic levels (dyadic.lift_level) and the per-replica chaos paths of
   ldp.chaos_moment_ratio alike;
+- the pair-increment table: _increment_tables, in its one layout,
+  component-major (times, components, pairs), for sheets and slices (one
+  time) alike; _table_entries counts its values;
 - the quadrature: _node_pairs enumerates the grid pairs, _log_weights
   gives the logs of their Riemann weights, _row_sumsq the squared
-  Euclidean norm of every pair's entries (_row_norms its root),
-  _holder_sup the sup-over-pairs Hoelder ratio (also of the
-  Cameron-Martin paths in ldp.cm_regularity_check), _table_sup the sup
-  of an increment table (ldp.cm_lift_uniform_convergence) and
-  _log_besov_sum the one log-domain Besov sum, behind the slice norms,
-  the initial-value term and every block of the space-time norm.
+  Euclidean norm of every pair's entries, its component rows summed in
+  memory order (_row_norms its root), _holder_sup the sup-over-pairs
+  Hoelder ratio (also of the Cameron-Martin paths in
+  ldp.cm_regularity_check) and _log_besov_sum the one log-domain Besov
+  sum, behind the slice norms, the initial-value term and every block of
+  the space-time norm.
 
 Besov integrals are discretized as node-pair Riemann sums with uniform
 weight (2^-K)^2 per pair; the near-diagonal singularity is integrable
@@ -38,15 +41,13 @@ a subnormal, whatever m is, so the cost does not depend on m; a Besov
 norm that still comes out non-finite raises FloatingPointError.
 
 A sheet's increment tables over all node pairs are built once, on its
-first Besov norm, and kept on the sheet component-major, (n_times,
-components, pairs), so a lift shared by two consecutive differences
-(fine in one, coarse in the next) is tabulated once and every component
-of a time row is contiguous.  Each (s, t) row of the space-time sum is
-the difference of two table rows, formed and reduced to squared
-magnitudes one time pair at a time, so no block-sized gather is ever
-live.  The sum runs on one thread over blocks of _BESOV_BLOCK time
-pairs, combined in block order; callers parallelize over replicas
-instead.
+first Besov norm, and kept on the sheet, so a lift shared by two
+consecutive differences (fine in one, coarse in the next) is tabulated
+once.  Each (s, t) row of the space-time sum is the difference of two
+table rows, formed and reduced to squared magnitudes one time pair at a
+time, so no block-sized gather is ever live.  The sum runs on one thread
+over blocks of _BESOV_BLOCK time pairs, combined in block order; callers
+parallelize over replicas instead.
 """
 
 from __future__ import annotations
@@ -222,33 +223,24 @@ def _log_weights(sep: np.ndarray, mesh: float, expo: float) -> np.ndarray:
 
 
 def _row_sumsq(table: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each table[p] over all its other axes.
-
-    Below 8 components numpy's add.reduce sums a contiguous axis
-    sequentially, so summing the squares one component column at a time
-    gives np.linalg.norm's order without its slow reduction over a short
-    axis (and a transposed component-major table reads contiguous
-    columns).  From 8 components on numpy sums a contiguous row
-    pairwise, and its own reduction over contiguous rows is used.
-    """
-    flat = table.reshape(table.shape[0], int(np.prod(table.shape[1:])))
-    if flat.shape[1] >= 8:
-        flat = np.ascontiguousarray(flat)
-        return np.add.reduce(flat * flat, axis=1)
-    total = flat[:, 0] * flat[:, 0]
-    for c in range(1, flat.shape[1]):
-        total += flat[:, c] * flat[:, c]
+    """Squared Euclidean norm of each pair's entries of a component-major
+    table (components..., pairs): the squared rows summed in memory order,
+    one row at a time, so every pair sums in component order (as
+    np.linalg.norm over a leading axis) and no temporary exceeds a row."""
+    rows = table.reshape(math.prod(table.shape[:-1]), table.shape[-1])
+    total = rows[0] * rows[0]
+    for row in rows[1:]:
+        total += row * row
     return total
 
 
 def _row_norms(table: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each table[p] over all its other axes; the same
-    bits as np.linalg.norm (see _row_sumsq)."""
+    """Euclidean norm of each pair's entries (see _row_sumsq)."""
     return np.sqrt(_row_sumsq(table))
 
 
 def _holder_sup(table: np.ndarray, sep: np.ndarray, expo: float) -> float:
-    """sup over pairs p of |table[p]| / sep[p]^expo."""
+    """sup over pairs p of |table[..., p]| / sep[p]^expo."""
     return float(np.max(_row_norms(table) / sep**expo))
 
 
@@ -294,21 +286,8 @@ def _besov_root(log_sum: float, level: int, m: float) -> float:
 
 def _besov(table: np.ndarray, level: int, m: float, log_w: np.ndarray) -> float:
     """Level-wise Besov Riemann sum over pairs p,
-    (sum_p |table[p]|^(m/level) * w[p])^(level/m), with log_w = log w."""
+    (sum_p |table[..., p]|^(m/level) * w[p])^(level/m), with log_w = log w."""
     return _besov_root(_log_besov_sum(_row_sumsq(table), level, m, log_w), level, m)
-
-
-def _pair_arrays(rough: RoughSlice):
-    """All-increment arrays over node pairs i < j.
-
-    Returns (sep, A1, A2) with sep the grid separations x_j - x_i,
-    A1 of shape (n_pairs, d) and A2 of shape (n_pairs, d, d).
-    """
-    iu, ju, sep = _node_pairs(rough.n_cells)
-    a1, a2 = _pair_increment(
-        rough.level1[iu], rough.level2[iu], rough.level1[ju], rough.level2[ju]
-    )
-    return sep, a1, a2
 
 
 def _check_level(level: int):
@@ -323,7 +302,8 @@ def holder_norm(rough: RoughSlice, level: int, alpha: float) -> float:
     that a level-i object carries i times the base regularity.
     """
     _check_level(level)
-    sep, a1, a2 = _pair_arrays(rough)
+    iu, ju, sep = _node_pairs(rough.n_cells)
+    (a1,), (a2,) = _increment_tables(rough.level1[None], rough.level2[None], iu, ju)
     return _holder_sup(a1 if level == 1 else a2, sep, level * alpha)
 
 
@@ -338,7 +318,8 @@ def besov_norm(rough: RoughSlice, level: int, alpha: float, m: float) -> float:
     _check_level(level)
     if m * alpha <= 1.0:
         raise ValueError(f"need m*alpha > 1 for integrability, got {m * alpha:.4g}")
-    sep, a1, a2 = _pair_arrays(rough)
+    iu, ju, sep = _node_pairs(rough.n_cells)
+    (a1,), (a2,) = _increment_tables(rough.level1[None], rough.level2[None], iu, ju)
     log_w = _log_weights(sep, 1.0 / rough.n_cells, 1.0 + m * alpha)
     return _besov(a1 if level == 1 else a2, level, m, log_w)
 
@@ -352,17 +333,21 @@ class SpacetimeBesovNorm:
     level2: float
 
 
-def _increment_tables(sheet: RoughSheet, iu, ju):
-    """Per-time increment tables A^1_t, A^2_t over the node pairs,
-    component-major: (n_times, d, pairs) and (n_times, d^2, pairs).
+def _increment_tables(level1: np.ndarray, level2: np.ndarray, iu, ju):
+    """Increment tables A^1, A^2 over the node pairs (iu, ju) of stacked
+    prefixes level1 (n_times, nodes, d) and level2 (n_times, nodes, d, d),
+    component-major: (n_times, d, pairs) and (n_times, d^2, pairs), row
+    a*d + b of the second holding A^2_ab.  A slice is one time (its
+    prefixes with a leading axis of length 1).
 
     Built one time at a time, so only one time's gathered prefixes are
     live next to the tables (np.take gathers the same rows as fancy
     indexing, at a third of its cost).
     """
-    f1 = np.empty((sheet.n_times, sheet.dim, iu.shape[0]))
-    f2 = np.empty((sheet.n_times, sheet.dim**2, iu.shape[0]))
-    for t, (l1, l2) in enumerate(zip(sheet.level1, sheet.level2)):
+    nt, _, d = level1.shape
+    f1 = np.empty((nt, d, iu.shape[0]))
+    f2 = np.empty((nt, d * d, iu.shape[0]))
+    for t, (l1, l2) in enumerate(zip(level1, level2)):
         a1, a2 = _pair_increment(
             np.take(l1, iu, 0), np.take(l2, iu, 0),
             np.take(l1, ju, 0), np.take(l2, ju, 0),
@@ -372,10 +357,11 @@ def _increment_tables(sheet: RoughSheet, iu, ju):
     return f1, f2
 
 
-def _table_sup(table: np.ndarray) -> float:
-    """max over times and node pairs of the Euclidean norm of an increment
-    table's entries (the tables of _increment_tables)."""
-    return max(float(np.max(_row_norms(rows.T))) for rows in table)
+def _table_entries(n_times: int, grid_level: int, dim: int) -> int:
+    """Values in the two _increment_tables of n_times prefixes over all
+    node pairs of a level-grid_level grid in R^dim."""
+    n = 2**grid_level
+    return n_times * (n * (n + 1) // 2) * (dim + dim * dim)
 
 
 def _sheet_tables(sheet: RoughSheet):
@@ -383,7 +369,7 @@ def _sheet_tables(sheet: RoughSheet):
     use and kept on the sheet."""
     if sheet._tables is None:
         iu, ju, _ = _node_pairs(2**sheet.grid_level)
-        sheet._tables = _increment_tables(sheet, iu, ju)
+        sheet._tables = _increment_tables(sheet.level1, sheet.level2, iu, ju)
     return sheet._tables
 
 
@@ -446,8 +432,8 @@ def spacetime_besov_norm(
         diff1, diff2 = np.empty_like(f1m[0]), np.empty_like(f2m[0])
         for row, p in enumerate(block):
             s, t = si[p], ti[p]
-            sumsq1[row] = _row_sumsq(np.subtract(f1m[t], f1m[s], out=diff1).T)
-            sumsq2[row] = _row_sumsq(np.subtract(f2m[t], f2m[s], out=diff2).T)
+            sumsq1[row] = _row_sumsq(np.subtract(f1m[t], f1m[s], out=diff1))
+            sumsq2[row] = _row_sumsq(np.subtract(f2m[t], f2m[s], out=diff2))
         log_wt_block = log_wt[block, None]
         return (
             _log_besov_sum(sumsq1, 1, m, log_wx, log_wt_block),
@@ -457,7 +443,8 @@ def spacetime_besov_norm(
     blocks = chunk_indices(si.shape[0], _BESOV_BLOCK)
     log1, log2 = np.array(deterministic_map(block_logs, blocks)).reshape(-1, 2).T
 
-    v_norm = float(np.linalg.norm(v[0])) + _besov(v[ti] - v[si], 1, m, log_wt)
+    dv = v.T[:, ti] - v.T[:, si]
+    v_norm = float(np.linalg.norm(v[0])) + _besov(dv, 1, m, log_wt)
     if not math.isfinite(v_norm):
         raise FloatingPointError(f"non-finite initial-value norm {v_norm}")
     return SpacetimeBesovNorm(
@@ -538,8 +525,9 @@ def embedding_ratio(
         )
     if a.grid_level != b.grid_level or a.dim != b.dim:
         raise GridMismatchError("slices live on different grids")
-    sep, a1, a2 = _pair_arrays(a)
-    _, b1, b2 = _pair_arrays(b)
+    iu, ju, sep = _node_pairs(a.n_cells)
+    (a1,), (a2,) = _increment_tables(a.level1[None], a.level2[None], iu, ju)
+    (b1,), (b2,) = _increment_tables(b.level1[None], b.level2[None], iu, ju)
     d1 = a1 - b1
     d2 = a2 - b2
     log_w = _log_weights(sep, 1.0 / a.n_cells, 1.0 + m * alpha)

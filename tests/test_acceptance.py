@@ -21,7 +21,7 @@ from heatlift.ldp import (
     schilder_point_check,
 )
 from heatlift.sampler import FieldSample, SpectralConfig, sample_field
-from heatlift.sheets import _pair_arrays, dilate_sheet, dist_infty
+from heatlift.sheets import _increment_tables, _node_pairs, dilate_sheet, dist_infty
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -100,12 +100,17 @@ def test_criterion_03_chen_and_geometricity():
     n = 2**10
     max_chen = 0.0
     max_sym = 0.0
+    iu, ju, _ = _node_pairs(n)
     for replica in range(100):
         sheet_slice = lift_level(sample_field(cfg, replica), 10).slice(1)
-        # All increments: symmetric part against level1 ⊗ level1 / 2.
-        _, a1, a2 = _pair_arrays(sheet_slice)
-        sym = 0.5 * (a2 + np.swapaxes(a2, 1, 2))
-        sym -= 0.5 * np.einsum("pa,pb->pab", a1, a1)
+        # All increments: symmetric part against level1 ⊗ level1 / 2, on
+        # the component-major tables (a1[a, p], a2[a, b, p]).
+        (a1,), (f2,) = _increment_tables(
+            sheet_slice.level1[None], sheet_slice.level2[None], iu, ju
+        )
+        a2 = f2.reshape(2, 2, -1)
+        sym = 0.5 * (a2 + np.swapaxes(a2, 0, 1))
+        sym -= 0.5 * np.einsum("ap,bp->abp", a1, a1)
         max_sym = max(max_sym, float(np.max(np.abs(sym))))
         # Chen on 2000 random triples plus the full coarse subgrid.
         raw = np.sort(rng.integers(0, n + 1, size=(2000, 3)), axis=1)

@@ -164,6 +164,30 @@ class TestExitCodes:
                 "replicas >= 2 violated: replicas=1",
                 "convergence.csv",
             ),
+            (
+                ["converge", "--set", "k_min=-1", "--set", "k_max=2"]
+                + ["--set", "replicas=2"] + SMALL_SPECTRAL,
+                "k >= 0 violated: k=-1",
+                "convergence.csv",
+            ),
+            (
+                ["converge", "--set", 'kinds=["besov"]', "--set", "alpha=0.4"]
+                + ["--set", "beta=0.04", "--set", "m=30", "--set", "k_min=-1"]
+                + ["--set", "k_max=2", "--set", "replicas=2"] + SMALL_SPECTRAL,
+                "k >= 0 violated: k=-1",
+                "convergence.csv",
+            ),
+            (
+                ["converge", "--set", 'kinds=["supp"]', "--set", "k_min=1"]
+                + ["--set", "k_max=2", "--set", "replicas=2"] + SMALL_SPECTRAL,
+                "kind in {sup, besov} violated: kind='supp'",
+                "convergence.csv",
+            ),
+            (
+                ["cm", "--set", "k_range=[-2,3]"] + SMALL_SPECTRAL,
+                "0 <= k <= grid_level violated: k=-2, grid_level=4",
+                "cm.json",
+            ),
         ],
     )
     def test_invalid_parameters_exit_2(self, tmp_path, capsys, argv, named, artifact):

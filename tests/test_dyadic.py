@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heatlift import dyadic
 from heatlift.dyadic import (
     ConvergenceTable,
     _level2_sup,
@@ -37,6 +38,16 @@ class TestPolygonalRestrict:
         sample = make_sample(grid_level=4)
         with pytest.raises(ValueError):
             polygonal_restrict(sample, 5)
+
+    def test_rejects_negative_level(self):
+        # k = -1 would interpolate node 0 against node 2^K with weight
+        # j / 2^(K+1); lift_level goes through the same check.
+        sample = make_sample(grid_level=4)
+        for restrict in (polygonal_restrict, lift_level):
+            with pytest.raises(
+                ValueError, match="0 <= k <= grid_level violated: k=-1, grid_level=4"
+            ):
+                restrict(sample, -1)
 
     def test_linear_field_unchanged(self):
         cfg = SpectralConfig(
@@ -285,6 +296,28 @@ class TestConvergenceStudy:
         )
         with pytest.raises(ValueError, match="besov kind needs alpha, beta and m"):
             convergence_study(cfg, range(2, 4), replicas=1, kinds=("besov",))
+
+    @pytest.mark.parametrize(
+        "kinds, k_min, named",
+        [
+            (("sup",), -1, "k >= 0 violated: k=-1"),
+            (("besov",), -1, "k >= 0 violated: k=-1"),
+            (("sup", "supp"), 1, r"kind in \{sup, besov\} violated: kind='supp'"),
+        ],
+    )
+    def test_rejected_before_sampling(self, monkeypatch, kinds, k_min, named):
+        def refuse(config, replica):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(dyadic, "sample_field", refuse)
+        cfg = SpectralConfig(
+            n_modes=16, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=0
+        )
+        with pytest.raises(ValueError, match=named):
+            convergence_study(
+                cfg, range(k_min, 3), replicas=2, kinds=kinds,
+                alpha=0.4, beta=0.04, m=30.0,
+            )
 
     def test_one_replica_rejected(self):
         # One replica has no standard error; the check follows the k-range

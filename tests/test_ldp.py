@@ -320,10 +320,12 @@ def reference_lift_decay(path, k_range):
     over the component axis (axis 1 of the component-major tables)."""
     K = path.config.grid_level
     iu, ju, _ = _node_pairs(2**K)
-    ref1, ref2 = _increment_tables(lift_level(path.field, K), iu, ju)
+    ref = lift_level(path.field, K)
+    ref1, ref2 = _increment_tables(ref.level1, ref.level2, iu, ju)
     rows = []
     for k in k_range:
-        f1, f2 = _increment_tables(lift_level(path.field, k), iu, ju)
+        lifted = lift_level(path.field, k)
+        f1, f2 = _increment_tables(lifted.level1, lifted.level2, iu, ju)
         rows.append(
             (
                 k,
@@ -336,17 +338,19 @@ def reference_lift_decay(path, k_range):
 
 class TestLiftDecayMatchesReference:
     def test_two_component_controls(self):
-        # Mode 1 on component 0 and mode 2 on component 1: every row is
-        # nonzero at both levels (a mode-0 control gives all zeros).
-        cfg = small_config(grid_level=7, n_time=8, n_modes=8, dim=2)
-        ctrl = CMControl(
-            (constant_control(mode=1), constant_control(mode=2, component=1))
-        )
-        path = cameron_martin_path(ctrl, cfg)
-        rows = cm_lift_uniform_convergence(path, range(2, 7))
-        got = [(r.k, r.level1_sup, r.level2_sup) for r in rows]
-        assert got == reference_lift_decay(path, range(2, 7))
-        assert all(r.level1_sup > 0 and r.level2_sup > 0 for r in rows)
+        # Mode c + 1 on component c: every row is nonzero at both levels (a
+        # mode-0 control gives all zeros).  Three components give 9-entry
+        # level-2 rows.
+        for dim in (2, 3):
+            cfg = small_config(grid_level=7, n_time=8, n_modes=8, dim=dim)
+            ctrl = CMControl(
+                tuple(constant_control(mode=c + 1, component=c) for c in range(dim))
+            )
+            path = cameron_martin_path(ctrl, cfg)
+            rows = cm_lift_uniform_convergence(path, range(2, 7))
+            got = [(r.k, r.level1_sup, r.level2_sup) for r in rows]
+            assert got == reference_lift_decay(path, range(2, 7)), dim
+            assert all(r.level1_sup > 0 and r.level2_sup > 0 for r in rows)
 
 
 class TestWilson:

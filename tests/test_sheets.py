@@ -380,18 +380,31 @@ def reference_spacetime_besov(sheet, beta, alpha, m, relative_to=None):
 
 
 class TestSpacetimeBesovMatchesReference:
+    # Tables are C-contiguous and component-major, (components..., pairs),
+    # as _increment_tables builds them.  A transposed pair-major table is
+    # an F-order view, which numpy may reduce in another order.
     @pytest.mark.parametrize("comps", [1, 2, 3, 4, 7, 8, 9, 16, 17, 129, 300])
     def test_row_norms_equal_numpy(self, comps):
         rng = np.random.default_rng(comps)
-        table = rng.standard_normal((500, comps))
+        table = rng.standard_normal((comps, 500))
         table *= np.exp(4.0 * rng.standard_normal(table.shape))
-        assert np.array_equal(_row_norms(table), np.linalg.norm(table, axis=1))
+        assert table.flags.c_contiguous
+        expected = table[0] * table[0]
+        for c in range(1, comps):
+            expected = expected + table[c] * table[c]
+        got = _row_norms(table)
+        assert np.array_equal(got, np.sqrt(expected))
+        assert np.array_equal(got, np.linalg.norm(table, axis=0))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_row_norms_equal_numpy_over_matrices(self, dim):
-        table = np.random.default_rng(dim).standard_normal((500, dim, dim))
-        expected = np.sqrt(np.sum(table * table, axis=(1, 2)))
-        assert np.array_equal(_row_norms(table), expected)
+        table = np.random.default_rng(dim).standard_normal((dim, dim, 500))
+        assert table.flags.c_contiguous
+        expected = np.zeros(500)
+        for a in range(dim):
+            for b in range(dim):
+                expected = expected + table[a, b] * table[a, b]
+        assert np.array_equal(_row_norms(table), np.sqrt(expected))
 
     # n_time=16 gives 136 time pairs, i.e. two blocks.
     @pytest.mark.parametrize("dim", [1, 2, 3])
