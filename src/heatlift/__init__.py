@@ -72,7 +72,6 @@ from .ldp import (
     rate_function,
     schilder_point_check,
     tail_probability,
-    validate_tail_params,
 )
 
 __version__ = "0.1.0"

@@ -23,12 +23,7 @@ import numpy as np
 
 from . import __version__
 from .covariance import BOUND_IDS, bound_scan, cov, dual_method_check
-from .dyadic import (
-    convergence_study,
-    level2_telescope,
-    lift_level,
-    validate_besov_params,
-)
+from .dyadic import convergence_study, level2_telescope, lift_level
 from .group import GEOMETRIC_TOL, multiply
 from .ldp import (
     CMControl,
@@ -40,7 +35,6 @@ from .ldp import (
     rate_function,
     schilder_point_check,
     tail_probability,
-    validate_tail_params,
 )
 from .sampler import GridTooLargeError, SpectralConfig, sample_field, save_field
 from .sheets import increment, save_sheet
@@ -106,6 +100,19 @@ _PARAM_DEFAULTS = {
 }
 
 
+# The JSON type a parameter takes, by the type of its default; a null
+# default marks an optional number.  A boolean is no number, a float no
+# integer.
+_KINDS = {
+    bool: ("a boolean", bool),
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    str: ("a string", str),
+    list: ("a list", list),
+    type(None): ("a number or null", (int, float, type(None))),
+}
+
+
 class ConstraintError(ValueError):
     """Invalid or infeasible experiment parameters (exit code 2)."""
 
@@ -161,6 +168,19 @@ def resolve_config(experiment: str, file_config: dict, overrides: dict) -> dict:
             spectral[key] = value
         else:
             params[key] = value
+    param_defaults = _PARAM_DEFAULTS[experiment]
+    for values, defaults in ((spectral, _SPECTRAL_DEFAULTS), (params, param_defaults)):
+        for key, value in values.items():
+            if key not in defaults:
+                known = ", ".join(sorted({**_SPECTRAL_DEFAULTS, **param_defaults}))
+                raise ConstraintError(
+                    f"unknown parameter {key!r} for {experiment}; choose from {known}"
+                )
+            kind, accepted = _KINDS[type(defaults[key])]
+            if not isinstance(value, accepted) or (
+                isinstance(value, bool) and accepted is not bool
+            ):
+                raise ConstraintError(f"{key} must be {kind}, got {value!r}")
     return config
 
 
@@ -300,32 +320,14 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
 def _exp_converge(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     p = config["params"]
-    kinds = tuple(p["kinds"])
-    if "besov" in kinds:
-        if p["alpha"] is None or p["beta"] is None or p["m"] is None:
-            raise ConstraintError("besov kind needs alpha, beta, m")
-        try:
-            validate_besov_params(float(p["alpha"]), float(p["beta"]), float(p["m"]))
-        except ValueError as exc:
-            raise ConstraintError(str(exc)) from exc
-    k_min, k_max = int(p["k_min"]), int(p["k_max"])
+    k_min, k_max = p["k_min"], p["k_max"]
     if k_min > k_max:
         raise ConstraintError(f"k_min <= k_max violated: k_min={k_min}, k_max={k_max}")
-    replicas = int(p["replicas"])
-    if replicas < 2:
-        # One replica has no standard error: every stderr would be NaN.
-        raise ConstraintError(f"replicas >= 2 violated: replicas={replicas}")
-    k_range = range(k_min, k_max + 1)
-    if max(k_range) + 1 > cfg.grid_level:
-        raise ConstraintError(
-            f"k_max {max(k_range)} needs grid_level >= {max(k_range) + 1}, "
-            f"have {cfg.grid_level}"
-        )
     table = convergence_study(
         cfg,
-        k_range,
-        replicas,
-        kinds=kinds,
+        range(k_min, k_max + 1),
+        p["replicas"],
+        kinds=tuple(p["kinds"]),
         alpha=p["alpha"],
         beta=p["beta"],
         m=p["m"],
@@ -349,23 +351,12 @@ def _exp_converge(config: dict, out: Path) -> dict:
     }
 
 
-def _eps_list(p: dict) -> list[float]:
-    if not isinstance(p["eps_list"], list):
-        raise ConstraintError(f"eps_list must be a list, got {p['eps_list']!r}")
-    return [float(eps) for eps in p["eps_list"]]
-
-
 def _exp_tails(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     p = config["params"]
-    delta, k, replicas = float(p["delta"]), int(p["k"]), int(p["replicas"])
-    eps_list = _eps_list(p)
-    try:
-        validate_tail_params(delta, eps_list, k, replicas, cfg.grid_level)
-    except ValueError as exc:
-        raise ConstraintError(str(exc)) from exc
     rows = tail_probability(
-        delta, eps_list, k, replicas, cfg, threads=int(config["threads"])
+        float(p["delta"]), p["eps_list"], p["k"], p["replicas"], cfg,
+        threads=int(config["threads"]),
     )
     _write_csv(
         out / "tails.csv",
@@ -386,8 +377,6 @@ def _exp_tails(config: dict, out: Path) -> dict:
 def _exp_chaos(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     p = config["params"]
-    if p["functional"] == "level2" and cfg.dim < 2:
-        raise ConstraintError("level2 chaos functional needs spectral dim >= 2")
     report = chaos_moment_ratio(
         p["functional"],
         p["q_list"],
@@ -417,13 +406,11 @@ def _exp_chaos(config: dict, out: Path) -> dict:
 def _exp_cm(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     p = config["params"]
-    try:
-        ctrl = CMControl(tuple(control_from_dict(doc) for doc in p["controls"]))
-        path = cameron_martin_path(ctrl, cfg)
-    except ValueError as exc:
-        raise ConstraintError(str(exc)) from exc
-    reg = cm_regularity_check(path, float(p["q"]))
+    ctrl = CMControl(tuple(control_from_dict(doc) for doc in p["controls"]))
+    path = cameron_martin_path(ctrl, cfg)
+    # The lift decay checks k_range first, before anything costly runs.
     decay = cm_lift_uniform_convergence(path, p["k_range"])
+    reg = cm_regularity_check(path, float(p["q"]))
     payload = {
         "rate_function": rate_function(ctrl),
         "h_norm_sq": path.h_norm_sq,
@@ -437,17 +424,14 @@ def _exp_cm(config: dict, out: Path) -> dict:
 def _exp_schilder(config: dict, out: Path) -> dict:
     p = config["params"]
     t, xval = float(p["t"]), float(p["x"])
-    try:
-        if p["a"] is None:
-            # Default threshold: one standard deviation of the marginal.
-            threshold = float(np.sqrt(cov(t, xval, t, xval, method="fourier")))
-        else:
-            threshold = float(p["a"])
-        report = schilder_point_check(
-            t, xval, int(p["component"]), threshold, _eps_list(p)
-        )
-    except ValueError as exc:
-        raise ConstraintError(str(exc)) from exc
+    if p["a"] is None:
+        # Default threshold: one standard deviation of the marginal.
+        threshold = float(np.sqrt(cov(t, xval, t, xval, method="fourier")))
+    else:
+        threshold = float(p["a"])
+    report = schilder_point_check(
+        t, xval, int(p["component"]), threshold, p["eps_list"]
+    )
     _write_csv(
         out / "schilder.csv",
         "schilder",
@@ -551,6 +535,8 @@ def main(argv=None) -> int:
     try:
         file_config = {}
         if args.config:
+            if not Path(args.config).is_file():
+                raise ConstraintError(f"config file not found: {args.config}")
             file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         config = resolve_config(
             args.experiment,

@@ -49,6 +49,14 @@ def validate_besov_params(alpha: float, beta: float, m: float):
         )
 
 
+def _check_k(k: int, grid_level: int):
+    """A polygonal level k needs 0 <= k <= grid_level; raises naming it."""
+    if not 0 <= k <= grid_level:
+        raise ValueError(
+            f"0 <= k <= grid_level violated: k={k}, grid_level={grid_level}"
+        )
+
+
 def polygonal_restrict(sample: FieldSample, k: int) -> FieldSample:
     """Linear interpolation between level-k nodes, on the full grid.
 
@@ -56,8 +64,7 @@ def polygonal_restrict(sample: FieldSample, k: int) -> FieldSample:
     Raises ValueError unless 0 <= k <= K.
     """
     K = sample.config.grid_level
-    if not 0 <= k <= K:
-        raise ValueError(f"0 <= k <= grid_level violated: k={k}, grid_level={K}")
+    _check_k(k, K)
     if k == K:
         return FieldSample(
             values=sample.values.copy(),
@@ -217,9 +224,9 @@ def convergence_study(
     replica order.  A kind other than sup and besov, or a negative k,
     raises ValueError before sampling.  Besov mode raises
     GridTooLargeError before sampling when the increment tables live at
-    once would pass the sampler's allocation guard.  One replica raises
-    ValueError (it has no standard error); zero replicas give an empty
-    table.
+    once would pass the sampler's allocation guard.  Fewer than two
+    replicas raise ValueError (one has no standard error), after the
+    checks above and still before sampling.
     """
     k_range = sorted(int(k) for k in k_range)
     for kind in kinds:
@@ -247,12 +254,12 @@ def convergence_study(
                 f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid or the threads"
             )
 
-    if replicas == 1:
+    if replicas < 2:
         # One replica has no standard error: every stderr would be NaN.
         raise ValueError(f"replicas >= 2 violated: replicas={replicas}")
 
     table = ConvergenceTable()
-    if replicas <= 0 or not k_range or not kinds:
+    if not k_range or not kinds:
         return table
 
     def one_replica(r: int):

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .covariance import cov
-from .dyadic import lift_level
+from .dyadic import _check_k, lift_level
 from .parallel import deterministic_map
 from .sampler import (
     FieldSample,
@@ -44,7 +44,7 @@ from .sheets import (
     _increment_tables,
     _lift_values,
     _node_pairs,
-    _row_norms,
+    _row_sumsq,
     dist_infty,
 )
 
@@ -238,19 +238,31 @@ def cm_lift_uniform_convergence(
     path: CameronMartinPath, k_range
 ) -> list[LiftDecayRow]:
     """sup over t and grid pairs of |H(k)^i - H(k_max)^i|, i = 1, 2,
-    with k_max the full grid level."""
-    config = path.config
-    ref = lift_level(path.field, config.grid_level)
-    iu, ju, _ = _node_pairs(2**config.grid_level)
-    ref1, ref2 = _increment_tables(ref.level1, ref.level2, iu, ju)
-    rows = []
-    for k in sorted(int(k) for k in k_range):
-        lifted = lift_level(path.field, k)
-        f1, f2 = _increment_tables(lifted.level1, lifted.level2, iu, ju)
-        sup1 = max(float(np.max(_row_norms(r))) for r in f1 - ref1)
-        sup2 = max(float(np.max(_row_norms(r))) for r in f2 - ref2)
-        rows.append(LiftDecayRow(k=k, level1_sup=sup1, level2_sup=sup2))
-    return rows
+    with k_max the full grid level.  Every k is checked before anything
+    is lifted; one time's tables, the reference's and one level's, are
+    live at once."""
+    K = path.config.grid_level
+    ks = sorted(int(k) for k in k_range)
+    for k in ks:
+        _check_k(k, K)
+    ref = lift_level(path.field, K)
+    lifts = [lift_level(path.field, k) for k in ks]
+    iu, ju, _ = _node_pairs(2**K)
+    sups = np.empty((len(ks), 2, ref.n_times))
+    for t in range(ref.n_times):
+        at = slice(t, t + 1)
+        ref_t = _increment_tables(ref.level1[at], ref.level2[at], iu, ju)
+        for i, lifted in enumerate(lifts):
+            tables = _increment_tables(lifted.level1[at], lifted.level2[at], iu, ju)
+            for level, (f, r) in enumerate(zip(tables, ref_t)):
+                f -= r
+                # sqrt is monotone and correctly rounded and max is exact,
+                # so the root of the max, time by time, moves no bit.
+                sups[i, level, t] = np.sqrt(np.max(_row_sumsq(f[0])))
+    return [
+        LiftDecayRow(k=k, level1_sup=float(s1.max()), level2_sup=float(s2.max()))
+        for k, (s1, s2) in zip(ks, sups)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +300,6 @@ def _check_eps_list(eps_list):
             raise ValueError(f"0 < epsilon < inf violated: epsilon={eps!r}")
 
 
-def validate_tail_params(
-    delta: float, eps_list, k: int, replicas: int, grid_level: int
-):
-    """Constraints of the tail experiment; raises with the violated one
-    named."""
-    _check_eps_list(eps_list)
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"0 < delta < inf violated: delta={delta!r}")
-    if replicas < 1:
-        raise ValueError(f"replicas >= 1 violated: replicas={replicas}")
-    if not 0 <= k <= grid_level:
-        raise ValueError(
-            f"0 <= k <= grid_level violated: k={k}, grid_level={grid_level}"
-        )
-
-
 def tail_probability(
     delta: float,
     eps_list,
@@ -320,10 +316,17 @@ def tail_probability(
     sampled, lifted at levels K and k and measured once, and the one
     ordered array of distances is thresholded at delta / eps for every
     eps.  When no replica exceeds a threshold, eps^2 * log of the Wilson
-    upper bound is reported instead of -inf.
+    upper bound is reported instead of -inf.  An empty eps_list, an eps
+    or delta outside (0, inf), replicas < 1 or k outside [0, grid_level]
+    raises ValueError, naming the constraint, before anything is sampled.
     """
     eps_list = tuple(float(eps) for eps in eps_list)
-    validate_tail_params(delta, eps_list, k, replicas, config.grid_level)
+    _check_eps_list(eps_list)
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"0 < delta < inf violated: delta={delta!r}")
+    if replicas < 1:
+        raise ValueError(f"replicas >= 1 violated: replicas={replicas}")
+    _check_k(k, config.grid_level)
 
     def one(r: int) -> float:
         sample = sample_field(config, r)

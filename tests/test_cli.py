@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatlift import dyadic, ldp
+from heatlift import cli, dyadic, ldp
 from heatlift.cli import main, resolve_config, run
 
 
@@ -188,9 +188,62 @@ class TestExitCodes:
                 "0 <= k <= grid_level violated: k=-2, grid_level=4",
                 "cm.json",
             ),
+            (
+                ["tails", "--set", "replica=3"] + SMALL_SPECTRAL,
+                "unknown parameter 'replica' for tails; choose from delta, dim,",
+                "tails.csv",
+            ),
+            (
+                ["sample", "--set", "n_time=[1]", "--set", "n_modes=16"]
+                + ["--set", "grid_level=4"],
+                "n_time must be an integer, got [1]",
+                "field.csv",
+            ),
+            (
+                ["sample", "--set", "n_time=2.5", "--set", "n_modes=16"]
+                + ["--set", "grid_level=4"],
+                "n_time must be an integer, got 2.5",
+                "field.csv",
+            ),
+            (
+                ["sample", "--set", "write_binary=1"] + SMALL_SPECTRAL,
+                "write_binary must be a boolean, got 1",
+                "field.csv",
+            ),
+            (
+                ["schilder", "--set", "a=true"],
+                "a must be a number or null, got True",
+                "schilder.csv",
+            ),
+            (
+                ["sample", "--config", "missing.json"] + SMALL_SPECTRAL,
+                "config file not found: missing.json",
+                "field.csv",
+            ),
+            (
+                ["converge", "--set", "replicas=0", "--set", "k_min=2"]
+                + ["--set", "k_max=3"] + SMALL_SPECTRAL,
+                "replicas >= 2 violated: replicas=0",
+                "convergence.csv",
+            ),
+            (
+                ["chaos", "--set", "functional=level2"],
+                "level2 functional needs dim >= 2",
+                "chaos.json",
+            ),
         ],
     )
-    def test_invalid_parameters_exit_2(self, tmp_path, capsys, argv, named, artifact):
+    def test_invalid_parameters_exit_2(
+        self, tmp_path, capsys, monkeypatch, argv, named, artifact
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lifted before validation")
+
+        # cm names a bad k_range before its regularity check or any lift.
+        monkeypatch.setattr(ldp, "lift_level", refuse)
+        monkeypatch.setattr(cli, "cm_regularity_check", refuse)
+        # A relative --config resolves inside the empty output directory.
+        monkeypatch.chdir(tmp_path)
         code = main(argv + ["--out", str(tmp_path)])
         assert code == 2
         assert f"parameter error: {named}" in capsys.readouterr().err

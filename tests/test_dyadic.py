@@ -246,13 +246,19 @@ class TestBesovParamValidation:
 
 
 class TestConvergenceStudy:
-    def test_zero_replicas_empty_table(self):
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_too_few_replicas_rejected_before_sampling(self, monkeypatch, replicas):
+        def refuse(config, replica):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(dyadic, "sample_field", refuse)
         cfg = SpectralConfig(
             n_modes=16, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=0
         )
-        table = convergence_study(cfg, range(2, 4), replicas=0)
-        assert table.empty
-        assert table.fits == {}
+        with pytest.raises(
+            ValueError, match=f"replicas >= 2 violated: replicas={replicas}"
+        ):
+            convergence_study(cfg, range(2, 4), replicas=replicas)
 
     def test_k_range_needs_grid_headroom(self):
         cfg = SpectralConfig(
