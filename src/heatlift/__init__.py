@@ -72,6 +72,7 @@ from .ldp import (
     rate_function,
     schilder_point_check,
     tail_probability,
+    validate_cm_params,
 )
 
 __version__ = "0.1.0"

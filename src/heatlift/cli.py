@@ -3,7 +3,8 @@
 Every run writes its artifacts plus a manifest (resolved config, config
 hash, seed, version, wall time, output hashes, and the numpy and BLAS
 runtime).  Re-running from a manifest reproduces the artifacts
-bit-for-bit at equal thread counts and equal BLAS thread counts.
+bit-for-bit at any thread count and equal BLAS thread counts; the
+sampled field does not depend on the BLAS at all.
 Exit codes: 0 success, 2 infeasible/invalid parameters (including a field
 past the sampler's allocation guard), 1 runtime error.
 """
@@ -35,6 +36,7 @@ from .ldp import (
     rate_function,
     schilder_point_check,
     tail_probability,
+    validate_cm_params,
 )
 from .sampler import GridTooLargeError, SpectralConfig, sample_field, save_field
 from .sheets import increment, save_sheet
@@ -50,6 +52,10 @@ EXPERIMENTS = (
     "cm",
     "schilder",
 )
+
+# Top-level keys of a config file; a manifest's resolved_config holds
+# exactly these.
+_CONFIG_KEYS = ("experiment", "seed", "threads", "spectral", "params")
 
 _SPECTRAL_DEFAULTS = {
     "n_modes": 256,
@@ -137,6 +143,11 @@ def resolve_config(experiment: str, file_config: dict, overrides: dict) -> dict:
     # A manifest can be fed back in as a config.
     if "resolved_config" in file_config:
         file_config = file_config["resolved_config"]
+    for key in file_config:
+        if key not in _CONFIG_KEYS:
+            raise ConstraintError(
+                f"unknown config key {key!r}; choose from {', '.join(_CONFIG_KEYS)}"
+            )
     spectral = dict(_SPECTRAL_DEFAULTS)
     spectral.update(file_config.get("spectral", {}))
     params = dict(_PARAM_DEFAULTS[experiment])
@@ -406,9 +417,9 @@ def _exp_chaos(config: dict, out: Path) -> dict:
 def _exp_cm(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     p = config["params"]
+    validate_cm_params(float(p["q"]), p["k_range"], cfg.grid_level)
     ctrl = CMControl(tuple(control_from_dict(doc) for doc in p["controls"]))
     path = cameron_martin_path(ctrl, cfg)
-    # The lift decay checks k_range first, before anything costly runs.
     decay = cm_lift_uniform_convergence(path, p["k_range"])
     reg = cm_regularity_check(path, float(p["q"]))
     payload = {
@@ -470,9 +481,10 @@ _BODIES = {
 
 
 def _runtime() -> dict:
-    """What the output bits depend on besides the config: the field
-    projection's GEMM sums in an order that depends on the BLAS and its
-    thread count."""
+    """What the output bits depend on besides the config.  The sampled
+    field calls no BLAS; the marginal GEMM behind chaos (seen to move
+    with the BLAS thread count), the Fourier covariance's GEMV, the
+    Besov initial-value dot product and the polyfit slopes still do."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 has no dict form

@@ -190,14 +190,22 @@ class CMRegularityReport:
     qvar_normalized: float
 
 
+def validate_cm_params(q: float, k_range=(), grid_level: int = 0):
+    """The checks of cm_regularity_check (q) and cm_lift_uniform_convergence
+    (k_range), so a caller that runs both can refuse before either runs."""
+    if not (4.0 / 3.0 < q < 2.0):
+        raise ValueError(f"q must lie in (4/3, 2), got {q}")
+    for k in sorted(int(k) for k in k_range):
+        _check_k(k, grid_level)
+
+
 def cm_regularity_check(
     path: CameronMartinPath, q: float, gamma: float | None = None
 ) -> CMRegularityReport:
     """Grid 1/2-Hoelder constant and dyadic q-variation majorant
     sum_k k^gamma sum_i |increment at scale 2^-k|^q, both linearized
     (the majorant via its q-th root) and normalized by ||h||_H."""
-    if not (4.0 / 3.0 < q < 2.0):
-        raise ValueError(f"q must lie in (4/3, 2), got {q}")
+    validate_cm_params(q)
     if gamma is None:
         # Any gamma > q - 1 works; staying close to that edge keeps the
         # k-sum's tail small so the report stabilizes at moderate grids.

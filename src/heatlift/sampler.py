@@ -20,19 +20,15 @@ independently and in parallel.  The key packs replica << 8 | component
 into one uint64, so streams stay distinct only for dim <= 256 and
 replicas below 2^56.
 
-sample_field projects the coefficients onto the trigonometric basis
-evaluated at the grid nodes.  That matrix depends only on (n_modes,
-grid_level), so each process keeps one read-only copy of it for the most
-recent such pair: (2*n_modes + 1) * (2**grid_level + 1) * 8 bytes,
-4.2 MB at the command-line defaults.  A different pair replaces it.  The
-copy is built by basis_matrix and used unchanged, so outputs do not
-depend on it.
+sample_field evaluates the mode sum at the dyadic nodes by one inverse
+real FFT per component, with modes past the Nyquist frequency folded
+onto their aliases.  The FFT calls no BLAS, so the field's bits do not
+depend on the BLAS or its thread count.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,22 +125,6 @@ def basis_matrix(n_modes: int, x: np.ndarray) -> np.ndarray:
     return np.stack([basis_eval(n, x) for n in _mode_order(n_modes)])
 
 
-_basis_lock = threading.Lock()
-_basis_entry: tuple[tuple[int, int], np.ndarray] | None = None
-
-
-def _grid_basis(config: SpectralConfig) -> np.ndarray:
-    """basis_matrix(n_modes, nodes()), cached for the last (n_modes, grid_level)."""
-    global _basis_entry
-    key = (config.n_modes, config.grid_level)
-    with _basis_lock:
-        if _basis_entry is None or _basis_entry[0] != key:
-            basis = basis_matrix(config.n_modes, config.nodes())
-            basis.flags.writeable = False
-            _basis_entry = (key, basis)
-        return _basis_entry[1]
-
-
 def ou_step(lam: float, delta: float, prev, xi) -> np.ndarray:
     """One exact Ornstein-Uhlenbeck transition over a step of length delta.
 
@@ -210,7 +190,15 @@ def _simulate_coefficients(
 
 
 def sample_field(config: SpectralConfig, replica: int = 0) -> FieldSample:
-    """Simulate one field realization; components are independent."""
+    """Simulate one field realization; components are independent.
+
+    The mode sum at the nodes j/n, n = 2**grid_level, is one inverse real
+    FFT.  The constant mode fills bin 0; mode k's cosine and sine
+    coefficients a_k, b_k enter bin r = k mod n as (a_k - i*b_k)/sqrt(2),
+    or bin n - r with the sine's sign flipped when r > n/2.  On bins 0 and
+    n/2 the cosine enters once as sqrt(2)*a_k and the sine, zero at every
+    node, drops.  Folded modes add up in their bin.
+    """
     if not 0 <= replica < 2**56:
         raise ValueError(f"0 <= replica < 2^56 violated: replica={replica}")
     entries = (config.n_time + 1) * config.n_nodes * config.dim
@@ -219,11 +207,21 @@ def sample_field(config: SpectralConfig, replica: int = 0) -> FieldSample:
             f"field would hold {entries} values "
             f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid"
         )
-    basis = _grid_basis(config)
+    n = 2**config.grid_level
+    r = np.arange(1, config.n_modes + 1) % n
+    bins = np.minimum(r, n - r)
+    real = (bins == 0) | (2 * bins == n)
+    cos_weight = np.where(real, np.sqrt(2.0), np.sqrt(0.5))
+    sin_weight = np.where(real, 0.0, np.where(r > bins, np.sqrt(0.5), -np.sqrt(0.5)))
     values = np.empty((config.n_time + 1, config.n_nodes, config.dim))
     for component in range(config.dim):
         coeffs = _simulate_coefficients(config, replica, component)
-        values[:, :, component] = coeffs @ basis
+        spectrum = np.zeros((config.n_time + 1, n // 2 + 1), dtype=complex)
+        spectrum[:, 0] = coeffs[:, 0]
+        terms = coeffs[:, 1::2] * cos_weight + 1j * (coeffs[:, 2::2] * sin_weight)
+        np.add.at(spectrum, (slice(None), bins), terms)
+        values[:, :n, component] = np.fft.irfft(spectrum, n=n, norm="forward")
+    values[:, n] = values[:, 0]
     return FieldSample(values=values, config=config, replica=replica)
 
 

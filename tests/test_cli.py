@@ -45,6 +45,13 @@ class TestResolveConfig:
         again = resolve_config("schilder", wrapped, {})
         assert again == inner
 
+    def test_top_level_keys(self):
+        # A resolved config's own keys pass; any other key is refused.
+        inner = resolve_config("tails", {}, {})
+        assert resolve_config("tails", inner, {}) == inner
+        with pytest.raises(ValueError, match="unknown config key 'param'"):
+            resolve_config("tails", {"param": {"replicas": 3}}, {})
+
 
 class TestExitCodes:
     def test_cov_check_succeeds(self, tmp_path, capsys):
@@ -231,6 +238,11 @@ class TestExitCodes:
                 "level2 functional needs dim >= 2",
                 "chaos.json",
             ),
+            (
+                ["cm", "--set", "q=3"] + SMALL_SPECTRAL,
+                "q must lie in (4/3, 2), got 3.0",
+                "cm.json",
+            ),
         ],
     )
     def test_invalid_parameters_exit_2(
@@ -239,8 +251,10 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("lifted before validation")
 
-        # cm names a bad k_range before its regularity check or any lift.
+        # cm names a bad q or k_range before it builds the path, runs its
+        # regularity check or lifts anything.
         monkeypatch.setattr(ldp, "lift_level", refuse)
+        monkeypatch.setattr(cli, "cameron_martin_path", refuse)
         monkeypatch.setattr(cli, "cm_regularity_check", refuse)
         # A relative --config resolves inside the empty output directory.
         monkeypatch.chdir(tmp_path)
@@ -249,6 +263,15 @@ class TestExitCodes:
         assert f"parameter error: {named}" in capsys.readouterr().err
         assert not (tmp_path / artifact).exists()
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"param": {"replicas": 3}}))
+        out = tmp_path / "out"
+        code = main(["tails", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert "parameter error: unknown config key 'param'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oversized_grid_exit_2(self, tmp_path, capsys):
         # 129 * (2^22 + 1) field values trip the sampler's guard before

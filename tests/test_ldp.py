@@ -16,6 +16,7 @@ from heatlift.ldp import (
     schilder_point_check,
     TailRow,
     tail_probability,
+    validate_cm_params,
     wilson_interval,
 )
 from heatlift.sampler import (
@@ -229,6 +230,13 @@ class TestRegularityCheck:
         for bad_q in (1.2, 2.0, 2.5):
             with pytest.raises(ValueError):
                 cm_regularity_check(path, q=bad_q)
+
+    def test_params_checked_together(self):
+        validate_cm_params(1.5, [0, 3, 6], 6)
+        with pytest.raises(ValueError, match=r"q must lie in \(4/3, 2\), got 2.0"):
+            validate_cm_params(2.0, [2, 3], 6)
+        with pytest.raises(ValueError, match="violated: k=7, grid_level=6"):
+            validate_cm_params(1.5, [7, 2], 6)
 
     def test_linearity_in_controls(self):
         cfg = small_config(grid_level=6)

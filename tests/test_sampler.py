@@ -1,5 +1,9 @@
+import hashlib
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,6 @@ from heatlift.sampler import (
     FieldSample,
     GridTooLargeError,
     SpectralConfig,
-    _grid_basis,
     _mode_order,
     _ou_integral,
     _ou_paths,
@@ -328,7 +331,7 @@ class TestSampleField:
             sample_field(cfg, 0)
 
 
-def uncached_field(cfg, replica):
+def gemm_field(cfg, replica):
     basis = basis_matrix(cfg.n_modes, cfg.nodes())
     return np.stack(
         [_simulate_coefficients(cfg, replica, c) @ basis for c in range(cfg.dim)],
@@ -336,46 +339,33 @@ def uncached_field(cfg, replica):
     )
 
 
-class TestBasisCache:
+class TestFieldSynthesis:
+    # (n_modes, grid_level) in each aliasing regime, with N = 2^K.
+    GRIDS = (
+        (5, 4), (24, 6), (1, 2),  # n_modes < N/2
+        (256, 9), (8, 4), (2, 2), (1, 1),  # n_modes = N/2, the Nyquist bin
+        (5, 3), (12, 4), (3, 2),  # N/2 < n_modes < N: the sine flips
+        (16, 4), (5, 2), (40, 4), (3, 0), (33, 5),  # n_modes >= N: wraps
+    )
     CONFIGS = (
         SpectralConfig(n_modes=16, n_time=4, grid_level=4, dim=2, seed=31),
         SpectralConfig(n_modes=24, n_time=3, grid_level=5, dim=3, seed=32),
         SpectralConfig(n_modes=16, n_time=4, grid_level=6, dim=1, seed=33),
     )
 
-    def test_matches_uncached_projection_across_keys(self):
-        for r in range(3):
-            for cfg in self.CONFIGS:
-                assert np.array_equal(
-                    sample_field(cfg, r).values, uncached_field(cfg, r)
-                )
-
-    def test_one_build_per_key_change(self, monkeypatch):
-        builds = []
-
-        def counting(n_modes, x):
-            builds.append((n_modes, len(x)))
-            return basis_matrix(n_modes, x)
-
-        sample_field(self.CONFIGS[0], 0)  # a key neither config below uses
-        monkeypatch.setattr(sampler_module, "basis_matrix", counting)
-        a = SpectralConfig(n_modes=5, n_time=2, grid_level=3, dim=1, seed=34)
-        b = SpectralConfig(n_modes=5, n_time=2, grid_level=2, dim=1, seed=34)
-        for cfg in (a, a, b, b, a):
-            sample_field(cfg, 0)
-        assert builds == [(5, 9), (5, 5), (5, 9)]
-
-    def test_cached_basis_read_only(self):
-        cfg = self.CONFIGS[1]
-        sample_field(cfg, 0)
-        basis = _grid_basis(cfg)
-        assert not basis.flags.writeable
-        with pytest.raises(ValueError):
-            basis[0, 0] = 0.0
+    def test_matches_gemm_projection(self):
+        for n_modes, grid_level in self.GRIDS:
+            cfg = SpectralConfig(
+                n_modes=n_modes, n_time=3, grid_level=grid_level, dim=2, seed=30
+            )
+            for r in range(2):
+                reference = gemm_field(cfg, r)
+                error = np.max(np.abs(sample_field(cfg, r).values - reference))
+                assert error <= 1e-13 * np.max(np.abs(reference)), (cfg, r)
 
     def test_threads_interleaving_keys(self):
         expected = {
-            (i, r): uncached_field(cfg, r)
+            (i, r): sample_field(cfg, r).values
             for i, cfg in enumerate(self.CONFIGS)
             for r in range(4)
         }
@@ -393,6 +383,25 @@ class TestBasisCache:
                 assert all(f.result(timeout=60) for f in futures)
         finally:
             sys.setswitchinterval(old)
+
+    def test_field_bits_independent_of_blas_threads(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            subprocess.run(
+                [sys.executable, "-m", "heatlift.cli", "sample", "--out", str(out)]
+                + ["--set", "n_modes=256", "--set", "grid_level=8", "--set", "n_time=8"],
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+            digests.append(hashlib.sha256((out / "field.csv").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
 
 class TestMarginalSampler:
