@@ -56,6 +56,7 @@ from .dyadic import (
     level2_telescope,
     lift_level,
     polygonal_restrict,
+    restrict_values,
     validate_besov_params,
 )
 from .ldp import (

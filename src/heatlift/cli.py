@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .covariance import BOUND_IDS, bound_scan, cov, dual_method_check
-from .dyadic import convergence_study, level2_telescope, lift_level
+from .dyadic import convergence_study, level2_telescope, lift_level, restrict_values
 from .group import GEOMETRIC_TOL, multiply
 from .ldp import (
     CMControl,
@@ -39,7 +39,7 @@ from .ldp import (
     validate_cm_params,
 )
 from .sampler import GridTooLargeError, SpectralConfig, sample_field, save_field
-from .sheets import increment, save_sheet
+from .sheets import PathSlice, increment, lift_piecewise_linear, save_sheet
 
 EXPERIMENTS = (
     "sample",
@@ -135,19 +135,29 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _check_object(key: str, value):
+    """A config, or its spectral or params entry, must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConstraintError(f"{key} must be a JSON object, got {value!r}")
+
+
 def resolve_config(experiment: str, file_config: dict, overrides: dict) -> dict:
     if experiment not in EXPERIMENTS:
         raise ConstraintError(
             f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
         )
+    _check_object("config", file_config)
     # A manifest can be fed back in as a config.
     if "resolved_config" in file_config:
         file_config = file_config["resolved_config"]
+        _check_object("resolved_config", file_config)
     for key in file_config:
         if key not in _CONFIG_KEYS:
             raise ConstraintError(
                 f"unknown config key {key!r}; choose from {', '.join(_CONFIG_KEYS)}"
             )
+    for key in ("spectral", "params"):
+        _check_object(key, file_config.get(key, {}))
     spectral = dict(_SPECTRAL_DEFAULTS)
     spectral.update(file_config.get("spectral", {}))
     params = dict(_PARAM_DEFAULTS[experiment])
@@ -276,19 +286,27 @@ def _exp_bounds_scan(config: dict, out: Path) -> dict:
 
 
 def _exp_lift_check(config: dict, out: Path) -> dict:
+    """Chen's identity, geometricity and the level-2 telescoping sum on
+    sampled slices.  Each check reads one time row, so only that row is
+    restricted and lifted; a row lifted alone has the bits of that row of
+    the full-sheet lift, so the artifact is unchanged."""
     cfg = _spectral(config)
     p = config["params"]
+    K = cfg.grid_level
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, 0x11F7], dtype=np.uint64))
     )
+
+    def lift_row(values: np.ndarray, k: int):
+        return lift_piecewise_linear(PathSlice(restrict_values(values, K, k), K))
+
     max_chen = 0.0
     max_sym = 0.0
     n_slices = int(p["n_slices"])
     for replica in range(n_slices):
         sample = sample_field(cfg, replica)
-        sheet = lift_level(sample, cfg.grid_level)
         t_index = int(rng.integers(0, cfg.n_time + 1))
-        sl = sheet.slice(t_index)
+        sl = lift_row(sample.values[t_index], K)
         n = sl.n_cells
         idx = np.sort(rng.integers(0, n + 1, size=30))
         for a_i in range(0, len(idx) - 2, 3):
@@ -308,12 +326,13 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
         i_node = int(rng.integers(0, 2**k_level))
         j_node = int(rng.integers(i_node + 1, 2**k_level + 1))
         closed = level2_telescope(sample, k_level, t_index, i_node, j_node)
-        stride = 2 ** (cfg.grid_level - k_level)
-        fine = lift_level(sample, k_level + 1)
-        coarse = lift_level(sample, k_level)
+        stride = 2 ** (K - k_level)
+        row = sample.values[t_index]
+        fine = lift_row(row, k_level + 1)
+        coarse = lift_row(row, k_level)
         direct = (
-            increment(fine.slice(t_index), i_node * stride, j_node * stride).level2
-            - increment(coarse.slice(t_index), i_node * stride, j_node * stride).level2
+            increment(fine, i_node * stride, j_node * stride).level2
+            - increment(coarse, i_node * stride, j_node * stride).level2
         )
         max_tel = max(max_tel, float(np.max(np.abs(closed - direct))))
     report = {

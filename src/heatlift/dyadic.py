@@ -1,9 +1,10 @@
 """Dyadic polygonal approximations of the heat field and their lifts.
 
-psi(k) interpolates psi linearly between the level-k dyadic nodes j/2^k;
-its natural lift is built cell-by-cell on the finest grid, where the
-interpolant is linear, so Chen's identity and geometricity hold exactly
-by construction.
+psi(k) interpolates psi linearly between the level-k dyadic nodes j/2^k
+(restrict_values is the one restriction, of a sheet or of a single time
+row); its natural lift is built cell-by-cell on the finest grid, where
+the interpolant is linear, so Chen's identity and geometricity hold
+exactly by construction.
 
 The level-2 difference between consecutive approximations collapses, at
 level-k node pairs, to a closed antisymmetric sum over sibling increments
@@ -57,40 +58,45 @@ def _check_k(k: int, grid_level: int):
         )
 
 
-def polygonal_restrict(sample: FieldSample, k: int) -> FieldSample:
-    """Linear interpolation between level-k nodes, on the full grid.
+def restrict_values(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
+    """Linear interpolation between level-k nodes of values (..., 2^K + 1, d),
+    on the full grid; a new array.  Elementwise in the leading axes, so a
+    row restricted alone has the bits of that row of a stack.
 
-    Level K input is returned unchanged (every node is a level-K node).
+    Level K input is copied unchanged (every node is a level-K node).
     Raises ValueError unless 0 <= k <= K.
     """
-    K = sample.config.grid_level
+    K = grid_level
     _check_k(k, K)
     if k == K:
-        return FieldSample(
-            values=sample.values.copy(),
-            config=sample.config,
-            replica=sample.replica,
-        )
+        return values.copy()
     stride = 2 ** (K - k)
     n = 2**K
     j = np.arange(n + 1)
     q, r = np.divmod(j, stride)
-    left = sample.values[:, np.minimum(q * stride, n), :]
-    right = sample.values[:, np.minimum((q + 1) * stride, n), :]
-    w = r.astype(float) / stride
-    values = left * (1.0 - w)[None, :, None] + right * w[None, :, None]
+    left = values[..., np.minimum(q * stride, n), :]
+    right = values[..., np.minimum((q + 1) * stride, n), :]
+    w = (r.astype(float) / stride)[:, None]
     # Exactness at the kept nodes (w = 0) is automatic.
-    return FieldSample(values=values, config=sample.config, replica=sample.replica)
+    return left * (1.0 - w) + right * w
+
+
+def polygonal_restrict(sample: FieldSample, k: int) -> FieldSample:
+    """Linear interpolation between level-k nodes, on the full grid (see
+    restrict_values).  Raises ValueError unless 0 <= k <= K."""
+    return FieldSample(
+        values=restrict_values(sample.values, sample.config.grid_level, k),
+        config=sample.config,
+        replica=sample.replica,
+    )
 
 
 def lift_level(sample: FieldSample, k: int) -> RoughSheet:
     """Natural lift of the level-k polygonal approximation, prefix-extended
     to the full grid; the initial-value path psi(., 0) rides along (node 0
     is a level-k node for every k, so it is unaffected by restriction)."""
-    restricted = polygonal_restrict(sample, k)
-    return _lift_values(
-        sample.config.times(), restricted.values, sample.config.grid_level
-    )
+    K = sample.config.grid_level
+    return _lift_values(sample.config.times(), restrict_values(sample.values, K, k), K)
 
 
 def _sibling_deltas(

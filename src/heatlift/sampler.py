@@ -213,13 +213,18 @@ def sample_field(config: SpectralConfig, replica: int = 0) -> FieldSample:
     real = (bins == 0) | (2 * bins == n)
     cos_weight = np.where(real, np.sqrt(2.0), np.sqrt(0.5))
     sin_weight = np.where(real, 0.0, np.where(r > bins, np.sqrt(0.5), -np.sqrt(0.5)))
+    # Modes (j*n/2, (j+1)*n/2] fold onto distinct bins, so each block adds
+    # by one fancy-indexed +=; blocks run in mode order, so every bin sums
+    # its modes in mode order.
+    block = max(n // 2, 1)
     values = np.empty((config.n_time + 1, config.n_nodes, config.dim))
     for component in range(config.dim):
         coeffs = _simulate_coefficients(config, replica, component)
         spectrum = np.zeros((config.n_time + 1, n // 2 + 1), dtype=complex)
         spectrum[:, 0] = coeffs[:, 0]
         terms = coeffs[:, 1::2] * cos_weight + 1j * (coeffs[:, 2::2] * sin_weight)
-        np.add.at(spectrum, (slice(None), bins), terms)
+        for lo in range(0, config.n_modes, block):
+            spectrum[:, bins[lo : lo + block]] += terms[:, lo : lo + block]
         values[:, :n, component] = np.fft.irfft(spectrum, n=n, norm="forward")
     values[:, n] = values[:, 0]
     return FieldSample(values=values, config=config, replica=replica)

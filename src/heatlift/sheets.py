@@ -15,8 +15,9 @@ Each mathematical object has one kernel here:
   broadcasting pair increment group._pair_increment and, for distances,
   the vectorized homogeneous norm group._hom_norms;
 - the lift: _lift_values builds the prefixes of every path on its
-  leading axis at once, for single slices (lift_piecewise_linear),
-  dyadic levels (dyadic.lift_level) and the per-replica chaos paths of
+  leading axis at once, for single slices (lift_piecewise_linear, also
+  the sampled rows of the CLI's lift-check), dyadic levels
+  (dyadic.lift_level) and the per-replica chaos paths of
   ldp.chaos_moment_ratio alike;
 - the pair-increment table: _increment_tables, in its one layout,
   component-major (times, components, pairs), for sheets and slices (one

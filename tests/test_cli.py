@@ -6,8 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatlift import cli, dyadic, ldp
+from heatlift import cli, dyadic, ldp, sheets
 from heatlift.cli import main, resolve_config, run
+from heatlift.dyadic import level2_telescope, lift_level
+from heatlift.group import GEOMETRIC_TOL, multiply
+from heatlift.sampler import sample_field
+from heatlift.sheets import increment
 
 
 def file_hash(path: Path) -> str:
@@ -273,6 +277,30 @@ class TestExitCodes:
         assert "parameter error: unknown config key 'param'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("5", "config must be a JSON object, got 5"),
+            ("[]", "config must be a JSON object, got []"),
+            ('{"spectral": 5}', "spectral must be a JSON object, got 5"),
+            ('{"params": [1]}', "params must be a JSON object, got [1]"),
+            ('{"params": null}', "params must be a JSON object, got None"),
+            ('{"resolved_config": 5}', "resolved_config must be a JSON object, got 5"),
+            (
+                '{"resolved_config": {"spectral": "x"}}',
+                "spectral must be a JSON object, got 'x'",
+            ),
+        ],
+    )
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, text, named):
+        config = tmp_path / "shape.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        code = main(["tails", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert f"parameter error: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_grid_exit_2(self, tmp_path, capsys):
         # 129 * (2^22 + 1) field values trip the sampler's guard before
         # anything is allocated.
@@ -380,6 +408,97 @@ class TestDeterminism:
         assert runtime["numpy"] == np.__version__
         assert set(runtime["blas"]) == {"name", "version"}
         assert isinstance(runtime["openblas_num_threads"], str)
+
+
+def reference_lift_check(config: dict) -> dict:
+    """lift-check's report computed from full-sheet lifts: every sampled
+    field is lifted at every time, and the checked row is read off."""
+    cfg = cli._spectral(config)
+    p = config["params"]
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([cfg.seed, 0x11F7], dtype=np.uint64))
+    )
+    max_chen = 0.0
+    max_sym = 0.0
+    for replica in range(int(p["n_slices"])):
+        sample = sample_field(cfg, replica)
+        sheet = lift_level(sample, cfg.grid_level)
+        t_index = int(rng.integers(0, cfg.n_time + 1))
+        sl = sheet.slice(t_index)
+        n = sl.n_cells
+        idx = np.sort(rng.integers(0, n + 1, size=30))
+        for a_i in range(0, len(idx) - 2, 3):
+            i, j, k = idx[a_i], idx[a_i + 1], idx[a_i + 2]
+            left = increment(sl, int(i), int(k))
+            right_a = increment(sl, int(i), int(j))
+            right_b = increment(sl, int(j), int(k))
+            comp = multiply(right_a, right_b)
+            max_chen = max(max_chen, float(np.max(np.abs(left.level2 - comp.level2))))
+            max_sym = max(max_sym, left.symmetric_defect())
+    k_level = int(p["telescope_k"])
+    max_tel = 0.0
+    for case in range(int(p["n_telescope"])):
+        sample = sample_field(cfg, 1000 + case)
+        t_index = int(rng.integers(0, cfg.n_time + 1))
+        i_node = int(rng.integers(0, 2**k_level))
+        j_node = int(rng.integers(i_node + 1, 2**k_level + 1))
+        closed = level2_telescope(sample, k_level, t_index, i_node, j_node)
+        stride = 2 ** (cfg.grid_level - k_level)
+        fine = lift_level(sample, k_level + 1)
+        coarse = lift_level(sample, k_level)
+        direct = (
+            increment(fine.slice(t_index), i_node * stride, j_node * stride).level2
+            - increment(coarse.slice(t_index), i_node * stride, j_node * stride).level2
+        )
+        max_tel = max(max_tel, float(np.max(np.abs(closed - direct))))
+    return {
+        "max_chen_defect": max_chen,
+        "max_symmetric_defect": max_sym,
+        "max_telescope_defect": max_tel,
+        "tolerance": 1e-12,
+        "geometric_tolerance": GEOMETRIC_TOL,
+        "passed": bool(max(max_chen, max_sym, max_tel) <= 1e-12),
+    }
+
+
+class TestLiftCheckOneRow:
+    """lift-check lifts only the time row each check reads."""
+
+    @staticmethod
+    def config(dim, seed, **params):
+        return resolve_config(
+            "lift-check",
+            {"seed": seed},
+            {"set": [f"dim={dim}", "n_modes=32", "n_time=6", "grid_level=6"]
+             + [f"{key}={value}" for key, value in params.items()]},
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_report_equals_full_sheet_reference(self, tmp_path, dim, seed):
+        config = self.config(dim, seed, n_slices=4, n_telescope=4)
+        summary = run(config, str(tmp_path))["summary"]
+        report = json.loads((tmp_path / "lift_check.json").read_text())
+        assert report == reference_lift_check(config)
+        assert summary == report
+
+    @pytest.mark.parametrize("telescope_k", [0, 2, 5])
+    def test_every_lift_has_one_time_row(self, tmp_path, monkeypatch, telescope_k):
+        rows = []
+
+        def counting(times, values, grid_level):
+            rows.append(values.shape[0])
+            return lift(times, values, grid_level)
+
+        # dyadic binds its own name for the full-sheet lift.
+        lift = sheets._lift_values
+        monkeypatch.setattr(sheets, "_lift_values", counting)
+        monkeypatch.setattr(dyadic, "_lift_values", counting)
+        config = self.config(
+            2, 3, n_slices=5, n_telescope=3, telescope_k=telescope_k
+        )
+        run(config, str(tmp_path))
+        assert rows == [1] * (5 + 2 * 3)
 
 
 class TestExperiments:

@@ -10,6 +10,7 @@ from heatlift.dyadic import (
     level2_telescope,
     lift_level,
     polygonal_restrict,
+    restrict_values,
     validate_besov_params,
 )
 from heatlift.sampler import FieldSample, SpectralConfig, sample_field
@@ -94,19 +95,21 @@ class TestLiftLevel:
         assert np.all(sheet.initial_values == 0)
 
     def test_matches_slice_lift(self):
-        sample = make_sample(seed=5)
-        k = 4
-        sheet = lift_level(sample, k)
-        restricted = polygonal_restrict(sample, k)
-        t_index = 3
-        direct = lift_piecewise_linear(
-            PathSlice(
-                values=restricted.values[t_index],
-                grid_level=sample.config.grid_level,
-            )
-        )
-        assert np.array_equal(sheet.level1[t_index], direct.level1)
-        assert np.array_equal(sheet.level2[t_index], direct.level2)
+        # A time row restricted and lifted alone has the bits of that row
+        # of the sheet's restriction and lift, at every level and time.
+        for dim in (1, 2, 3):
+            sample = make_sample(seed=5, dim=dim)
+            K = sample.config.grid_level
+            for k in range(K + 1):
+                sheet = lift_level(sample, k)
+                stack = polygonal_restrict(sample, k).values
+                for t_index in range(sample.config.n_time + 1):
+                    row = restrict_values(sample.values[t_index], K, k)
+                    assert np.array_equal(row, stack[t_index])
+                    assert np.array_equal(np.signbit(row), np.signbit(stack[t_index]))
+                    direct = lift_piecewise_linear(PathSlice(values=row, grid_level=K))
+                    assert np.array_equal(sheet.level1[t_index], direct.level1)
+                    assert np.array_equal(sheet.level2[t_index], direct.level2)
 
     def test_initial_value_path_attached(self):
         sample = make_sample(seed=6)

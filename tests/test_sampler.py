@@ -339,6 +339,26 @@ def gemm_field(cfg, replica):
     )
 
 
+def add_at_field(cfg, replica):
+    """sample_field with the modes folded onto their bins by np.add.at."""
+    n = 2**cfg.grid_level
+    r = np.arange(1, cfg.n_modes + 1) % n
+    bins = np.minimum(r, n - r)
+    real = (bins == 0) | (2 * bins == n)
+    cos_weight = np.where(real, np.sqrt(2.0), np.sqrt(0.5))
+    sin_weight = np.where(real, 0.0, np.where(r > bins, np.sqrt(0.5), -np.sqrt(0.5)))
+    values = np.empty((cfg.n_time + 1, cfg.n_nodes, cfg.dim))
+    for component in range(cfg.dim):
+        coeffs = _simulate_coefficients(cfg, replica, component)
+        spectrum = np.zeros((cfg.n_time + 1, n // 2 + 1), dtype=complex)
+        spectrum[:, 0] = coeffs[:, 0]
+        terms = coeffs[:, 1::2] * cos_weight + 1j * (coeffs[:, 2::2] * sin_weight)
+        np.add.at(spectrum, (slice(None), bins), terms)
+        values[:, :n, component] = np.fft.irfft(spectrum, n=n, norm="forward")
+    values[:, n] = values[:, 0]
+    return values
+
+
 class TestFieldSynthesis:
     # (n_modes, grid_level) in each aliasing regime, with N = 2^K.
     GRIDS = (
@@ -362,6 +382,19 @@ class TestFieldSynthesis:
                 reference = gemm_field(cfg, r)
                 error = np.max(np.abs(sample_field(cfg, r).values - reference))
                 assert error <= 1e-13 * np.max(np.abs(reference)), (cfg, r)
+
+    def test_block_fold_equals_add_at(self):
+        # Each block of n/2 modes folds onto distinct bins, in mode order:
+        # the same sums, in the same order, as one np.add.at.
+        for n_modes, grid_level in self.GRIDS:
+            cfg = SpectralConfig(
+                n_modes=n_modes, n_time=3, grid_level=grid_level, dim=2, seed=30
+            )
+            for r in range(2):
+                values = sample_field(cfg, r).values
+                reference = add_at_field(cfg, r)
+                assert np.array_equal(values, reference), (cfg, r)
+                assert np.array_equal(np.signbit(values), np.signbit(reference))
 
     def test_threads_interleaving_keys(self):
         expected = {
