@@ -73,6 +73,7 @@ from .ldp import (
     rate_function,
     schilder_point_check,
     tail_probability,
+    validate_chaos_params,
     validate_cm_params,
 )
 

@@ -235,16 +235,19 @@ def _write_csv(path: Path, schema: str, header: str, rows):
 def _exp_sample(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     sample = sample_field(cfg, int(config["params"]["replica"]))
-    times = cfg.times()
-    nodes = cfg.nodes()
-    rows = []
-    for it, t in enumerate(times):
-        for ix, xval in enumerate(nodes):
-            for c in range(cfg.dim):
-                rows.append(
-                    f"{float(t)!r},{float(xval)!r},{c},"
-                    f"{float(sample.values[it, ix, c])!r}"
-                )
+    # Each time and node is formatted once; the values are read one time
+    # row at a time as Python floats, whose repr is the shortest
+    # round-trip text (converting the whole field at once holds a float
+    # object per value beside the rows, which raised the next call's peak
+    # RSS).
+    times = [repr(t) for t in cfg.times().tolist()]
+    nodes = [repr(x) for x in cfg.nodes().tolist()]
+    rows = [
+        f"{t},{x},{c},{v!r}"
+        for t, plane in zip(times, sample.values)
+        for x, point in zip(nodes, plane.tolist())
+        for c, v in enumerate(point)
+    ]
     _write_csv(out / "field.csv", "field", "t,x,component,value", rows)
     outputs = ["field.csv"]
     if config["params"].get("write_binary", True):
@@ -501,8 +504,8 @@ _BODIES = {
 
 def _runtime() -> dict:
     """What the output bits depend on besides the config.  The sampled
-    field calls no BLAS; the marginal GEMM behind chaos (seen to move
-    with the BLAS thread count), the Fourier covariance's GEMV, the
+    field and the chaos marginal's projection call no BLAS; the
+    marginal's small node-factor QR, the Fourier covariance's GEMV, the
     Besov initial-value dot product and the polyfit slopes still do."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

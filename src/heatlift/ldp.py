@@ -21,6 +21,7 @@ analytic via the Gaussian tail.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,6 +385,26 @@ class ChaosReport:
     empty: bool = False
 
 
+def validate_chaos_params(q_list) -> tuple:
+    """The moment-order checks of chaos_moment_ratio; returns the distinct
+    orders, sorted, as floats.  A growth exponent needs two distinct
+    orders, and ratio4 is part of every report, so 4 must be among them."""
+    orders = []
+    for q in q_list:
+        real = isinstance(q, numbers.Real) and not isinstance(q, bool)
+        if not real or not 2.0 <= q < np.inf:
+            raise ValueError(f"moment orders 2 <= q < inf violated: q={q!r}")
+        orders.append(float(q))
+    q_sorted = tuple(sorted(set(orders)))
+    if len(q_sorted) < 2:
+        raise ValueError(
+            f"q_list must hold at least two distinct orders, got {list(q_sorted)}"
+        )
+    if not np.any(np.isclose(q_sorted, 4.0)):
+        raise ValueError(f"q_list must include 4 for ratio4, got {list(q_sorted)}")
+    return q_sorted
+
+
 def _fit_exponent(qs: np.ndarray, ratios: np.ndarray) -> float:
     # ratios are relative to q = 2, so the q = 2 point is exact (log 1).
     return float(np.polyfit(np.log(qs), np.log(ratios), 1)[0])
@@ -416,10 +437,8 @@ def chaos_moment_ratio(
     chaos order instead of being averaged toward Gaussian by aggregation
     over many cells.
     """
-    q_sorted = tuple(sorted(set(float(q) for q in q_list)))
+    q_sorted = validate_chaos_params(q_list)
     q_arr = np.asarray(q_sorted)
-    if np.any(q_arr < 2.0):
-        raise ValueError("moment orders below 2 are rejected")
     if replicas < batches:
         raise ValueError(
             f"replicas >= batches violated: replicas={replicas}, batches={batches}"
@@ -479,21 +498,16 @@ def chaos_moment_ratio(
     full_ratios = ratios_of(absz)
     exponent = _fit_exponent(q_arr, full_ratios)
 
-    q4 = np.where(np.isclose(q_arr, 4.0))[0]
-    batch_parts = np.array_split(absz, batches)
+    q4 = int(np.flatnonzero(np.isclose(q_arr, 4.0))[0])
     batch_exp = []
     batch_r4 = []
-    for part in batch_parts:
+    for part in np.array_split(absz, batches):
         r = ratios_of(part)
         batch_exp.append(_fit_exponent(q_arr, r))
-        if q4.size:
-            batch_r4.append(r[q4[0]])
+        batch_r4.append(r[q4])
     exp_se = float(np.std(batch_exp, ddof=1) / np.sqrt(len(batch_exp)))
-    if q4.size:
-        ratio4 = float(full_ratios[q4[0]])
-        ratio4_se = float(np.std(batch_r4, ddof=1) / np.sqrt(len(batch_r4)))
-    else:
-        ratio4, ratio4_se = float("nan"), float("nan")
+    ratio4 = float(full_ratios[q4])
+    ratio4_se = float(np.std(batch_r4, ddof=1) / np.sqrt(len(batch_r4)))
 
     return ChaosReport(
         functional=functional,

@@ -22,8 +22,10 @@ replicas below 2^56.
 
 sample_field evaluates the mode sum at the dyadic nodes by one inverse
 real FFT per component, with modes past the Nyquist frequency folded
-onto their aliases.  The FFT calls no BLAS, so the field's bits do not
-depend on the BLAS or its thread count.
+onto their aliases.  sample_slice_marginal draws through _node_factor,
+a thin factor of the truncated node covariance at one time, and forms
+its rank-one terms elementwise.  Neither projection calls the BLAS, so
+their bits do not depend on the BLAS or its thread count.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ _FIELD_MAGIC = b"HLFIELD1"
 # with an opaque MemoryError mid-simulation.
 _MAX_FIELD_ENTRIES = 1 << 28
 
-# Most replicas sample_slice_marginal draws and projects at once:
-# 4096 x 513 normals are 16.8 MB at the default cutoff.
+# Most replicas sample_slice_marginal draws and projects at once: a chunk
+# holds 4096 x r normals, r = min(distinct nodes, 2*n_modes + 1), and a
+# few 4096 x len(nodes) arrays.
 _MARGINAL_CHUNK = 4096
 
 
@@ -230,6 +233,20 @@ def sample_field(config: SpectralConfig, replica: int = 0) -> FieldSample:
     return FieldSample(values=values, config=config, replica=replica)
 
 
+def _node_factor(n_modes: int, t: float, nodes) -> np.ndarray:
+    """R, shape (r, len(nodes)), with R^T R = basis^T diag(sd^2) basis: the
+    node covariance at time t under the cutoff n_modes, sd = _ou_sd(lam, t).
+
+    R is the reduced QR factor of diag(sd) basis over the distinct nodes,
+    gathered back to the given order, so r = min(2*n_modes + 1, distinct
+    nodes) and repeated nodes get bitwise-equal columns.
+    """
+    distinct, inverse = np.unique(np.asarray(nodes, dtype=float), return_inverse=True)
+    scale = _ou_sd(mode_rate(_mode_order(n_modes)), t)
+    factor = np.linalg.qr(scale[:, None] * basis_matrix(n_modes, distinct), mode="r")
+    return factor[:, inverse]
+
+
 def sample_slice_marginal(
     config: SpectralConfig,
     t: float,
@@ -239,31 +256,36 @@ def sample_slice_marginal(
 ) -> np.ndarray:
     """Draw psi(t, .) at a single time for many replicas at once.
 
-    The fixed-time marginal of mode n is centered Gaussian with variance
-    (1 - exp(-2*lam*t))/(2*lam) (t for n = 0), so no time stepping is
-    needed.  Returns shape (n_replicas, len(nodes), dim).  This batch
-    entry point draws from the supplied generator rather than the
-    per-replica streams of sample_field.
+    The fixed-time marginal at the nodes is centered Gaussian with the
+    truncated covariance R^T R of _node_factor, so no time stepping is
+    needed: psi = xi R with r standard normals xi per replica and
+    component.  The r rank-one terms are added in row order, elementwise,
+    so the bits do not depend on the BLAS and every replica's row is the
+    same at any chunking; repeated nodes get equal values.  The projection
+    costs about r*len(nodes)/2 multiply-adds per replica, against the
+    draw's r normals.  Returns shape (n_replicas, len(nodes), dim).
+    This batch entry point draws from the supplied generator, component
+    by component and chunk by chunk, rather than the per-replica streams
+    of sample_field.
     """
     if t <= 0:
         raise ValueError("need t > 0 for a nondegenerate marginal")
     if nodes is None:
         nodes = config.nodes()
-    scale = _ou_sd(mode_rate(_mode_order(config.n_modes)), t)
-    basis = basis_matrix(config.n_modes, np.asarray(nodes, dtype=float))
-    out = np.empty((n_replicas, basis.shape[1], config.dim))
-    # Equal chunks read the generator in the order of one block draw.  No
-    # chunk is below half of _MARGINAL_CHUNK, which keeps every GEMM off
-    # the BLAS small-matrix path: with OpenBLAS the rows then equal one
-    # block product's up to 129 nodes (from 257 nodes a chunk's last
-    # rows can differ in the last bit of the last column).
-    n_chunks = max(1, -(-n_replicas // _MARGINAL_CHUNK))
-    bounds = [n_replicas * i // n_chunks for i in range(n_chunks + 1)]
+    # Over sorted distinct nodes R is upper trapezoidal: row i is zero left
+    # of column i, so those terms are skipped.  Node-major rows keep each
+    # term one contiguous outer product.
+    distinct, inverse = np.unique(np.asarray(nodes, dtype=float), return_inverse=True)
+    factor = _node_factor(config.n_modes, t, distinct)
+    out = np.empty((n_replicas, inverse.size, config.dim))
     for component in range(config.dim):
-        for lo, hi in zip(bounds, bounds[1:]):
-            coeffs = rng.standard_normal((hi - lo, scale.shape[0]))
-            coeffs *= scale
-            out[lo:hi, :, component] = coeffs @ basis
+        for lo in range(0, n_replicas, _MARGINAL_CHUNK):
+            hi = min(lo + _MARGINAL_CHUNK, n_replicas)
+            xi = rng.standard_normal((hi - lo, factor.shape[0])).T.copy()
+            psi = np.multiply.outer(factor[0], xi[0])
+            for i in range(1, factor.shape[0]):
+                psi[i:] += np.multiply.outer(factor[i, i:], xi[i])
+            out[lo:hi, :, component] = psi[inverse].T
     return out
 
 

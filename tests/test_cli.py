@@ -10,7 +10,7 @@ from heatlift import cli, dyadic, ldp, sheets
 from heatlift.cli import main, resolve_config, run
 from heatlift.dyadic import level2_telescope, lift_level
 from heatlift.group import GEOMETRIC_TOL, multiply
-from heatlift.sampler import sample_field
+from heatlift.sampler import SpectralConfig, sample_field
 from heatlift.sheets import increment
 
 
@@ -268,6 +268,28 @@ class TestExitCodes:
         assert not (tmp_path / artifact).exists()
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            ("q_list=[]", "q_list must hold at least two distinct orders, got []"),
+            ("q_list=[2]", "q_list must hold at least two distinct orders, got [2.0]"),
+            ("q_list=[4]", "q_list must hold at least two distinct orders, got [4.0]"),
+            ("q_list=[2,3]", "q_list must include 4 for ratio4, got [2.0, 3.0]"),
+            ("q_list=[1,4]", "moment orders 2 <= q < inf violated: q=1"),
+        ],
+    )
+    def test_invalid_chaos_orders_exit_2(
+        self, tmp_path, capsys, monkeypatch, setting, named
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before validation")
+
+        monkeypatch.setattr(ldp, "sample_slice_marginal", refuse)
+        code = main(["chaos", "--out", str(tmp_path), "--set", setting])
+        assert code == 2
+        assert f"parameter error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "chaos.json").exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({"param": {"replicas": 3}}))
@@ -501,7 +523,33 @@ class TestLiftCheckOneRow:
         assert rows == [1] * (5 + 2 * 3)
 
 
+def loop_field_csv(sample) -> bytes:
+    """Reference: field.csv formatted value by value through float()."""
+    cfg = sample.config
+    text = "# heatlift-csv field v1\nt,x,component,value\n"
+    for it, t in enumerate(cfg.times()):
+        for ix, xval in enumerate(cfg.nodes()):
+            for c in range(cfg.dim):
+                text += (
+                    f"{float(t)!r},{float(xval)!r},{c},"
+                    f"{float(sample.values[it, ix, c])!r}\n"
+                )
+    return text.encode()
+
+
 class TestExperiments:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sample_field_csv_matches_loop(self, tmp_path, dim):
+        code = main(
+            ["sample", "--out", str(tmp_path), "--seed", "5", "--set", "n_modes=64"]
+            + ["--set", "n_time=7", "--set", "grid_level=6", "--set", f"dim={dim}"]
+            + ["--set", "replica=2", "--set", "write_binary=false"]
+        )
+        assert code == 0
+        cfg = SpectralConfig(n_modes=64, n_time=7, grid_level=6, dim=dim, seed=5)
+        expected = loop_field_csv(sample_field(cfg, 2))
+        assert (tmp_path / "field.csv").read_bytes() == expected
+
     def test_sample_field_csv_layout(self, tmp_path):
         code = main(
             ["sample", "--out", str(tmp_path), "--seed", "5", "--set", "n_modes=4"]

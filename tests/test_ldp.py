@@ -16,6 +16,7 @@ from heatlift.ldp import (
     schilder_point_check,
     TailRow,
     tail_probability,
+    validate_chaos_params,
     validate_cm_params,
     wilson_interval,
 )
@@ -579,6 +580,39 @@ class TestChaosMoments:
         cfg = small_config(dim=1)
         with pytest.raises(ValueError):
             chaos_moment_ratio("level2", [2, 4], 100, cfg)
+
+    @pytest.mark.parametrize(
+        "q_list, named",
+        [
+            ([], "q_list must hold at least two distinct orders, got []"),
+            ([2], "q_list must hold at least two distinct orders, got [2.0]"),
+            ([4, 4.0], "q_list must hold at least two distinct orders, got [4.0]"),
+            ([2, 3, 6], "q_list must include 4 for ratio4, got [2.0, 3.0, 6.0]"),
+            ([1.5, 4], "moment orders 2 <= q < inf violated: q=1.5"),
+            ([2, 4, float("inf")], "moment orders 2 <= q < inf violated: q=inf"),
+            ([2, 4, float("nan")], "moment orders 2 <= q < inf violated: q=nan"),
+            ([2, "4"], "moment orders 2 <= q < inf violated: q='4'"),
+            ([True, 4], "moment orders 2 <= q < inf violated: q=True"),
+        ],
+    )
+    def test_orders_checked_before_any_draw(self, monkeypatch, q_list, named):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before validation")
+
+        monkeypatch.setattr(ldp, "sample_slice_marginal", refuse)
+        with pytest.raises(ValueError) as exc:
+            validate_chaos_params(q_list)
+        assert str(exc.value) == named
+        for functional in ("level1", "level2"):
+            cfg = small_config(dim=2)
+            with pytest.raises(ValueError) as exc:
+                chaos_moment_ratio(functional, q_list, 100, cfg)
+            assert str(exc.value) == named
+
+    def test_orders_sorted_and_distinct(self):
+        assert validate_chaos_params([8, 4, 2, 4.0, np.float64(3)]) == (
+            2.0, 3.0, 4.0, 8.0
+        )
 
 
 class TestSchilder:

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import operator
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from heatlift.sampler import (
     GridTooLargeError,
     SpectralConfig,
     _mode_order,
+    _node_factor,
     _ou_integral,
     _ou_paths,
     _ou_sd,
@@ -125,15 +128,25 @@ def separate_marginal_scale(lam, t):
     return np.sqrt(var)
 
 
+def separate_node_factor(n_modes, t, nodes):
+    """Reference: _node_factor from the reduced QR over the sorted set of
+    nodes, with its own deviation and a search for each node's column."""
+    nodes = np.asarray(nodes, dtype=float)
+    distinct = np.array(sorted(set(nodes.tolist())))
+    scale = separate_marginal_scale(mode_rate(np.array(_mode_order(n_modes))), t)
+    _, factor = np.linalg.qr(scale[:, None] * basis_matrix(n_modes, distinct))
+    return factor[:, np.searchsorted(distinct, nodes)]
+
+
 def separate_marginal(config, t, n_replicas, rng, nodes):
-    """Reference: sample_slice_marginal with its own deviation."""
-    order = np.array(_mode_order(config.n_modes))
-    basis = basis_matrix(config.n_modes, np.asarray(nodes, dtype=float))
-    out = np.empty((n_replicas, basis.shape[1], config.dim))
-    scale = separate_marginal_scale(mode_rate(order), t)
+    """Reference: sample_slice_marginal as one block per component, the
+    rank-one terms of xi R summed left to right."""
+    factor = separate_node_factor(config.n_modes, t, nodes)
+    out = np.empty((n_replicas, factor.shape[1], config.dim))
     for component in range(config.dim):
-        coeffs = rng.standard_normal((n_replicas, order.shape[0])) * scale
-        out[:, :, component] = coeffs @ basis
+        xi = rng.standard_normal((n_replicas, factor.shape[0]))
+        terms = (xi[:, [i]] * factor[i] for i in range(factor.shape[0]))
+        out[:, :, component] = functools.reduce(operator.add, terms)
     return out
 
 
@@ -435,6 +448,63 @@ class TestFieldSynthesis:
             )
             digests.append(hashlib.sha256((out / "field.csv").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize(
+        "settings", [[], ["--set", "functional=level2", "--set", "dim=2"]]
+    )
+    def test_chaos_bits_independent_of_blas_threads(self, tmp_path, settings):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        payloads = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            subprocess.run(
+                [sys.executable, "-m", "heatlift.cli", "chaos", "--out", str(out)]
+                + settings,
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+            payloads.append((out / "chaos.json").read_bytes())
+        assert payloads[0] == payloads[1]
+
+
+class TestNodeFactor:
+    """R^T R is the truncated node covariance, from a thin factor."""
+
+    @pytest.mark.parametrize("t", [0.05, 1.0])
+    @pytest.mark.parametrize(
+        "n_modes, nodes",
+        [
+            (64, np.array([0.0, 0.5])),
+            (64, np.arange(9) / 8),
+            (4, np.arange(17) / 16),
+        ],
+    )
+    def test_gram_matches_fourier_covariance(self, t, n_modes, nodes):
+        factor = _node_factor(n_modes, t, nodes)
+        assert factor.shape == (min(2 * n_modes + 1, nodes.size), nodes.size)
+        oracle = cov(
+            t, nodes[:, None], t, nodes[None, :], method="fourier", n_modes=n_modes
+        )
+        assert np.all(np.abs(factor.T @ factor - oracle) <= 1e-13 * np.abs(oracle))
+
+    def test_repeated_and_unsorted_nodes_share_columns(self):
+        nodes = np.array([0.5, 0.0, 0.25, 0.5, 0.0, 0.75])
+        factor = _node_factor(16, 0.3, nodes)
+        assert factor.shape == (4, 6)
+        assert np.array_equal(factor[:, 0], factor[:, 3])
+        assert np.array_equal(factor[:, 1], factor[:, 4])
+        ordered = _node_factor(16, 0.3, np.array([0.0, 0.25, 0.5, 0.75]))
+        assert np.array_equal(factor, ordered[:, [2, 0, 1, 2, 0, 3]])
+        cfg = SpectralConfig(n_modes=16, grid_level=3, dim=2, seed=3)
+        rng = np.random.default_rng(3)
+        draws = sample_slice_marginal(cfg, 0.3, 50, rng, nodes=nodes)
+        assert np.array_equal(draws[:, 0], draws[:, 3])
+        assert np.array_equal(draws[:, 1], draws[:, 4])
 
 
 class TestMarginalSampler:
