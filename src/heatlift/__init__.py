@@ -38,6 +38,7 @@ from .sampler import (
     basis_eval,
     ou_step,
     sample_field,
+    sample_row,
     sample_slice_marginal,
     truncation_residual,
 )

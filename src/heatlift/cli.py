@@ -38,7 +38,9 @@ from .ldp import (
     tail_probability,
     validate_cm_params,
 )
-from .sampler import GridTooLargeError, SpectralConfig, sample_field, save_field
+from .sampler import (
+    GridTooLargeError, SpectralConfig, sample_field, sample_row, save_field,
+)
 from .sheets import PathSlice, increment, lift_piecewise_linear, save_sheet
 
 EXPERIMENTS = (
@@ -291,8 +293,10 @@ def _exp_bounds_scan(config: dict, out: Path) -> dict:
 def _exp_lift_check(config: dict, out: Path) -> dict:
     """Chen's identity, geometricity and the level-2 telescoping sum on
     sampled slices.  Each check reads one time row, so only that row is
-    restricted and lifted; a row lifted alone has the bits of that row of
-    the full-sheet lift, so the artifact is unchanged."""
+    synthesized (sample_row), restricted and lifted; each has the bits of
+    that row of the full field and of its full-sheet lift.  The time is
+    drawn before the row: the check's generator and the field's Philox
+    streams are independent, so no draw changes."""
     cfg = _spectral(config)
     p = config["params"]
     K = cfg.grid_level
@@ -307,9 +311,8 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
     max_sym = 0.0
     n_slices = int(p["n_slices"])
     for replica in range(n_slices):
-        sample = sample_field(cfg, replica)
         t_index = int(rng.integers(0, cfg.n_time + 1))
-        sl = lift_row(sample.values[t_index], K)
+        sl = lift_row(sample_row(cfg, replica, t_index), K)
         n = sl.n_cells
         idx = np.sort(rng.integers(0, n + 1, size=30))
         for a_i in range(0, len(idx) - 2, 3):
@@ -324,13 +327,12 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
     k_level = int(p["telescope_k"])
     max_tel = 0.0
     for case in range(int(p["n_telescope"])):
-        sample = sample_field(cfg, 1000 + case)
         t_index = int(rng.integers(0, cfg.n_time + 1))
         i_node = int(rng.integers(0, 2**k_level))
         j_node = int(rng.integers(i_node + 1, 2**k_level + 1))
-        closed = level2_telescope(sample, k_level, t_index, i_node, j_node)
+        row = sample_row(cfg, 1000 + case, t_index)
+        closed = level2_telescope(row, K, k_level, i_node, j_node)
         stride = 2 ** (K - k_level)
-        row = sample.values[t_index]
         fine = lift_row(row, k_level + 1)
         coarse = lift_row(row, k_level)
         direct = (

@@ -7,6 +7,12 @@ Route "theta" integrates the wrapped Gaussian heat kernel in closed form:
 
 where each integral has the erf-based antiderivative
 F_q(l) = 2 sqrt(l) exp(-q^2/(4l)) - q sqrt(pi) erfc(q/(2 sqrt(l))).
+The image sum depends on the points only through the triple
+(|s-t|, s+t, x-y recentred to [-1/2, 1/2]); each distinct triple (exact
+float equality) is summed once and the sums are scattered back, with the
+bits of the sum at every point.  On a product grid of n times this is at
+most n(n+1)/2 time pairs times the distinct offsets: 153 x 17 = 2,601
+rows for cov-check's 17^4 grid of 83,521 points.
 
 Route "fourier" sums the mode-wise Ornstein-Uhlenbeck covariances:
 
@@ -52,6 +58,22 @@ def _broadcast(*args):
     return [a.reshape(-1) for a in arrs], shape
 
 
+def _distinct_rows(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the rows of equal-length float keys: first
+    indexes one representative of each distinct row (exact float
+    equality, so -0.0 joins 0.0 and every NaN stays its own row) and
+    rows[first][inverse] recovers every row."""
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _theta_cov(s, x, t, y) -> np.ndarray:
     l0 = np.abs(s - t)
     l1 = s + t
@@ -65,9 +87,12 @@ def _theta_cov(s, x, t, y) -> np.ndarray:
         need = 1
     window = min(_THETA_WINDOW, max(2, need))
     offsets = np.arange(-window, window + 1)
-    q = np.abs(delta[:, None] - offsets[None, :])
-    terms = _antideriv(q, l1[:, None]) - _antideriv(q, l0[:, None])
-    return terms.sum(axis=1) / (4.0 * np.sqrt(np.pi))
+    # Each row is summed on its own, so summing the distinct triples only
+    # leaves every value's bits as they are.
+    first, inverse = _distinct_rows(l0, l1, delta)
+    q = np.abs(delta[first, None] - offsets[None, :])
+    terms = _antideriv(q, l1[first, None]) - _antideriv(q, l0[first, None])
+    return (terms.sum(axis=1) / (4.0 * np.sqrt(np.pi)))[inverse]
 
 
 def _antideriv(q: np.ndarray, l: np.ndarray) -> np.ndarray:

@@ -100,35 +100,37 @@ def lift_level(sample: FieldSample, k: int) -> RoughSheet:
 
 
 def _sibling_deltas(
-    sample: FieldSample, k: int, times
+    values: np.ndarray, grid_level: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(D_{2l-1}, D_{2l}): increments of the level-(k+1) siblings at
-    sample.values[times], each shaped (..., 2^k, d)."""
-    K = sample.config.grid_level
+    """(D_{2l-1}, D_{2l}): increments of the level-(k+1) siblings of values
+    (..., 2^K + 1, d), each shaped (..., 2^k, d)."""
+    K = grid_level
     if k + 1 > K:
         raise ValueError(f"need grid level >= {k + 1}, have {K}")
-    nodes = sample.values[times, :: 2 ** (K - (k + 1)), :]  # level k+1 nodes
+    nodes = values[..., :: 2 ** (K - (k + 1)), :]  # level k+1 nodes
     deltas = np.diff(nodes, axis=-2)
     return deltas[..., 0::2, :], deltas[..., 1::2, :]
 
 
-def _sibling_products(sample: FieldSample, k: int, t_index: int) -> np.ndarray:
-    """w_l = D_{2l-1} ⊗ D_{2l} - D_{2l} ⊗ D_{2l-1} over level-(k+1) siblings."""
-    odd, even = _sibling_deltas(sample, k, t_index)
+def _sibling_products(row: np.ndarray, grid_level: int, k: int) -> np.ndarray:
+    """w_l = D_{2l-1} ⊗ D_{2l} - D_{2l} ⊗ D_{2l-1} over the level-(k+1)
+    siblings of one time row (2^K + 1, d)."""
+    odd, even = _sibling_deltas(row, grid_level, k)
     return np.einsum("la,lb->lab", odd, even) - np.einsum("la,lb->lab", even, odd)
 
 
 def level2_telescope(
-    sample: FieldSample, k: int, t_index: int, i_node: int, j_node: int
+    row: np.ndarray, grid_level: int, k: int, i_node: int, j_node: int
 ) -> np.ndarray:
-    """Closed form for Psi(k+1)^2 - Psi(k)^2 at level-k nodes (I, J).
+    """Closed form for Psi(k+1)^2 - Psi(k)^2 at level-k nodes (I, J) of one
+    time row (2^K + 1, d) of a field on a level-grid_level grid.
 
     Must agree entrywise with the direct lift difference; this is the
     central algebraic identity the whole convergence argument rides on.
     """
     if not (0 <= i_node <= j_node <= 2**k):
         raise IndexError(f"need 0 <= I <= J <= {2 ** k}")
-    w = _sibling_products(sample, k, t_index)
+    w = _sibling_products(row, grid_level, k)
     return 0.5 * np.sum(w[i_node:j_node], axis=0)
 
 
@@ -153,7 +155,7 @@ def _level2_sup(sample: FieldSample, k: int) -> float:
     negation is exact, so the entries a < b carry every spread; the
     prefix's leading zero row enters as max(., 0) and min(., 0).
     """
-    odd, even = _sibling_deltas(sample, k, slice(None))  # (nt, 2^k, d)
+    odd, even = _sibling_deltas(sample.values, sample.config.grid_level, k)
     d = odd.shape[2]
     if d == 1:
         return 0.0

@@ -108,17 +108,19 @@ def dilate(lam: float, g: GroupElement) -> GroupElement:
     return GroupElement(lam * g.level1, lam * lam * g.level2)
 
 
-def _pair_increment(l1_i, l2_i, l1_j, l2_j):
+def _pair_increment(l1_i, l2_i, l1_j, l2_j, out=None):
     """Levels of g^{-1} ⊗ h for g = (l1_i, l2_i), h = (l1_j, l2_j),
-    broadcast over any leading axes.
+    broadcast over any leading axes; written into out = (level1, level2)
+    when given.
 
     The product is expanded in difference form (h2 - g2 - g1 ⊗ (h1 - g1)),
     which is algebraically identical but cancels exactly when g = h, so
     the square root in the norm cannot amplify round-off into a spurious
     positive self-distance.
     """
-    a1 = l1_j - l1_i
-    a2 = l2_j - l2_i
+    a1, a2 = (None, None) if out is None else out
+    a1 = np.subtract(l1_j, l1_i, out=a1)
+    a2 = np.subtract(l2_j, l2_i, out=a2)
     # Callers often pass freshly gathered copies that only this frame
     # references; dropping them before the product term keeps one table
     # fewer live, which keeps the Besov increment tables as fast as the

@@ -22,7 +22,10 @@ replicas below 2^56.
 
 sample_field evaluates the mode sum at the dyadic nodes by one inverse
 real FFT per component, with modes past the Nyquist frequency folded
-onto their aliases.  sample_slice_marginal draws through _node_factor,
+onto their aliases.  sample_row is the same synthesis (_synthesize) for
+one time row: it draws the same streams, runs the OU recursion only up
+to that time and folds and transforms that row alone, with the bits of
+that row of sample_field.  sample_slice_marginal draws through _node_factor,
 a thin factor of the truncated node covariance at one time, and forms
 its rank-one terms elementwise.  Neither projection calls the BLAS, so
 their bits do not depend on the BLAS or its thread count.
@@ -176,9 +179,12 @@ def _philox(seed: int, replica: int, component: int) -> np.random.Generator:
 
 
 def _simulate_coefficients(
-    config: SpectralConfig, replica: int, component: int
+    config: SpectralConfig, replica: int, component: int, steps: int | None = None
 ) -> np.ndarray:
-    """Exact OU paths of all mode coefficients; shape (n_time+1, n_rows)."""
+    """Exact OU paths of all mode coefficients over the first `steps` time
+    steps (all n_time by default); shape (steps + 1, n_rows).  The whole
+    stream is drawn for any steps, so a shorter run is a prefix of the
+    full one, bit for bit."""
     order = np.array(_mode_order(config.n_modes))
     n_rows = order.shape[0]
     gen = _philox(config.seed, replica, component)
@@ -189,22 +195,37 @@ def _simulate_coefficients(
     decay = np.exp(-lam * delta)
     sd = _ou_sd(lam, delta)
 
-    return _ou_paths(decay, (sd[:, None] * xi).T)
+    return _ou_paths(decay, (sd[:, None] * xi[:, :steps]).T)
 
 
-def sample_field(config: SpectralConfig, replica: int = 0) -> FieldSample:
-    """Simulate one field realization; components are independent.
+def _synthesize(
+    config: SpectralConfig, replica: int, t_index: int | None = None
+) -> np.ndarray:
+    """Field values at every time, (n_time + 1, n_nodes, dim), or at time
+    row t_index alone, (1, n_nodes, dim).
 
     The mode sum at the nodes j/n, n = 2**grid_level, is one inverse real
-    FFT.  The constant mode fills bin 0; mode k's cosine and sine
+    FFT per row.  The constant mode fills bin 0; mode k's cosine and sine
     coefficients a_k, b_k enter bin r = k mod n as (a_k - i*b_k)/sqrt(2),
     or bin n - r with the sine's sign flipped when r > n/2.  On bins 0 and
     n/2 the cosine enters once as sqrt(2)*a_k and the sine, zero at every
-    node, drops.  Folded modes add up in their bin.
+    node, drops.  Folded modes add up in their bin.  One row runs the OU
+    recursion up to t_index and folds and transforms that row only; every
+    step is elementwise in the rows, so it has the bits of that row of the
+    full field.
     """
     if not 0 <= replica < 2**56:
         raise ValueError(f"0 <= replica < 2^56 violated: replica={replica}")
-    entries = (config.n_time + 1) * config.n_nodes * config.dim
+    if t_index is None:
+        steps, n_rows = config.n_time, config.n_time + 1
+    elif 0 <= t_index <= config.n_time:
+        steps, n_rows = t_index, 1
+    else:
+        raise ValueError(
+            f"0 <= t_index <= n_time violated: t_index={t_index}, "
+            f"n_time={config.n_time}"
+        )
+    entries = n_rows * config.n_nodes * config.dim
     if entries > _MAX_FIELD_ENTRIES:
         raise GridTooLargeError(
             f"field would hold {entries} values "
@@ -220,17 +241,30 @@ def sample_field(config: SpectralConfig, replica: int = 0) -> FieldSample:
     # by one fancy-indexed +=; blocks run in mode order, so every bin sums
     # its modes in mode order.
     block = max(n // 2, 1)
-    values = np.empty((config.n_time + 1, config.n_nodes, config.dim))
+    values = np.empty((n_rows, config.n_nodes, config.dim))
     for component in range(config.dim):
-        coeffs = _simulate_coefficients(config, replica, component)
-        spectrum = np.zeros((config.n_time + 1, n // 2 + 1), dtype=complex)
+        coeffs = _simulate_coefficients(config, replica, component, steps)[-n_rows:]
+        spectrum = np.zeros((n_rows, n // 2 + 1), dtype=complex)
         spectrum[:, 0] = coeffs[:, 0]
         terms = coeffs[:, 1::2] * cos_weight + 1j * (coeffs[:, 2::2] * sin_weight)
         for lo in range(0, config.n_modes, block):
             spectrum[:, bins[lo : lo + block]] += terms[:, lo : lo + block]
         values[:, :n, component] = np.fft.irfft(spectrum, n=n, norm="forward")
     values[:, n] = values[:, 0]
+    return values
+
+
+def sample_field(config: SpectralConfig, replica: int = 0) -> FieldSample:
+    """Simulate one field realization; components are independent.  See
+    _synthesize for the projection."""
+    values = _synthesize(config, replica)
     return FieldSample(values=values, config=config, replica=replica)
+
+
+def sample_row(config: SpectralConfig, replica: int, t_index: int) -> np.ndarray:
+    """Time row t_index of sample_field(config, replica).values, shape
+    (n_nodes, dim), bit for bit, without synthesizing the other rows."""
+    return _synthesize(config, replica, t_index)[0]
 
 
 def _node_factor(n_modes: int, t: float, nodes) -> np.ndarray:

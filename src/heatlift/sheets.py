@@ -342,19 +342,24 @@ def _increment_tables(level1: np.ndarray, level2: np.ndarray, iu, ju):
     prefixes with a leading axis of length 1).
 
     Built one time at a time, so only one time's gathered prefixes are
-    live next to the tables (np.take gathers the same rows as fancy
-    indexing, at a third of its cost).
+    live next to the tables.  Each time's prefixes are transposed to
+    (d, nodes) and (d^2, nodes), so every gather is already
+    component-major (np.take gathers the same columns as fancy indexing,
+    at a third of its cost), and _pair_increment writes through
+    transposed views of the table rows in place.
     """
-    nt, _, d = level1.shape
-    f1 = np.empty((nt, d, iu.shape[0]))
-    f2 = np.empty((nt, d * d, iu.shape[0]))
-    for t, (l1, l2) in enumerate(zip(level1, level2)):
-        a1, a2 = _pair_increment(
-            np.take(l1, iu, 0), np.take(l2, iu, 0),
-            np.take(l1, ju, 0), np.take(l2, ju, 0),
+    nt, nodes, d = level1.shape
+    pairs = iu.shape[0]
+    f1 = np.empty((nt, d, pairs))
+    f2 = np.empty((nt, d * d, pairs))
+    for t in range(nt):
+        p1 = np.ascontiguousarray(level1[t].T)
+        p2 = np.ascontiguousarray(level2[t].reshape(nodes, d * d).T)
+        _pair_increment(
+            np.take(p1, iu, 1).T, np.take(p2, iu, 1).T.reshape(pairs, d, d),
+            np.take(p1, ju, 1).T, np.take(p2, ju, 1).T.reshape(pairs, d, d),
+            out=(f1[t].T, f2[t].reshape(d, d, pairs).transpose(2, 0, 1)),
         )
-        f1[t] = a1.T
-        f2[t] = a2.reshape(iu.shape[0], -1).T
     return f1, f2
 
 

@@ -150,7 +150,7 @@ def test_criterion_04_telescoping_identity():
         t_index = int(rng.integers(0, 5))
         i_node = int(rng.integers(0, 2**k))
         j_node = int(rng.integers(i_node + 1, 2**k + 1))
-        closed = level2_telescope(sample, k, t_index, i_node, j_node)
+        closed = level2_telescope(sample.values[t_index], 8, k, i_node, j_node)
         stride = 2 ** (8 - k)
         fine = lift_level(sample, k + 1).slice(t_index)
         coarse = lift_level(sample, k).slice(t_index)

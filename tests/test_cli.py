@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatlift import cli, dyadic, ldp, sheets
+from heatlift import cli, dyadic, ldp, sampler, sheets
 from heatlift.cli import main, resolve_config, run
 from heatlift.dyadic import level2_telescope, lift_level
 from heatlift.group import GEOMETRIC_TOL, multiply
@@ -464,7 +464,9 @@ def reference_lift_check(config: dict) -> dict:
         t_index = int(rng.integers(0, cfg.n_time + 1))
         i_node = int(rng.integers(0, 2**k_level))
         j_node = int(rng.integers(i_node + 1, 2**k_level + 1))
-        closed = level2_telescope(sample, k_level, t_index, i_node, j_node)
+        closed = level2_telescope(
+            sample.values[t_index], cfg.grid_level, k_level, i_node, j_node
+        )
         stride = 2 ** (cfg.grid_level - k_level)
         fine = lift_level(sample, k_level + 1)
         coarse = lift_level(sample, k_level)
@@ -521,6 +523,23 @@ class TestLiftCheckOneRow:
         )
         run(config, str(tmp_path))
         assert rows == [1] * (5 + 2 * 3)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_sample_synthesizes_one_row(self, tmp_path, monkeypatch, dim):
+        rows = []
+        synthesize = sampler._synthesize
+
+        def counting(config, replica, t_index=None):
+            values = synthesize(config, replica, t_index)
+            rows.append(values.shape[0])
+            return values
+
+        monkeypatch.setattr(sampler, "_synthesize", counting)
+        config = self.config(dim, 4, n_slices=5, n_telescope=3)
+        report = run(config, str(tmp_path))["summary"]
+        assert rows == [1] * (5 + 3)
+        monkeypatch.undo()
+        assert report == reference_lift_check(config)
 
 
 def loop_field_csv(sample) -> bytes:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatlift import covariance
 from heatlift.covariance import (
     bound_scan,
     cov,
@@ -116,6 +117,92 @@ class TestCov:
         s = np.array([0.2, 0.4])
         out = cov(s, 0.0, 0.8, 0.3)
         assert out.shape == (2,)
+
+
+def theta_cov_every_point(s, x, t, y) -> np.ndarray:
+    """Reference: the theta route summed at every point, repeats included."""
+    l0 = np.abs(s - t)
+    l1 = s + t
+    delta = x - y
+    delta = delta - np.round(delta)
+    if l1.size:
+        need = int(
+            np.ceil(1.0 + np.sqrt(4.0 * float(np.max(l1)) * covariance._LOG_CUTOFF))
+        )
+    else:
+        need = 1
+    window = min(covariance._THETA_WINDOW, max(2, need))
+    offsets = np.arange(-window, window + 1)
+    q = np.abs(delta[:, None] - offsets[None, :])
+    antideriv = covariance._antideriv
+    terms = antideriv(q, l1[:, None]) - antideriv(q, l0[:, None])
+    return terms.sum(axis=1) / (4.0 * np.sqrt(np.pi))
+
+
+def grid_points(n):
+    v = np.linspace(0.0, 1.0, n)
+    return np.meshgrid(v, v, v, v, indexing="ij")  # s, t, x, y
+
+
+class TestThetaDistinctTriples:
+    """The theta route sums each distinct (|s-t|, s+t, recentred x-y) once
+    and scatters the sums back: the values are those of the sum over every
+    point, byte for byte."""
+
+    @staticmethod
+    def assert_same_as_every_point(monkeypatch, s, x, t, y):
+        deduplicated = cov(s, x, t, y, method="theta")
+        with monkeypatch.context() as m:
+            m.setattr(covariance, "_theta_cov", theta_cov_every_point)
+            reference = cov(s, x, t, y, method="theta")
+        assert type(deduplicated) is type(reference)
+        assert np.asarray(deduplicated).tobytes() == np.asarray(reference).tobytes()
+
+    def test_oracle_grid(self, monkeypatch):
+        s, t, x, y = grid_points(17)
+        self.assert_same_as_every_point(monkeypatch, s, x, t, y)
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_random_points(self, monkeypatch, repeats):
+        rng = np.random.default_rng(5)
+        points = rng.random((4, 2000)) * np.array([[2.0], [3.0], [2.0], [3.0]])
+        if repeats:
+            points[:, 1000:] = points[:, rng.integers(0, 1000, size=1000)]
+        s, x, t, y = points
+        self.assert_same_as_every_point(monkeypatch, s, x, t, y)
+
+    def test_signed_zeros(self, monkeypatch):
+        # -0.0 == 0.0, so the two share a triple; either must give the
+        # bits of the other.
+        s = np.array([0.0, -0.0, 0.5, 0.5, -0.0, 0.3, 0.3, 0.3])
+        t = np.array([-0.0, 0.0, 0.5, 0.5, 0.7, 0.3, 0.3, 0.3])
+        x = np.array([0.2, 0.2, 0.0, -0.0, 0.1, -0.0, 0.0, 1.0])
+        y = np.array([0.2, 0.2, -0.0, 0.0, 0.4, 0.0, -0.0, 0.0])
+        self.assert_same_as_every_point(monkeypatch, s, x, t, y)
+        assert np.asarray(covariance._theta_cov(s, x, t, y)).tobytes() == (
+            theta_cov_every_point(s, x, t, y).tobytes()
+        )
+
+    def test_empty_and_scalar(self, monkeypatch):
+        self.assert_same_as_every_point(monkeypatch, np.empty(0), 0.3, 0.5, 0.1)
+        self.assert_same_as_every_point(monkeypatch, 0.4, 0.15, 0.9, 0.8)
+
+    def test_antiderivative_rows_are_distinct_triples(self, monkeypatch):
+        s, t, x, y = (a.reshape(-1) for a in grid_points(17))
+        delta = (x - y) - np.round(x - y)
+        triples = set(zip(np.abs(s - t).tolist(), (s + t).tolist(), delta.tolist()))
+        rows = []
+        antideriv = covariance._antideriv
+
+        def counting(q, l):
+            rows.append(q.shape[0])
+            return antideriv(q, l)
+
+        monkeypatch.setattr(covariance, "_antideriv", counting)
+        cov(s, x, t, y, method="theta")
+        assert s.size == 17**4
+        assert len(triples) == 153 * 17
+        assert rows == [len(triples)] * 2
 
 
 class TestRectVar:

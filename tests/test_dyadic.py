@@ -142,18 +142,18 @@ class TestLiftLevel:
 class TestTelescope:
     def test_empty_interval_is_zero(self):
         sample = make_sample(seed=9)
-        out = level2_telescope(sample, 3, 2, 5, 5)
+        out = level2_telescope(sample.values[2], sample.config.grid_level, 3, 5, 5)
         assert np.all(out == 0)
 
     def test_diagonal_entries_vanish(self):
         sample = make_sample(seed=10)
-        out = level2_telescope(sample, 4, 1, 2, 11)
+        out = level2_telescope(sample.values[1], sample.config.grid_level, 4, 2, 11)
         assert np.all(np.diagonal(out) == 0.0)
 
     def test_matches_direct_lift_difference(self):
         sample = make_sample(seed=11, grid_level=6)
         k, t_index, i_node, j_node = 4, 5, 2, 11
-        closed = level2_telescope(sample, k, t_index, i_node, j_node)
+        closed = level2_telescope(sample.values[t_index], 6, k, i_node, j_node)
         stride = 2 ** (6 - k)
         fine = lift_level(sample, k + 1).slice(t_index)
         coarse = lift_level(sample, k).slice(t_index)
@@ -171,7 +171,7 @@ class TestTelescope:
             t_index = int(rng.integers(0, 7))
             i_node = int(rng.integers(0, 2**k))
             j_node = int(rng.integers(i_node + 1, 2**k + 1))
-            closed = level2_telescope(sample, k, t_index, i_node, j_node)
+            closed = level2_telescope(sample.values[t_index], 6, k, i_node, j_node)
             stride = 2 ** (6 - k)
             fine = lift_level(sample, k + 1).slice(t_index)
             coarse = lift_level(sample, k).slice(t_index)
@@ -184,7 +184,7 @@ class TestTelescope:
     def test_index_bounds(self):
         sample = make_sample(seed=12)
         with pytest.raises(IndexError):
-            level2_telescope(sample, 3, 0, 5, 3)
+            level2_telescope(sample.values[0], sample.config.grid_level, 3, 5, 3)
 
     def test_level1_difference_vanishes_at_coarse_nodes(self):
         sample = make_sample(seed=13)
@@ -200,7 +200,7 @@ def level2_sup_loop(sample, k):
     """Reference: one telescoping prefix spread per time index."""
     worst = 0.0
     for t_index in range(sample.values.shape[0]):
-        w = _sibling_products(sample, k, t_index)
+        w = _sibling_products(sample.values[t_index], sample.config.grid_level, k)
         prefix = np.concatenate(
             [np.zeros((1,) + w.shape[1:]), np.cumsum(w, axis=0)], axis=0
         )

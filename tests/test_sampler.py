@@ -29,6 +29,7 @@ from heatlift.sampler import (
     mode_rate,
     ou_step,
     sample_field,
+    sample_row,
     sample_slice_marginal,
     save_field,
     truncation_residual,
@@ -408,6 +409,29 @@ class TestFieldSynthesis:
                 reference = add_at_field(cfg, r)
                 assert np.array_equal(values, reference), (cfg, r)
                 assert np.array_equal(np.signbit(values), np.signbit(reference))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_row_alone_equals_field_row(self, dim):
+        # One row runs the recursion to its time and transforms only that
+        # row; it must have the bits of that row of the full field.
+        for n_modes, grid_level in self.GRIDS:
+            cfg = SpectralConfig(
+                n_modes=n_modes, n_time=3, grid_level=grid_level, dim=dim, seed=30
+            )
+            for r in range(2):
+                values = sample_field(cfg, r).values
+                for t_index in range(cfg.n_time + 1):
+                    row = sample_row(cfg, r, t_index)
+                    assert row.shape == (cfg.n_nodes, dim)
+                    assert row.tobytes() == values[t_index].tobytes(), (cfg, r, t_index)
+
+    def test_row_index_checked(self):
+        cfg = SpectralConfig(n_modes=4, n_time=3, grid_level=3, dim=1)
+        for t_index in (-1, 4):
+            with pytest.raises(ValueError, match="t_index <= n_time"):
+                sample_row(cfg, 0, t_index)
+        with pytest.raises(ValueError, match="replica"):
+            sample_row(cfg, -1, 0)
 
     def test_threads_interleaving_keys(self):
         expected = {
