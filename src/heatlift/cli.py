@@ -1,10 +1,11 @@
 """Experiment runner: `heatlift <experiment> --config FILE [flags]`.
 
 Every run writes its artifacts plus a manifest (resolved config, config
-hash, seed, version, wall time, output hashes, and the numpy and BLAS
-runtime).  Re-running from a manifest reproduces the artifacts
-bit-for-bit at any thread count and equal BLAS thread counts; the
-sampled field does not depend on the BLAS at all.
+hash, seed, version, wall time, output hashes, the numpy and BLAS
+runtime, and the resources: peak RSS and the run's minor page faults).
+Re-running from a manifest reproduces the artifacts bit-for-bit at any
+thread count and equal BLAS thread counts; the sampled field does not
+depend on the BLAS at all.
 Exit codes: 0 success, 2 infeasible/invalid parameters (including a field
 past the sampler's allocation guard), 1 runtime error.
 """
@@ -15,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -520,13 +522,27 @@ def _runtime() -> dict:
     }
 
 
+def _resources(before: resource.struct_rusage) -> dict:
+    """The process's peak resident set so far and the minor page faults
+    since `before`, summed over its threads.  ru_maxrss is in KiB on Linux
+    and in bytes on macOS."""
+    now = resource.getrusage(resource.RUSAGE_SELF)
+    per_mib = 1024 * 1024 if sys.platform == "darwin" else 1024
+    return {
+        "peak_rss_mb": now.ru_maxrss / per_mib,
+        "minor_faults": now.ru_minflt - before.ru_minflt,
+    }
+
+
 def run(config: dict, out_dir: str) -> dict:
     """Execute one resolved experiment config; returns the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     summary = _BODIES[config["experiment"]](config, out)
     wall = time.perf_counter() - start
+    resources = _resources(usage)
     outputs = {
         name: _sha256_file(out / name) for name in summary.pop("outputs", [])
     }
@@ -539,6 +555,7 @@ def run(config: dict, out_dir: str) -> dict:
         "package_version": __version__,
         "wall_time_s": wall,
         "runtime": _runtime(),
+        "resources": resources,
         "outputs": outputs,
         "summary": summary,
     }

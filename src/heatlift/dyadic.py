@@ -27,7 +27,9 @@ from .parallel import deterministic_map
 from .sampler import (
     _MAX_FIELD_ENTRIES, FieldSample, GridTooLargeError, SpectralConfig, sample_field,
 )
-from .sheets import RoughSheet, _lift_values, _table_entries, spacetime_besov_norm
+from .sheets import (
+    RoughSheet, _lift_values, _table_entries, _view, spacetime_besov_norm,
+)
 
 SUP_KIND = "sup"
 BESOV_KIND = "besov"
@@ -58,27 +60,42 @@ def _check_k(k: int, grid_level: int):
         )
 
 
-def restrict_values(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
+def restrict_values(
+    values: np.ndarray, grid_level: int, k: int, out=None, work=None
+) -> np.ndarray:
     """Linear interpolation between level-k nodes of values (..., 2^K + 1, d),
-    on the full grid; a new array.  Elementwise in the leading axes, so a
-    row restricted alone has the bits of that row of a stack.
+    on the full grid.  Elementwise in the leading axes, so a row restricted
+    alone has the bits of that row of a stack.
 
-    Level K input is copied unchanged (every node is a level-K node).
-    Raises ValueError unless 0 <= k <= K.
+    Written into out and returned when out is given, else into a new
+    array; work, shaped like values, receives the right nodes' share in
+    place of a temporary.  Neither may overlap values; the bits are the
+    same either way.  Level K input is copied unchanged (every node is a
+    level-K node).  Raises ValueError unless 0 <= k <= K.
     """
     K = grid_level
     _check_k(k, K)
+    if out is None:
+        out = np.empty(values.shape)
     if k == K:
-        return values.copy()
+        np.copyto(out, values)
+        return out
     stride = 2 ** (K - k)
     n = 2**K
     j = np.arange(n + 1)
     q, r = np.divmod(j, stride)
-    left = values[..., np.minimum(q * stride, n), :]
-    right = values[..., np.minimum((q + 1) * stride, n), :]
     w = (r.astype(float) / stride)[:, None]
+    # np.take writes straight into its out only in a mode other than
+    # "raise"; the indices are in range, so "clip" changes no value.
+    right = np.take(
+        values, np.minimum((q + 1) * stride, n), axis=-2, out=work, mode="clip"
+    )
+    right *= w
+    left = np.take(values, np.minimum(q * stride, n), axis=-2, out=out, mode="clip")
+    left *= 1.0 - w
     # Exactness at the kept nodes (w = 0) is automatic.
-    return left * (1.0 - w) + right * w
+    left += right
+    return left
 
 
 def polygonal_restrict(sample: FieldSample, k: int) -> FieldSample:
@@ -91,12 +108,33 @@ def polygonal_restrict(sample: FieldSample, k: int) -> FieldSample:
     )
 
 
-def lift_level(sample: FieldSample, k: int) -> RoughSheet:
+def lift_level(
+    sample: FieldSample, k: int, out: RoughSheet | None = None, work=None
+) -> RoughSheet:
     """Natural lift of the level-k polygonal approximation, prefix-extended
     to the full grid; the initial-value path psi(., 0) rides along (node 0
-    is a level-k node for every k, so it is unaffected by restriction)."""
+    is a level-k node for every k, so it is unaffected by restriction).
+
+    With out, a sheet of the sample's shape (an earlier lift's), the lift
+    overwrites out's arrays, restricting into out.level1, and returns out;
+    with work (sheets._replica_buffers) no temporary of the field's size is
+    made.  The bits are those of a fresh lift.  At k = K the sample's
+    values are lifted as they are.
+    """
     K = sample.config.grid_level
-    return _lift_values(sample.config.times(), restrict_values(sample.values, K, k), K)
+    _check_k(k, K)
+    values = sample.values
+    if out is not None and out.level1.shape != values.shape:
+        raise ValueError(
+            f"out sheet holds {out.level1.shape} prefixes, the sample {values.shape}"
+        )
+    if k < K:
+        values = restrict_values(
+            values, K, k,
+            out=None if out is None else out.level1,
+            work=None if work is None else _view(work[0], values.shape),
+        )
+    return _lift_values(sample.config.times(), values, K, out=out, work=work)
 
 
 def _sibling_deltas(

@@ -108,10 +108,11 @@ def dilate(lam: float, g: GroupElement) -> GroupElement:
     return GroupElement(lam * g.level1, lam * lam * g.level2)
 
 
-def _pair_increment(l1_i, l2_i, l1_j, l2_j, out=None):
+def _pair_increment(l1_i, l2_i, l1_j, l2_j, out=None, work=None):
     """Levels of g^{-1} ⊗ h for g = (l1_i, l2_i), h = (l1_j, l2_j),
     broadcast over any leading axes; written into out = (level1, level2)
-    when given.
+    when given.  work, shaped like level2, receives the product term in
+    place of a temporary; the bits are the same either way.
 
     The product is expanded in difference form (h2 - g2 - g1 ⊗ (h1 - g1)),
     which is algebraically identical but cancels exactly when g = h, so
@@ -126,7 +127,7 @@ def _pair_increment(l1_i, l2_i, l1_j, l2_j, out=None):
     # fewer live, which keeps the Besov increment tables as fast as the
     # unshared expression they replaced.
     del l2_i, l2_j
-    a2 -= np.einsum("...a,...b->...ab", l1_i, a1)
+    a2 -= np.einsum("...a,...b->...ab", l1_i, a1, out=work)
     return a1, a2
 
 
@@ -134,12 +135,21 @@ def _pair_increment(l1_i, l2_i, l1_j, l2_j, out=None):
 AREA_COEFF = 2.0 ** 0.75
 
 
-def _hom_norms(l1, l2):
+def _hom_norms(l1, l2, work=None):
     """Homogeneous norms of the elements (l1, l2), broadcast over any
-    leading axes; no geometricity check."""
-    anti = 0.5 * (l2 - np.swapaxes(l2, -1, -2))
-    n1 = np.linalg.norm(l1, axis=-1)
-    nf = np.sqrt(np.sum(anti * anti, axis=(-2, -1)))
+    leading axes; no geometricity check.
+
+    work = (w1, w2), shaped like l1 and l2, receives the squares of l1 and
+    the antisymmetric parts of l2 in place of temporaries; w1 may be l1
+    itself (then overwritten), w2 must not overlap l2.  The bits are the
+    same either way: the level-1 norm is np.linalg.norm's own sum of
+    squares.
+    """
+    w1, w2 = (None, None) if work is None else work
+    anti = np.subtract(l2, np.swapaxes(l2, -1, -2), out=w2)
+    anti *= 0.5
+    n1 = np.sqrt(np.add.reduce(np.multiply(l1, l1, out=w1), axis=-1))
+    nf = np.sqrt(np.sum(np.multiply(anti, anti, out=anti), axis=(-2, -1)))
     return np.maximum(n1, AREA_COEFF * np.sqrt(nf))
 
 

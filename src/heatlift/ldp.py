@@ -14,7 +14,12 @@ of the approximation gap are estimated by Monte Carlo with Wilson
 intervals (a zero count reports the interval bound, never -inf).  The
 dilation eps only moves the threshold to delta / eps, so one pass
 samples, lifts and measures each replica once and thresholds the same
-distances for every eps.  Chaos moment growth is fitted from batched
+distances for every eps.  Each worker of that pass takes one contiguous
+run of replicas and allocates its two sheets and work buffers once
+(sheets._replica_buffers); they live for its run, and every replica
+lifts and measures in them without a field-sized temporary.  A distance
+has the same bits however the replicas are split, so the rows do not
+depend on the thread count.  Chaos moment growth is fitted from batched
 scalar replicas, and the pointwise Schilder scaling check is fully
 analytic via the Gaussian tail.
 """
@@ -29,7 +34,7 @@ from scipy.special import log_ndtr
 
 from .covariance import cov
 from .dyadic import _check_k, lift_level
-from .parallel import deterministic_map
+from .parallel import chunk_indices, deterministic_map
 from .sampler import (
     FieldSample,
     SpectralConfig,
@@ -46,6 +51,7 @@ from .sheets import (
     _lift_values,
     _node_pairs,
     _row_sumsq,
+    _replica_buffers,
     dist_infty,
 )
 
@@ -328,6 +334,10 @@ def tail_probability(
     upper bound is reported instead of -inf.  An empty eps_list, an eps
     or delta outside (0, inf), replicas < 1 or k outside [0, grid_level]
     raises ValueError, naming the constraint, before anything is sampled.
+
+    The replicas are split into min(threads, replicas) contiguous runs,
+    one per worker, each lifting into its own buffers (see the module
+    docstring); the distances are joined in replica order.
     """
     eps_list = tuple(float(eps) for eps in eps_list)
     _check_eps_list(eps_list)
@@ -337,13 +347,21 @@ def tail_probability(
         raise ValueError(f"replicas >= 1 violated: replicas={replicas}")
     _check_k(k, config.grid_level)
 
-    def one(r: int) -> float:
-        sample = sample_field(config, r)
-        full = lift_level(sample, config.grid_level)
-        approx = lift_level(sample, k)
-        return dist_infty(full, approx)
+    def run(block: range) -> list[float]:
+        (full, approx), work = _replica_buffers(
+            config.times(), config.grid_level, config.dim, sheets=2
+        )
+        dists = []
+        for r in block:
+            sample = sample_field(config, r)
+            lift_level(sample, config.grid_level, out=full, work=work)
+            lift_level(sample, k, out=approx, work=work)
+            dists.append(dist_infty(full, approx, work=work))
+        return dists
 
-    dists = np.asarray(deterministic_map(one, list(range(replicas)), threads=threads))
+    workers = max(1, min(threads, replicas))
+    blocks = chunk_indices(replicas, -(-replicas // workers))
+    dists = np.concatenate(deterministic_map(run, blocks, threads=threads))
     rows = []
     for epsilon in eps_list:
         count = int(np.sum(dists > delta / epsilon))

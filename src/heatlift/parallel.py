@@ -3,8 +3,11 @@
 Work items are dispatched to a thread pool but results are always
 collected in input order, and any reduction happens sequentially over
 that ordered list.  Output is therefore bit-identical for a fixed
-partitioning regardless of scheduling, and the partitioning never
-depends on the thread count.
+partitioning regardless of scheduling.  A partition may follow the
+thread count only where each result is independent of it:
+ldp.tail_probability hands each worker one contiguous run of replicas
+(chunk_indices) so that the worker can reuse its buffers, and every
+replica's distance has the same bits in any run.
 """
 
 from __future__ import annotations

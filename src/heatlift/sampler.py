@@ -46,9 +46,12 @@ _FIELD_MAGIC = b"HLFIELD1"
 _MAX_FIELD_ENTRIES = 1 << 28
 
 # Most replicas sample_slice_marginal draws and projects at once: a chunk
-# holds 4096 x r normals, r = min(distinct nodes, 2*n_modes + 1), and a
-# few 4096 x len(nodes) arrays.
+# holds chunk x r normals, r = min(distinct nodes, 2*n_modes + 1), and a
+# few chunk x len(nodes) arrays.  Past 16 distinct nodes the chunk
+# shrinks so that its projection holds at most _MARGINAL_BLOCK_ENTRIES
+# values (512 KiB).
 _MARGINAL_CHUNK = 4096
+_MARGINAL_BLOCK_ENTRIES = 1 << 16
 
 
 class GridTooLargeError(RuntimeError):
@@ -311,10 +314,11 @@ def sample_slice_marginal(
     # term one contiguous outer product.
     distinct, inverse = np.unique(np.asarray(nodes, dtype=float), return_inverse=True)
     factor = _node_factor(config.n_modes, t, distinct)
+    chunk = max(1, min(_MARGINAL_CHUNK, _MARGINAL_BLOCK_ENTRIES // distinct.size))
     out = np.empty((n_replicas, inverse.size, config.dim))
     for component in range(config.dim):
-        for lo in range(0, n_replicas, _MARGINAL_CHUNK):
-            hi = min(lo + _MARGINAL_CHUNK, n_replicas)
+        for lo in range(0, n_replicas, chunk):
+            hi = min(lo + chunk, n_replicas)
             xi = rng.standard_normal((hi - lo, factor.shape[0])).T.copy()
             psi = np.multiply.outer(factor[0], xi[0])
             for i in range(1, factor.shape[0]):

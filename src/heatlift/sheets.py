@@ -49,6 +49,14 @@ table rows, formed and reduced to squared magnitudes one time pair at a
 time, so no block-sized gather is ever live.  The sum runs on one thread
 over blocks of _BESOV_BLOCK time pairs, combined in block order; callers
 parallelize over replicas instead.
+
+A loop of lifts and distances can run without a field-sized temporary:
+_replica_buffers allocates one worker's sheets and work buffers once,
+dyadic.lift_level(out=, work=) overwrites such a sheet (dropping its
+tables) and dist_infty(work=) forms its increments in the work buffers.
+The buffers live as long as the worker's loop and belong to that worker
+alone.  Every kernel writes the same bits with or without them, so
+results do not depend on how replicas are split among workers.
 """
 
 from __future__ import annotations
@@ -166,30 +174,87 @@ class RoughSheet:
         )
 
 
-def _lift_values(times: np.ndarray, values: np.ndarray, grid_level: int) -> RoughSheet:
+def _replica_buffers(times: np.ndarray, grid_level: int, dim: int, sheets: int):
+    """One worker's buffers for a loop of lifts and distances on one grid:
+    `sheets` sheets to lift into (out= of lift_level) and the flat work
+    buffers (work= of lift_level and dist_infty: one as long as level1,
+    two as long as level2).  Returns (sheets, work).
+
+    All are views of one allocation.  glibc raises its mmap threshold to
+    the size of a freed mapped block, so the next loop's block of the
+    same size comes from the heap and stays there; freeing many
+    field-sized pieces instead hands pages back that the next loop faults
+    in again."""
+    nt, nodes = times.shape[0], 2**grid_level + 1
+    size1 = nt * nodes * dim
+    per_sheet = [(nt, dim), (nt, nodes, dim), (nt, nodes, dim, dim)]
+    shapes = per_sheet * sheets + [(size1,), (size1 * dim,), (size1 * dim,)]
+    sizes = [math.prod(shape) for shape in shapes]
+    block = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    parts = [part.reshape(shape) for part, shape in zip(block, shapes)]
+    made = [
+        RoughSheet(times, grid_level, parts[i + 1], parts[i + 2], parts[i])
+        for i in range(0, 3 * sheets, 3)
+    ]
+    return made, tuple(parts[3 * sheets :])
+
+
+def _view(buf: np.ndarray | None, shape: tuple) -> np.ndarray | None:
+    """The leading entries of the flat work buffer buf, shaped shape and
+    contiguous, so a kernel writing there runs as fast as into a fresh
+    array; None (numpy allocates) when buf is None."""
+    return None if buf is None else buf[: math.prod(shape)].reshape(shape)
+
+
+def _lift_values(
+    times: np.ndarray,
+    values: np.ndarray,
+    grid_level: int,
+    out: RoughSheet | None = None,
+    work: tuple | None = None,
+) -> RoughSheet:
     """Lift every time slice of values (nt, 2^K + 1, d); prefix products
     vectorized in t.
 
     Each cell contributes the exact segment lift (Δ, Δ ⊗ Δ / 2); prefixes
     are the running Chen products, so every reconstructed increment equals
     the exact iterated integral of the interpolant.
+
+    With out, a sheet of values' shape, the lift overwrites out's arrays
+    (values may be out.level1 itself), drops its increment tables and
+    returns it.  With work (_replica_buffers), the cell increments and both
+    cell terms are formed there; without, in fresh arrays.  The bits are
+    the same either way.
     """
-    deltas = np.diff(values, axis=1)  # (nt, n_cells, d)
-    nt, n_cells, d = deltas.shape
+    nt, nodes, d = values.shape
+    if out is None:
+        out = RoughSheet(
+            times=times,
+            grid_level=grid_level,
+            level1=np.empty((nt, nodes, d)),
+            level2=np.empty((nt, nodes, d, d)),
+            initial_values=np.empty((nt, d)),
+        )
+    else:
+        out.times = times
+        out.grid_level = grid_level
+        out._tables = None
+    w_delta, w_cross, w_square = (None, None, None) if work is None else work
+    cells = (nt, nodes - 1, d)
+    deltas = np.subtract(values[:, 1:], values[:, :-1], out=_view(w_delta, cells))
+    np.copyto(out.initial_values, values[:, 0, :])
     # Level-1 prefixes telescope exactly (values[j] - values[0]).
-    level1 = values - values[:, :1, :]
+    level1 = np.subtract(values, out.initial_values[:, None, :], out=out.level1)
     # level2[j+1] = level2[j] + level1[j] ⊗ Δ_j + Δ_j ⊗ Δ_j / 2
-    contrib = np.einsum("tca,tcb->tcab", level1[:, :-1], deltas)
-    contrib += 0.5 * np.einsum("tca,tcb->tcab", deltas, deltas)
-    level2 = np.zeros((nt, n_cells + 1, d, d))
-    np.cumsum(contrib, axis=1, out=level2[:, 1:])
-    return RoughSheet(
-        times=times,
-        grid_level=grid_level,
-        level1=level1,
-        level2=level2,
-        initial_values=values[:, 0, :].copy(),
+    contrib = np.einsum(
+        "tca,tcb->tcab", level1[:, :-1], deltas, out=_view(w_cross, cells + (d,))
     )
+    half = np.einsum("tca,tcb->tcab", deltas, deltas, out=_view(w_square, cells + (d,)))
+    half *= 0.5
+    contrib += half
+    out.level2[:, 0] = 0.0
+    np.cumsum(contrib, axis=1, out=out.level2[:, 1:])
+    return out
 
 
 def lift_piecewise_linear(slice_: PathSlice) -> RoughSlice:
@@ -467,16 +532,24 @@ def _require_matching(a: RoughSheet, b: RoughSheet):
         raise GridMismatchError("sheets live on different time grids")
 
 
-def dist_infty(a: RoughSheet, b: RoughSheet) -> float:
+def dist_infty(a: RoughSheet, b: RoughSheet, work: tuple | None = None) -> float:
     """sup over (t, x) of the homogeneous group distance of prefixes,
     plus sup over t of the initial-value gap.
 
     Exactly homogeneous under slice-wise dilation: scaling both sheets
-    by eps scales the distance by eps.
+    by eps scales the distance by eps.  work (_replica_buffers) holds the
+    increments, the product term and the antisymmetric parts in place of
+    temporaries; the bits are the same either way.
     """
     _require_matching(a, b)
-    u1, u2 = _pair_increment(a.level1, a.level2, b.level1, b.level2)
-    group_part = float(np.max(_hom_norms(u1, u2)))
+    w1, w2, w3 = (None, None, None) if work is None else work
+    shape = a.level2.shape
+    prod = _view(w3, shape)
+    u1, u2 = _pair_increment(
+        a.level1, a.level2, b.level1, b.level2,
+        out=(_view(w1, shape[:-1]), _view(w2, shape)), work=prod,
+    )
+    group_part = float(np.max(_hom_norms(u1, u2, work=(u1, prod))))
     v_part = float(np.max(np.linalg.norm(b.initial_values - a.initial_values, axis=1)))
     return group_part + v_part
 

@@ -431,6 +431,25 @@ class TestDeterminism:
         assert set(runtime["blas"]) == {"name", "version"}
         assert isinstance(runtime["openblas_num_threads"], str)
 
+    def test_manifest_records_resources(self, tmp_path):
+        # The resources block sits beside runtime, outside the hashed
+        # outputs, and a manifest holding it still re-feeds as --config.
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        argv = ["tails", "--set", "replicas=3", "--set", "dim=2"] + SMALL_SPECTRAL
+        assert main(argv + ["--out", str(out1)]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        resources = manifest["resources"]
+        assert set(resources) == {"peak_rss_mb", "minor_faults"}
+        assert isinstance(resources["minor_faults"], int)
+        for value in resources.values():
+            assert math.isfinite(value) and value >= 0
+        assert resources["peak_rss_mb"] > 0
+        assert "resources" not in manifest["outputs"]
+        assert main(["tails", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+        manifest2 = json.loads((out2 / "manifest.json").read_text())
+        assert manifest2["resolved_config"] == manifest["resolved_config"]
+        assert manifest2["outputs"] == manifest["outputs"]
+
 
 def reference_lift_check(config: dict) -> dict:
     """lift-check's report computed from full-sheet lifts: every sampled

@@ -14,7 +14,9 @@ from heatlift.dyadic import (
     validate_besov_params,
 )
 from heatlift.sampler import FieldSample, SpectralConfig, sample_field
-from heatlift.sheets import dilate_sheet, dist_infty, increment, lift_piecewise_linear, PathSlice
+from heatlift.sheets import (
+    PathSlice, _replica_buffers, dilate_sheet, dist_infty, increment, lift_piecewise_linear,
+)
 
 
 def make_sample(seed=0, grid_level=6, n_time=6, dim=2, n_modes=64):
@@ -110,6 +112,46 @@ class TestLiftLevel:
                     direct = lift_piecewise_linear(PathSlice(values=row, grid_level=K))
                     assert np.array_equal(sheet.level1[t_index], direct.level1)
                     assert np.array_equal(sheet.level2[t_index], direct.level2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("with_work", [False, True])
+    def test_reused_sheet_equals_fresh_lift(self, dim, with_work):
+        # One sheet (and one set of work buffers), NaN at first, lifted
+        # into over three replicas, each at k = 0, 0 < k < K and K, holds
+        # a fresh lift's bits each time: a value left behind would show.
+        cfg = SpectralConfig(
+            n_modes=64, time_horizon=1.0, n_time=5, grid_level=6, dim=dim, seed=11
+        )
+        K = cfg.grid_level
+        (sheet,), work = _replica_buffers(cfg.times(), K, dim, sheets=1)
+        if not with_work:
+            sheet, work = lift_level(sample_field(cfg, 7), 1), ()
+        for buf in (sheet.level1, sheet.level2, sheet.initial_values, *work):
+            buf.fill(np.nan)
+        work = work or None
+        for replica in range(3):
+            sample = sample_field(cfg, replica)
+            for k in (0, 3, K):
+                assert lift_level(sample, k, out=sheet, work=work) is sheet
+                fresh = lift_level(sample, k)
+                for name in ("times", "level1", "level2", "initial_values"):
+                    got, want = getattr(sheet, name), getattr(fresh, name)
+                    assert got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), (replica, k, name)
+
+    def test_restriction_into_buffers_equals_fresh(self):
+        sample = make_sample(seed=4, dim=3)
+        K = sample.config.grid_level
+        out, work = np.full_like(sample.values, np.nan), np.full_like(sample.values, np.nan)
+        for k in range(K + 1):
+            got = restrict_values(sample.values, K, k, out=out, work=work)
+            assert got is out
+            assert got.tobytes() == restrict_values(sample.values, K, k).tobytes()
+
+    def test_out_sheet_of_another_shape_rejected(self):
+        sheet = lift_level(make_sample(seed=1, grid_level=5), 2)
+        with pytest.raises(ValueError, match="out sheet"):
+            lift_level(make_sample(seed=1, grid_level=6), 2, out=sheet)
 
     def test_initial_value_path_attached(self):
         sample = make_sample(seed=6)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -459,6 +461,34 @@ class TestTailProbability:
         cfg = small_config(grid_level=6, n_time=4, n_modes=32, dim=2)
         args = (0.5, [1.0, 0.5, 0.25], 2, 9, cfg)
         assert tail_probability(*args, threads=2) == tail_probability(*args, threads=1)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_distance_equals_fresh_lifts(self, monkeypatch, threads):
+        # Workers reuse their sheets and buffers over runs of replicas.  A
+        # stale buffer that flips no count would not show in the rows, so
+        # every distance handed to dist_infty's caller is compared, replica
+        # by replica, with the distance of two fresh lifts.
+        cfg = small_config(grid_level=6, n_time=4, n_modes=32, dim=2)
+        k, replicas = 2, 7
+        current = threading.local()
+        seen = {}
+
+        def sampling(config, replica):
+            current.replica = replica
+            return sample_field(config, replica)
+
+        def measuring(a, b, **kwargs):
+            seen[current.replica] = dist_infty(a, b, **kwargs)
+            return seen[current.replica]
+
+        monkeypatch.setattr(ldp, "sample_field", sampling)
+        monkeypatch.setattr(ldp, "dist_infty", measuring)
+        tail_probability(0.5, [1.0], k, replicas, cfg, threads=threads)
+        expected = {}
+        for r in range(replicas):
+            sample = sample_field(cfg, r)
+            expected[r] = dist_infty(lift_level(sample, cfg.grid_level), lift_level(sample, k))
+        assert seen == expected
 
     def test_one_sample_per_replica(self, monkeypatch):
         calls = []

@@ -249,6 +249,30 @@ class TestOuDeviation:
         )
         assert np.array_equal(got, ref)
 
+    def test_many_node_chunk_follows_the_byte_budget(self):
+        # At 513 distinct nodes a chunk holds _MARGINAL_BLOCK_ENTRIES // 513
+        # replicas, far fewer than _MARGINAL_CHUNK; three chunks per
+        # component keep the bits of the one-block draw.
+        chunk = sampler_module._MARGINAL_BLOCK_ENTRIES // 513
+        assert chunk < sampler_module._MARGINAL_CHUNK
+        cfg = SpectralConfig(n_modes=8, grid_level=4, dim=2, seed=15)
+        nodes = np.arange(513) / 512
+        n_replicas = 2 * chunk + 5
+        draws = []
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def standard_normal(self, shape):
+                draws.append(shape)
+                return self.rng.standard_normal(shape)
+
+        got = sample_slice_marginal(cfg, 0.4, n_replicas, CountingRng(3), nodes=nodes)
+        ref = separate_marginal(cfg, 0.4, n_replicas, np.random.default_rng(3), nodes)
+        assert np.array_equal(got, ref)
+        assert [shape[0] for shape in draws] == [chunk, chunk, 5] * cfg.dim
+
 
 class TestSampleField:
     def test_initial_row_zero(self):
