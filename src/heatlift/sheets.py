@@ -154,7 +154,8 @@ class RoughSheet:
     initial_values: np.ndarray
     # Increment tables over all node pairs, built by the first Besov norm
     # that needs them (see _sheet_tables); the levels are not to be
-    # mutated in place after that.
+    # mutated in place after that, except by a lift into the sheet
+    # (_lift_values with out=), which drops them.
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -190,8 +191,8 @@ def _replica_buffers(times: np.ndarray, grid_level: int, dim: int, sheets: int):
     per_sheet = [(nt, dim), (nt, nodes, dim), (nt, nodes, dim, dim)]
     shapes = per_sheet * sheets + [(size1,), (size1 * dim,), (size1 * dim,)]
     sizes = [math.prod(shape) for shape in shapes]
-    block = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-    parts = [part.reshape(shape) for part, shape in zip(block, shapes)]
+    flat = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    parts = [part.reshape(shape) for part, shape in zip(flat, shapes)]
     made = [
         RoughSheet(times, grid_level, parts[i + 1], parts[i + 2], parts[i])
         for i in range(0, 3 * sheets, 3)
