@@ -3,6 +3,7 @@ stochastic heat field: exact group arithmetic, distribution-exact
 spectral sampling, dual covariance oracles, dyadic lift convergence and
 large-deviation experiments."""
 
+from .errors import ParameterError
 from .group import (
     DimensionMismatchError,
     GroupElement,
@@ -12,7 +13,6 @@ from .group import (
     hom_norm,
     inverse,
     multiply,
-    random_geometric,
     unit,
 )
 from .sheets import (
@@ -36,7 +36,6 @@ from .sampler import (
     FieldSample,
     SpectralConfig,
     basis_eval,
-    ou_step,
     sample_field,
     sample_row,
     sample_slice_marginal,
@@ -50,13 +49,13 @@ from .covariance import (
     dual_method_check,
     rect_var,
     second_diff_cov,
+    validate_bound_params,
 )
 from .dyadic import (
     ConvergenceTable,
     convergence_study,
     level2_telescope,
     lift_level,
-    polygonal_restrict,
     restrict_values,
     validate_besov_params,
 )

@@ -6,8 +6,8 @@ runtime, and the resources: peak RSS and the run's minor page faults).
 Re-running from a manifest reproduces the artifacts bit-for-bit at any
 thread count and equal BLAS thread counts; the sampled field does not
 depend on the BLAS at all.
-Exit codes: 0 success, 2 infeasible/invalid parameters (including a field
-past the sampler's allocation guard), 1 runtime error.
+Exit codes: 0 success, 2 a heatlift.ParameterError (an invalid or
+infeasible parameter, a field past the allocation guard too), 1 any other.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import BOUND_IDS, bound_scan, cov, dual_method_check
+from .covariance import (
+    BOUND_IDS, bound_scan, cov, dual_method_check, validate_bound_params,
+)
 from .dyadic import convergence_study, level2_telescope, lift_level, restrict_values
+from .errors import ParameterError
 from .group import GEOMETRIC_TOL, multiply
 from .ldp import (
     CMControl,
@@ -40,22 +43,8 @@ from .ldp import (
     tail_probability,
     validate_cm_params,
 )
-from .sampler import (
-    GridTooLargeError, SpectralConfig, sample_field, sample_row, save_field,
-)
+from .sampler import SpectralConfig, sample_field, sample_row, save_field
 from .sheets import PathSlice, increment, lift_piecewise_linear, save_sheet
-
-EXPERIMENTS = (
-    "sample",
-    "cov-check",
-    "bounds-scan",
-    "lift-check",
-    "converge",
-    "tails",
-    "chaos",
-    "cm",
-    "schilder",
-)
 
 # Top-level keys of a config file; a manifest's resolved_config holds
 # exactly these.
@@ -109,6 +98,9 @@ _PARAM_DEFAULTS = {
     },
 }
 
+# The experiments, in the order the CLI lists them.
+EXPERIMENTS = tuple(_PARAM_DEFAULTS)
+
 
 # The JSON type a parameter takes, by the type of its default; a null
 # default marks an optional number.  A boolean is no number, a float no
@@ -123,10 +115,6 @@ _KINDS = {
 }
 
 
-class ConstraintError(ValueError):
-    """Invalid or infeasible experiment parameters (exit code 2)."""
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -139,15 +127,24 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _check_kind(key: str, value, default):
+    """value must have the JSON type of default (see _KINDS)."""
+    kind, accepted = _KINDS[type(default)]
+    if not isinstance(value, accepted) or (
+        isinstance(value, bool) and accepted is not bool
+    ):
+        raise ParameterError(f"{key} must be {kind}, got {value!r}")
+
+
 def _check_object(key: str, value):
     """A config, or its spectral or params entry, must be a JSON object."""
     if not isinstance(value, dict):
-        raise ConstraintError(f"{key} must be a JSON object, got {value!r}")
+        raise ParameterError(f"{key} must be a JSON object, got {value!r}")
 
 
 def resolve_config(experiment: str, file_config: dict, overrides: dict) -> dict:
     if experiment not in EXPERIMENTS:
-        raise ConstraintError(
+        raise ParameterError(
             f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
         )
     _check_object("config", file_config)
@@ -157,7 +154,7 @@ def resolve_config(experiment: str, file_config: dict, overrides: dict) -> dict:
         _check_object("resolved_config", file_config)
     for key in file_config:
         if key not in _CONFIG_KEYS:
-            raise ConstraintError(
+            raise ParameterError(
                 f"unknown config key {key!r}; choose from {', '.join(_CONFIG_KEYS)}"
             )
     for key in ("spectral", "params"):
@@ -166,24 +163,15 @@ def resolve_config(experiment: str, file_config: dict, overrides: dict) -> dict:
     spectral.update(file_config.get("spectral", {}))
     params = dict(_PARAM_DEFAULTS[experiment])
     params.update(file_config.get("params", {}))
-    config = {
-        "experiment": experiment,
-        "seed": int(
-            overrides.get("seed")
-            if overrides.get("seed") is not None
-            else file_config.get("seed", 0)
-        ),
-        "threads": int(
-            overrides.get("threads")
-            if overrides.get("threads") is not None
-            else file_config.get("threads", 1)
-        ),
-        "spectral": spectral,
-        "params": params,
-    }
+    config = {"experiment": experiment}
+    for key, default in (("seed", 0), ("threads", 1)):
+        value = overrides.get(key)
+        config[key] = file_config.get(key, default) if value is None else value
+        _check_kind(key, config[key], default)
+    config.update(spectral=spectral, params=params)
     for item in overrides.get("set", []) or []:
         if "=" not in item:
-            raise ConstraintError(f"--set expects key=value, got {item!r}")
+            raise ParameterError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
@@ -198,27 +186,21 @@ def resolve_config(experiment: str, file_config: dict, overrides: dict) -> dict:
         for key, value in values.items():
             if key not in defaults:
                 known = ", ".join(sorted({**_SPECTRAL_DEFAULTS, **param_defaults}))
-                raise ConstraintError(
+                raise ParameterError(
                     f"unknown parameter {key!r} for {experiment}; choose from {known}"
                 )
-            kind, accepted = _KINDS[type(defaults[key])]
-            if not isinstance(value, accepted) or (
-                isinstance(value, bool) and accepted is not bool
-            ):
-                raise ConstraintError(f"{key} must be {kind}, got {value!r}")
+            _check_kind(key, value, defaults[key])
     return config
 
 
 def _spectral(config: dict) -> SpectralConfig:
-    s = config["spectral"]
-    return SpectralConfig(
-        n_modes=int(s["n_modes"]),
-        time_horizon=float(s["time_horizon"]),
-        n_time=int(s["n_time"]),
-        grid_level=int(s["grid_level"]),
-        dim=int(s["dim"]),
-        seed=int(config["seed"]),
-    )
+    # resolve_config has checked the type of every key.
+    return SpectralConfig(**config["spectral"], seed=config["seed"])
+
+
+def _check_at_least(params: dict, key: str, least: int):
+    if params[key] < least:
+        raise ParameterError(f"{key} >= {least} violated: {key}={params[key]}")
 
 
 def _write_json(path: Path, payload: dict):
@@ -267,8 +249,10 @@ def _exp_sample(config: dict, out: Path) -> dict:
 
 def _exp_cov_check(config: dict, out: Path) -> dict:
     p = config["params"]
-    s_values = np.linspace(0.2, 1.0, int(p["n_s"]))
-    x_values = np.linspace(0.0, 1.0, int(p["n_x"]))
+    for key in ("n_s", "n_x"):
+        _check_at_least(p, key, 1)
+    s_values = np.linspace(0.2, 1.0, p["n_s"])
+    x_values = np.linspace(0.0, 1.0, p["n_x"])
     report = dual_method_check(s_values, x_values)
     report["tolerance"] = p["tolerance"]
     report["passed"] = bool(report["max_abs_discrepancy"] <= p["tolerance"])
@@ -278,10 +262,8 @@ def _exp_cov_check(config: dict, out: Path) -> dict:
 
 def _exp_bounds_scan(config: dict, out: Path) -> dict:
     p = config["params"]
-    reports = []
-    for bound_id in p["bounds"]:
-        kappa = p["kappa"] if bound_id in ("estD2", "cq2") else None
-        reports.append(asdict(bound_scan(bound_id, kappa=kappa)))
+    validate_bound_params(p["bounds"], p["kappa"])
+    reports = [asdict(bound_scan(b, kappa=p["kappa"])) for b in p["bounds"]]
     _write_json(out / "bound_scans.json", {"reports": reports})
     worst = max(abs(r["refinement_ratio"] - 1.0) for r in reports)
     return {
@@ -298,10 +280,19 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
     synthesized (sample_row), restricted and lifted; each has the bits of
     that row of the full field and of its full-sheet lift.  The time is
     drawn before the row: the check's generator and the field's Philox
-    streams are independent, so no draw changes."""
+    streams are independent, so no draw changes.  The counts and the
+    telescoping level are checked before any row is synthesized."""
     cfg = _spectral(config)
     p = config["params"]
     K = cfg.grid_level
+    for key in ("n_slices", "n_telescope"):
+        _check_at_least(p, key, 1)
+    k_level = p["telescope_k"]
+    if not 0 <= k_level <= K - 1:
+        raise ParameterError(
+            f"0 <= telescope_k <= grid_level - 1 violated: telescope_k={k_level}, "
+            f"grid_level={K}"
+        )
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, 0x11F7], dtype=np.uint64))
     )
@@ -311,8 +302,7 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
 
     max_chen = 0.0
     max_sym = 0.0
-    n_slices = int(p["n_slices"])
-    for replica in range(n_slices):
+    for replica in range(p["n_slices"]):
         t_index = int(rng.integers(0, cfg.n_time + 1))
         sl = lift_row(sample_row(cfg, replica, t_index), K)
         n = sl.n_cells
@@ -326,9 +316,8 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
             max_chen = max(max_chen, float(np.max(np.abs(left.level2 - comp.level2))))
             max_sym = max(max_sym, left.symmetric_defect())
     # Telescoping identity on random node pairs.
-    k_level = int(p["telescope_k"])
     max_tel = 0.0
-    for case in range(int(p["n_telescope"])):
+    for case in range(p["n_telescope"]):
         t_index = int(rng.integers(0, cfg.n_time + 1))
         i_node = int(rng.integers(0, 2**k_level))
         j_node = int(rng.integers(i_node + 1, 2**k_level + 1))
@@ -359,7 +348,7 @@ def _exp_converge(config: dict, out: Path) -> dict:
     p = config["params"]
     k_min, k_max = p["k_min"], p["k_max"]
     if k_min > k_max:
-        raise ConstraintError(f"k_min <= k_max violated: k_min={k_min}, k_max={k_max}")
+        raise ParameterError(f"k_min <= k_max violated: k_min={k_min}, k_max={k_max}")
     table = convergence_study(
         cfg,
         range(k_min, k_max + 1),
@@ -381,11 +370,7 @@ def _exp_converge(config: dict, out: Path) -> dict:
     )
     fits = {key: asdict(f) for key, f in table.fits.items()}
     _write_json(out / "convergence_fits.json", fits)
-    return {
-        "outputs": ["convergence.csv", "convergence_fits.json"],
-        "fits": fits,
-        "empty": table.empty,
-    }
+    return {"outputs": ["convergence.csv", "convergence_fits.json"], "fits": fits}
 
 
 def _exp_tails(config: dict, out: Path) -> dict:
@@ -424,18 +409,12 @@ def _exp_chaos(config: dict, out: Path) -> dict:
         y=float(p["y"]) if p["y"] is not None else None,
         level=int(p["level"]),
     )
-    payload = {
-        "functional": report.functional,
-        "degree": report.degree,
-        "q_list": list(report.q_list),
-        "norm_ratios": {repr(k): v for k, v in report.norm_ratios.items()},
-        "exponent": report.exponent,
-        "exponent_stderr": report.exponent_stderr,
-        "ratio4": report.ratio4,
-        "ratio4_stderr": report.ratio4_stderr,
-        "replicas": report.replicas,
-        "empty": report.empty,
-    }
+    # Every field of the report; JSON keys are strings.
+    payload = asdict(report)
+    payload.update(
+        q_list=list(report.q_list),
+        norm_ratios={repr(k): v for k, v in report.norm_ratios.items()},
+    )
     _write_json(out / "chaos.json", payload)
     return {"outputs": ["chaos.json"], **payload}
 
@@ -589,15 +568,20 @@ def main(argv=None) -> int:
         file_config = {}
         if args.config:
             if not Path(args.config).is_file():
-                raise ConstraintError(f"config file not found: {args.config}")
-            file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+                raise ParameterError(f"config file not found: {args.config}")
+            try:
+                file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ParameterError(
+                    f"config file {args.config} is not JSON: {exc}"
+                ) from None
         config = resolve_config(
             args.experiment,
             file_config,
             {"seed": args.seed, "threads": args.threads, "set": args.set},
         )
         manifest = run(config, args.out)
-    except (ValueError, GridTooLargeError) as exc:
+    except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
+from .errors import ParameterError
+
 _THETA_WINDOW = 64  # image cap; terms decay like exp(-n^2/(8T))
 # -ln of the term cutoff (1e-16, with margin): summation stops once the
 # Gaussian factor drops below it.
@@ -170,15 +172,15 @@ def cov(s, x, t, y, method: str = "theta", n_modes: int | None = None):
     """
     (sv, xv, tv, yv), shape = _broadcast(s, x, t, y)
     if np.any(sv < 0) or np.any(tv < 0):
-        raise ValueError("times must be nonnegative")
+        raise ParameterError("times must be nonnegative")
     if method == "theta":
         if n_modes is not None:
-            raise ValueError("truncated evaluation is Fourier-only")
+            raise ParameterError("truncated evaluation is Fourier-only")
         out = _theta_cov(sv, xv, tv, yv)
     elif method == "fourier":
         out = _fourier_cov(sv, xv, tv, yv, n_modes)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ParameterError(f"unknown method {method!r}")
     zero = np.minimum(sv, tv) == 0.0
     out[zero] = 0.0
     out = out.reshape(shape)
@@ -262,15 +264,15 @@ def second_diff_cov(
     (sv, tv, xv, yv, hv), shape = _broadcast(s, t, x, y, h)
     gap = yv - xv
     if np.any(hv <= 0):
-        raise ValueError("h must be positive")
+        raise ParameterError("h must be positive")
     if np.any(2.0 * hv > gap + 1e-15):
         i = int(np.argmax(2.0 * hv - gap))
-        raise ValueError(
+        raise ParameterError(
             f"hypothesis 2h <= y-x violated: h={hv[i]:.6g}, y-x={gap[i]:.6g}"
         )
     if np.any(gap > 0.5 + 1e-15):
         i = int(np.argmax(gap))
-        raise ValueError(f"hypothesis y-x <= 1/2 violated: y-x={gap[i]:.6g}")
+        raise ParameterError(f"hypothesis y-x <= 1/2 violated: y-x={gap[i]:.6g}")
 
     def g(a, b):
         return (
@@ -288,14 +290,16 @@ def second_diff_cov(
     return float(out) if shape == () else out
 
 
-def dual_method_check(
-    s_values=None, x_values=None, n_modes_cap: int | None = None
-) -> dict:
-    """Max |cov_theta - cov_fourier| over a product grid; the keystone."""
+def dual_method_check(s_values=None, x_values=None) -> dict:
+    """Max |cov_theta - cov_fourier| over a product grid; the keystone.
+    An empty s_values or x_values raises ParameterError."""
     if s_values is None:
         s_values = np.linspace(0.2, 1.0, 5)
     if x_values is None:
         x_values = np.linspace(0.0, 1.0, 5)
+    for name, values in (("s_values", s_values), ("x_values", x_values)):
+        if len(values) == 0:
+            raise ParameterError(f"{name} must hold at least one value")
     s, t, x, y = np.meshgrid(
         s_values, s_values, x_values, x_values, indexing="ij"
     )
@@ -319,6 +323,8 @@ def dual_method_check(
 # Bound scans
 
 BOUND_IDS = ("estD2", "cq1", "cq2", "kolm_t", "kolm_x")
+# The bounds with an exponent kappa in (0, 1).
+_KAPPA_BOUNDS = ("estD2", "cq2")
 
 
 @dataclass
@@ -336,10 +342,23 @@ class BoundScanReport:
     argmax: dict
     refinement_ratio: float
     diverged: bool
-    empty: bool = False
+
+
+def validate_bound_params(bound_ids, kappa: float | None = None):
+    """bound_scan's checks of its bound and kappa over a list of bounds, so
+    that a caller scanning several can refuse before the first scan."""
+    if len(bound_ids) == 0:
+        raise ParameterError("bounds must hold at least one bound id")
+    for bound_id in bound_ids:
+        if bound_id not in BOUND_IDS:
+            raise ParameterError(f"unknown bound_id {bound_id!r}; know {BOUND_IDS}")
+    takes_kappa = any(bound_id in _KAPPA_BOUNDS for bound_id in bound_ids)
+    if takes_kappa and kappa is not None and not 0.0 < kappa < 1.0:
+        raise ParameterError(f"kappa must lie in (0,1), got {kappa}")
 
 
 def default_scan_grid(bound_id: str) -> dict:
+    validate_bound_params((bound_id,))
     if bound_id == "estD2":
         return {"n_time": 16, "n_space": 32, "horizon": 1.0}
     if bound_id == "cq1":
@@ -348,12 +367,22 @@ def default_scan_grid(bound_id: str) -> dict:
         return {"n_time": 8, "n_space": 32, "h_divisors": [2, 4, 8], "horizon": 1.0}
     if bound_id == "kolm_t":
         return {"n_time": 16, "horizon": 1.0}
-    if bound_id == "kolm_x":
-        return {"t_values": [0.25, 0.5, 1.0], "j_max": 8}
-    raise ValueError(f"unknown bound_id {bound_id!r}; know {BOUND_IDS}")
+    return {"t_values": [0.25, 0.5, 1.0], "j_max": 8}
 
 
-def _refine_grid(bound_id: str, grid: dict) -> dict:
+def _check_grid(grid: dict):
+    """Refuse a scan grid with no points or no time span, naming the key."""
+    for key, least in (("n_time", 1), ("n_space", 2), ("j_max", 1)):
+        if key in grid and not grid[key] >= least:
+            raise ParameterError(f"{key} >= {least} violated: {key}={grid[key]!r}")
+    for key in ("h_divisors", "t_values"):
+        if key in grid and len(grid[key]) == 0:
+            raise ParameterError(f"{key} must hold at least one value")
+    if "horizon" in grid and not grid["horizon"] > 0:
+        raise ParameterError(f"horizon > 0 violated: horizon={grid['horizon']!r}")
+
+
+def _refine_grid(grid: dict) -> dict:
     refined = dict(grid)
     for key in ("n_time", "n_space"):
         if key in refined:
@@ -372,15 +401,14 @@ def _refine_grid(bound_id: str, grid: dict) -> dict:
 
 
 def _time_pairs(n_time: int, horizon: float):
-    if n_time < 1:
-        return np.empty(0), np.empty(0)
     ts = np.arange(n_time + 1) * (horizon / n_time)
     i, j = np.triu_indices(n_time + 1, k=1)
     return ts[i], ts[j]
 
 
 def _scan_ratios(bound_id: str, kappa: float | None, grid: dict, method: str):
-    """Return (ratios, points) in lexicographic grid order."""
+    """Return (ratios, coords) in lexicographic grid order; coords maps each
+    coordinate to its array over the points, or to the value it is fixed at."""
     if bound_id == "estD2":
         sv, tv = _time_pairs(grid["n_time"], grid["horizon"])
         deltas = np.arange(1, grid["n_space"]) / grid["n_space"]
@@ -389,17 +417,12 @@ def _scan_ratios(bound_id: str, kappa: float | None, grid: dict, method: str):
         dl = np.tile(deltas, sv.size)
         lhs = rect_var(s, 0.0, t, dl, method=method)
         rhs = (t - s) ** (kappa / 2.0) * dist_s1(0.0, dl) ** (1.0 - kappa)
-        pts = [
-            {"s": float(a), "t": float(b), "x": 0.0, "y": float(d)}
-            for a, b, d in zip(s, t, dl)
-        ]
-        return lhs / rhs, pts
+        return lhs / rhs, {"s": s, "t": t, "x": 0.0, "y": dl}
     if bound_id == "kolm_t":
         sv, tv = _time_pairs(grid["n_time"], grid["horizon"])
         lhs = time_increment_var(sv, tv, 0.0, method=method)
         rhs = np.sqrt(tv - sv)
-        pts = [{"s": float(a), "t": float(b), "x": 0.0} for a, b in zip(sv, tv)]
-        return lhs / rhs, pts
+        return lhs / rhs, {"s": sv, "t": tv, "x": 0.0}
     if bound_id == "kolm_x":
         tvals = np.asarray(grid["t_values"], dtype=float)
         deltas = 0.5 ** np.arange(1, grid["j_max"] + 1)
@@ -407,40 +430,27 @@ def _scan_ratios(bound_id: str, kappa: float | None, grid: dict, method: str):
         dl = np.tile(deltas, tvals.size)
         lhs = space_increment_var(t, 0.0, dl, method=method)
         rhs = dist_s1(0.0, dl)
-        pts = [{"t": float(a), "x": 0.0, "y": float(d)} for a, d in zip(t, dl)]
-        return lhs / rhs, pts
-    if bound_id in ("cq1", "cq2"):
-        divisors = np.asarray(grid["h_divisors"], dtype=float)
-        deltas = np.arange(1, grid["n_space"] // 2 + 1) / grid["n_space"]
-        if bound_id == "cq1":
-            tvals = (
-                np.arange(1, grid["n_time"] + 1) * grid["horizon"] / grid["n_time"]
-            )
-            t = np.repeat(tvals, deltas.size * divisors.size)
-            dl = np.tile(np.repeat(deltas, divisors.size), tvals.size)
-            h = dl / np.tile(np.tile(divisors, deltas.size), tvals.size)
-            lhs = np.abs(
-                second_diff_cov(0.0, t, 0.0, dl, h, same_time=True, method=method)
-            )
-            rhs = h**2 / dl
-            pts = [
-                {"t": float(a), "x": 0.0, "y": float(d), "h": float(hh)}
-                for a, d, hh in zip(t, dl, h)
-            ]
-            return lhs / rhs, pts
-        sv, tv = _time_pairs(grid["n_time"], grid["horizon"])
-        s = np.repeat(sv, deltas.size * divisors.size)
-        t = np.repeat(tv, deltas.size * divisors.size)
-        dl = np.tile(np.repeat(deltas, divisors.size), sv.size)
-        h = dl / np.tile(np.tile(divisors, deltas.size), sv.size)
-        lhs = np.abs(second_diff_cov(s, t, 0.0, dl, h, method=method))
-        rhs = (t - s) ** (kappa / 2.0) * h**2 / dl ** (1.0 + kappa)
-        pts = [
-            {"s": float(a), "t": float(b), "x": 0.0, "y": float(d), "h": float(hh)}
-            for a, b, d, hh in zip(s, t, dl, h)
-        ]
-        return lhs / rhs, pts
-    raise ValueError(f"unknown bound_id {bound_id!r}; know {BOUND_IDS}")
+        return lhs / rhs, {"t": t, "x": 0.0, "y": dl}
+    divisors = np.asarray(grid["h_divisors"], dtype=float)
+    deltas = np.arange(1, grid["n_space"] // 2 + 1) / grid["n_space"]
+    if bound_id == "cq1":
+        tvals = np.arange(1, grid["n_time"] + 1) * grid["horizon"] / grid["n_time"]
+        t = np.repeat(tvals, deltas.size * divisors.size)
+        dl = np.tile(np.repeat(deltas, divisors.size), tvals.size)
+        h = dl / np.tile(np.tile(divisors, deltas.size), tvals.size)
+        lhs = np.abs(
+            second_diff_cov(0.0, t, 0.0, dl, h, same_time=True, method=method)
+        )
+        rhs = h**2 / dl
+        return lhs / rhs, {"t": t, "x": 0.0, "y": dl, "h": h}
+    sv, tv = _time_pairs(grid["n_time"], grid["horizon"])
+    s = np.repeat(sv, deltas.size * divisors.size)
+    t = np.repeat(tv, deltas.size * divisors.size)
+    dl = np.tile(np.repeat(deltas, divisors.size), sv.size)
+    h = dl / np.tile(np.tile(divisors, deltas.size), sv.size)
+    lhs = np.abs(second_diff_cov(s, t, 0.0, dl, h, method=method))
+    rhs = (t - s) ** (kappa / 2.0) * h**2 / dl ** (1.0 + kappa)
+    return lhs / rhs, {"s": s, "t": t, "x": 0.0, "y": dl, "h": h}
 
 
 def bound_scan(
@@ -452,34 +462,23 @@ def bound_scan(
     """Fit the constant of one bound over a grid and one refinement.
 
     kappa defaults to 0.5 for the bounds that take it (the constants
-    degenerate toward the endpoints of (0,1), so scans stay away).
+    degenerate toward the endpoints of (0,1), so scans stay away).  An
+    unknown bound, a bad kappa or an empty grid raises before any scan.
     """
-    if bound_id in ("estD2", "cq2"):
+    validate_bound_params((bound_id,), kappa)
+    if bound_id in _KAPPA_BOUNDS:
         kappa = 0.5 if kappa is None else kappa
-        if not 0.0 < kappa < 1.0:
-            raise ValueError(f"kappa must lie in (0,1), got {kappa}")
     else:
         kappa = None
     if grid is None:
         grid = default_scan_grid(bound_id)
+    _check_grid(grid)
 
-    ratios, pts = _scan_ratios(bound_id, kappa, grid, method)
-    if ratios.size == 0:
-        return BoundScanReport(
-            bound_id=bound_id,
-            kappa=kappa,
-            grid=grid,
-            max_ratio=float("nan"),
-            base_ratio=float("nan"),
-            argmax={},
-            refinement_ratio=float("nan"),
-            diverged=False,
-            empty=True,
-        )
+    ratios, _ = _scan_ratios(bound_id, kappa, grid, method)
     base = float(np.max(ratios))
 
-    refined_grid = _refine_grid(bound_id, grid)
-    ratios_r, pts_r = _scan_ratios(bound_id, kappa, refined_grid, method)
+    refined_grid = _refine_grid(grid)
+    ratios_r, coords = _scan_ratios(bound_id, kappa, refined_grid, method)
     best = int(np.argmax(ratios_r))
     refined = float(ratios_r[best])
     growth = refined / base if base > 0 else float("inf")
@@ -489,7 +488,7 @@ def bound_scan(
         grid=grid,
         max_ratio=refined,
         base_ratio=base,
-        argmax=pts_r[best],
+        argmax={k: float(v[best]) if np.ndim(v) else v for k, v in coords.items()},
         refinement_ratio=growth,
         diverged=bool(growth > 2.0),
     )

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError, is_integer
 from .parallel import deterministic_map
 from .sampler import (
     _MAX_FIELD_ENTRIES, FieldSample, GridTooLargeError, SpectralConfig, sample_field,
@@ -39,23 +40,27 @@ def validate_besov_params(alpha: float, beta: float, m: float):
     """Constraint chain of the Besov convergence estimates; raises with
     the violated inequality named."""
     if not (1.0 / 3.0 < alpha < 0.5):
-        raise ValueError(f"alpha in (1/3, 1/2) violated: alpha={alpha:.6g}")
+        raise ParameterError(f"alpha in (1/3, 1/2) violated: alpha={alpha:.6g}")
     if not (4.0 * beta < 1.0 - 2.0 * alpha):
-        raise ValueError(
+        raise ParameterError(
             f"4*beta < 1 - 2*alpha violated: beta={beta:.6g}, alpha={alpha:.6g}"
         )
+    if not m > 0:
+        raise ParameterError(f"m > 0 violated: m={m:.6g}")
     if not (beta > 1.0 / m):
-        raise ValueError(f"beta > 1/m violated: beta={beta:.6g}, m={m:.6g}")
+        raise ParameterError(f"beta > 1/m violated: beta={beta:.6g}, m={m:.6g}")
     if not (alpha - 1.0 / m > 1.0 / 3.0):
-        raise ValueError(
+        raise ParameterError(
             f"alpha - 1/m > 1/3 violated: alpha={alpha:.6g}, m={m:.6g}"
         )
 
 
 def _check_k(k: int, grid_level: int):
-    """A polygonal level k needs 0 <= k <= grid_level; raises naming it."""
+    """A polygonal level k is an integer in [0, grid_level]."""
+    if not is_integer(k):
+        raise ParameterError(f"k must be an integer, got {k!r}")
     if not 0 <= k <= grid_level:
-        raise ValueError(
+        raise ParameterError(
             f"0 <= k <= grid_level violated: k={k}, grid_level={grid_level}"
         )
 
@@ -71,7 +76,7 @@ def restrict_values(
     array; work, shaped like values, receives the right nodes' share in
     place of a temporary.  Neither may overlap values; the bits are the
     same either way.  Level K input is copied unchanged (every node is a
-    level-K node).  Raises ValueError unless 0 <= k <= K.
+    level-K node).  Raises ParameterError unless k is an integer in [0, K].
     """
     K = grid_level
     _check_k(k, K)
@@ -96,16 +101,6 @@ def restrict_values(
     # Exactness at the kept nodes (w = 0) is automatic.
     left += right
     return left
-
-
-def polygonal_restrict(sample: FieldSample, k: int) -> FieldSample:
-    """Linear interpolation between level-k nodes, on the full grid (see
-    restrict_values).  Raises ValueError unless 0 <= k <= K."""
-    return FieldSample(
-        values=restrict_values(sample.values, sample.config.grid_level, k),
-        config=sample.config,
-        replica=sample.replica,
-    )
 
 
 def lift_level(
@@ -144,7 +139,7 @@ def _sibling_deltas(
     (..., 2^K + 1, d), each shaped (..., 2^k, d)."""
     K = grid_level
     if k + 1 > K:
-        raise ValueError(f"need grid level >= {k + 1}, have {K}")
+        raise ParameterError(f"need grid level >= {k + 1}, have {K}")
     nodes = values[..., :: 2 ** (K - (k + 1)), :]  # level k+1 nodes
     deltas = np.diff(nodes, axis=-2)
     return deltas[..., 0::2, :], deltas[..., 1::2, :]
@@ -227,10 +222,6 @@ class ConvergenceTable:
     rows: list[ConvergenceRow] = field(default_factory=list)
     fits: dict[str, SlopeFit] = field(default_factory=dict)
 
-    @property
-    def empty(self) -> bool:
-        return not self.rows
-
 
 def _fit_log2_slope(ks: np.ndarray, estimates: np.ndarray) -> SlopeFit:
     y = np.log2(estimates)
@@ -267,29 +258,32 @@ def convergence_study(
     requires the full parameter chain to be feasible.
 
     Replicas run independently (parallelizable) and are reduced in
-    replica order.  A kind other than sup and besov, or a negative k,
-    raises ValueError before sampling.  Besov mode raises
-    GridTooLargeError before sampling when the increment tables live at
-    once would pass the sampler's allocation guard.  Fewer than two
-    replicas raise ValueError (one has no standard error), after the
-    checks above and still before sampling.
+    replica order.  No kind or no k, a kind other than sup and besov, or
+    a negative k raises ParameterError before sampling.  Besov mode
+    raises GridTooLargeError before sampling when the increment tables
+    live at once would pass the sampler's allocation guard.  Fewer than
+    two replicas raise ParameterError (one has no standard error), after
+    the checks above and still before sampling.
     """
     k_range = sorted(int(k) for k in k_range)
+    if not kinds:
+        raise ParameterError("kinds must hold at least one kind")
+    if not k_range:
+        raise ParameterError("k_range must hold at least one level")
     for kind in kinds:
         if kind not in (SUP_KIND, BESOV_KIND):
-            raise ValueError(f"kind in {{sup, besov}} violated: kind={kind!r}")
-    if kinds and k_range:
-        if k_range[0] < 0:
-            raise ValueError(f"k >= 0 violated: k={k_range[0]}")
-        if max(k_range) + 1 > config.grid_level:
-            raise ValueError(
-                f"k range up to {max(k_range)} needs grid_level >= "
-                f"{max(k_range) + 1}, have {config.grid_level}"
-            )
+            raise ParameterError(f"kind in {{sup, besov}} violated: kind={kind!r}")
+    if k_range[0] < 0:
+        raise ParameterError(f"k >= 0 violated: k={k_range[0]}")
+    if k_range[-1] + 1 > config.grid_level:
+        raise ParameterError(
+            f"k range up to {k_range[-1]} needs grid_level >= "
+            f"{k_range[-1] + 1}, have {config.grid_level}"
+        )
     use_besov = BESOV_KIND in kinds
     if use_besov:
         if alpha is None or beta is None or m is None:
-            raise ValueError("besov kind needs alpha, beta and m")
+            raise ParameterError("besov kind needs alpha, beta and m")
         validate_besov_params(alpha, beta, m)
         per_table = _table_entries(config.n_time + 1, config.grid_level, config.dim)
         # Per replica in flight: two lifts' tables and their difference.
@@ -302,11 +296,9 @@ def convergence_study(
 
     if replicas < 2:
         # One replica has no standard error: every stderr would be NaN.
-        raise ValueError(f"replicas >= 2 violated: replicas={replicas}")
+        raise ParameterError(f"replicas >= 2 violated: replicas={replicas}")
 
     table = ConvergenceTable()
-    if not k_range or not kinds:
-        return table
 
     def one_replica(r: int):
         sample = sample_field(config, r)

@@ -82,9 +82,6 @@ class GroupElement:
         sym = 0.5 * (self.level2 + self.level2.T)
         return float(np.max(np.abs(sym - 0.5 * np.outer(self.level1, self.level1))))
 
-    def is_geometric(self, tol: float = GEOMETRIC_TOL) -> bool:
-        return self.symmetric_defect() <= tol
-
 
 def unit(dim: int) -> GroupElement:
     return GroupElement(np.zeros(dim), np.zeros((dim, dim)))
@@ -175,12 +172,3 @@ def group_dist(g: GroupElement, h: GroupElement, tol: float = GEOMETRIC_TOL) -> 
             raise NonGeometricError(defect, tol)
     return float(_hom_norms(*_pair_increment(g.level1, g.level2, h.level1, h.level2)))
 
-
-def random_geometric(
-    rng: np.random.Generator, dim: int, scale: float = 1.0
-) -> GroupElement:
-    """Random geometric element: free level1 plus free antisymmetric area."""
-    l1 = scale * rng.standard_normal(dim)
-    a = scale * scale * rng.standard_normal((dim, dim))
-    anti = 0.5 * (a - a.T)
-    return GroupElement(l1, 0.5 * np.outer(l1, l1) + anti)

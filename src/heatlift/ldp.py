@@ -26,14 +26,14 @@ analytic via the Gaussian tail.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .covariance import cov
+from .covariance import cov, dist_s1
 from .dyadic import _check_k, lift_level
+from .errors import ParameterError, is_integer, is_number
 from .parallel import chunk_indices, deterministic_map
 from .sampler import (
     FieldSample,
@@ -76,9 +76,9 @@ class ModeControl:
         bp = tuple(float(b) for b in self.breakpoints)
         vals = tuple(float(v) for v in self.values)
         if len(bp) < 2 or len(vals) != len(bp) - 1:
-            raise ValueError("need p+1 breakpoints for p values")
+            raise ParameterError("need p+1 breakpoints for p values")
         if bp[0] != 0.0 or any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must increase from 0")
+            raise ParameterError("breakpoints must increase from 0")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -97,7 +97,7 @@ class CMControl:
         ctrls = tuple(self.controls)
         keys = [(c.mode, c.component) for c in ctrls]
         if len(set(keys)) != len(keys):
-            raise ValueError("duplicate (mode, component) control")
+            raise ParameterError("duplicate (mode, component) control")
         object.__setattr__(self, "controls", ctrls)
 
     def h_norm_sq(self) -> float:
@@ -122,12 +122,40 @@ def rate_function(ctrl: CMControl) -> float:
     return 0.5 * ctrl.h_norm_sq()
 
 
+def _is_finite_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        is_number(v) and np.isfinite(v) for v in value
+    )
+
+
+# The keys of a control's JSON object: what each holds, and its check.
+_CONTROL_FIELDS = {
+    "mode": ("an integer", is_integer),
+    "component": ("an integer", is_integer),
+    "breakpoints": ("a list of finite numbers", _is_finite_list),
+    "values": ("a list of finite numbers", _is_finite_list),
+}
+
+
 def control_from_dict(doc: dict) -> ModeControl:
+    """One control from its JSON object, component 0 by default; raises
+    ParameterError naming the first malformed entry."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"a control must be a JSON object, got {doc!r}")
+    doc = {"component": 0, **doc}
+    for key in doc:
+        if key not in _CONTROL_FIELDS:
+            raise ParameterError(
+                f"unknown control key {key!r}; choose from {', '.join(_CONTROL_FIELDS)}"
+            )
+    for key, (kind, valid) in _CONTROL_FIELDS.items():
+        if key not in doc:
+            raise ParameterError(f"a control needs the key {key!r}")
+        if not valid(doc[key]):
+            raise ParameterError(f"control {key} must be {kind}, got {doc[key]!r}")
     return ModeControl(
-        mode=int(doc["mode"]),
-        component=int(doc.get("component", 0)),
-        breakpoints=tuple(doc["breakpoints"]),
-        values=tuple(doc["values"]),
+        int(doc["mode"]), int(doc["component"]),
+        tuple(doc["breakpoints"]), tuple(doc["values"]),
     )
 
 
@@ -148,12 +176,12 @@ def _step_values(ctrl: ModeControl, times: np.ndarray) -> np.ndarray:
     bp = np.asarray(ctrl.breakpoints)
     horizon = times[-1]
     if abs(bp[-1] - horizon) > 1e-12:
-        raise ValueError(
+        raise ParameterError(
             f"control ends at {bp[-1]}, grid horizon is {horizon}"
         )
     on_grid = np.min(np.abs(times[None, :] - bp[:, None]), axis=1)
     if np.any(on_grid > 1e-12):
-        raise ValueError("control breakpoints must sit on the time grid")
+        raise ParameterError("control breakpoints must sit on the time grid")
     mids = 0.5 * (times[:-1] + times[1:])
     idx = np.searchsorted(bp, mids, side="right") - 1
     return np.asarray(ctrl.values)[idx]
@@ -163,11 +191,11 @@ def cameron_martin_path(ctrl: CMControl, config: SpectralConfig) -> CameronMarti
     """Evaluate h(t,x) = sum_n hat{h}_n(t) v_n(x) exactly on the grid."""
     for c in ctrl.controls:
         if abs(c.mode) > config.n_modes:
-            raise ValueError(
+            raise ParameterError(
                 f"control mode {c.mode} beyond sampler cutoff {config.n_modes}"
             )
         if not 0 <= c.component < config.dim:
-            raise ValueError(f"component {c.component} outside dim {config.dim}")
+            raise ParameterError(f"component {c.component} outside dim {config.dim}")
     times = config.times()
     nodes = config.nodes()
     delta = config.time_horizon / config.n_time
@@ -201,22 +229,19 @@ def validate_cm_params(q: float, k_range=(), grid_level: int = 0):
     """The checks of cm_regularity_check (q) and cm_lift_uniform_convergence
     (k_range), so a caller that runs both can refuse before either runs."""
     if not (4.0 / 3.0 < q < 2.0):
-        raise ValueError(f"q must lie in (4/3, 2), got {q}")
-    for k in sorted(int(k) for k in k_range):
+        raise ParameterError(f"q must lie in (4/3, 2), got {q}")
+    for k in k_range:
         _check_k(k, grid_level)
 
 
-def cm_regularity_check(
-    path: CameronMartinPath, q: float, gamma: float | None = None
-) -> CMRegularityReport:
+def cm_regularity_check(path: CameronMartinPath, q: float) -> CMRegularityReport:
     """Grid 1/2-Hoelder constant and dyadic q-variation majorant
     sum_k k^gamma sum_i |increment at scale 2^-k|^q, both linearized
     (the majorant via its q-th root) and normalized by ||h||_H."""
     validate_cm_params(q)
-    if gamma is None:
-        # Any gamma > q - 1 works; staying close to that edge keeps the
-        # k-sum's tail small so the report stabilizes at moderate grids.
-        gamma = q - 0.75
+    # Any gamma > q - 1 works; staying close to that edge keeps the
+    # k-sum's tail small so the report stabilizes at moderate grids.
+    gamma = q - 0.75
     values = path.field.values
     K = path.config.grid_level
     iu, ju, sep = _node_pairs(2**K)
@@ -257,9 +282,9 @@ def cm_lift_uniform_convergence(
     is lifted; one time's tables, the reference's and one level's, are
     live at once."""
     K = path.config.grid_level
-    ks = sorted(int(k) for k in k_range)
-    for k in ks:
+    for k in k_range:
         _check_k(k, K)
+    ks = sorted(int(k) for k in k_range)
     ref = lift_level(path.field, K)
     lifts = [lift_level(path.field, k) for k in ks]
     iu, ju, _ = _node_pairs(2**K)
@@ -283,9 +308,10 @@ def cm_lift_uniform_convergence(
 # ---------------------------------------------------------------------------
 # Tail probabilities of the approximation gap
 
-def wilson_interval(count: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(count: int, n: int) -> tuple[float, float]:
+    z = 1.96  # the 95% normal quantile
     if n <= 0:
-        raise ValueError("need at least one trial")
+        raise ParameterError("need at least one trial")
     p = count / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -307,12 +333,15 @@ class TailRow:
     zero_count: bool
 
 
-def _check_eps_list(eps_list):
+def _check_eps_list(eps_list) -> tuple:
+    """The epsilons as floats, each checked to be a number in (0, inf)."""
+    eps_list = tuple(float(eps) if is_number(eps) else eps for eps in eps_list)
     if len(eps_list) == 0:
-        raise ValueError("eps_list must hold at least one epsilon")
+        raise ParameterError("eps_list must hold at least one epsilon")
     for eps in eps_list:
-        if not 0.0 < eps < np.inf:
-            raise ValueError(f"0 < epsilon < inf violated: epsilon={eps!r}")
+        if not (isinstance(eps, float) and 0.0 < eps < np.inf):
+            raise ParameterError(f"0 < epsilon < inf violated: epsilon={eps!r}")
+    return eps_list
 
 
 def tail_probability(
@@ -333,18 +362,17 @@ def tail_probability(
     eps.  When no replica exceeds a threshold, eps^2 * log of the Wilson
     upper bound is reported instead of -inf.  An empty eps_list, an eps
     or delta outside (0, inf), replicas < 1 or k outside [0, grid_level]
-    raises ValueError, naming the constraint, before anything is sampled.
+    raises ParameterError, naming it, before anything is sampled.
 
     The replicas are split into min(threads, replicas) contiguous runs,
     one per worker, each lifting into its own buffers (see the module
     docstring); the distances are joined in replica order.
     """
-    eps_list = tuple(float(eps) for eps in eps_list)
-    _check_eps_list(eps_list)
+    eps_list = _check_eps_list(eps_list)
     if not 0.0 < delta < np.inf:
-        raise ValueError(f"0 < delta < inf violated: delta={delta!r}")
+        raise ParameterError(f"0 < delta < inf violated: delta={delta!r}")
     if replicas < 1:
-        raise ValueError(f"replicas >= 1 violated: replicas={replicas}")
+        raise ParameterError(f"replicas >= 1 violated: replicas={replicas}")
     _check_k(k, config.grid_level)
 
     def run(block: range) -> list[float]:
@@ -400,7 +428,6 @@ class ChaosReport:
     ratio4: float
     ratio4_stderr: float
     replicas: int
-    empty: bool = False
 
 
 def validate_chaos_params(q_list) -> tuple:
@@ -409,17 +436,16 @@ def validate_chaos_params(q_list) -> tuple:
     orders, and ratio4 is part of every report, so 4 must be among them."""
     orders = []
     for q in q_list:
-        real = isinstance(q, numbers.Real) and not isinstance(q, bool)
-        if not real or not 2.0 <= q < np.inf:
-            raise ValueError(f"moment orders 2 <= q < inf violated: q={q!r}")
+        if not is_number(q) or not 2.0 <= q < np.inf:
+            raise ParameterError(f"moment orders 2 <= q < inf violated: q={q!r}")
         orders.append(float(q))
     q_sorted = tuple(sorted(set(orders)))
     if len(q_sorted) < 2:
-        raise ValueError(
+        raise ParameterError(
             f"q_list must hold at least two distinct orders, got {list(q_sorted)}"
         )
     if not np.any(np.isclose(q_sorted, 4.0)):
-        raise ValueError(f"q_list must include 4 for ratio4, got {list(q_sorted)}")
+        raise ParameterError(f"q_list must include 4 for ratio4, got {list(q_sorted)}")
     return q_sorted
 
 
@@ -454,15 +480,27 @@ def chaos_moment_ratio(
     independent component increments, so the fitted growth reflects the
     chaos order instead of being averaged toward Gaussian by aggregation
     over many cells.
+
+    A degenerate element (rounding noise) raises before any draw: level1
+    with x = y on the circle (dist_s1 < 1e-12), level2 with level < 1.
     """
     q_sorted = validate_chaos_params(q_list)
     q_arr = np.asarray(q_sorted)
     if replicas < batches:
-        raise ValueError(
+        raise ParameterError(
             f"replicas >= batches violated: replicas={replicas}, batches={batches}"
         )
+    if functional == "level2":
+        if config.dim < 2:
+            raise ParameterError("level2 functional needs dim >= 2")
+        if level < 1:
+            raise ParameterError(f"level >= 1 violated: level={level}")
+    elif functional != "level1":
+        raise ParameterError(f"unknown functional {functional!r}")
     if y is None:
         y = x + (0.5 if functional == "level1" else 2.0**-level)
+    if functional == "level1" and not dist_s1(x, y) >= 1e-12:
+        raise ParameterError(f"dist_s1(x, y) >= 1e-12 violated: x={x!r}, y={y!r}")
     rng = np.random.Generator(
         np.random.Philox(key=np.array([config.seed, 0xC4A05], dtype=np.uint64))
     )
@@ -472,14 +510,12 @@ def chaos_moment_ratio(
             config, t, replicas, rng, nodes=np.array([x, y])
         )
         z = fields[:, 1, 0] - fields[:, 0, 0]
-    elif functional == "level2":
+    else:
         degree = 2
-        if config.dim < 2:
-            raise ValueError("level2 functional needs dim >= 2")
         lo, hi = min(x, y), max(x, y)
         n_cells = (hi - lo) * 2**level
         if abs(n_cells - round(n_cells)) > 1e-9 or round(n_cells) < 1:
-            raise ValueError(
+            raise ParameterError(
                 f"y - x = {hi - lo} is not a positive multiple of 2^-{level}"
             )
         n_cells = int(round(n_cells))
@@ -488,24 +524,8 @@ def chaos_moment_ratio(
         # One path per replica on the leading axis; only level2 is read.
         lifted = _lift_values(np.zeros(replicas), fields[:, :, :2], level)
         z = lifted.level2[:, -1, 0, 1]
-    else:
-        raise ValueError(f"unknown functional {functional!r}")
 
     absz = np.abs(z)
-    norm2 = float(np.mean(absz**2)) ** 0.5
-    if norm2 == 0.0:
-        return ChaosReport(
-            functional=functional,
-            degree=degree,
-            q_list=q_sorted,
-            norm_ratios={},
-            exponent=float("nan"),
-            exponent_stderr=float("nan"),
-            ratio4=float("nan"),
-            ratio4_stderr=float("nan"),
-            replicas=replicas,
-            empty=True,
-        )
 
     def ratios_of(sample: np.ndarray) -> np.ndarray:
         base = float(np.mean(sample**2)) ** 0.5
@@ -577,13 +597,12 @@ def schilder_point_check(
     0 < eps < inf and 0 <= a < inf; below a = 0 that limit would be
     wrong, since the probability then tends to one.
     """
-    eps_list = tuple(float(eps) for eps in eps_list)
-    _check_eps_list(eps_list)
+    eps_list = _check_eps_list(eps_list)
     if not 0.0 <= a < np.inf:
-        raise ValueError(f"0 <= a < inf violated: a={a!r}")
+        raise ParameterError(f"0 <= a < inf violated: a={a!r}")
     sigma_sq = float(cov(t, x, t, x, method=method))
     if sigma_sq <= 0.0:
-        raise ValueError(f"degenerate marginal at t={t} (variance {sigma_sq})")
+        raise ParameterError(f"degenerate marginal at t={t} (variance {sigma_sq})")
     sigma = np.sqrt(sigma_sq)
     rows = []
     for eps in eps_list:

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import polygamma
 
+from .errors import ParameterError
+
 _FIELD_MAGIC = b"HLFIELD1"
 
 # Refuse allocations beyond this many float64 entries instead of dying
@@ -54,7 +56,7 @@ _MARGINAL_CHUNK = 4096
 _MARGINAL_BLOCK_ENTRIES = 1 << 16
 
 
-class GridTooLargeError(RuntimeError):
+class GridTooLargeError(ParameterError):
     """Requested field exceeds the sampler's allocation guard."""
 
 
@@ -75,13 +77,17 @@ class SpectralConfig:
 
     def __post_init__(self):
         if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
+            raise ParameterError("n_modes must be >= 1")
         if self.n_time < 1 or self.time_horizon <= 0:
-            raise ValueError("need n_time >= 1 and time_horizon > 0")
+            raise ParameterError("need n_time >= 1 and time_horizon > 0")
+        if self.grid_level < 0:
+            raise ParameterError(
+                f"grid_level >= 0 violated: grid_level={self.grid_level}"
+            )
         if not 1 <= self.dim <= 256:
-            raise ValueError(f"1 <= dim <= 256 violated: dim={self.dim}")
+            raise ParameterError(f"1 <= dim <= 256 violated: dim={self.dim}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"0 <= seed < 2^64 violated: seed={self.seed}")
+            raise ParameterError(f"0 <= seed < 2^64 violated: seed={self.seed}")
 
     @property
     def n_nodes(self) -> int:
@@ -132,20 +138,6 @@ def _mode_order(n_modes: int) -> list[int]:
 def basis_matrix(n_modes: int, x: np.ndarray) -> np.ndarray:
     """Rows are basis functions in canonical mode order, evaluated at x."""
     return np.stack([basis_eval(n, x) for n in _mode_order(n_modes)])
-
-
-def ou_step(lam: float, delta: float, prev, xi) -> np.ndarray:
-    """One exact Ornstein-Uhlenbeck transition over a step of length delta.
-
-    Returns exp(-lam*delta)*prev + xi*sqrt((1 - exp(-2*lam*delta))/(2*lam)),
-    with the lam -> 0 limit prev + xi*sqrt(delta) (Brownian motion).  Being
-    the exact transition kernel, grid marginals are unbiased for any delta.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    prev = np.asarray(prev, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return np.exp(-lam * delta) * prev + xi * _ou_sd(lam, delta)
 
 
 def _ou_integral(a, h: float) -> np.ndarray:
@@ -218,13 +210,13 @@ def _synthesize(
     full field.
     """
     if not 0 <= replica < 2**56:
-        raise ValueError(f"0 <= replica < 2^56 violated: replica={replica}")
+        raise ParameterError(f"0 <= replica < 2^56 violated: replica={replica}")
     if t_index is None:
         steps, n_rows = config.n_time, config.n_time + 1
     elif 0 <= t_index <= config.n_time:
         steps, n_rows = t_index, 1
     else:
-        raise ValueError(
+        raise ParameterError(
             f"0 <= t_index <= n_time violated: t_index={t_index}, "
             f"n_time={config.n_time}"
         )
@@ -306,7 +298,7 @@ def sample_slice_marginal(
     of sample_field.
     """
     if t <= 0:
-        raise ValueError("need t > 0 for a nondegenerate marginal")
+        raise ParameterError("need t > 0 for a nondegenerate marginal")
     if nodes is None:
         nodes = config.nodes()
     # Over sorted distinct nodes R is upper trapezoidal: row i is zero left
@@ -335,7 +327,7 @@ def truncation_residual(n_modes: int, t: float) -> float:
     bounded by 1/(4*pi^2*N) uniformly in t.
     """
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise ParameterError("t must be nonnegative")
     if t == 0.0:
         return 0.0
     # sum_{n>N} 1/lam_n is the trigamma tail; the exponential part decays

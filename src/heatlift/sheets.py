@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
 from .group import GroupElement, _hom_norms, _pair_increment
 from .parallel import chunk_indices, deterministic_map
 
@@ -359,7 +360,7 @@ def _besov(table: np.ndarray, level: int, m: float, log_w: np.ndarray) -> float:
 
 def _check_level(level: int):
     if level not in (1, 2):
-        raise ValueError(f"level must be 1 or 2, got {level}")
+        raise ParameterError(f"level must be 1 or 2, got {level}")
 
 
 def holder_norm(rough: RoughSlice, level: int, alpha: float) -> float:
@@ -384,7 +385,9 @@ def besov_norm(rough: RoughSlice, level: int, alpha: float, m: float) -> float:
     """
     _check_level(level)
     if m * alpha <= 1.0:
-        raise ValueError(f"need m*alpha > 1 for integrability, got {m * alpha:.4g}")
+        raise ParameterError(
+            f"need m*alpha > 1 for integrability, got {m * alpha:.4g}"
+        )
     iu, ju, sep = _node_pairs(rough.n_cells)
     (a1,), (a2,) = _increment_tables(rough.level1[None], rough.level2[None], iu, ju)
     log_w = _log_weights(sep, 1.0 / rough.n_cells, 1.0 + m * alpha)
@@ -470,9 +473,13 @@ def spacetime_besov_norm(
     component is not finite.
     """
     if beta <= 1.0 / m:
-        raise ValueError(f"need beta > 1/m, got beta={beta:.4g}, 1/m={1.0 / m:.4g}")
+        raise ParameterError(
+            f"need beta > 1/m, got beta={beta:.4g}, 1/m={1.0 / m:.4g}"
+        )
     if m * alpha <= 1.0:
-        raise ValueError(f"need m*alpha > 1 for integrability, got {m * alpha:.4g}")
+        raise ParameterError(
+            f"need m*alpha > 1 for integrability, got {m * alpha:.4g}"
+        )
     nt = sheet.n_times
     times = sheet.times
     n = 2**sheet.grid_level
@@ -600,7 +607,7 @@ def embedding_ratio(
 ) -> EmbeddingRatioReport:
     """Evaluate both embedding inequalities on one slice pair."""
     if alpha - 1.0 / m <= 1.0 / 3.0:
-        raise ValueError(
+        raise ParameterError(
             f"need alpha - 1/m > 1/3, got {alpha - 1.0 / m:.4g}"
         )
     if a.grid_level != b.grid_level or a.dim != b.dim:

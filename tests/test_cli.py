@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heatlift
 from heatlift import cli, dyadic, ldp, sampler, sheets
 from heatlift.cli import main, resolve_config, run
 from heatlift.dyadic import level2_telescope, lift_level
+from heatlift.errors import ParameterError
 from heatlift.group import GEOMETRIC_TOL, multiply
 from heatlift.sampler import SpectralConfig, sample_field
-from heatlift.sheets import increment
+from heatlift.sheets import GridMismatchError, increment
 
 
 def file_hash(path: Path) -> str:
@@ -26,6 +28,32 @@ SMALL_SPECTRAL = [
     "--set",
     "grid_level=4",
 ]
+
+# Config files the exit-2 table reads, relative to its working directory.
+CONFIG_FILES = {
+    "scalar.json": "5",
+    "spectral.json": '{"spectral": 5}',
+    "resolved.json": '{"resolved_config": 5}',
+    "typo.json": '{"param": {"replicas": 3}}',
+    "notjson.json": "{not json",
+    "seed.json": '{"seed": "x"}',
+    "threads.json": '{"threads": 1.5}',
+}
+
+# Constraints that sample_field and tail_probability check on entry,
+# before they open a random stream: for these the call is the check.
+ENTRY_CHECKS = {
+    "sample_field": ("0 <= replica < 2^56 violated", "field would hold"),
+    "tail_probability": (
+        "eps_list must hold", "0 < epsilon", "0 < delta", "replicas >= 1",
+        "0 <= k <= grid_level",
+    ),
+}
+
+BESOV_DEFAULT_GRID = (
+    ["--set", 'kinds=["besov"]', "--set", "alpha=0.45", "--set", "beta=0.02"]
+    + ["--set", "m=60", "--set", "dim=2"]
+)
 
 
 class TestResolveConfig:
@@ -247,26 +275,147 @@ class TestExitCodes:
                 "q must lie in (4/3, 2), got 3.0",
                 "cm.json",
             ),
+            # The rest of README's exit-code paragraph and tails paragraph.
+            (["tails", "--config", "scalar.json"], "config must be a JSON object, got 5",
+             "tails.csv"),
+            (["tails", "--config", "spectral.json"],
+             "spectral must be a JSON object, got 5", "tails.csv"),
+            (["tails", "--config", "resolved.json"],
+             "resolved_config must be a JSON object, got 5", "tails.csv"),
+            (["tails", "--config", "typo.json"], "unknown config key 'param'", "tails.csv"),
+            (["schilder", "--set", "oops"], "--set expects key=value, got 'oops'",
+             "schilder.csv"),
+            (["sample", "--set", "grid_level=22"], "field would hold 541065345 values",
+             "field.csv"),
+            (["converge"] + BESOV_DEFAULT_GRID,
+             "Besov increment tables would hold 1218585600 values", "convergence.csv"),
+            (["schilder", "--set", "a=Infinity"], "0 <= a < inf violated: a=inf",
+             "schilder.csv"),
+            (["chaos", "--set", "q_list=[2]"],
+             "q_list must hold at least two distinct orders, got [2.0]", "chaos.json"),
+            (["chaos", "--set", "q_list=[2,3]"],
+             "q_list must include 4 for ratio4, got [2.0, 3.0]", "chaos.json"),
+            (["chaos", "--set", "q_list=[4,Infinity]"],
+             "moment orders 2 <= q < inf violated: q=inf", "chaos.json"),
+            (["tails", "--set", "eps_list=[]"] + SMALL_SPECTRAL,
+             "eps_list must hold at least one epsilon", "tails.csv"),
+            (["tails", "--set", "delta=0"] + SMALL_SPECTRAL,
+             "0 < delta < inf violated: delta=0.0", "tails.csv"),
+            (["tails", "--set", "replicas=0"] + SMALL_SPECTRAL,
+             "replicas >= 1 violated: replicas=0", "tails.csv"),
+            (["tails", "--set", "k=5"] + SMALL_SPECTRAL,
+             "0 <= k <= grid_level violated: k=5, grid_level=4", "tails.csv"),
+            # Inputs that once exited 0 with a degenerate report, exited 1,
+            # or exited 2 with numpy's message instead of a constraint.
+            (["chaos", "--set", "y=0.0"],
+             "dist_s1(x, y) >= 1e-12 violated: x=0.0, y=0.0", "chaos.json"),
+            (["chaos", "--set", "y=1.0"],
+             "dist_s1(x, y) >= 1e-12 violated: x=0.0, y=1.0", "chaos.json"),
+            (["chaos", "--set", "functional=level2", "--set", "dim=2", "--set", "level=0"],
+             "level >= 1 violated: level=0", "chaos.json"),
+            (["chaos", "--set", "functional=level2", "--set", "dim=2", "--set", "level=-1"],
+             "level >= 1 violated: level=-1", "chaos.json"),
+            (["cm", "--set", "controls=[5]"],
+             "a control must be a JSON object, got 5", "cm.json"),
+            (["cm", "--set", 'controls=[{"values":[1.0]}]'],
+             "a control needs the key 'mode'", "cm.json"),
+            (["cm", "--set", 'controls=[{"mode":0,"breakpoints":[0,1],"values":[NaN]}]'],
+             "control values must be a list of finite numbers", "cm.json"),
+            (["sample", "--set", "grid_level=-1"],
+             "grid_level >= 0 violated: grid_level=-1", "field.csv"),
+            (["cov-check", "--set", "n_s=0"], "n_s >= 1 violated: n_s=0", "cov_check.json"),
+            (["cov-check", "--set", "n_x=-1"], "n_x >= 1 violated: n_x=-1",
+             "cov_check.json"),
+            (["bounds-scan", "--set", "bounds=[]"],
+             "bounds must hold at least one bound id", "bound_scans.json"),
+            (["lift-check", "--set", "telescope_k=-1"] + SMALL_SPECTRAL,
+             "0 <= telescope_k <= grid_level - 1 violated: telescope_k=-1, grid_level=4",
+             "lift_check.json"),
+            (["lift-check", "--set", "telescope_k=4"] + SMALL_SPECTRAL,
+             "0 <= telescope_k <= grid_level - 1 violated: telescope_k=4, grid_level=4",
+             "lift_check.json"),
+            (["lift-check", "--set", "n_slices=0", "--set", "n_telescope=0"]
+             + SMALL_SPECTRAL, "n_slices >= 1 violated: n_slices=0", "lift_check.json"),
+            (["lift-check", "--set", "telescope_k=2", "--set", "n_telescope=0"]
+             + SMALL_SPECTRAL, "n_telescope >= 1 violated: n_telescope=0",
+             "lift_check.json"),
+            # Inputs once cast or read by numpy, now checked where they enter.
+            (["sample", "--config", "notjson.json"] + SMALL_SPECTRAL,
+             "config file notjson.json is not JSON", "field.csv"),
+            (["sample", "--config", "seed.json"] + SMALL_SPECTRAL,
+             "seed must be an integer, got 'x'", "field.csv"),
+            (["tails", "--config", "threads.json"] + SMALL_SPECTRAL,
+             "threads must be an integer, got 1.5", "tails.csv"),
+            (["tails", "--set", 'eps_list=[1.0,"a"]'] + SMALL_SPECTRAL,
+             "0 < epsilon < inf violated: epsilon='a'", "tails.csv"),
+            (["cm", "--set", 'k_range=[2,"a"]'] + SMALL_SPECTRAL,
+             "k must be an integer, got 'a'", "cm.json"),
+            (["bounds-scan", "--set", 'bounds=["kolm_t","nope"]'],
+             "unknown bound_id 'nope'", "bound_scans.json"),
+            (["converge", "--set", "kinds=[]", "--set", "k_min=2", "--set", "k_max=3"]
+             + SMALL_SPECTRAL, "kinds must hold at least one kind", "convergence.csv"),
+            (["converge"] + BESOV_DEFAULT_GRID[:-4] + ["--set", "m=0", "--set", "k_min=2"]
+             + ["--set", "k_max=3"] + SMALL_SPECTRAL, "m > 0 violated: m=0",
+             "convergence.csv"),
         ],
     )
     def test_invalid_parameters_exit_2(
         self, tmp_path, capsys, monkeypatch, argv, named, artifact
     ):
         def refuse(*args, **kwargs):
-            raise AssertionError("lifted before validation")
+            raise AssertionError("computed before validation")
 
-        # cm names a bad q or k_range before it builds the path, runs its
-        # regularity check or lifts anything.
+        # No sampling call is made unless it is the check itself, no random
+        # stream is opened, and nothing is lifted or scanned.
+        for name in ("sample_field", "sample_row", "tail_probability"):
+            if not named.startswith(ENTRY_CHECKS.get(name, ())):
+                monkeypatch.setattr(cli, name, refuse)
+        for name in ("bound_scan", "dual_method_check", "cameron_martin_path",
+                     "cm_regularity_check"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(sampler, "_philox", refuse)
+        monkeypatch.setattr(ldp, "sample_slice_marginal", refuse)
         monkeypatch.setattr(ldp, "lift_level", refuse)
-        monkeypatch.setattr(cli, "cameron_martin_path", refuse)
-        monkeypatch.setattr(cli, "cm_regularity_check", refuse)
-        # A relative --config resolves inside the empty output directory.
+        # A relative --config resolves inside the working directory.
         monkeypatch.chdir(tmp_path)
-        code = main(argv + ["--out", str(tmp_path)])
+        for filename, text in CONFIG_FILES.items():
+            (tmp_path / filename).write_text(text)
+        out = tmp_path / "out"
+        code = main(argv + ["--out", str(out)])
         assert code == 2
         assert f"parameter error: {named}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
         assert not (tmp_path / artifact).exists()
-        assert not (tmp_path / "manifest.json").exists()
+
+    def test_parameter_error_is_the_exit_2_type(self):
+        assert heatlift.ParameterError is ParameterError
+        assert issubclass(ParameterError, ValueError)
+        assert issubclass(sampler.GridTooLargeError, ParameterError)
+        assert not hasattr(cli, "ConstraintError")
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ValueError("attempt to get argmax of an empty sequence"),
+            GridMismatchError("sheets live on different time grids"),
+        ],
+        ids=["ValueError", "GridMismatchError"],
+    )
+    def test_internal_value_error_exits_1(self, tmp_path, capsys, monkeypatch, error):
+        # A ValueError that is no ParameterError, raised mid-run by a
+        # kernel, is an internal failure, not a parameter error.
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(ldp, "dist_infty", broken)
+        code = main(
+            ["tails", "--out", str(tmp_path), "--set", "replicas=2", "--set", "dim=2"]
+            + SMALL_SPECTRAL
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"runtime failure: {error}" in err
+        assert "parameter error" not in err
 
     @pytest.mark.parametrize(
         "setting, named",

@@ -16,7 +16,9 @@ from heatlift.covariance import (
     second_diff_cov,
     space_increment_var,
     time_increment_var,
+    validate_bound_params,
 )
+from heatlift.errors import ParameterError
 from heatlift.sampler import mode_rate
 
 # Shared value of both formulas at (s,t,x,y) = (0.3, 0.7, 0.1, 0.6),
@@ -69,6 +71,11 @@ class TestCov:
         report = dual_method_check()
         assert report["grid_points"] == 625
         assert report["max_abs_discrepancy"] <= 1e-8
+
+    @pytest.mark.parametrize("empty", ["s_values", "x_values"])
+    def test_empty_keystone_grid_rejected(self, empty):
+        with pytest.raises(ParameterError, match=f"{empty} must hold at least one value"):
+            dual_method_check(**{empty: np.empty(0)})
 
     def test_against_brute_force_quadrature(self):
         from scipy.integrate import quad
@@ -357,12 +364,44 @@ class TestBoundScans:
         with pytest.raises(ValueError):
             bound_scan("nope")
 
-    def test_degenerate_grid_flags_empty(self):
-        report = bound_scan(
-            "estD2", kappa=0.5, grid={"n_time": 0, "n_space": 1, "horizon": 1.0}
-        )
-        assert report.empty
-        assert np.isnan(report.max_ratio)
+    def test_degenerate_grid_rejected(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scanned before validation")
+
+        monkeypatch.setattr(covariance, "_scan_ratios", refuse)
+        cases = [
+            ("estD2", {"n_time": 0, "n_space": 1, "horizon": 1.0}, "n_time >= 1"),
+            ("estD2", {"n_time": 4, "n_space": 1, "horizon": 1.0}, "n_space >= 2"),
+            ("estD2", {"n_time": 4, "n_space": 8, "horizon": 0.0}, "horizon > 0"),
+            ("kolm_t", {"n_time": -1, "horizon": 1.0}, "n_time >= 1"),
+            ("kolm_x", {"t_values": [0.5], "j_max": 0}, "j_max >= 1"),
+            ("kolm_x", {"t_values": [], "j_max": 8}, "t_values must hold"),
+            (
+                "cq1",
+                {"n_time": 4, "n_space": 8, "h_divisors": [], "horizon": 1.0},
+                "h_divisors must hold",
+            ),
+        ]
+        for bound_id, grid, named in cases:
+            with pytest.raises(ParameterError, match=named):
+                bound_scan(bound_id, kappa=0.5, grid=grid)
+
+    @pytest.mark.parametrize(
+        "bound_ids, kappa, named",
+        [
+            ([], 0.5, "bounds must hold at least one bound id"),
+            (["kolm_t", "nope"], 0.5, "unknown bound_id 'nope'"),
+            (["kolm_t", 5], 0.5, "unknown bound_id 5"),
+            (["kolm_t", "cq2"], 1.5, r"kappa must lie in \(0,1\), got 1.5"),
+        ],
+    )
+    def test_bound_list_checked_up_front(self, bound_ids, kappa, named):
+        with pytest.raises(ParameterError, match=named):
+            validate_bound_params(bound_ids, kappa)
+
+    def test_kappa_ignored_where_not_taken(self):
+        validate_bound_params(["kolm_t", "kolm_x"], 1.5)
+        assert bound_scan("kolm_t", kappa=1.5).kappa is None
 
     def test_scan_quantities_periodic_and_reflection_invariant(self):
         s, t, delta = 0.25, 0.75, 0.2

@@ -9,10 +9,10 @@ from heatlift.dyadic import (
     convergence_study,
     level2_telescope,
     lift_level,
-    polygonal_restrict,
     restrict_values,
     validate_besov_params,
 )
+from heatlift.errors import ParameterError
 from heatlift.sampler import FieldSample, SpectralConfig, sample_field
 from heatlift.sheets import (
     PathSlice, _replica_buffers, dilate_sheet, dist_infty, increment, lift_piecewise_linear,
@@ -34,23 +34,24 @@ def make_sample(seed=0, grid_level=6, n_time=6, dim=2, n_modes=64):
 class TestPolygonalRestrict:
     def test_full_level_is_identity(self):
         sample = make_sample()
-        restricted = polygonal_restrict(sample, sample.config.grid_level)
-        assert np.array_equal(restricted.values, sample.values)
+        K = sample.config.grid_level
+        restricted = restrict_values(sample.values, K, K)
+        assert np.array_equal(restricted, sample.values)
 
     def test_rejects_excess_level(self):
         sample = make_sample(grid_level=4)
-        with pytest.raises(ValueError):
-            polygonal_restrict(sample, 5)
+        with pytest.raises(ParameterError):
+            restrict_values(sample.values, 4, 5)
 
     def test_rejects_negative_level(self):
         # k = -1 would interpolate node 0 against node 2^K with weight
         # j / 2^(K+1); lift_level goes through the same check.
         sample = make_sample(grid_level=4)
-        for restrict in (polygonal_restrict, lift_level):
-            with pytest.raises(
-                ValueError, match="0 <= k <= grid_level violated: k=-1, grid_level=4"
-            ):
-                restrict(sample, -1)
+        named = "0 <= k <= grid_level violated: k=-1, grid_level=4"
+        with pytest.raises(ParameterError, match=named):
+            restrict_values(sample.values, 4, -1)
+        with pytest.raises(ParameterError, match=named):
+            lift_level(sample, -1)
 
     def test_linear_field_unchanged(self):
         cfg = SpectralConfig(
@@ -61,29 +62,25 @@ class TestPolygonalRestrict:
         values = slopes[:, None, None] * x[None, :, None]
         sample = FieldSample(values=values, config=cfg, replica=0)
         for k in range(0, 6):
-            restricted = polygonal_restrict(sample, k)
-            assert np.allclose(restricted.values, values, atol=1e-14)
+            restricted = restrict_values(sample.values, 5, k)
+            assert np.allclose(restricted, values, atol=1e-14)
 
     def test_midpoint_identity_exact(self):
         sample = make_sample(grid_level=6)
         k = 3
-        restricted = polygonal_restrict(sample, k)
+        restricted = restrict_values(sample.values, 6, k)
         stride = 2 ** (6 - k)
         for j in range(1, 2**k + 1):
             mid = (2 * j - 1) * stride // 2
             left = sample.values[:, (j - 1) * stride, :]
             right = sample.values[:, j * stride, :]
-            assert np.array_equal(
-                restricted.values[:, mid, :], 0.5 * (left + right)
-            )
+            assert np.array_equal(restricted[:, mid, :], 0.5 * (left + right))
 
     def test_kept_nodes_exact(self):
         sample = make_sample(grid_level=6)
-        restricted = polygonal_restrict(sample, 2)
+        restricted = restrict_values(sample.values, 6, 2)
         stride = 2**4
-        assert np.array_equal(
-            restricted.values[:, ::stride, :], sample.values[:, ::stride, :]
-        )
+        assert np.array_equal(restricted[:, ::stride, :], sample.values[:, ::stride, :])
 
 
 class TestLiftLevel:
@@ -104,7 +101,7 @@ class TestLiftLevel:
             K = sample.config.grid_level
             for k in range(K + 1):
                 sheet = lift_level(sample, k)
-                stack = polygonal_restrict(sample, k).values
+                stack = restrict_values(sample.values, K, k)
                 for t_index in range(sample.config.n_time + 1):
                     row = restrict_values(sample.values[t_index], K, k)
                     assert np.array_equal(row, stack[t_index])
@@ -231,10 +228,10 @@ class TestTelescope:
     def test_level1_difference_vanishes_at_coarse_nodes(self):
         sample = make_sample(seed=13)
         k = 3
-        coarse = polygonal_restrict(sample, k)
-        finer = polygonal_restrict(sample, k + 1)
+        coarse = restrict_values(sample.values, 6, k)
+        finer = restrict_values(sample.values, 6, k + 1)
         stride = 2 ** (6 - k)
-        gap = finer.values[:, ::stride, :] - coarse.values[:, ::stride, :]
+        gap = finer[:, ::stride, :] - coarse[:, ::stride, :]
         assert np.max(np.abs(gap)) == 0.0
 
 
@@ -281,12 +278,15 @@ class TestBesovParamValidation:
             (0.4, 0.1, 30.0, "4*beta < 1 - 2*alpha"),
             (0.4, 0.04, 20.0, "beta > 1/m"),
             (0.35, 0.045, 30.0, "alpha - 1/m > 1/3"),
+            # 1/m is undefined at m = 0 and no bound below beta for m < 0.
+            (0.4, 0.04, 0.0, "m > 0 violated: m=0"),
+            (0.4, -1.0, -0.5, "m > 0 violated: m=-0.5"),
         ],
     )
     def test_violations_named(self, alpha, beta, m, fragment):
         import re
 
-        with pytest.raises(ValueError, match=re.escape(fragment)):
+        with pytest.raises(ParameterError, match=re.escape(fragment)):
             validate_besov_params(alpha=alpha, beta=beta, m=m)
 
 
@@ -354,6 +354,8 @@ class TestConvergenceStudy:
             (("sup",), -1, "k >= 0 violated: k=-1"),
             (("besov",), -1, "k >= 0 violated: k=-1"),
             (("sup", "supp"), 1, r"kind in \{sup, besov\} violated: kind='supp'"),
+            ((), 1, "kinds must hold at least one kind"),
+            (("sup",), 3, "k_range must hold at least one level"),
         ],
     )
     def test_rejected_before_sampling(self, monkeypatch, kinds, k_min, named):
@@ -364,7 +366,7 @@ class TestConvergenceStudy:
         cfg = SpectralConfig(
             n_modes=16, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=0
         )
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ParameterError, match=named):
             convergence_study(
                 cfg, range(k_min, 3), replicas=2, kinds=kinds,
                 alpha=0.4, beta=0.04, m=30.0,

@@ -13,7 +13,6 @@ from heatlift.group import (
     hom_norm,
     inverse,
     multiply,
-    random_geometric,
     unit,
 )
 
@@ -22,6 +21,16 @@ from heatlift.group import (
 element_batches = st.tuples(
     st.integers(0, 2**32 - 1), st.integers(1, 3), st.floats(0.05, 2.0)
 )
+
+
+def random_geometric(
+    rng: np.random.Generator, dim: int, scale: float = 1.0
+) -> GroupElement:
+    """Random geometric element: free level1 plus free antisymmetric area."""
+    l1 = scale * rng.standard_normal(dim)
+    a = scale * scale * rng.standard_normal((dim, dim))
+    anti = 0.5 * (a - a.T)
+    return GroupElement(l1, 0.5 * np.outer(l1, l1) + anti)
 
 
 def geom(l1, anti_entries=None):

@@ -6,6 +6,7 @@ import pytest
 from heatlift import ldp
 from heatlift.covariance import cov
 from heatlift.dyadic import lift_level
+from heatlift.errors import ParameterError
 from heatlift.ldp import (
     CMControl,
     CMRegularityReport,
@@ -14,6 +15,7 @@ from heatlift.ldp import (
     chaos_moment_ratio,
     cm_lift_uniform_convergence,
     cm_regularity_check,
+    control_from_dict,
     rate_function,
     schilder_point_check,
     TailRow,
@@ -65,6 +67,49 @@ class TestControls:
     def test_scaling(self):
         ctrl = CMControl((constant_control(value=1.5),))
         assert ctrl.scaled(2.0).h_norm_sq() == pytest.approx(4.0 * ctrl.h_norm_sq())
+
+    def test_from_dict(self):
+        doc = {"mode": -2, "breakpoints": [0.0, 0.5, 1], "values": [1, 2.5]}
+        assert control_from_dict(doc) == ModeControl(-2, 0, (0.0, 0.5, 1.0), (1.0, 2.5))
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            (5, "a control must be a JSON object, got 5"),
+            ([1.0], "a control must be a JSON object, got [1.0]"),
+            ({"values": [1.0]}, "a control needs the key 'mode'"),
+            ({"mode": 0, "values": [1.0]}, "a control needs the key 'breakpoints'"),
+            ({"mode": 0, "breakpoints": [0.0, 1.0]}, "a control needs the key 'values'"),
+            (
+                {"mode": 0, "breakpoints": [0.0, 1.0], "values": [1.0], "valu": 1},
+                "unknown control key 'valu'",
+            ),
+            (
+                {"mode": 1.0, "breakpoints": [0.0, 1.0], "values": [1.0]},
+                "control mode must be an integer, got 1.0",
+            ),
+            (
+                {"mode": 0, "component": True, "breakpoints": [0.0, 1.0], "values": [1.0]},
+                "control component must be an integer, got True",
+            ),
+            (
+                {"mode": 0, "breakpoints": [0.0, "1"], "values": [1.0]},
+                "control breakpoints must be a list of finite numbers",
+            ),
+            (
+                {"mode": 0, "breakpoints": 1.0, "values": [1.0]},
+                "control breakpoints must be a list of finite numbers",
+            ),
+            (
+                {"mode": 0, "breakpoints": [0.0, 1.0], "values": [float("nan")]},
+                "control values must be a list of finite numbers",
+            ),
+        ],
+    )
+    def test_malformed_control_rejected(self, doc, named):
+        with pytest.raises(ParameterError) as exc:
+            control_from_dict(doc)
+        assert str(exc.value).startswith(named)
 
 
 class TestCameronMartinPath:
@@ -226,6 +271,7 @@ class TestRegularityCheck:
         rep = cm_regularity_check(path, q=1.5)
         assert rep.holder_half == 0.0
         assert rep.qvar_surrogate == 0.0
+        assert rep.gamma == 1.5 - 0.75
 
     def test_q_domain(self):
         cfg = small_config()
@@ -240,6 +286,12 @@ class TestRegularityCheck:
             validate_cm_params(2.0, [2, 3], 6)
         with pytest.raises(ValueError, match="violated: k=7, grid_level=6"):
             validate_cm_params(1.5, [7, 2], 6)
+        for bad in (2.0, "3", None, True):
+            with pytest.raises(
+                ParameterError, match=f"k must be an integer, got {bad!r}"
+            ):
+                validate_cm_params(1.5, [2, bad], 6)
+        validate_cm_params(1.5, [np.int64(2)], 6)
 
     def test_linearity_in_controls(self):
         cfg = small_config(grid_level=6)
@@ -514,6 +566,10 @@ class TestTailProbability:
             (0.5, [1.0], 2, 0, "replicas >= 1"),
             (0.5, [1.0], -1, 4, "0 <= k <= grid_level"),
             (0.5, [1.0], 6, 4, "0 <= k <= grid_level"),
+            (0.5, [1.0, "a"], 2, 4, "0 < epsilon < inf violated: epsilon='a'"),
+            (0.5, [None], 2, 4, "0 < epsilon < inf violated: epsilon=None"),
+            (0.5, [True], 2, 4, "0 < epsilon < inf violated: epsilon=True"),
+            (0.5, [[1.0]], 2, 4, r"0 < epsilon < inf violated: epsilon=\[1.0\]"),
         ],
     )
     def test_invalid_parameters_rejected_before_sampling(
@@ -523,7 +579,7 @@ class TestTailProbability:
             raise AssertionError("sampled before validation")
 
         monkeypatch.setattr(ldp, "sample_field", refuse)
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ParameterError, match=named):
             tail_probability(delta, eps_list, k, replicas, small_config())
 
     def test_k_equal_to_grid_level_gives_zero_distance(self):
@@ -560,6 +616,8 @@ class TestChaosMoments:
         cfg = small_config(n_modes=64, dim=2, seed=9)
         rep = chaos_moment_ratio("level2", [2, 4], 50_000, cfg)
         assert abs(rep.ratio4 - np.sqrt(3.0)) <= 3.0 * rep.ratio4_stderr
+        assert rep.q_list == (2.0, 4.0)
+        assert all(type(q) is float for q in rep.q_list)
 
     @staticmethod
     def cumsum_level2_ratios(cfg, q_list, replicas, y, level=5):
@@ -594,12 +652,24 @@ class TestChaosMoments:
         for q in q_list:
             assert rep.norm_ratios[q] == pytest.approx(ref[q], rel=1e-12, abs=0.0)
 
-    def test_degenerate_functional_reports_empty(self):
-        cfg = small_config(n_modes=16, seed=8)
-        rep = chaos_moment_ratio("level1", [2, 4], 100, cfg, x=0.25, y=0.25)
-        assert rep.empty
-        assert rep.q_list == (2.0, 4.0)
-        assert all(type(q) is float for q in rep.q_list)
+    def test_degenerate_functional_rejected(self, monkeypatch):
+        # Each of these draws rounding noise (|z| <= 4e-15 at x = 0, y = 1):
+        # level1 at one point of the circle, level2 over a whole period.
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before validation")
+
+        monkeypatch.setattr(ldp, "sample_slice_marginal", refuse)
+        cfg = small_config(n_modes=16, dim=2, seed=8)
+        for x, y in ((0.25, 0.25), (0.0, 1.0), (0.3, -0.7), (0.0, 1e-13)):
+            with pytest.raises(
+                ParameterError, match=r"dist_s1\(x, y\) >= 1e-12 violated"
+            ):
+                chaos_moment_ratio("level1", [2, 4], 100, cfg, x=x, y=y)
+        for level in (0, -1):
+            with pytest.raises(
+                ParameterError, match=f"level >= 1 violated: level={level}"
+            ):
+                chaos_moment_ratio("level2", [2, 4], 100, cfg, level=level)
 
     def test_low_moment_rejected(self):
         cfg = small_config()

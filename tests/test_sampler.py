@@ -12,6 +12,7 @@ import pytest
 
 import heatlift.sampler as sampler_module
 from heatlift.covariance import cov
+from heatlift.errors import ParameterError
 from heatlift.sampler import (
     FieldSample,
     GridTooLargeError,
@@ -27,7 +28,6 @@ from heatlift.sampler import (
     basis_matrix,
     load_field,
     mode_rate,
-    ou_step,
     sample_field,
     sample_row,
     sample_slice_marginal,
@@ -58,22 +58,31 @@ class TestBasis:
 
 
 class TestOuStep:
+    """One exact OU step is one _ou_paths step driven by _ou_sd * xi."""
+
+    @staticmethod
+    def step(lam, delta, prev, xi):
+        # c_1 = prev, then c_2 = exp(-lam*delta)*prev + sd*xi.
+        drive = np.array([prev, _ou_sd(lam, delta) * xi])
+        return _ou_paths(np.exp(-lam * delta), drive)[2]
+
     def test_brownian_limit(self):
-        assert ou_step(0.0, 0.25, 0.0, 1.0) == 0.5
+        assert self.step(0.0, 0.25, 0.0, 1.0) == 0.5
 
     def test_deterministic_decay(self):
         lam, delta, prev = 2.0, 0.3, 1.7
-        assert ou_step(lam, delta, prev, 0.0) == pytest.approx(
+        assert self.step(lam, delta, prev, 0.0) == pytest.approx(
             np.exp(-lam * delta) * prev, rel=1e-15
         )
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            ou_step(1.0, -0.1, 0.0, 0.0)
+        # The sampler's step is time_horizon / n_time.
+        with pytest.raises(ParameterError):
+            SpectralConfig(time_horizon=-0.1)
 
     def test_one_step_variance_is_exact_transition(self):
         lam, delta = 3.0, 0.2
-        shock = ou_step(lam, delta, 0.0, 1.0)
+        shock = self.step(lam, delta, 0.0, 1.0)
         assert shock**2 == pytest.approx(
             (1.0 - np.exp(-2.0 * lam * delta)) / (2.0 * lam), rel=1e-12
         )
@@ -86,13 +95,8 @@ class TestOuStep:
         lam, delta = 1.0, 0.1
         n_steps = 100_000
         xi = rng.standard_normal(n_steps)
-        x = 0.0
-        samples = np.empty(n_steps)
         decay = np.exp(-lam * delta)
-        sd = np.sqrt((1.0 - np.exp(-2.0 * lam * delta)) / (2.0 * lam))
-        for i in range(n_steps):
-            x = decay * x + sd * xi[i]
-            samples[i] = x
+        samples = _ou_paths(decay, _ou_sd(lam, delta) * xi)[1:]
         burn = 100
         var = samples[burn:].var()
         rho2 = decay**2
@@ -199,19 +203,18 @@ class TestOuDeviation:
         assert np.array_equal(sd, separate_marginal_scale(lam, h))
         assert np.array_equal(sd, np.sqrt(_ou_integral(2.0 * lam, h)))
 
-    def test_ou_step_matches_separate_form(self):
+    def test_ou_paths_matches_separate_form(self):
+        # A step from prev: c_1 = prev, c_2 = decay*prev + sd*xi.
         rng = np.random.default_rng(7)
         rates = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 49)])
         prev = rng.standard_normal(11)
         xi = rng.standard_normal(11)
         for lam in rates:
             for delta in (1.0 / 128, 0.25, 1.0):
+                drive = np.stack([prev, _ou_sd(lam, delta) * xi])
                 assert np.array_equal(
-                    ou_step(lam, delta, prev, xi),
+                    _ou_paths(np.exp(-lam * delta), drive)[2],
                     separate_ou_step(lam, delta, prev, xi),
-                )
-                assert ou_step(lam, delta, prev[0], xi[0]) == separate_ou_step(
-                    lam, delta, prev[0], xi[0]
                 )
 
     @pytest.mark.parametrize("n_modes", [16, 64, 256])
@@ -367,6 +370,16 @@ class TestSampleField:
         cfg = SpectralConfig(n_modes=4, n_time=2**16, grid_level=14, dim=4, seed=0)
         with pytest.raises(GridTooLargeError):
             sample_field(cfg, 0)
+
+    def test_errors_are_parameter_errors(self):
+        # Every check above is a ParameterError, itself a ValueError.
+        assert issubclass(GridTooLargeError, ParameterError)
+        assert issubclass(ParameterError, ValueError)
+        with pytest.raises(
+            ParameterError, match="grid_level >= 0 violated: grid_level=-1"
+        ):
+            SpectralConfig(grid_level=-1)
+        SpectralConfig(grid_level=0)
 
 
 def gemm_field(cfg, replica):
