@@ -653,8 +653,8 @@ class TestChaosMoments:
             assert rep.norm_ratios[q] == pytest.approx(ref[q], rel=1e-12, abs=0.0)
 
     def test_degenerate_functional_rejected(self, monkeypatch):
-        # Each of these draws rounding noise (|z| <= 4e-15 at x = 0, y = 1):
-        # level1 at one point of the circle, level2 over a whole period.
+        # Each of these would draw rounding noise (|z| below 4e-15 at x = 0,
+        # y = 1): level1 at one point of the circle, level2 over a period.
         def refuse(*args, **kwargs):
             raise AssertionError("drew before validation")
 
