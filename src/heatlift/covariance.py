@@ -5,8 +5,10 @@ Route "theta" integrates the wrapped Gaussian heat kernel in closed form:
     E[psi(s,x) psi(t,y)] = (1/(4 sqrt(pi))) * sum_n
         int_{|s-t|}^{s+t} l^{-1/2} exp(-(x-y-n)^2 / (4l)) dl,
 
-where each integral has the erf-based antiderivative
-F_q(l) = 2 sqrt(l) exp(-q^2/(4l)) - q sqrt(pi) erfc(q/(2 sqrt(l))).
+where each integral has the erfc-based antiderivative
+F_q(l) = 2 sqrt(l) exp(-q^2/(4l)) - q sqrt(pi) erfc(q/(2 sqrt(l))),
+evaluated as exp(-u^2) (2 sqrt(l) - q sqrt(pi) erfcx(u)), u = q/(2 sqrt(l)),
+so that one exponential serves both terms.
 The image sum depends on the points only through the triple
 (|s-t|, s+t, x-y recentred to [-1/2, 1/2]); each distinct triple (exact
 float equality) is summed once and the sums are scattered back, with the
@@ -35,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ParameterError
+from .special import erfcx
 
 _THETA_WINDOW = 64  # image cap; terms decay like exp(-n^2/(8T))
 # -ln of the term cutoff (1e-16, with margin): summation stops once the
@@ -99,7 +101,9 @@ def _theta_cov(s, x, t, y) -> np.ndarray:
 
 def _antideriv(q: np.ndarray, l: np.ndarray) -> np.ndarray:
     """F_q(l) = 2 sqrt(l) exp(-q^2/(4l)) - q sqrt(pi) erfc(q/(2 sqrt(l)))
-    where l > 0, and its limit 0 at l = 0; l broadcasts against q."""
+    where l > 0, and its limit 0 at l = 0; l broadcasts against q.
+    With u = q/(2 sqrt(l)) and erfc(u) = exp(-u^2) erfcx(u) this is
+    exp(-u^2) (2 sqrt(l) - q sqrt(pi) erfcx(u))."""
     out = np.zeros_like(q)
     pos = np.broadcast_to(l > 0, q.shape)
     lp = np.broadcast_to(l, q.shape)[pos]
@@ -109,7 +113,7 @@ def _antideriv(q: np.ndarray, l: np.ndarray) -> np.ndarray:
     # right limit 0, so the overflow is expected here and not reported.
     with np.errstate(over="ignore"):
         gauss = np.exp(-(qp**2) / (4.0 * lp))
-    out[pos] = 2.0 * sq * gauss - qp * np.sqrt(np.pi) * erfc(qp / (2.0 * sq))
+    out[pos] = gauss * (2.0 * sq - qp * np.sqrt(np.pi) * erfcx(qp / (2.0 * sq)))
     return out
 
 

@@ -47,6 +47,8 @@ def validate_besov_params(alpha: float, beta: float, m: float):
         )
     if not m > 0:
         raise ParameterError(f"m > 0 violated: m={m:.6g}")
+    if not m < np.inf:
+        raise ParameterError(f"m < inf violated: m={m:.6g}")
     if not (beta > 1.0 / m):
         raise ParameterError(f"beta > 1/m violated: beta={beta:.6g}, m={m:.6g}")
     if not (alpha - 1.0 / m > 1.0 / 3.0):

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .covariance import cov, dist_s1
 from .dyadic import _check_k, lift_level
@@ -54,6 +53,7 @@ from .sheets import (
     _replica_buffers,
     dist_infty,
 )
+from .special import log_ndtr
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +449,10 @@ def validate_chaos_params(q_list) -> tuple:
     return q_sorted
 
 
+# Finest level2 cell 2^-level: x + 2^-52 != x for every double x in [0, 1].
+_MAX_CHAOS_LEVEL = 52
+
+
 def _fit_exponent(qs: np.ndarray, ratios: np.ndarray) -> float:
     # ratios are relative to q = 2, so the q = 2 point is exact (log 1).
     return float(np.polyfit(np.log(qs), np.log(ratios), 1)[0])
@@ -483,6 +487,8 @@ def chaos_moment_ratio(
 
     A degenerate element (rounding noise) raises before any draw: level1
     with x = y on the circle (dist_s1 < 1e-12), level2 with level < 1.
+    level2 also needs level <= 52, so that a cell x + 2^-level is a
+    distinct double for every x in [0, 1].
     """
     q_sorted = validate_chaos_params(q_list)
     q_arr = np.asarray(q_sorted)
@@ -490,11 +496,20 @@ def chaos_moment_ratio(
         raise ParameterError(
             f"replicas >= batches violated: replicas={replicas}, batches={batches}"
         )
+    if not 0 < t < np.inf:
+        raise ParameterError(f"0 < t < inf violated: t={t!r}")
+    for name, value in (("x", x), ("y", y)):
+        if value is not None and not -np.inf < value < np.inf:
+            raise ParameterError(f"-inf < {name} < inf violated: {name}={value!r}")
     if functional == "level2":
         if config.dim < 2:
             raise ParameterError("level2 functional needs dim >= 2")
         if level < 1:
             raise ParameterError(f"level >= 1 violated: level={level}")
+        if level > _MAX_CHAOS_LEVEL:
+            raise ParameterError(
+                f"level <= {_MAX_CHAOS_LEVEL} violated: level={level}"
+            )
     elif functional != "level1":
         raise ParameterError(f"unknown functional {functional!r}")
     if y is None:
@@ -585,7 +600,7 @@ def schilder_point_check(
     t: float,
     x: float,
     component: int,
-    a: float,
+    a: float | None,
     eps_list,
     method: str = "fourier",
 ) -> SchilderReport:
@@ -593,17 +608,24 @@ def schilder_point_check(
 
     The Gaussian tail gives the exact scaled log-probability via the
     normal log-CDF, so no sampling is involved; the curve increases to
-    -a^2 / (2 sigma^2) from below as eps decreases.  Needs
-    0 < eps < inf and 0 <= a < inf; below a = 0 that limit would be
-    wrong, since the probability then tends to one.
+    -a^2 / (2 sigma^2) from below as eps decreases.  Needs 0 < t < inf,
+    a finite x, 0 < eps < inf and 0 <= a < inf; below a = 0 that limit
+    would be wrong, since the probability then tends to one.  a = None
+    is one standard deviation, a = sigma.
     """
     eps_list = _check_eps_list(eps_list)
-    if not 0.0 <= a < np.inf:
+    if not 0.0 < t < np.inf:
+        raise ParameterError(f"0 < t < inf violated: t={t!r}")
+    if not -np.inf < x < np.inf:
+        raise ParameterError(f"-inf < x < inf violated: x={x!r}")
+    if a is not None and not 0.0 <= a < np.inf:
         raise ParameterError(f"0 <= a < inf violated: a={a!r}")
     sigma_sq = float(cov(t, x, t, x, method=method))
     if sigma_sq <= 0.0:
         raise ParameterError(f"degenerate marginal at t={t} (variance {sigma_sq})")
     sigma = np.sqrt(sigma_sq)
+    if a is None:
+        a = float(sigma)
     rows = []
     for eps in eps_list:
         log_p = float(log_ndtr(-a / (eps * sigma)))

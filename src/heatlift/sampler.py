@@ -37,9 +37,12 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
+# Loaded here, at start-up, so that the first sample pays no lazy import.
+import numpy.fft
+import numpy.random
 
 from .errors import ParameterError
+from .special import trigamma
 
 _FIELD_MAGIC = b"HLFIELD1"
 
@@ -78,8 +81,12 @@ class SpectralConfig:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ParameterError("n_modes must be >= 1")
-        if self.n_time < 1 or self.time_horizon <= 0:
-            raise ParameterError("need n_time >= 1 and time_horizon > 0")
+        if self.n_time < 1:
+            raise ParameterError(f"n_time >= 1 violated: n_time={self.n_time}")
+        if not 0 < self.time_horizon < np.inf:
+            raise ParameterError(
+                f"0 < time_horizon < inf violated: time_horizon={self.time_horizon!r}"
+            )
         if self.grid_level < 0:
             raise ParameterError(
                 f"grid_level >= 0 violated: grid_level={self.grid_level}"
@@ -297,8 +304,8 @@ def sample_slice_marginal(
     by component and chunk by chunk, rather than the per-replica streams
     of sample_field.
     """
-    if t <= 0:
-        raise ParameterError("need t > 0 for a nondegenerate marginal")
+    if not 0 < t < np.inf:
+        raise ParameterError(f"0 < t < inf violated: t={t!r}")
     if nodes is None:
         nodes = config.nodes()
     # Over sorted distinct nodes R is upper trapezoidal: row i is zero left
@@ -326,13 +333,15 @@ def truncation_residual(n_modes: int, t: float) -> float:
     Independent of x by translation invariance, decreasing in N, and
     bounded by 1/(4*pi^2*N) uniformly in t.
     """
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    if n_modes < 0:
+        raise ParameterError(f"n_modes >= 0 violated: n_modes={n_modes}")
+    if not 0 <= t < np.inf:
+        raise ParameterError(f"0 <= t < inf violated: t={t!r}")
     if t == 0.0:
         return 0.0
     # sum_{n>N} 1/lam_n is the trigamma tail; the exponential part decays
     # like a Gaussian in n, so direct summation terminates quickly.
-    tail = float(polygamma(1, n_modes + 1)) / (4.0 * np.pi**2)
+    tail = trigamma(n_modes + 1) / (4.0 * np.pi**2)
     n = np.arange(n_modes + 1, n_modes + 2000)
     lam = mode_rate(n)
     exp_part = float(np.sum(np.exp(-2.0 * lam * t) / lam))

@@ -357,6 +357,28 @@ class TestExitCodes:
             (["converge"] + BESOV_DEFAULT_GRID[:-4] + ["--set", "m=0", "--set", "k_min=2"]
              + ["--set", "k_max=3"] + SMALL_SPECTRAL, "m > 0 violated: m=0",
              "convergence.csv"),
+            # Non-finite numbers once ran to a NaN artifact (exit 0) or to
+            # exit 1.  NaN is no number; an infinity breaks a named range.
+            (["sample", "--set", "time_horizon=NaN"] + SMALL_SPECTRAL,
+             "time_horizon must be a number, got nan", "field.csv"),
+            (["sample", "--set", "time_horizon=Infinity"] + SMALL_SPECTRAL,
+             "0 < time_horizon < inf violated: time_horizon=inf", "field.csv"),
+            (["chaos", "--set", "t=NaN"], "t must be a number, got nan", "chaos.json"),
+            (["chaos", "--set", "t=Infinity"], "0 < t < inf violated: t=inf",
+             "chaos.json"),
+            (["chaos", "--set", "functional=level2", "--set", "dim=2", "--set", "y=Infinity"],
+             "-inf < y < inf violated: y=inf", "chaos.json"),
+            (["chaos", "--set", "functional=level2", "--set", "dim=2", "--set", "level=2000"],
+             "level <= 52 violated: level=2000", "chaos.json"),
+            (["schilder", "--set", "t=Infinity"], "0 < t < inf violated: t=inf",
+             "schilder.csv"),
+            (["schilder", "--set", "x=-Infinity"], "-inf < x < inf violated: x=-inf",
+             "schilder.csv"),
+            (["cov-check", "--set", "tolerance=Infinity"],
+             "0 < tolerance < inf violated: tolerance=inf", "cov_check.json"),
+            (["converge"] + BESOV_DEFAULT_GRID[:-4] + ["--set", "m=Infinity"]
+             + ["--set", "k_min=2", "--set", "k_max=3"] + SMALL_SPECTRAL,
+             "m < inf violated: m=inf", "convergence.csv"),
         ],
     )
     def test_invalid_parameters_exit_2(

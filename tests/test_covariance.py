@@ -78,20 +78,18 @@ class TestCov:
             dual_method_check(**{empty: np.empty(0)})
 
     def test_against_brute_force_quadrature(self):
-        from scipy.integrate import quad
+        mp = pytest.importorskip("mpmath")
 
         def cov_quad(s, x, t, y):
-            total = 0.0
-            for n in range(-20, 21):
-                q = x - y - n
-                val, _ = quad(
-                    lambda l: l**-0.5 * np.exp(-q * q / (4.0 * l)),
-                    abs(s - t),
-                    s + t,
-                    limit=200,
-                )
-                total += val
-            return total / (4.0 * np.sqrt(np.pi))
+            total = mp.mpf(0)
+            with mp.workdps(20):
+                for n in range(-20, 21):
+                    q = mp.mpf(x - y - n)
+                    total += mp.quad(
+                        lambda l: l**-0.5 * mp.exp(-q * q / (4 * l)),
+                        [abs(s - t), s + t],
+                    )
+                return float(total / (4 * mp.sqrt(mp.pi)))
 
         for point in [(0.3, 0.1, 0.7, 0.6), (0.5, 0.2, 0.5, 0.9)]:
             reference = cov_quad(*point)

@@ -671,6 +671,27 @@ class TestChaosMoments:
             ):
                 chaos_moment_ratio("level2", [2, 4], 100, cfg, level=level)
 
+    def test_level_and_point_bounds_checked_before_any_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before validation")
+
+        monkeypatch.setattr(ldp, "sample_slice_marginal", refuse)
+        cfg = small_config(n_modes=16, dim=2, seed=8)
+        # 2^2000 overflowed a float inside the node count (exit 1).
+        for level in (53, 2000):
+            with pytest.raises(ParameterError, match=f"level <= 52 violated: level={level}"):
+                chaos_moment_ratio("level2", [2, 4], 100, cfg, level=level)
+        for functional in ("level1", "level2"):
+            for t in (0.0, np.inf, np.nan):
+                with pytest.raises(ParameterError, match="0 < t < inf violated"):
+                    chaos_moment_ratio(functional, [2, 4], 100, cfg, t=t)
+            for name in ("x", "y"):
+                for bad in (np.inf, -np.inf, np.nan):
+                    with pytest.raises(
+                        ParameterError, match=f"-inf < {name} < inf violated"
+                    ):
+                        chaos_moment_ratio(functional, [2, 4], 100, cfg, **{name: bad})
+
     def test_low_moment_rejected(self):
         cfg = small_config()
         with pytest.raises(ValueError):
@@ -737,3 +758,17 @@ class TestSchilder:
     def test_degenerate_time_rejected(self):
         with pytest.raises(ValueError):
             schilder_point_check(0.0, 0.0, 0, 1.0, [0.5])
+
+    def test_non_finite_point_rejected(self):
+        for t in (np.inf, np.nan):
+            with pytest.raises(ParameterError, match="0 < t < inf violated"):
+                schilder_point_check(t, 0.0, 0, 1.0, [0.5])
+        for x in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ParameterError, match="-inf < x < inf violated"):
+                schilder_point_check(1.0, x, 0, 1.0, [0.5])
+
+    def test_default_threshold_is_one_standard_deviation(self):
+        sigma = np.sqrt(cov(0.6, 0.3, 0.6, 0.3, method="fourier"))
+        assert schilder_point_check(0.6, 0.3, 0, None, [0.5, 0.25]) == (
+            schilder_point_check(0.6, 0.3, 0, float(sigma), [0.5, 0.25])
+        )

@@ -371,6 +371,11 @@ class TestSampleField:
         with pytest.raises(GridTooLargeError):
             sample_field(cfg, 0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+    def test_time_horizon_bounds(self, horizon):
+        with pytest.raises(ParameterError, match="0 < time_horizon < inf violated"):
+            SpectralConfig(time_horizon=horizon)
+
     def test_negative_grid_level_rejected(self):
         with pytest.raises(
             ParameterError, match="grid_level >= 0 violated: grid_level=-1"
@@ -580,6 +585,12 @@ class TestMarginalSampler:
         with pytest.raises(ValueError):
             sample_slice_marginal(cfg, 0.0, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_needs_finite_time(self, t):
+        cfg = SpectralConfig(n_modes=8, n_time=4, grid_level=3, dim=1, seed=0)
+        with pytest.raises(ParameterError, match="0 < t < inf violated"):
+            sample_slice_marginal(cfg, t, 10, np.random.default_rng(0))
+
 
 class TestTruncationResidual:
     def test_uniform_bound(self):
@@ -597,6 +608,13 @@ class TestTruncationResidual:
 
     def test_zero_time(self):
         assert truncation_residual(16, 0.0) == 0.0
+
+    def test_domain(self):
+        with pytest.raises(ParameterError, match="n_modes >= 0 violated"):
+            truncation_residual(-1, 1.0)
+        for t in (-1.0, np.inf, np.nan):
+            with pytest.raises(ParameterError, match="0 <= t < inf violated"):
+                truncation_residual(16, t)
 
     def test_matches_direct_tail_sum(self):
         # Direct summation to n = 2e5 brackets the value up to the
