@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, is_integer
+from .group import _outer
 from .parallel import deterministic_map
 from .sampler import (
     _MAX_FIELD_ENTRIES, FieldSample, GridTooLargeError, SpectralConfig, sample_field,
@@ -151,7 +152,9 @@ def _sibling_products(row: np.ndarray, grid_level: int, k: int) -> np.ndarray:
     """w_l = D_{2l-1} ⊗ D_{2l} - D_{2l} ⊗ D_{2l-1} over the level-(k+1)
     siblings of one time row (2^K + 1, d)."""
     odd, even = _sibling_deltas(row, grid_level, k)
-    return np.einsum("la,lb->lab", odd, even) - np.einsum("la,lb->lab", even, odd)
+    # even ⊗ odd is odd ⊗ even transposed, entry for entry.
+    prod = _outer(odd, even)
+    return prod - np.swapaxes(prod, -1, -2)
 
 
 def level2_telescope(

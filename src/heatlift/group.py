@@ -105,16 +105,33 @@ def dilate(lam: float, g: GroupElement) -> GroupElement:
     return GroupElement(lam * g.level1, lam * lam * g.level2)
 
 
+def _outer(x, y, out=None):
+    """x ⊗ y over the trailing axis, broadcast over any leading axes:
+    out[..., a, b] = x[..., a] * y[..., b], one np.multiply per entry
+    (a, b) over the leading axes, written into out when given.  Each
+    entry is one rounded product, so the bits are those of
+    np.einsum("...a,...b->...ab", x, y)."""
+    d = x.shape[-1]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (d, d))
+    for a in range(d):
+        for b in range(d):
+            np.multiply(x[..., a], y[..., b], out=out[..., a, b])
+    return out
+
+
 def _pair_increment(l1_i, l2_i, l1_j, l2_j, out=None, work=None):
     """Levels of g^{-1} ⊗ h for g = (l1_i, l2_i), h = (l1_j, l2_j),
     broadcast over any leading axes; written into out = (level1, level2)
-    when given.  work, shaped like level2, receives the product term in
-    place of a temporary; the bits are the same either way.
+    when given.  work, shaped like one level-2 entry (the leading axes),
+    receives each entry's product term in turn in place of a temporary;
+    the bits are the same either way.
 
     The product is expanded in difference form (h2 - g2 - g1 ⊗ (h1 - g1)),
     which is algebraically identical but cancels exactly when g = h, so
     the square root in the norm cannot amplify round-off into a spurious
-    positive self-distance.
+    positive self-distance.  The product term is formed and subtracted one
+    entry (a, b) at a time, so no level2-sized product is ever made.
     """
     a1, a2 = (None, None) if out is None else out
     a1 = np.subtract(l1_j, l1_i, out=a1)
@@ -124,7 +141,12 @@ def _pair_increment(l1_i, l2_i, l1_j, l2_j, out=None, work=None):
     # fewer live, which keeps the Besov increment tables as fast as the
     # unshared expression they replaced.
     del l2_i, l2_j
-    a2 -= np.einsum("...a,...b->...ab", l1_i, a1, out=work)
+    d = a1.shape[-1]
+    row = np.empty(a1.shape[:-1]) if work is None else work
+    for a in range(d):
+        for b in range(d):
+            entry = a2[..., a, b]
+            np.subtract(entry, np.multiply(l1_i[..., a], a1[..., b], out=row), out=entry)
     return a1, a2
 
 
@@ -136,18 +158,33 @@ def _hom_norms(l1, l2, work=None):
     """Homogeneous norms of the elements (l1, l2), broadcast over any
     leading axes; no geometricity check.
 
-    work = (w1, w2), shaped like l1 and l2, receives the squares of l1 and
-    the antisymmetric parts of l2 in place of temporaries; w1 may be l1
-    itself (then overwritten), w2 must not overlap l2.  The bits are the
-    same either way: the level-1 norm is np.linalg.norm's own sum of
-    squares.
+    Reduced one entry at a time over the leading axes: |l1|^2 sums the
+    squared components in component order, and |antisym(l2)|_F^2 forms
+    each antisymmetric entry x = (l2_ab - l2_ba) / 2 with a < b once and
+    adds 2 x^2 (its two entries are ±x) in row-major order.  work = (n, s,
+    t), three arrays shaped like one entry (the leading axes), receives
+    the two sums and each square in place of temporaries, and the result
+    is returned in n; the bits are the same either way.
     """
-    w1, w2 = (None, None) if work is None else work
-    anti = np.subtract(l2, np.swapaxes(l2, -1, -2), out=w2)
-    anti *= 0.5
-    n1 = np.sqrt(np.add.reduce(np.multiply(l1, l1, out=w1), axis=-1))
-    nf = np.sqrt(np.sum(np.multiply(anti, anti, out=anti), axis=(-2, -1)))
-    return np.maximum(n1, AREA_COEFF * np.sqrt(nf))
+    d = l1.shape[-1]
+    lead = np.broadcast_shapes(l1.shape[:-1], l2.shape[:-2])
+    n, s, t = (np.empty(lead) for _ in range(3)) if work is None else work
+    np.multiply(l1[..., 0], l1[..., 0], out=n)
+    for a in range(1, d):
+        n += np.multiply(l1[..., a], l1[..., a], out=t)
+    s[...] = 0.0
+    for a in range(d):
+        for b in range(a + 1, d):
+            x = np.subtract(l2[..., a, b], l2[..., b, a], out=t)
+            x *= 0.5
+            x *= x
+            x *= 2.0
+            s += x
+    np.sqrt(n, out=n)
+    np.sqrt(s, out=s)
+    np.sqrt(s, out=s)
+    s *= AREA_COEFF
+    return np.maximum(n, s, out=n)
 
 
 def hom_norm(g: GroupElement, tol: float = GEOMETRIC_TOL) -> float:

@@ -53,7 +53,7 @@ from .sheets import (
     _replica_buffers,
     dist_infty,
 )
-from .special import log_ndtr
+from .special import erfcx, log_ndtr
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +606,9 @@ def schilder_point_check(
 ) -> SchilderReport:
     """Analytic curve eps^2 log P(N(0, sigma^2) > a / eps).
 
-    The Gaussian tail gives the exact scaled log-probability via the
-    normal log-CDF, so no sampling is involved; the curve increases to
+    The Gaussian tail gives the exact scaled log-probability through
+    erfcx, so no sampling is involved and no eps underflows it to NaN or
+    -inf (the probability itself underflows to 0); the curve increases to
     -a^2 / (2 sigma^2) from below as eps decreases.  Needs 0 < t < inf,
     a finite x, 0 < eps < inf and 0 <= a < inf; below a = 0 that limit
     would be wrong, since the probability then tends to one.  a = None
@@ -626,15 +627,20 @@ def schilder_point_check(
     sigma = np.sqrt(sigma_sq)
     if a is None:
         a = float(sigma)
+    limit = -a * a / (2.0 * sigma_sq)
     rows = []
     for eps in eps_list:
-        log_p = float(log_ndtr(-a / (eps * sigma)))
+        z = -a / (eps * sigma)
+        # eps^2 log P = eps^2 log(erfcx(u) / 2) - a^2 / (2 sigma^2) with
+        # u = -z / sqrt(2): the Gaussian exponent is taken out whole, so an
+        # eps^2 that underflows never meets a log P that overflows to -inf.
+        log_head = float(np.log(erfcx(-z / np.sqrt(2.0)) / 2.0))
         rows.append(
             SchilderRow(
                 epsilon=eps,
                 threshold=float(a),
-                probability=float(np.exp(log_p)),
-                eps2_log=float(eps * eps * log_p),
+                probability=float(np.exp(log_ndtr(z))),
+                eps2_log=float(eps * eps * log_head + limit),
             )
         )
     return SchilderReport(
@@ -642,6 +648,6 @@ def schilder_point_check(
         x=x,
         component=component,
         sigma_sq=sigma_sq,
-        limit=-a * a / (2.0 * sigma_sq),
+        limit=limit,
         rows=tuple(rows),
     )

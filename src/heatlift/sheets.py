@@ -13,7 +13,10 @@ Each mathematical object has one kernel here:
 
 - the increment: every increment and distance goes through the
   broadcasting pair increment group._pair_increment and, for distances,
-  the vectorized homogeneous norm group._hom_norms;
+  the vectorized homogeneous norm group._hom_norms.  Both, like the lift,
+  form every outer product (group._outer) and small-axis sum one entry
+  (a, b) at a time over the leading node and time axes, since numpy
+  handles trailing d x d axes far slower than long ones;
 - the lift: _lift_values builds the prefixes of every path on its
   leading axis at once, for single slices (lift_piecewise_linear, also
   the sampled rows of the CLI's lift-check), dyadic levels
@@ -68,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .group import GroupElement, _hom_norms, _pair_increment
+from .group import GroupElement, _hom_norms, _outer, _pair_increment
 from .parallel import chunk_indices, deterministic_map
 
 _BINARY_MAGIC = b"HLSHEET1"
@@ -180,7 +183,8 @@ def _replica_buffers(times: np.ndarray, grid_level: int, dim: int, sheets: int):
     """One worker's buffers for a loop of lifts and distances on one grid:
     `sheets` sheets to lift into (out= of lift_level) and the flat work
     buffers (work= of lift_level and dist_infty: one as long as level1,
-    two as long as level2).  Returns (sheets, work).
+    one as long as level2, and one of three rows of a level-2 entry,
+    n_times * nodes values each).  Returns (sheets, work).
 
     All are views of one allocation.  glibc raises its mmap threshold to
     the size of a freed mapped block, so the next loop's block of the
@@ -190,7 +194,7 @@ def _replica_buffers(times: np.ndarray, grid_level: int, dim: int, sheets: int):
     nt, nodes = times.shape[0], 2**grid_level + 1
     size1 = nt * nodes * dim
     per_sheet = [(nt, dim), (nt, nodes, dim), (nt, nodes, dim, dim)]
-    shapes = per_sheet * sheets + [(size1,), (size1 * dim,), (size1 * dim,)]
+    shapes = per_sheet * sheets + [(size1,), (size1 * dim,), (3 * nt * nodes,)]
     sizes = [math.prod(shape) for shape in shapes]
     flat = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
     parts = [part.reshape(shape) for part, shape in zip(flat, shapes)]
@@ -224,9 +228,9 @@ def _lift_values(
 
     With out, a sheet of values' shape, the lift overwrites out's arrays
     (values may be out.level1 itself), drops its increment tables and
-    returns it.  With work (_replica_buffers), the cell increments and both
-    cell terms are formed there; without, in fresh arrays.  The bits are
-    the same either way.
+    returns it.  With work (_replica_buffers), the cell increments, the
+    cross term and one entry of the half-square at a time are formed
+    there; without, in fresh arrays.  The bits are the same either way.
     """
     nt, nodes, d = values.shape
     if out is None:
@@ -241,19 +245,26 @@ def _lift_values(
         out.times = times
         out.grid_level = grid_level
         out._tables = None
-    w_delta, w_cross, w_square = (None, None, None) if work is None else work
+    w_delta, w_cross, w_half = (None, None, None) if work is None else work
     cells = (nt, nodes - 1, d)
     deltas = np.subtract(values[:, 1:], values[:, :-1], out=_view(w_delta, cells))
     np.copyto(out.initial_values, values[:, 0, :])
-    # Level-1 prefixes telescope exactly (values[j] - values[0]).
-    level1 = np.subtract(values, out.initial_values[:, None, :], out=out.level1)
+    # Level-1 prefixes telescope exactly (values[j] - values[0]); one
+    # component at a time, as numpy broadcasts a length-d axis slowly.
+    level1 = out.level1
+    for a in range(d):
+        np.subtract(values[..., a], out.initial_values[:, a, None], out=level1[..., a])
     # level2[j+1] = level2[j] + level1[j] ⊗ Δ_j + Δ_j ⊗ Δ_j / 2
-    contrib = np.einsum(
-        "tca,tcb->tcab", level1[:, :-1], deltas, out=_view(w_cross, cells + (d,))
-    )
-    half = np.einsum("tca,tcb->tcab", deltas, deltas, out=_view(w_square, cells + (d,)))
-    half *= 0.5
-    contrib += half
+    contrib = _outer(level1[:, :-1], deltas, out=_view(w_cross, cells + (d,)))
+    half = np.empty(cells[:-1]) if w_half is None else _view(w_half, cells[:-1])
+    for a in range(d):
+        for b in range(a, d):
+            # Δ_a Δ_b / 2 is symmetric in (a, b): formed once per pair.
+            np.multiply(deltas[..., a], deltas[..., b], out=half)
+            half *= 0.5
+            contrib[..., a, b] += half
+            if b != a:
+                contrib[..., b, a] += half
     out.level2[:, 0] = 0.0
     np.cumsum(contrib, axis=1, out=out.level2[:, 1:])
     return out
@@ -546,18 +557,20 @@ def dist_infty(a: RoughSheet, b: RoughSheet, work: tuple | None = None) -> float
 
     Exactly homogeneous under slice-wise dilation: scaling both sheets
     by eps scales the distance by eps.  work (_replica_buffers) holds the
-    increments, the product term and the antisymmetric parts in place of
-    temporaries; the bits are the same either way.
+    increments and, one entry at a time, the product term and the norms'
+    squares and sums in place of temporaries; the bits are the same
+    either way.
     """
     _require_matching(a, b)
     w1, w2, w3 = (None, None, None) if work is None else work
     shape = a.level2.shape
-    prod = _view(w3, shape)
+    rows = None if w3 is None else _view(w3, (3,) + shape[:-2])
     u1, u2 = _pair_increment(
         a.level1, a.level2, b.level1, b.level2,
-        out=(_view(w1, shape[:-1]), _view(w2, shape)), work=prod,
+        out=(_view(w1, shape[:-1]), _view(w2, shape)),
+        work=None if rows is None else rows[2],
     )
-    group_part = float(np.max(_hom_norms(u1, u2, work=(u1, prod))))
+    group_part = float(np.max(_hom_norms(u1, u2, work=rows)))
     v_part = float(np.max(np.linalg.norm(b.initial_values - a.initial_values, axis=1)))
     return group_part + v_part
 

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatlift.group import (
+    AREA_COEFF,
     DimensionMismatchError,
     GroupElement,
     NonGeometricError,
+    _hom_norms,
     _pair_increment,
     dilate,
     group_dist,
@@ -15,6 +17,7 @@ from heatlift.group import (
     multiply,
     unit,
 )
+from heatlift.sheets import _increment_tables, _lift_values, _node_pairs, _replica_buffers
 
 
 # (seed, dim, scale) of a batch of random geometric elements.
@@ -291,3 +294,135 @@ class TestGroupDist:
         bad = GroupElement(np.array([1.0, 0.0]), np.full((2, 2), 0.4))
         with pytest.raises(NonGeometricError):
             group_dist(bad, unit(2))
+
+
+def same_bits(x, y):
+    """Equal shapes and equal bytes (so -0.0 differs from 0.0)."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def lift_reference(values):
+    """The lift's einsum form: (initial values, level1, level2)."""
+    deltas = values[:, 1:] - values[:, :-1]
+    initial = values[:, 0, :].copy()
+    level1 = values - initial[:, None, :]
+    contrib = np.einsum("tca,tcb->tcab", level1[:, :-1], deltas)
+    half = np.einsum("tca,tcb->tcab", deltas, deltas)
+    half *= 0.5
+    contrib += half
+    level2 = np.empty(values.shape + (values.shape[-1],))
+    level2[:, 0] = 0.0
+    np.cumsum(contrib, axis=1, out=level2[:, 1:])
+    return initial, level1, level2
+
+
+def pair_increment_reference(l1_i, l2_i, l1_j, l2_j):
+    """The pair increment's einsum form."""
+    a1 = l1_j - l1_i
+    a2 = l2_j - l2_i
+    a2 = a2 - np.einsum("...a,...b->...ab", l1_i, a1)
+    return a1, a2
+
+
+def hom_norms_reference(l1, l2):
+    """The homogeneous norms' swapaxes and np.sum form."""
+    anti = 0.5 * (l2 - np.swapaxes(l2, -1, -2))
+    n1 = np.sqrt(np.add.reduce(l1 * l1, axis=-1))
+    nf = np.sqrt(np.sum(anti * anti, axis=(-2, -1)))
+    return np.maximum(n1, AREA_COEFF * np.sqrt(nf))
+
+
+class TestEntrywiseKernels:
+    """The entry-wise kernels against their einsum/np.sum references."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_lift_matches_einsum(self, d):
+        rng = np.random.default_rng(40 + d)
+        K, nt = 5, 3
+        times = np.linspace(0.0, 1.0, nt)
+        values = rng.standard_normal((nt, 2**K + 1, d))
+        ref = lift_reference(values)
+        fresh = _lift_values(times, values, K)
+        (sheet,), work = _replica_buffers(times, K, d, sheets=1)
+        sheet.level1[...] = np.nan
+        sheet.level2[...] = np.nan
+        reused = _lift_values(times, values, K, out=sheet, work=work)
+        # values may be the out sheet's own level1.
+        np.copyto(sheet.level1, values)
+        in_place = _lift_values(times, sheet.level1, K, out=sheet, work=work)
+        for got in (fresh, reused):
+            assert same_bits(got.initial_values, ref[0])
+            assert same_bits(got.level1, ref[1])
+            assert same_bits(got.level2, ref[2])
+        assert same_bits(in_place.level2, ref[2])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_pair_increment_matches_einsum(self, d):
+        rng = np.random.default_rng(50 + d)
+        n = 7
+        l1_i, l1_j = rng.standard_normal((2, n, d))
+        l2_i, l2_j = rng.standard_normal((2, n, d, d))
+        ref = pair_increment_reference(l1_i, l2_i, l1_j, l2_j)
+        fresh = _pair_increment(l1_i, l2_i, l1_j, l2_j)
+        out = (np.full((n, d), np.nan), np.full((n, d, d), np.nan))
+        given_out = _pair_increment(
+            l1_i, l2_i, l1_j, l2_j, out=out, work=np.full(n, np.nan)
+        )
+        assert given_out[0] is out[0] and given_out[1] is out[1]
+        for got in (fresh, given_out):
+            assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+        # One element against another, no leading axes.
+        single = _pair_increment(l1_i[0], l2_i[0], l1_j[0], l2_j[0])
+        assert same_bits(single[0], ref[0][0]) and same_bits(single[1], ref[1][0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_pair_increment_broadcasts_leading_axes(self, d):
+        rng = np.random.default_rng(60 + d)
+        l1_i, l2_i = rng.standard_normal((4, 1, d)), rng.standard_normal((4, 1, d, d))
+        l1_j, l2_j = rng.standard_normal((1, 5, d)), rng.standard_normal((1, 5, d, d))
+        ref = pair_increment_reference(l1_i, l2_i, l1_j, l2_j)
+        got = _pair_increment(l1_i, l2_i, l1_j, l2_j)
+        assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_increment_tables_match_einsum(self, d):
+        # The tables call the kernel on transposed gathers and write
+        # through transposed views of the component-major rows.
+        rng = np.random.default_rng(70 + d)
+        nt, n = 3, 8
+        level1 = rng.standard_normal((nt, n + 1, d))
+        level2 = rng.standard_normal((nt, n + 1, d, d))
+        iu, ju, _ = _node_pairs(n)
+        f1, f2 = _increment_tables(level1, level2, iu, ju)
+        r1, r2 = pair_increment_reference(
+            level1[:, iu], level2[:, iu], level1[:, ju], level2[:, ju]
+        )
+        assert same_bits(f1, r1.transpose(0, 2, 1))
+        assert same_bits(f2, r2.reshape(nt, iu.shape[0], d * d).transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_hom_norms_match_sum_form(self, d):
+        rng = np.random.default_rng(80 + d)
+        l1 = rng.standard_normal((4000, d))
+        l2 = rng.standard_normal((4000, d, d))
+        # Either level may set the norm.
+        l1[:2000] *= 1e-3
+        l1[2000:] *= 10.0
+        ref = hom_norms_reference(l1, l2)
+        fresh = _hom_norms(l1, l2)
+        work = np.full((3, 4000), np.nan)
+        reused = _hom_norms(l1, l2, work=work)
+        assert same_bits(reused, fresh)
+        broadcast = _hom_norms(l1[:, None], l2[None, :8])
+        ref_broadcast = hom_norms_reference(l1[:, None], l2[None, :8])
+        single = _hom_norms(l1[0], l2[0])
+        if d <= 2:
+            assert same_bits(fresh, ref)
+            assert same_bits(broadcast, ref_broadcast)
+            assert same_bits(single, ref[0])
+        else:
+            # Only the summation order of the squares differs.
+            assert np.max(np.abs(fresh - ref) / ref) <= 4e-16
+            assert np.max(np.abs(broadcast - ref_broadcast) / ref_broadcast) <= 4e-16
+            assert abs(single - ref[0]) / ref[0] <= 4e-16

@@ -772,3 +772,12 @@ class TestSchilder:
         assert schilder_point_check(0.6, 0.3, 0, None, [0.5, 0.25]) == (
             schilder_point_check(0.6, 0.3, 0, float(sigma), [0.5, 0.25])
         )
+
+    def test_tiny_epsilon_rows_finite_at_limit(self):
+        # eps^2 underflows to 0 or a subnormal while log P is -inf; the
+        # rows must still be finite and sit at the limit.
+        rep = schilder_point_check(1, 0, 0, None, [1e-170, 1e-160])
+        for row in rep.rows:
+            assert np.isfinite(row.eps2_log)
+            assert abs(row.eps2_log - rep.limit) <= 1e-12
+            assert row.probability == 0.0
