@@ -92,7 +92,10 @@ def restrict_values(
     n = 2**K
     j = np.arange(n + 1)
     q, r = np.divmod(j, stride)
-    w = (r.astype(float) / stride)[:, None]
+    # Both weights contiguous and as wide as the trailing axis: a (nodes, 1)
+    # column broadcast over a short trailing axis doubles the products' cost.
+    w = np.repeat((r.astype(float) / stride)[:, None], values.shape[-1], axis=1)
+    w_left = 1.0 - w
     # np.take writes straight into its out only in a mode other than
     # "raise"; the indices are in range, so "clip" changes no value.
     right = np.take(
@@ -100,7 +103,7 @@ def restrict_values(
     )
     right *= w
     left = np.take(values, np.minimum(q * stride, n), axis=-2, out=out, mode="clip")
-    left *= 1.0 - w
+    left *= w_left
     # Exactness at the kept nodes (w = 0) is automatic.
     left += right
     return left

@@ -27,8 +27,9 @@ Each mathematical object has one kernel here:
   time) alike; _table_entries counts its values;
 - the quadrature: _node_pairs enumerates the grid pairs, _log_weights
   gives the logs of their Riemann weights, _row_sumsq the squared
-  Euclidean norm of every pair's entries, its component rows summed in
-  memory order (_row_norms its root), _holder_sup the sup-over-pairs
+  Euclidean norm of every pair's entries (of one table, or of the
+  difference of two), its component rows formed and summed one at a time
+  in memory order (_row_norms its root), _holder_sup the sup-over-pairs
   Hoelder ratio (also of the Cameron-Martin paths in
   ldp.cm_regularity_check) and _log_besov_sum the one log-domain Besov
   sum, behind the slice norms, the initial-value term and every block of
@@ -48,10 +49,13 @@ A sheet's increment tables over all node pairs are built once, on its
 first Besov norm, and kept on the sheet, so a lift shared by two
 consecutive differences (fine in one, coarse in the next) is tabulated
 once.  Each (s, t) row of the space-time sum is the difference of two
-table rows, formed and reduced to squared magnitudes one time pair at a
-time, so no block-sized gather is ever live.  The sum runs on one thread
-over blocks of _BESOV_BLOCK time pairs, combined in block order; callers
-parallelize over replicas instead.
+table rows, reduced to squared magnitudes by _row_sumsq one component row
+at a time: each component's difference is formed in one row buffer,
+squared there and added into the time pair's row of squared norms, so no
+block-sized gather and no table-row difference is ever live, and the
+working set of a row stays in cache.  The sum is a plain loop on one
+thread over blocks of _BESOV_BLOCK time pairs, combined in block order;
+callers parallelize over replicas instead.
 
 A loop of lifts and distances can run without a field-sized temporary:
 _replica_buffers allocates one worker's sheets and work buffers once,
@@ -72,7 +76,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .group import GroupElement, _hom_norms, _outer, _pair_increment
-from .parallel import chunk_indices, deterministic_map
+# deterministic_map is no longer called here, but perfbench/spans.py
+# patches heatlift.sheets.deterministic_map, so the name stays bound.
+from .parallel import chunk_indices, deterministic_map  # noqa: F401
 
 _BINARY_MAGIC = b"HLSHEET1"
 
@@ -301,16 +307,39 @@ def _log_weights(sep: np.ndarray, mesh: float, expo: float) -> np.ndarray:
     return 2.0 * math.log(mesh) - expo * np.log(sep)
 
 
-def _row_sumsq(table: np.ndarray) -> np.ndarray:
+def _row_sumsq(
+    table: np.ndarray,
+    minus: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Squared Euclidean norm of each pair's entries of a component-major
-    table (components..., pairs): the squared rows summed in memory order,
-    one row at a time, so every pair sums in component order (as
-    np.linalg.norm over a leading axis) and no temporary exceeds a row."""
-    rows = table.reshape(math.prod(table.shape[:-1]), table.shape[-1])
-    total = rows[0] * rows[0]
-    for row in rows[1:]:
-        total += row * row
-    return total
+    table (components..., pairs), or of table - minus (same shape): the
+    squared rows summed in memory order, one row at a time, so every pair
+    sums in component order (as np.linalg.norm over a leading axis).
+
+    Each row (table[c] - minus[c] with minus) is formed in work, squared
+    there in place and added into out; the first is squared straight into
+    out.  out and work are rows of length pairs, fresh when not given, and
+    the result is out.  The bits are those of subtracting the tables whole
+    and summing the squares of the difference's rows."""
+    pairs = table.shape[-1]
+    lead = math.prod(table.shape[:-1])
+    rows = table.reshape(lead, pairs)
+    minus_rows = None if minus is None else minus.reshape(lead, pairs)
+    if out is None:
+        out = np.empty(pairs)
+    if work is None:
+        work = np.empty(pairs)
+    for c, row in enumerate(rows):
+        if minus_rows is not None:
+            row = np.subtract(row, minus_rows[c], out=work)
+        if c == 0:
+            np.multiply(row, row, out=out)
+        else:
+            np.multiply(row, row, out=work)
+            out += work
+    return out
 
 
 def _row_norms(table: np.ndarray) -> np.ndarray:
@@ -477,11 +506,13 @@ def spacetime_besov_norm(
     the two sheets' increments and initial values (the distance whose
     level-wise decay the dyadic convergence study estimates).
 
-    Both sheets keep their increment tables (_sheet_tables).  The sum is
-    taken in log space (_log_besov_sum) over blocks of _BESOV_BLOCK (s, t)
-    pairs, whose logs are combined in block order, so the block size
-    alone fixes the result's bits.  Raises FloatingPointError when any
-    component is not finite.
+    Both sheets keep their increment tables (_sheet_tables).  Each (s, t)
+    pair's squared norms come from the two table rows through _row_sumsq,
+    one component row at a time.  The sum is taken in log space
+    (_log_besov_sum) over blocks of _BESOV_BLOCK (s, t) pairs, one block
+    after another on the calling thread, and their logs are combined in
+    block order, so the block size alone fixes the result's bits.  Raises
+    FloatingPointError when any component is not finite.
     """
     if beta <= 1.0 / m:
         raise ParameterError(
@@ -517,13 +548,13 @@ def spacetime_besov_norm(
     def block_logs(block: range) -> tuple[float, float]:
         sumsq1 = np.empty((len(block), sep.shape[0]))
         sumsq2 = np.empty_like(sumsq1)
-        # One difference buffer per level for all rows: a fresh array per
-        # row cost more than the row's arithmetic.
-        diff1, diff2 = np.empty_like(f1m[0]), np.empty_like(f2m[0])
+        # Each row is formed from the two table rows one component row at
+        # a time, in one row buffer shared by both levels.
+        work = np.empty(sep.shape[0])
         for row, p in enumerate(block):
             s, t = si[p], ti[p]
-            sumsq1[row] = _row_sumsq(np.subtract(f1m[t], f1m[s], out=diff1))
-            sumsq2[row] = _row_sumsq(np.subtract(f2m[t], f2m[s], out=diff2))
+            _row_sumsq(f1m[t], f1m[s], out=sumsq1[row], work=work)
+            _row_sumsq(f2m[t], f2m[s], out=sumsq2[row], work=work)
         log_wt_block = log_wt[block, None]
         return (
             _log_besov_sum(sumsq1, 1, m, log_wx, log_wt_block),
@@ -531,7 +562,10 @@ def spacetime_besov_norm(
         )
 
     blocks = chunk_indices(si.shape[0], _BESOV_BLOCK)
-    log1, log2 = np.array(deterministic_map(block_logs, blocks)).reshape(-1, 2).T
+    # Each block's row buffers are freed as its call returns, before the
+    # next block and the initial-value term allocate.
+    logs = [block_logs(block) for block in blocks]
+    log1, log2 = np.array(logs).reshape(-1, 2).T
 
     dv = v.T[:, ti] - v.T[:, si]
     v_norm = float(np.linalg.norm(v[0])) + _besov(dv, 1, m, log_wt)

@@ -145,6 +145,25 @@ class TestLiftLevel:
             assert got is out
             assert got.tobytes() == restrict_values(sample.values, K, k).tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_broadcast_weights_keep_the_bits(self, dim, lead):
+        # The weights are built as wide as the trailing axis; the products
+        # keep the bits of a (nodes, 1) weight column broadcast over it.
+        K = 5
+        values = np.random.default_rng(dim).standard_normal(lead + (2**K + 1, dim))
+        values[..., ::3, :] *= -1e-300  # tiny and signed-zero products
+        for k in range(K):
+            stride = 2 ** (K - k)
+            q, r = np.divmod(np.arange(2**K + 1), stride)
+            w = (r.astype(float) / stride)[:, None]
+            right = values[..., np.minimum((q + 1) * stride, 2**K), :] * w
+            want = values[..., np.minimum(q * stride, 2**K), :] * (1.0 - w) + right
+            assert restrict_values(values, K, k).tobytes() == want.tobytes()
+            out, work = np.full_like(values, np.nan), np.full_like(values, np.nan)
+            assert restrict_values(values, K, k, out=out, work=work) is out
+            assert out.tobytes() == want.tobytes()
+
     def test_out_sheet_of_another_shape_rejected(self):
         sheet = lift_level(make_sample(seed=1, grid_level=5), 2)
         with pytest.raises(ValueError, match="out sheet"):

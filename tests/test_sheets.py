@@ -19,8 +19,17 @@ from heatlift.sheets import (
     lift_piecewise_linear,
     load_sheet,
     save_sheet,
+    _BESOV_BLOCK,
+    _besov,
+    _besov_root,
+    _log_besov_sum,
+    _log_weights,
+    _logsumexp,
+    _node_pairs,
     _replica_buffers,
     _row_norms,
+    _row_sumsq,
+    _sheet_tables,
     spacetime_besov_norm,
 )
 
@@ -470,6 +479,97 @@ class TestSpacetimeBesovMatchesReference:
             assert (row.estimate, row.stderr) == pytest.approx(
                 (estimate, stderr), rel=1e-13
             )
+
+
+def former_row_sumsq(table):
+    """The squared-norm kernel before it fused the subtraction: squared
+    rows of one table summed in memory order, a fresh square per row."""
+    rows = table.reshape(-1, table.shape[-1])
+    total = rows[0] * rows[0]
+    for row in rows[1:]:
+        total += row * row
+    return total
+
+
+def subtract_then_sumsq_besov(sheet, beta, alpha, m, relative_to=None):
+    """The quadrature's former block loop: each time pair's two table rows
+    subtracted whole, then reduced by former_row_sumsq; every other step
+    (weights, log-domain sums, initial-value term) as in the library."""
+    n = 2**sheet.grid_level
+    _, _, sep = _node_pairs(n)
+    log_wx = _log_weights(sep, 1.0 / n, 1.0 + m * alpha)
+    f1m, f2m = _sheet_tables(sheet)
+    v = sheet.initial_values
+    if relative_to is not None:
+        g1m, g2m = _sheet_tables(relative_to)
+        f1m, f2m = f1m - g1m, f2m - g2m
+        v = v - relative_to.initial_values
+    times, nt = sheet.times, sheet.n_times
+    si, ti = np.triu_indices(nt, k=1)
+    dt = (times[-1] - times[0]) / (nt - 1)
+    log_wt = _log_weights(times[ti] - times[si], dt, 1.0 + beta * m)
+    log1, log2 = [], []
+    for lo in range(0, si.shape[0], _BESOV_BLOCK):
+        block = range(lo, min(lo + _BESOV_BLOCK, si.shape[0]))
+        sumsq1 = np.empty((len(block), sep.shape[0]))
+        sumsq2 = np.empty_like(sumsq1)
+        for row, p in enumerate(block):
+            sumsq1[row] = former_row_sumsq(f1m[ti[p]] - f1m[si[p]])
+            sumsq2[row] = former_row_sumsq(f2m[ti[p]] - f2m[si[p]])
+        log_wt_block = log_wt[block, None]
+        log1.append(_log_besov_sum(sumsq1, 1, m, log_wx, log_wt_block))
+        log2.append(_log_besov_sum(sumsq2, 2, m, log_wx, log_wt_block))
+    dv = v.T[:, ti] - v.T[:, si]
+    return (
+        float(np.linalg.norm(v[0])) + _besov(dv, 1, m, log_wt),
+        _besov_root(_logsumexp(np.array(log1)), 1, m),
+        _besov_root(_logsumexp(np.array(log2)), 2, m),
+    )
+
+
+class TestRowFusedQuadrature:
+    """The row-fused quadrature keeps the bits of the former
+    subtract-then-reduce block loop and leaves both sheets' tables alone."""
+
+    @pytest.mark.parametrize("a_shape", [(1, 300), (3, 300), (2, 2, 300), (3, 3, 300)])
+    def test_fused_difference_equals_difference_first(self, a_shape):
+        rng = np.random.default_rng(sum(a_shape))
+        a = rng.standard_normal(a_shape) * np.exp(4.0 * rng.standard_normal(a_shape))
+        b = rng.standard_normal(a_shape) * np.exp(4.0 * rng.standard_normal(a_shape))
+        b.reshape(-1)[::7] = a.reshape(-1)[::7]  # exact zeros in the difference
+        want = _row_sumsq(a - b)
+        assert want.tobytes() == former_row_sumsq(a - b).tobytes()
+        assert _row_sumsq(a, b).tobytes() == want.tobytes()
+        out, work = np.full(a_shape[-1], np.nan), np.full(a_shape[-1], np.nan)
+        assert _row_sumsq(a, b, out=out, work=work) is out
+        assert out.tobytes() == want.tobytes()
+        # Without minus, out/work leave the single-table bits alone too.
+        out.fill(np.nan)
+        work.fill(np.nan)
+        assert _row_sumsq(a, out=out, work=work).tobytes() == former_row_sumsq(a).tobytes()
+
+    # n_time=16 gives 136 time pairs, i.e. two blocks.
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_time", [5, 16])
+    @pytest.mark.parametrize("alpha, beta, m", [(0.4, 0.04, 30.0), (0.49, 0.004, 300.0)])
+    def test_equals_subtract_then_reduce(self, dim, n_time, alpha, beta, m):
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=n_time, grid_level=5, dim=dim,
+            seed=dim,
+        )
+        sample = sample_field(cfg, 0)
+        fine, coarse = lift_level(sample, 4), lift_level(sample, 3)
+        for sheet, other in ((fine, None), (fine, coarse)):
+            expected = subtract_then_sumsq_besov(sheet, beta, alpha, m, relative_to=other)
+            kept = [sh._tables for sh in (sheet, other) if sh is not None]
+            saved = [tuple(t.copy() for t in tables) for tables in kept]
+            norm = spacetime_besov_norm(sheet, beta, alpha, m, relative_to=other)
+            assert (norm.initial_value, norm.level1, norm.level2) == expected
+            assert np.all(np.isfinite(expected)) and expected[1] > 0
+            for sh, tables, copies in zip((sheet, other), kept, saved):
+                assert sh._tables is tables
+                for table, copy in zip(tables, copies):
+                    assert table.tobytes() == copy.tobytes()
 
 
 # (alpha, beta, m): validate_besov_params accepts both.  At the first,
