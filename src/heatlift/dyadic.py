@@ -19,18 +19,20 @@ and fits the base-2 exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, is_integer
 from .group import _outer
-from .parallel import deterministic_map
+from .parallel import chunk_indices, deterministic_map
 from .sampler import (
     _MAX_FIELD_ENTRIES, FieldSample, GridTooLargeError, SpectralConfig, sample_field,
 )
 from .sheets import (
-    RoughSheet, _lift_values, _table_entries, _view, spacetime_besov_norm,
+    RoughSheet, _BesovArena, _besov_arena_shapes, _lift_values, _view,
+    spacetime_besov_norm,
 )
 
 SUP_KIND = "sup"
@@ -265,13 +267,18 @@ def convergence_study(
     mean space-time Besov norms of the successive differences and
     requires the full parameter chain to be feasible.
 
-    Replicas run independently (parallelizable) and are reduced in
-    replica order.  No kind or no k, a kind other than sup and besov, or
-    a negative k raises ParameterError before sampling.  Besov mode
-    raises GridTooLargeError before sampling when the increment tables
-    live at once would pass the sampler's allocation guard.  Fewer than
-    two replicas raise ParameterError (one has no standard error), after
-    the checks above and still before sampling.
+    Replicas run independently and are reduced in replica order.  They
+    are split into min(threads, replicas) contiguous runs, one per
+    worker; in Besov mode each run allocates one sheets._BesovArena and
+    builds every norm's tables, difference and quadrature rows in it.  No
+    kind or no k, a kind other than sup and besov, or a negative k raises
+    ParameterError before sampling.  Besov mode raises GridTooLargeError
+    before sampling when the arenas of all runs together (each: two
+    increment tables, the gather and product rows and one block of
+    quadrature rows; sheets._besov_arena_shapes) would hold more values
+    than the sampler's allocation guard.  Fewer than two replicas raise
+    ParameterError (one has no standard error), after the checks above
+    and still before sampling.
     """
     k_range = sorted(int(k) for k in k_range)
     if not kinds:
@@ -289,17 +296,18 @@ def convergence_study(
             f"{k_range[-1] + 1}, have {config.grid_level}"
         )
     use_besov = BESOV_KIND in kinds
+    # Each worker takes one contiguous run of replicas (see run below).
+    workers = max(1, min(threads, replicas))
     if use_besov:
         if alpha is None or beta is None or m is None:
             raise ParameterError("besov kind needs alpha, beta and m")
         validate_besov_params(alpha, beta, m)
-        per_table = _table_entries(config.n_time + 1, config.grid_level, config.dim)
-        # Per replica in flight: two lifts' tables and their difference.
-        entries = 3 * per_table * max(1, min(threads, replicas))
+        shapes = _besov_arena_shapes(config.n_time + 1, config.grid_level, config.dim)
+        entries = workers * sum(math.prod(shape) for shape in shapes)
         if entries > _MAX_FIELD_ENTRIES:
             raise GridTooLargeError(
-                f"Besov increment tables would hold {entries} values at once "
-                f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid or the threads"
+                f"Besov increment tables would hold, with their rows, {entries} values "
+                f"at once (guard is {_MAX_FIELD_ENTRIES}); shrink the grid or the threads"
             )
 
     if replicas < 2:
@@ -308,28 +316,43 @@ def convergence_study(
 
     table = ConvergenceTable()
 
-    def one_replica(r: int):
-        sample = sample_field(config, r)
-        out = {}
-        # Walking k upward, the fine lift of one difference is the coarse
-        # lift of the next and carries its increment tables along, so at
-        # most two lifts' tables are live.
-        lifts = {}
-        for k in k_range:
-            if SUP_KIND in kinds:
-                out[(k, 1, SUP_KIND)] = _level1_sup(sample, k) ** 2
-                out[(k, 2, SUP_KIND)] = _level2_sup(sample, k)
-            if use_besov:
-                coarse = lifts.pop(k) if k in lifts else lift_level(sample, k)
-                lifts = {k + 1: lift_level(sample, k + 1)}
-                norm = spacetime_besov_norm(
-                    lifts[k + 1], beta, alpha, m, relative_to=coarse
-                )
-                out[(k, 1, BESOV_KIND)] = norm.level1
-                out[(k, 2, BESOV_KIND)] = norm.level2
-        return out
+    def run(block: range) -> list[dict]:
+        # One arena for the worker's whole run of replicas: every norm
+        # builds its tables, difference and rows there.
+        arena = (
+            _BesovArena(config.n_time + 1, config.grid_level, config.dim)
+            if use_besov else None
+        )
+        results = []
+        for r in block:
+            sample = sample_field(config, r)
+            out = {}
+            # Walking k upward, the fine lift of one difference is the
+            # coarse lift of the next and carries its increment tables
+            # along in its arena slot.
+            lifts = {}
+            for k in k_range:
+                if SUP_KIND in kinds:
+                    out[(k, 1, SUP_KIND)] = _level1_sup(sample, k) ** 2
+                    out[(k, 2, SUP_KIND)] = _level2_sup(sample, k)
+                if use_besov:
+                    coarse = lifts.pop(k) if k in lifts else lift_level(sample, k)
+                    lifts = {k + 1: lift_level(sample, k + 1)}
+                    norm = spacetime_besov_norm(
+                        lifts[k + 1], beta, alpha, m, relative_to=coarse, work=arena
+                    )
+                    out[(k, 1, BESOV_KIND)] = norm.level1
+                    out[(k, 2, BESOV_KIND)] = norm.level2
+            results.append(out)
+        return results
 
-    results = deterministic_map(one_replica, list(range(replicas)), threads=threads)
+    # Every norm has the same bits in any run, so the rows do not follow
+    # the thread count.
+    blocks = chunk_indices(replicas, -(-replicas // workers))
+    results = [
+        res for run_results in deterministic_map(run, blocks, threads=threads)
+        for res in run_results
+    ]
 
     keys = sorted(results[0].keys(), key=lambda kk: (kk[2], kk[1], kk[0]))
     for key in keys:

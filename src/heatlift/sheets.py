@@ -24,7 +24,7 @@ Each mathematical object has one kernel here:
   ldp.chaos_moment_ratio alike;
 - the pair-increment table: _increment_tables, in its one layout,
   component-major (times, components, pairs), for sheets and slices (one
-  time) alike; _table_entries counts its values;
+  time) alike;
 - the quadrature: _node_pairs enumerates the grid pairs, _log_weights
   gives the logs of their Riemann weights, _row_sumsq the squared
   Euclidean norm of every pair's entries (of one table, or of the
@@ -53,9 +53,17 @@ table rows, reduced to squared magnitudes by _row_sumsq one component row
 at a time: each component's difference is formed in one row buffer,
 squared there and added into the time pair's row of squared norms, so no
 block-sized gather and no table-row difference is ever live, and the
-working set of a row stays in cache.  The sum is a plain loop on one
-thread over blocks of _BESOV_BLOCK time pairs, combined in block order;
-callers parallelize over replicas instead.
+working set of a row stays in cache.  The rows of one block of
+_BESOV_BLOCK time pairs are filled for level 1 and reduced, then filled
+for level 2 in the same block.  The sum is a plain loop on one thread
+over the blocks, combined in block order; callers parallelize over
+replicas instead.
+
+A walk of such norms can run in one worker's _BesovArena, one
+allocation made once: spacetime_besov_norm(work=) builds the tables,
+their difference (in place over relative_to's tables) and the rows
+there, with the same bits, and the fine sheet's tables stay in their
+slot to serve as the coarse ones of the next difference.
 
 A loop of lifts and distances can run without a field-sized temporary:
 _replica_buffers allocates one worker's sheets and work buffers once,
@@ -185,25 +193,30 @@ class RoughSheet:
         )
 
 
+def _carve(shapes: list) -> list:
+    """Arrays of the given shapes, in order, as views of one allocation.
+
+    glibc raises its mmap threshold to the size of a freed mapped block, so
+    the next loop's block of the same size comes from the heap and stays
+    there; freeing many field-sized pieces instead hands pages back that
+    the next loop faults in again."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(flat, shapes)]
+
+
 def _replica_buffers(times: np.ndarray, grid_level: int, dim: int, sheets: int):
     """One worker's buffers for a loop of lifts and distances on one grid:
     `sheets` sheets to lift into (out= of lift_level) and the flat work
     buffers (work= of lift_level and dist_infty: one as long as level1,
     one as long as level2, and one of three rows of a level-2 entry,
-    n_times * nodes values each).  Returns (sheets, work).
-
-    All are views of one allocation.  glibc raises its mmap threshold to
-    the size of a freed mapped block, so the next loop's block of the
-    same size comes from the heap and stays there; freeing many
-    field-sized pieces instead hands pages back that the next loop faults
-    in again."""
+    n_times * nodes values each).  Returns (sheets, work), all views of
+    one allocation (_carve)."""
     nt, nodes = times.shape[0], 2**grid_level + 1
     size1 = nt * nodes * dim
     per_sheet = [(nt, dim), (nt, nodes, dim), (nt, nodes, dim, dim)]
     shapes = per_sheet * sheets + [(size1,), (size1 * dim,), (3 * nt * nodes,)]
-    sizes = [math.prod(shape) for shape in shapes]
-    flat = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-    parts = [part.reshape(shape) for part, shape in zip(flat, shapes)]
+    parts = _carve(shapes)
     made = [
         RoughSheet(times, grid_level, parts[i + 1], parts[i + 2], parts[i])
         for i in range(0, 3 * sheets, 3)
@@ -443,7 +456,9 @@ class SpacetimeBesovNorm:
     level2: float
 
 
-def _increment_tables(level1: np.ndarray, level2: np.ndarray, iu, ju):
+def _increment_tables(
+    level1: np.ndarray, level2: np.ndarray, iu, ju, out=None, work=None
+):
     """Increment tables A^1, A^2 over the node pairs (iu, ju) of stacked
     prefixes level1 (n_times, nodes, d) and level2 (n_times, nodes, d, d),
     component-major: (n_times, d, pairs) and (n_times, d^2, pairs), row
@@ -456,35 +471,116 @@ def _increment_tables(level1: np.ndarray, level2: np.ndarray, iu, ju):
     component-major (np.take gathers the same columns as fancy indexing,
     at a third of its cost), and _pair_increment writes through
     transposed views of the table rows in place.
+
+    Written into out = (A^1, A^2) when given, else into new arrays.  work
+    = (level-1 and level-2 rows gathered at iu, the same at ju, product
+    row), shaped (d, pairs), (d^2, pairs), (d, pairs), (d^2, pairs) and
+    (pairs,), takes each time's gathers and _pair_increment's product
+    term in place of temporaries.  The bits are the same either way.
     """
     nt, nodes, d = level1.shape
     pairs = iu.shape[0]
-    f1 = np.empty((nt, d, pairs))
-    f2 = np.empty((nt, d * d, pairs))
+    if out is None:
+        out = (np.empty((nt, d, pairs)), np.empty((nt, d * d, pairs)))
+    f1, f2 = out
+    g1i, g2i, g1j, g2j, row = (None,) * 5 if work is None else work
     for t in range(nt):
         p1 = np.ascontiguousarray(level1[t].T)
         p2 = np.ascontiguousarray(level2[t].reshape(nodes, d * d).T)
+        # np.take writes straight into its out only in a mode other than
+        # "raise"; the indices are in range, so "clip" changes no value.
         _pair_increment(
-            np.take(p1, iu, 1).T, np.take(p2, iu, 1).T.reshape(pairs, d, d),
-            np.take(p1, ju, 1).T, np.take(p2, ju, 1).T.reshape(pairs, d, d),
+            np.take(p1, iu, 1, out=g1i, mode="clip").T,
+            np.take(p2, iu, 1, out=g2i, mode="clip").T.reshape(pairs, d, d),
+            np.take(p1, ju, 1, out=g1j, mode="clip").T,
+            np.take(p2, ju, 1, out=g2j, mode="clip").T.reshape(pairs, d, d),
             out=(f1[t].T, f2[t].reshape(d, d, pairs).transpose(2, 0, 1)),
+            work=row,
         )
     return f1, f2
 
 
-def _table_entries(n_times: int, grid_level: int, dim: int) -> int:
-    """Values in the two _increment_tables of n_times prefixes over all
-    node pairs of a level-grid_level grid in R^dim."""
+def _besov_arena_shapes(n_times: int, grid_level: int, dim: int) -> list:
+    """Shapes of the buffers of one _BesovArena for sheets of n_times times
+    on a level-grid_level grid in R^dim, in order: two table slots (each
+    the two _increment_tables over all node pairs), the work of
+    _increment_tables (four gather rows and the product row) and the
+    quadrature's block of time-pair rows.  Their entries are what
+    dyadic.convergence_study's memory guard counts per worker."""
     n = 2**grid_level
-    return n_times * (n * (n + 1) // 2) * (dim + dim * dim)
+    pairs = n * (n + 1) // 2
+    slot = [(n_times, dim, pairs), (n_times, dim * dim, pairs)]
+    gather = [(dim, pairs), (dim * dim, pairs)] * 2
+    time_pairs = n_times * (n_times - 1) // 2
+    return slot * 2 + gather + [(pairs,), (min(_BESOV_BLOCK, time_pairs), pairs)]
 
 
-def _sheet_tables(sheet: RoughSheet):
+class _BesovArena:
+    """One worker's buffers for a walk of space-time Besov norms on one
+    grid (spacetime_besov_norm(work=)), views of one allocation (_carve
+    of _besov_arena_shapes):
+
+    - slots: two table slots.  A sheet whose tables are built here keeps
+      them in its slot until the slot is taken for another sheet's tables
+      or for a difference, which drops them from the sheet;
+    - gather and row: the work of _increment_tables; row is also the
+      quadrature's row buffer;
+    - block: the quadrature's rows of one block of time pairs, one level
+      at a time.
+
+    It also keeps the grid's node pairs (_node_pairs), made once rather
+    than on every norm and table.  An arena belongs to one worker and
+    serves one call at a time."""
+
+    def __init__(self, n_times: int, grid_level: int, dim: int):
+        parts = _carve(_besov_arena_shapes(n_times, grid_level, dim))
+        self.slots = (tuple(parts[0:2]), tuple(parts[2:4]))
+        self.gather = tuple(parts[4:8])
+        self.row, self.block = parts[8:]
+        self.pairs = _node_pairs(2**grid_level)
+        self._owners = [None, None]
+
+    def _holds(self, i: int, sheet: RoughSheet | None) -> bool:
+        return (
+            sheet is not None
+            and sheet._tables is not None
+            and sheet._tables[0] is self.slots[i][0]
+        )
+
+    def other(self, sheet: RoughSheet | None) -> int:
+        """The index of a slot that sheet's tables do not occupy."""
+        return 1 if self._holds(0, sheet) else 0
+
+    def take(self, i: int, owner: RoughSheet | None = None) -> tuple:
+        """Slot i, for owner's tables (None: for a difference); the sheet
+        whose tables it held drops them."""
+        held = self._owners[i]
+        if self._holds(i, held):
+            held._tables = None
+        self._owners[i] = owner
+        return self.slots[i]
+
+    def check(self, sheet: RoughSheet):
+        n = 2**sheet.grid_level
+        need = (sheet.n_times, sheet.dim, n * (n + 1) // 2)
+        if self.slots[0][0].shape != need:
+            raise ValueError(
+                f"Besov arena holds tables of shape {self.slots[0][0].shape}, "
+                f"the sheet needs {need}"
+            )
+
+
+def _sheet_tables(sheet: RoughSheet, work: _BesovArena | None = None, keep=None):
     """The sheet's increment tables over all node pairs, built on first
-    use and kept on the sheet."""
+    use and kept on the sheet: in new arrays, or with work in the arena
+    slot that keep's tables do not occupy."""
     if sheet._tables is None:
-        iu, ju, _ = _node_pairs(2**sheet.grid_level)
-        sheet._tables = _increment_tables(sheet.level1, sheet.level2, iu, ju)
+        iu, ju, _ = _node_pairs(2**sheet.grid_level) if work is None else work.pairs
+        sheet._tables = _increment_tables(
+            sheet.level1, sheet.level2, iu, ju,
+            out=None if work is None else work.take(work.other(keep), sheet),
+            work=None if work is None else work.gather + (work.row,),
+        )
     return sheet._tables
 
 
@@ -494,6 +590,7 @@ def spacetime_besov_norm(
     alpha: float,
     m: float,
     relative_to: RoughSheet | None = None,
+    work: _BesovArena | None = None,
 ) -> SpacetimeBesovNorm:
     """Quadruple Riemann sum over (s < t) x (x < y) grid pairs.
 
@@ -508,11 +605,20 @@ def spacetime_besov_norm(
 
     Both sheets keep their increment tables (_sheet_tables).  Each (s, t)
     pair's squared norms come from the two table rows through _row_sumsq,
-    one component row at a time.  The sum is taken in log space
-    (_log_besov_sum) over blocks of _BESOV_BLOCK (s, t) pairs, one block
-    after another on the calling thread, and their logs are combined in
-    block order, so the block size alone fixes the result's bits.  Raises
-    FloatingPointError when any component is not finite.
+    one component row at a time, into a block of rows: first level 1's,
+    which are reduced, then level 2's in the same block.  The sum is taken
+    in log space (_log_besov_sum) over blocks of _BESOV_BLOCK (s, t)
+    pairs, one block after another on the calling thread, and their logs
+    are combined in block order, so the block size alone fixes the
+    result's bits.  Raises FloatingPointError when any component is not
+    finite.
+
+    With work (a _BesovArena on the sheet's grid), the tables, the
+    difference and the rows are formed in the arena, with the same bits.
+    A sheet without tables gets them in the slot relative_to's do not
+    occupy, and the difference overwrites the slot the sheet's do not
+    occupy: relative_to's, which then drops its tables, so the sheet's
+    tables can serve as the coarse ones of the next difference.
     """
     if beta <= 1.0 / m:
         raise ParameterError(
@@ -522,19 +628,24 @@ def spacetime_besov_norm(
         raise ParameterError(
             f"need m*alpha > 1 for integrability, got {m * alpha:.4g}"
         )
+    if relative_to is not None:
+        _require_matching(sheet, relative_to)
+    if work is not None:
+        work.check(sheet)
     nt = sheet.n_times
     times = sheet.times
     n = 2**sheet.grid_level
-    _, _, sep = _node_pairs(n)
+    _, _, sep = _node_pairs(n) if work is None else work.pairs
     log_wx = _log_weights(sep, 1.0 / n, 1.0 + m * alpha)
 
-    f1m, f2m = _sheet_tables(sheet)
+    f1m, f2m = _sheet_tables(sheet, work, keep=relative_to)
     v = sheet.initial_values
     if relative_to is not None:
-        _require_matching(sheet, relative_to)
-        g1m, g2m = _sheet_tables(relative_to)
-        f1m = f1m - g1m
-        f2m = f2m - g2m
+        g1m, g2m = _sheet_tables(relative_to, work, keep=sheet)
+        # f - g written into out= has the bits of f - g.
+        d1, d2 = (None, None) if work is None else work.take(work.other(sheet))
+        f1m = np.subtract(f1m, g1m, out=d1)
+        f2m = np.subtract(f2m, g2m, out=d2)
         v = v - relative_to.initial_values
 
     si, ti = np.triu_indices(nt, k=1)
@@ -545,26 +656,19 @@ def spacetime_besov_norm(
         dt = 1.0
     log_wt = _log_weights(tsep, dt, 1.0 + beta * m)
 
-    def block_logs(block: range) -> tuple[float, float]:
-        sumsq1 = np.empty((len(block), sep.shape[0]))
-        sumsq2 = np.empty_like(sumsq1)
-        # Each row is formed from the two table rows one component row at
-        # a time, in one row buffer shared by both levels.
-        work = np.empty(sep.shape[0])
-        for row, p in enumerate(block):
-            s, t = si[p], ti[p]
-            _row_sumsq(f1m[t], f1m[s], out=sumsq1[row], work=work)
-            _row_sumsq(f2m[t], f2m[s], out=sumsq2[row], work=work)
+    if work is None:
+        rows = np.empty((min(_BESOV_BLOCK, si.shape[0]), sep.shape[0]))
+        row = np.empty(sep.shape[0])
+    else:
+        rows, row = work.block, work.row
+    logs = []
+    for block in chunk_indices(si.shape[0], _BESOV_BLOCK):
+        sumsq = rows[: len(block)]
         log_wt_block = log_wt[block, None]
-        return (
-            _log_besov_sum(sumsq1, 1, m, log_wx, log_wt_block),
-            _log_besov_sum(sumsq2, 2, m, log_wx, log_wt_block),
-        )
-
-    blocks = chunk_indices(si.shape[0], _BESOV_BLOCK)
-    # Each block's row buffers are freed as its call returns, before the
-    # next block and the initial-value term allocate.
-    logs = [block_logs(block) for block in blocks]
+        for level, table in ((1, f1m), (2, f2m)):
+            for i, p in enumerate(block):
+                _row_sumsq(table[ti[p]], table[si[p]], out=sumsq[i], work=row)
+            logs.append(_log_besov_sum(sumsq, level, m, log_wx, log_wt_block))
     log1, log2 = np.array(logs).reshape(-1, 2).T
 
     dv = v.T[:, ti] - v.T[:, si]

@@ -13,7 +13,7 @@ from heatlift.dyadic import (
     validate_besov_params,
 )
 from heatlift.errors import ParameterError
-from heatlift.sampler import FieldSample, SpectralConfig, sample_field
+from heatlift.sampler import FieldSample, GridTooLargeError, SpectralConfig, sample_field
 from heatlift.sheets import (
     PathSlice, _replica_buffers, dilate_sheet, dist_infty, increment, lift_piecewise_linear,
 )
@@ -400,17 +400,66 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="replicas >= 2 violated: replicas=1"):
             convergence_study(cfg, range(2, 4), replicas=1)
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
+        # 5 replicas run as [5], [3, 2] and [2, 2, 1] on 1, 2 and 3 threads;
+        # each run allocates one Besov arena.
+        arenas = []
+
+        def counting(*args):
+            arenas.append(args)
+            return arena_class(*args)
+
+        arena_class = dyadic._BesovArena
+        monkeypatch.setattr(dyadic, "_BesovArena", counting)
         cfg = SpectralConfig(
             n_modes=32, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=3
         )
         besov = dict(kinds=("sup", "besov"), alpha=0.4, beta=0.04, m=30.0)
-        a = convergence_study(cfg, range(2, 5), replicas=8, threads=1, **besov)
-        b = convergence_study(cfg, range(2, 5), replicas=8, threads=3, **besov)
-        assert len(a.rows) == 12
-        assert [(r.estimate, r.stderr) for r in a.rows] == [
-            (r.estimate, r.stderr) for r in b.rows
-        ]
+
+        def rows_of(table):
+            return [(r.k, r.level, r.norm_kind, r.estimate, r.stderr) for r in table.rows]
+
+        rows = []
+        for threads in (1, 2, 3):
+            arenas.clear()
+            rows.append(rows_of(
+                convergence_study(cfg, range(2, 5), replicas=5, threads=threads, **besov)
+            ))
+            assert arenas == [(5, 5, 2)] * threads
+        assert len(rows[0]) == 12
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        arenas.clear()
+        sup_only = convergence_study(cfg, range(2, 5), replicas=5, threads=2)
+        assert arenas == []
+        assert rows_of(sup_only) == [row for row in rows[0] if row[2] == "sup"]
+
+    @pytest.mark.parametrize(
+        "threads, replicas, workers", [(1, 3, 1), (2, 3, 2), (4, 3, 3)]
+    )
+    def test_besov_guard_counts_one_arena_per_worker(
+        self, monkeypatch, threads, replicas, workers
+    ):
+        # Grid level 4 (136 node pairs), 4 times (6 time pairs), dim 2: two
+        # tables of 4 * 136 * (2 + 4) values, 2 * 6 gather rows, the product
+        # row and 6 quadrature rows.
+        per_worker = 2 * 4 * 136 * 6 + (12 + 1 + 6) * 136
+        cfg = SpectralConfig(
+            n_modes=16, time_horizon=1.0, n_time=3, grid_level=4, dim=2, seed=0
+        )
+        besov = dict(kinds=("besov",), alpha=0.4, beta=0.04, m=30.0, threads=threads)
+        monkeypatch.setattr(dyadic, "_MAX_FIELD_ENTRIES", workers * per_worker)
+        table = convergence_study(cfg, range(2, 4), replicas=replicas, **besov)
+        assert len(table.rows) == 4
+
+        def refuse(config, replica):
+            raise AssertionError("sampled before the guard")
+
+        monkeypatch.setattr(dyadic, "sample_field", refuse)
+        monkeypatch.setattr(dyadic, "_MAX_FIELD_ENTRIES", workers * per_worker - 1)
+        with pytest.raises(
+            GridTooLargeError, match=f"with their rows, {workers * per_worker} values"
+        ):
+            convergence_study(cfg, range(2, 4), replicas=replicas, **besov)
 
 
 class TestMonotoneRefinement:

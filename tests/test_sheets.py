@@ -20,10 +20,13 @@ from heatlift.sheets import (
     load_sheet,
     save_sheet,
     _BESOV_BLOCK,
+    _BesovArena,
     _besov,
+    _besov_arena_shapes,
     _besov_root,
     _log_besov_sum,
     _log_weights,
+    _increment_tables,
     _logsumexp,
     _node_pairs,
     _replica_buffers,
@@ -570,6 +573,109 @@ class TestRowFusedQuadrature:
                 assert sh._tables is tables
                 for table, copy in zip(tables, copies):
                     assert table.tobytes() == copy.tobytes()
+
+
+def nan_arena(n_times, grid_level, dim):
+    arena = _BesovArena(n_times, grid_level, dim)
+    for buf in arena.slots[0] + arena.slots[1] + arena.gather + (arena.row, arena.block):
+        buf.fill(np.nan)
+    return arena
+
+
+class TestBesovArena:
+    """Tables, differences and quadrature rows formed in one worker's arena
+    have the bits of fresh ones, and a slot serves one sheet at a time."""
+
+    # A slice is one time; n_time=16 is 17 times, 136 time pairs, 2 blocks.
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_time", [0, 4, 16])
+    def test_increment_tables_into_buffers(self, dim, n_time):
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=max(n_time, 1), grid_level=5,
+            dim=dim, seed=dim,
+        )
+        sheet = lift_level(sample_field(cfg, 0), 3)
+        level1, level2 = sheet.level1, sheet.level2
+        if n_time == 0:
+            level1, level2 = level1[1:2], level2[1:2]
+        iu, ju, _ = _node_pairs(32)
+        want = _increment_tables(level1, level2, iu, ju)
+        arena = nan_arena(level1.shape[0], 5, dim)
+        got = _increment_tables(
+            level1, level2, iu, ju, out=arena.slots[1], work=arena.gather + (arena.row,)
+        )
+        assert got[0] is arena.slots[1][0] and got[1] is arena.slots[1][1]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_arena_shapes_hold_tables_rows_and_one_block(self):
+        # 3 times and 3 time pairs; 16 * 17 / 2 = 136 node pairs.
+        assert _besov_arena_shapes(3, 4, 2) == [
+            (3, 2, 136), (3, 4, 136), (3, 2, 136), (3, 4, 136),
+            (2, 136), (4, 136), (2, 136), (4, 136), (136,), (3, 136),
+        ]
+        assert _besov_arena_shapes(17, 4, 1)[-1] == (_BESOV_BLOCK, 136)
+
+    # Two replicas walk k upward in one arena, as convergence_study does.
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_time", [5, 16])
+    def test_k_walk_equals_fresh_norms(self, dim, n_time):
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=n_time, grid_level=5, dim=dim,
+            seed=dim,
+        )
+        params = dict(beta=0.04, alpha=0.4, m=30.0)
+        arena = nan_arena(n_time + 1, 5, dim)
+        for replica in range(2):
+            sample = sample_field(cfg, replica)
+            coarse = lift_level(sample, 1)
+            for k in range(1, 5):
+                fine = lift_level(sample, k + 1)
+                want = spacetime_besov_norm(
+                    lift_level(sample, k + 1), relative_to=lift_level(sample, k), **params
+                )
+                got = spacetime_besov_norm(fine, relative_to=coarse, work=arena, **params)
+                assert got == want
+                # The difference overwrote the coarse tables; the fine ones
+                # are kept, with the bits of a fresh build.
+                assert coarse._tables is None
+                kept = fine._tables
+                assert any(kept[0] is slot[0] for slot in arena.slots)
+                for table, fresh in zip(kept, _sheet_tables(lift_level(sample, k + 1))):
+                    assert table.tobytes() == fresh.tobytes()
+                # Against itself: the norms are exactly 0, the tables kept.
+                zero = spacetime_besov_norm(fine, relative_to=fine, work=arena, **params)
+                assert (zero.initial_value, zero.level1, zero.level2) == (0.0, 0.0, 0.0)
+                assert zero == spacetime_besov_norm(fine, relative_to=fine, **params)
+                assert fine._tables is kept
+                # Alone, from the kept tables.
+                assert spacetime_besov_norm(fine, work=arena, **params) == (
+                    spacetime_besov_norm(lift_level(sample, k + 1), **params)
+                )
+                coarse = fine
+
+    def test_taken_slot_drops_its_sheet_tables(self):
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=3, grid_level=4, dim=2, seed=1
+        )
+        params = dict(beta=0.04, alpha=0.4, m=30.0)
+        arena = nan_arena(4, 4, 2)
+        first, second, third = (lift_level(sample_field(cfg, r), 4) for r in range(3))
+        spacetime_besov_norm(first, work=arena, **params)
+        assert first._tables[0] is arena.slots[0][0]
+        # second's tables take slot 0, third's slot 1, which the difference
+        # then overwrites: first and third drop their tables.
+        spacetime_besov_norm(second, relative_to=third, work=arena, **params)
+        assert first._tables is None and third._tables is None
+        assert second._tables[0] is arena.slots[0][0]
+        for sheet, r in ((first, 0), (second, 1), (third, 2)):
+            want = spacetime_besov_norm(lift_level(sample_field(cfg, r), 4), **params)
+            assert spacetime_besov_norm(sheet, **params) == want
+
+    def test_arena_of_another_grid_rejected(self):
+        sheet = small_sheet(0, grid_level=4, n_time=3)
+        with pytest.raises(ValueError, match="Besov arena holds tables of shape"):
+            spacetime_besov_norm(sheet, 0.04, 0.4, 30.0, work=_BesovArena(4, 5, 2))
 
 
 # (alpha, beta, m): validate_besov_params accepts both.  At the first,
