@@ -38,6 +38,12 @@ from .sheets import (
 SUP_KIND = "sup"
 BESOV_KIND = "besov"
 
+# Bytes of sampled fields one convergence_study worker reduces at once in
+# sup mode (three fields at dim 2, grid level 9 and 16 time steps).  A
+# larger batch saves little more time and costs resident memory: each
+# field adds its reductions' temporaries as well.
+_SUP_BATCH_BYTES = 1 << 19
+
 
 def validate_besov_params(alpha: float, beta: float, m: float):
     """Constraint chain of the Besov convergence estimates; raises with
@@ -140,16 +146,21 @@ def lift_level(
     return _lift_values(sample.config.times(), values, K, out=out, work=work)
 
 
+def _fine_nodes(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
+    """The level-(k+1) nodes of values (..., 2^K + 1, d), a view shaped
+    (..., 2^(k+1) + 1, d); raises ParameterError when k + 1 > K."""
+    K = grid_level
+    if k + 1 > K:
+        raise ParameterError(f"need grid level >= {k + 1}, have {K}")
+    return values[..., :: 2 ** (K - (k + 1)), :]
+
+
 def _sibling_deltas(
     values: np.ndarray, grid_level: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(D_{2l-1}, D_{2l}): increments of the level-(k+1) siblings of values
     (..., 2^K + 1, d), each shaped (..., 2^k, d)."""
-    K = grid_level
-    if k + 1 > K:
-        raise ParameterError(f"need grid level >= {k + 1}, have {K}")
-    nodes = values[..., :: 2 ** (K - (k + 1)), :]  # level k+1 nodes
-    deltas = np.diff(nodes, axis=-2)
+    deltas = np.diff(_fine_nodes(values, grid_level, k), axis=-2)
     return deltas[..., 0::2, :], deltas[..., 1::2, :]
 
 
@@ -177,36 +188,57 @@ def level2_telescope(
     return 0.5 * np.sum(w[i_node:j_node], axis=0)
 
 
-def _level1_sup(sample: FieldSample, k: int) -> float:
-    """sup over (t, x) of |psi(k+1) - psi(k)|; attained at the level-(k+1)
-    midpoints, where the difference equals the midpoint minus the mean of
-    its level-k neighbours."""
-    K = sample.config.grid_level
-    stride = 2 ** (K - (k + 1))
-    nodes = sample.values[:, ::stride, :]  # (nt, 2^(k+1)+1, d)
-    mid = nodes[:, 1::2, :]
-    mean = 0.5 * (nodes[:, 0:-1:2, :] + nodes[:, 2::2, :])
-    gap = np.linalg.norm(mid - mean, axis=2)
-    return float(np.max(gap)) if gap.size else 0.0
+def _level1_sup(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
+    """sup over (t, x) of |psi(k+1) - psi(k)| for each leading index of
+    values (..., n_times, 2^K + 1, d), shaped like those leading axes.
 
-
-def _level2_sup(sample: FieldSample, k: int) -> float:
-    """max over t, level-k pairs (I, J) and entries of
-    |Psi(k+1)^2 - Psi(k)^2| via the prefix spread of the telescoping sum.
-
-    All times at once.  w is antisymmetric with a zero diagonal and
-    negation is exact, so the entries a < b carry every spread; the
-    prefix's leading zero row enters as max(., 0) and min(., 0).
+    The sup is attained at the level-(k+1) midpoints, where the difference
+    equals the midpoint minus the mean of its level-k neighbours.  Formed
+    one component at a time, with the squares summed in component order,
+    which is how np.linalg.norm sums fewer than 8 components (it sums 8 or
+    more pairwise).  The root is taken of the maximum: sqrt is monotone
+    and correctly rounded, so that is the maximum of the norms, bit for
+    bit.  Elementwise in the leading axes, so a field reduced alone has
+    the bits of its entry in a stack.
     """
-    odd, even = _sibling_deltas(sample.values, sample.config.grid_level, k)
-    d = odd.shape[2]
-    if d == 1:
-        return 0.0
-    a, b = np.triu_indices(d, 1)
-    w = odd[:, :, a] * even[:, :, b] - even[:, :, a] * odd[:, :, b]
-    prefix = np.cumsum(w, axis=1)
-    spread = np.maximum(prefix.max(axis=1), 0.0) - np.minimum(prefix.min(axis=1), 0.0)
-    return 0.5 * float(spread.max())
+    nodes = _fine_nodes(values, grid_level, k)
+    for c in range(nodes.shape[-1]):
+        x = nodes[..., c]
+        gap = x[..., 1::2] - 0.5 * (x[..., 0:-1:2] + x[..., 2::2])
+        gap *= gap
+        if c == 0:
+            sumsq = gap
+        else:
+            sumsq += gap
+    return np.sqrt(np.max(sumsq, axis=(-2, -1)))
+
+
+def _level2_sup(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
+    """max over t, level-k pairs (I, J) and entries of
+    |Psi(k+1)^2 - Psi(k)^2| for each leading index of values
+    (..., n_times, 2^K + 1, d), via the prefix spread of the telescoping
+    sum; shaped like the leading axes.
+
+    All times at once, one entry a < b at a time: w is antisymmetric with
+    a zero diagonal and negation is exact, so those entries carry every
+    spread.  The prefix's leading zero row enters as max(., 0) and
+    min(., 0).  Every step is elementwise in the leading axes, or a scan
+    or maximum along the others, so a field reduced alone has the bits of
+    its entry in a stack.
+    """
+    nodes = _fine_nodes(values, grid_level, k)
+    # The sibling increments D_{2l-1}, D_{2l} of each component, contiguous.
+    comps = [nodes[..., c] for c in range(nodes.shape[-1])]
+    odd = [x[..., 1::2] - x[..., 0:-1:2] for x in comps]
+    even = [x[..., 2::2] - x[..., 1::2] for x in comps]
+    spread = np.zeros(nodes.shape[:-3])
+    for a in range(len(comps)):
+        for b in range(a + 1, len(comps)):
+            w = odd[a] * even[b] - even[a] * odd[b]
+            prefix = np.cumsum(w, axis=-1)
+            entry = np.maximum(prefix.max(axis=-1), 0.0) - np.minimum(prefix.min(axis=-1), 0.0)
+            np.maximum(spread, entry.max(axis=-1), out=spread)
+    return 0.5 * spread
 
 
 @dataclass(frozen=True)
@@ -269,8 +301,15 @@ def convergence_study(
 
     Replicas run independently and are reduced in replica order.  They
     are split into min(threads, replicas) contiguous runs, one per
-    worker; in Besov mode each run allocates one sheets._BesovArena and
-    builds every norm's tables, difference and quadrature rows in it.  No
+    worker.  In sup mode each run allocates one buffer of B fields, B as
+    many as _SUP_BATCH_BYTES holds (at least one), samples its replicas
+    into it B at a time, still through sample_field per replica, and
+    reduces every level once per batch (_level1_sup, _level2_sup); each
+    replica's values are float(level1[i]) ** 2 and float(level2[i]), with
+    the bits of that replica reduced alone.  Besov-only mode allocates no
+    such buffer.  In Besov mode each run allocates one sheets._BesovArena
+    and builds every norm's tables, difference and quadrature rows in it;
+    a mixed study lifts the fields of the sup buffer.  No
     kind or no k, a kind other than sup and besov, or a negative k raises
     ParameterError before sampling.  Besov mode raises GridTooLargeError
     before sampling when the arenas of all runs together (each: two
@@ -315,6 +354,13 @@ def convergence_study(
         raise ParameterError(f"replicas >= 2 violated: replicas={replicas}")
 
     table = ConvergenceTable()
+    use_sup = SUP_KIND in kinds
+    K = config.grid_level
+    field_shape = (config.n_time + 1, config.n_nodes, config.dim)
+    # Replicas per sup batch: as many fields as _SUP_BATCH_BYTES holds, at
+    # least one and at most one worker's run.
+    run_length = -(-replicas // workers)
+    batch = max(1, min(_SUP_BATCH_BYTES // (8 * math.prod(field_shape)), run_length))
 
     def run(block: range) -> list[dict]:
         # One arena for the worker's whole run of replicas: every norm
@@ -323,32 +369,52 @@ def convergence_study(
             _BesovArena(config.n_time + 1, config.grid_level, config.dim)
             if use_besov else None
         )
+        # One buffer for the run's sup batches: each batch of fields is
+        # sampled into it and every level reduced once per batch.
+        fields = np.empty((min(batch, len(block)),) + field_shape) if use_sup else None
+        step = batch if use_sup else 1
         results = []
-        for r in block:
-            sample = sample_field(config, r)
-            out = {}
-            # Walking k upward, the fine lift of one difference is the
-            # coarse lift of the next and carries its increment tables
-            # along in its arena slot.
-            lifts = {}
-            for k in k_range:
-                if SUP_KIND in kinds:
-                    out[(k, 1, SUP_KIND)] = _level1_sup(sample, k) ** 2
-                    out[(k, 2, SUP_KIND)] = _level2_sup(sample, k)
+        sups = []
+        for lo in range(0, len(block), step):
+            reps = block[lo : lo + step]
+            if use_sup:
+                values = fields[: len(reps)]
+                for i, r in enumerate(reps):
+                    values[i] = sample_field(config, r).values
+                sups = [
+                    (k, _level1_sup(values, K, k), _level2_sup(values, K, k))
+                    for k in k_range
+                ]
+                samples = [
+                    FieldSample(values=values[i], config=config, replica=r)
+                    for i, r in enumerate(reps)
+                ]
+            else:
+                samples = [sample_field(config, r) for r in reps]
+            for i, sample in enumerate(samples):
+                out = {}
+                for k, level1, level2 in sups:
+                    out[(k, 1, SUP_KIND)] = float(level1[i]) ** 2
+                    out[(k, 2, SUP_KIND)] = float(level2[i])
                 if use_besov:
-                    coarse = lifts.pop(k) if k in lifts else lift_level(sample, k)
-                    lifts = {k + 1: lift_level(sample, k + 1)}
-                    norm = spacetime_besov_norm(
-                        lifts[k + 1], beta, alpha, m, relative_to=coarse, work=arena
-                    )
-                    out[(k, 1, BESOV_KIND)] = norm.level1
-                    out[(k, 2, BESOV_KIND)] = norm.level2
-            results.append(out)
+                    # Walking k upward, the fine lift of one difference is
+                    # the coarse lift of the next and carries its increment
+                    # tables along in its arena slot.
+                    lifts = {}
+                    for k in k_range:
+                        coarse = lifts.pop(k) if k in lifts else lift_level(sample, k)
+                        lifts = {k + 1: lift_level(sample, k + 1)}
+                        norm = spacetime_besov_norm(
+                            lifts[k + 1], beta, alpha, m, relative_to=coarse, work=arena
+                        )
+                        out[(k, 1, BESOV_KIND)] = norm.level1
+                        out[(k, 2, BESOV_KIND)] = norm.level2
+                results.append(out)
         return results
 
     # Every norm has the same bits in any run, so the rows do not follow
     # the thread count.
-    blocks = chunk_indices(replicas, -(-replicas // workers))
+    blocks = chunk_indices(replicas, run_length)
     results = [
         res for run_results in deterministic_map(run, blocks, threads=threads)
         for res in run_results

@@ -22,7 +22,11 @@ replicas below 2^56.
 
 sample_field evaluates the mode sum at the dyadic nodes by one inverse
 real FFT per component, with modes past the Nyquist frequency folded
-onto their aliases.  sample_row is the same synthesis (_synthesize) for
+onto their aliases.  What does not depend on the replica (the mode
+order, each mode's OU decay and step deviation, its fold bin and its
+cosine and sine weights) is one read-only _SynthesisPlan per grid,
+built once and cached (_synthesis_plan), so a study that samples many
+replicas on one grid builds it once.  sample_row is the same synthesis (_synthesize) for
 one time row: it draws the same streams, runs the OU recursion only up
 to that time and folds and transforms that row alone, with the bits of
 that row of sample_field.  sample_slice_marginal draws through _node_factor,
@@ -33,6 +37,7 @@ their bits do not depend on the BLAS or its thread count.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -132,13 +137,15 @@ def basis_eval(n: int, x) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(2.0 * np.pi * (-n) * x)
 
 
-def _mode_order(n_modes: int) -> list[int]:
-    # Canonical stream order: 0, 1, -1, 2, -2, ...  The block a mode reads
-    # does not depend on the cutoff, so enlarging n_modes leaves the
-    # shared modes' noise unchanged.
-    order = [0]
-    for n in range(1, n_modes + 1):
-        order.extend((n, -n))
+def _mode_order(n_modes: int) -> np.ndarray:
+    """Canonical stream order 0, 1, -1, 2, -2, ..., n_modes, -n_modes.
+
+    The block a mode reads does not depend on the cutoff, so enlarging
+    n_modes leaves the shared modes' noise unchanged."""
+    positive = np.arange(1, n_modes + 1)
+    order = np.zeros(2 * n_modes + 1, dtype=positive.dtype)
+    order[1::2] = positive
+    order[2::2] = -positive
     return order
 
 
@@ -180,6 +187,56 @@ def _philox(seed: int, replica: int, component: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@dataclass(frozen=True)
+class _SynthesisPlan:
+    """The constants of the synthesis on one grid, shared by every replica
+    and component (_synthesis_plan); every array is read-only.
+
+    order, decay and sd are per mode in canonical order: the mode, and
+    the exact transition's decay and deviation over one time step.  bins, cos_weight and sin_weight fold modes 1..n_modes onto
+    the inverse real FFT's bins (see _synthesize), block modes at a time.
+    """
+
+    order: np.ndarray
+    decay: np.ndarray
+    sd: np.ndarray
+    bins: np.ndarray
+    cos_weight: np.ndarray
+    sin_weight: np.ndarray
+    block: int
+
+
+@functools.lru_cache(maxsize=8)
+def _synthesis_plan(
+    n_modes: int, n_time: int, time_horizon: float, grid_level: int
+) -> _SynthesisPlan:
+    """The plan of one grid, built once and cached: a study samples every
+    replica and component on the same grid.  Read-only, so no caller can
+    change what the next one reads."""
+    order = _mode_order(n_modes)
+    delta = time_horizon / n_time
+    lam = mode_rate(order)
+    decay = np.exp(-lam * delta)
+    sd = _ou_sd(lam, delta)
+    n = 2**grid_level
+    r = np.arange(1, n_modes + 1) % n
+    bins = np.minimum(r, n - r)
+    real = (bins == 0) | (2 * bins == n)
+    cos_weight = np.where(real, np.sqrt(2.0), np.sqrt(0.5))
+    sin_weight = np.where(real, 0.0, np.where(r > bins, np.sqrt(0.5), -np.sqrt(0.5)))
+    arrays = (order, decay, sd, bins, cos_weight, sin_weight)
+    for array in arrays:
+        array.flags.writeable = False
+    # Modes (j*n/2, (j+1)*n/2] fold onto distinct bins.
+    return _SynthesisPlan(*arrays, block=max(n // 2, 1))
+
+
+def _plan_of(config: SpectralConfig) -> _SynthesisPlan:
+    return _synthesis_plan(
+        config.n_modes, config.n_time, config.time_horizon, config.grid_level
+    )
+
+
 def _simulate_coefficients(
     config: SpectralConfig, replica: int, component: int, steps: int | None = None
 ) -> np.ndarray:
@@ -187,17 +244,11 @@ def _simulate_coefficients(
     steps (all n_time by default); shape (steps + 1, n_rows).  The whole
     stream is drawn for any steps, so a shorter run is a prefix of the
     full one, bit for bit."""
-    order = np.array(_mode_order(config.n_modes))
-    n_rows = order.shape[0]
+    plan = _plan_of(config)
+    n_rows = plan.order.shape[0]
     gen = _philox(config.seed, replica, component)
     xi = gen.standard_normal(n_rows * config.n_time).reshape(n_rows, config.n_time)
-
-    delta = config.time_horizon / config.n_time
-    lam = mode_rate(order)
-    decay = np.exp(-lam * delta)
-    sd = _ou_sd(lam, delta)
-
-    return _ou_paths(decay, (sd[:, None] * xi[:, :steps]).T)
+    return _ou_paths(plan.decay, (plan.sd[:, None] * xi[:, :steps]).T)
 
 
 def _synthesize(
@@ -214,7 +265,7 @@ def _synthesize(
     node, drops.  Folded modes add up in their bin.  One row runs the OU
     recursion up to t_index and folds and transforms that row only; every
     step is elementwise in the rows, so it has the bits of that row of the
-    full field.
+    full field.  The bins and weights come from the grid's plan.
     """
     if not 0 <= replica < 2**56:
         raise ParameterError(f"0 <= replica < 2^56 violated: replica={replica}")
@@ -233,22 +284,17 @@ def _synthesize(
             f"field would hold {entries} values "
             f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid"
         )
+    plan = _plan_of(config)
     n = 2**config.grid_level
-    r = np.arange(1, config.n_modes + 1) % n
-    bins = np.minimum(r, n - r)
-    real = (bins == 0) | (2 * bins == n)
-    cos_weight = np.where(real, np.sqrt(2.0), np.sqrt(0.5))
-    sin_weight = np.where(real, 0.0, np.where(r > bins, np.sqrt(0.5), -np.sqrt(0.5)))
-    # Modes (j*n/2, (j+1)*n/2] fold onto distinct bins, so each block adds
-    # by one fancy-indexed +=; blocks run in mode order, so every bin sums
-    # its modes in mode order.
-    block = max(n // 2, 1)
+    bins, block = plan.bins, plan.block
+    # Each block of modes adds by one fancy-indexed +=; blocks run in mode
+    # order, so every bin sums its modes in mode order.
     values = np.empty((n_rows, config.n_nodes, config.dim))
     for component in range(config.dim):
         coeffs = _simulate_coefficients(config, replica, component, steps)[-n_rows:]
         spectrum = np.zeros((n_rows, n // 2 + 1), dtype=complex)
         spectrum[:, 0] = coeffs[:, 0]
-        terms = coeffs[:, 1::2] * cos_weight + 1j * (coeffs[:, 2::2] * sin_weight)
+        terms = coeffs[:, 1::2] * plan.cos_weight + 1j * (coeffs[:, 2::2] * plan.sin_weight)
         for lo in range(0, config.n_modes, block):
             spectrum[:, bins[lo : lo + block]] += terms[:, lo : lo + block]
         values[:, :n, component] = np.fft.irfft(spectrum, n=n, norm="forward")

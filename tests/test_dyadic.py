@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from heatlift import dyadic
 from heatlift.dyadic import (
     ConvergenceTable,
+    _level1_sup,
     _level2_sup,
     _sibling_products,
     convergence_study,
@@ -254,11 +257,24 @@ class TestTelescope:
         assert np.max(np.abs(gap)) == 0.0
 
 
-def level2_sup_loop(sample, k):
+def level1_sup_loop(values, grid_level, k):
+    """Reference: |psi(k+1) - psi(k)| at one time and one level-(k+1)
+    midpoint at a time, the norm summed in Python in component order."""
+    stride = 2 ** (grid_level - (k + 1))
+    worst = 0.0
+    for row in values:
+        for j in range(1, 2 ** (k + 1), 2):
+            left, mid, right = row[(j - 1) * stride], row[j * stride], row[(j + 1) * stride]
+            gap = mid - 0.5 * (left + right)
+            worst = max(worst, math.sqrt(sum(float(g) ** 2 for g in gap)))
+    return worst
+
+
+def level2_sup_loop(values, grid_level, k):
     """Reference: one telescoping prefix spread per time index."""
     worst = 0.0
-    for t_index in range(sample.values.shape[0]):
-        w = _sibling_products(sample.values[t_index], sample.config.grid_level, k)
+    for row in values:
+        w = _sibling_products(row, grid_level, k)
         prefix = np.concatenate(
             [np.zeros((1,) + w.shape[1:]), np.cumsum(w, axis=0)], axis=0
         )
@@ -267,23 +283,65 @@ def level2_sup_loop(sample, k):
     return worst
 
 
+def stacked_fields(seed, grid_level, dim, replicas=6, n_time=5):
+    cfg = SpectralConfig(
+        n_modes=64, time_horizon=1.0, n_time=n_time, grid_level=grid_level,
+        dim=dim, seed=seed,
+    )
+    return np.stack([sample_field(cfg, r).values for r in range(replicas)])
+
+
+class TestBlockedSups:
+    """Both sup levels reduce a stack of fields at once, one maximum per
+    field; each must equal its loop reference over that field alone."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("grid_level", [4, 7])
+    # 4 does not divide the 6 replicas: the last block holds 2.
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_blocks_equal_loop_references(self, dim, grid_level, block):
+        stack = stacked_fields(20 + dim, grid_level, dim)
+        for k in range(grid_level):
+            for lo in range(0, stack.shape[0], block):
+                values = stack[lo : lo + block]
+                level1 = _level1_sup(values, grid_level, k)
+                level2 = _level2_sup(values, grid_level, k)
+                assert level1.shape == level2.shape == (values.shape[0],)
+                for i, field in enumerate(values):
+                    assert level1[i] == level1_sup_loop(field, grid_level, k)
+                    assert level2[i] == level2_sup_loop(field, grid_level, k)
+
+    def test_one_field_without_leading_axis(self):
+        field = stacked_fields(24, 5, 2, replicas=1)[0]
+        for k in range(5):
+            assert _level1_sup(field, 5, k).shape == ()
+            assert float(_level1_sup(field, 5, k)) == level1_sup_loop(field, 5, k)
+
+    def test_rejects_level1_without_headroom(self):
+        stack = stacked_fields(23, 4, 2, replicas=2)
+        with pytest.raises(ParameterError, match="need grid level >= 5, have 4"):
+            _level1_sup(stack, 4, 4)
+
+
 class TestLevel2Sup:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("grid_level", [4, 7])
     def test_equals_per_time_loop(self, dim, grid_level):
         for seed in (20, 21):
-            sample = make_sample(seed=seed, grid_level=grid_level, n_time=5, dim=dim)
+            values = make_sample(seed=seed, grid_level=grid_level, n_time=5, dim=dim).values
             for k in range(grid_level):
-                assert _level2_sup(sample, k) == level2_sup_loop(sample, k)
+                assert _level2_sup(values, grid_level, k) == level2_sup_loop(
+                    values, grid_level, k
+                )
 
     def test_scalar_field_is_zero(self):
         sample = make_sample(seed=22, dim=1)
-        assert _level2_sup(sample, 3) == 0.0
+        assert _level2_sup(sample.values, 6, 3) == 0.0
 
     def test_rejects_level_without_headroom(self):
         sample = make_sample(seed=23, grid_level=4)
-        with pytest.raises(ValueError):
-            _level2_sup(sample, 4)
+        with pytest.raises(ParameterError, match="need grid level >= 5, have 4"):
+            _level2_sup(sample.values, 4, 4)
 
 
 class TestBesovParamValidation:
@@ -432,6 +490,42 @@ class TestConvergenceStudy:
         sup_only = convergence_study(cfg, range(2, 5), replicas=5, threads=2)
         assert arenas == []
         assert rows_of(sup_only) == [row for row in rows[0] if row[2] == "sup"]
+
+    @pytest.mark.parametrize("batch", [1, 3, 4])
+    def test_sup_batches_keep_per_replica_rows(self, monkeypatch, batch):
+        # 7 replicas run as [7] and [4, 3] on 1 and 2 threads; each run
+        # reduces batches of at most `batch` fields, and 3 and 4 leave a
+        # short last batch.  Every row must be the mean and stderr of the
+        # per-replica loop references, each replica sampled once.
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=4, grid_level=5, dim=3, seed=4
+        )
+        monkeypatch.setattr(dyadic, "_SUP_BATCH_BYTES", batch * 8 * 5 * 33 * 3)
+        stack = np.stack([sample_field(cfg, r).values for r in range(7)])
+        expected = []
+        for k in range(2, 5):
+            for level, vals in (
+                (1, [level1_sup_loop(v, 5, k) ** 2 for v in stack]),
+                (2, [level2_sup_loop(v, 5, k) for v in stack]),
+            ):
+                vals = np.array(vals)
+                expected.append(
+                    (k, level, float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(7)))
+                )
+        expected.sort(key=lambda row: (row[1], row[0]))
+        calls = []
+
+        def counting(config, replica):
+            calls.append(replica)
+            return sample_field(config, replica)
+
+        monkeypatch.setattr(dyadic, "sample_field", counting)
+        for threads in (1, 2):
+            calls.clear()
+            table = convergence_study(cfg, range(2, 5), replicas=7, threads=threads)
+            assert sorted(calls) == list(range(7))
+            got = [(r.k, r.level, r.estimate, r.stderr) for r in table.rows]
+            assert got == expected, threads
 
     @pytest.mark.parametrize(
         "threads, replicas, workers", [(1, 3, 1), (2, 3, 2), (4, 3, 3)]

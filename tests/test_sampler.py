@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import operator
@@ -24,6 +25,7 @@ from heatlift.sampler import (
     _ou_sd,
     _philox,
     _simulate_coefficients,
+    _synthesis_plan,
     basis_eval,
     basis_matrix,
     load_field,
@@ -55,6 +57,13 @@ class TestBasis:
                 inner = float(np.sum(basis_eval(n, x) * basis_eval(m_, x)) * w)
                 target = 1.0 if n == m_ else 0.0
                 assert abs(inner - target) <= 2.0 ** (-K)
+
+    def test_mode_order_is_canonical(self):
+        for n_modes in (1, 2, 7):
+            order = _mode_order(n_modes)
+            expected = [0] + [s * n for n in range(1, n_modes + 1) for s in (1, -1)]
+            assert order.dtype.kind == "i"
+            assert order.tolist() == expected
 
 
 class TestOuStep:
@@ -533,6 +542,41 @@ class TestFieldSynthesis:
             )
             payloads.append((out / "chaos.json").read_bytes())
         assert payloads[0] == payloads[1]
+
+
+class TestSynthesisPlan:
+    """The synthesis constants of a grid are built once, read-only and
+    shared by every replica and component."""
+
+    def test_arrays_are_read_only(self):
+        plan = _synthesis_plan(24, 3, 1.0, 5)
+        arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 6
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_one_plan_per_grid(self):
+        assert _synthesis_plan(24, 3, 1.0, 5) is _synthesis_plan(24, 3, 1.0, 5)
+        assert _synthesis_plan(24, 3, 1.0, 5) is not _synthesis_plan(24, 3, 1.0, 6)
+
+    def test_same_bits_after_other_grids(self):
+        # More grids than the cache keeps come between: the first grid's
+        # plan is evicted and rebuilt, with the same bits.
+        first = SpectralConfig(n_modes=24, n_time=3, grid_level=5, dim=2, seed=40)
+        field = sample_field(first, 1).values.tobytes()
+        row = sample_row(first, 1, 2).tobytes()
+        for i in range(10):
+            other = SpectralConfig(
+                n_modes=8 + i, n_time=2 + i % 3, time_horizon=0.5 + i,
+                grid_level=2 + i % 4, dim=2, seed=40,
+            )
+            sample_field(other, 1)
+            sample_row(other, 1, 1)
+            assert sample_field(first, 1).values.tobytes() == field
+            assert sample_row(first, 1, 2).tobytes() == row
 
 
 class TestNodeFactor:
