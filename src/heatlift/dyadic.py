@@ -236,7 +236,8 @@ def _level2_sup(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
         for b in range(a + 1, len(comps)):
             w = odd[a] * even[b] - even[a] * odd[b]
             prefix = np.cumsum(w, axis=-1)
-            entry = np.maximum(prefix.max(axis=-1), 0.0) - np.minimum(prefix.min(axis=-1), 0.0)
+            entry = np.maximum(prefix.max(axis=-1), 0.0)
+            entry -= np.minimum(prefix.min(axis=-1), 0.0)
             np.maximum(spread, entry.max(axis=-1), out=spread)
     return 0.5 * spread
 

@@ -193,8 +193,9 @@ class _SynthesisPlan:
     and component (_synthesis_plan); every array is read-only.
 
     order, decay and sd are per mode in canonical order: the mode, and
-    the exact transition's decay and deviation over one time step.  bins, cos_weight and sin_weight fold modes 1..n_modes onto
-    the inverse real FFT's bins (see _synthesize), block modes at a time.
+    the exact transition's decay and deviation over one time step.  bins,
+    cos_weight and sin_weight fold modes 1..n_modes onto the inverse real
+    FFT's bins (see _synthesize), block modes at a time.
     """
 
     order: np.ndarray
@@ -231,12 +232,6 @@ def _synthesis_plan(
     return _SynthesisPlan(*arrays, block=max(n // 2, 1))
 
 
-def _plan_of(config: SpectralConfig) -> _SynthesisPlan:
-    return _synthesis_plan(
-        config.n_modes, config.n_time, config.time_horizon, config.grid_level
-    )
-
-
 def _simulate_coefficients(
     config: SpectralConfig, replica: int, component: int, steps: int | None = None
 ) -> np.ndarray:
@@ -244,7 +239,9 @@ def _simulate_coefficients(
     steps (all n_time by default); shape (steps + 1, n_rows).  The whole
     stream is drawn for any steps, so a shorter run is a prefix of the
     full one, bit for bit."""
-    plan = _plan_of(config)
+    plan = _synthesis_plan(
+        config.n_modes, config.n_time, config.time_horizon, config.grid_level
+    )
     n_rows = plan.order.shape[0]
     gen = _philox(config.seed, replica, component)
     xi = gen.standard_normal(n_rows * config.n_time).reshape(n_rows, config.n_time)
@@ -284,9 +281,12 @@ def _synthesize(
             f"field would hold {entries} values "
             f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid"
         )
-    plan = _plan_of(config)
+    plan = _synthesis_plan(
+        config.n_modes, config.n_time, config.time_horizon, config.grid_level
+    )
     n = 2**config.grid_level
     bins, block = plan.bins, plan.block
+    cos_weight, sin_weight = plan.cos_weight, plan.sin_weight
     # Each block of modes adds by one fancy-indexed +=; blocks run in mode
     # order, so every bin sums its modes in mode order.
     values = np.empty((n_rows, config.n_nodes, config.dim))
@@ -294,7 +294,7 @@ def _synthesize(
         coeffs = _simulate_coefficients(config, replica, component, steps)[-n_rows:]
         spectrum = np.zeros((n_rows, n // 2 + 1), dtype=complex)
         spectrum[:, 0] = coeffs[:, 0]
-        terms = coeffs[:, 1::2] * plan.cos_weight + 1j * (coeffs[:, 2::2] * plan.sin_weight)
+        terms = coeffs[:, 1::2] * cos_weight + 1j * (coeffs[:, 2::2] * sin_weight)
         for lo in range(0, config.n_modes, block):
             spectrum[:, bins[lo : lo + block]] += terms[:, lo : lo + block]
         values[:, :n, component] = np.fft.irfft(spectrum, n=n, norm="forward")

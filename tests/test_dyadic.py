@@ -264,8 +264,8 @@ def level1_sup_loop(values, grid_level, k):
     worst = 0.0
     for row in values:
         for j in range(1, 2 ** (k + 1), 2):
-            left, mid, right = row[(j - 1) * stride], row[j * stride], row[(j + 1) * stride]
-            gap = mid - 0.5 * (left + right)
+            left, right = row[(j - 1) * stride], row[(j + 1) * stride]
+            gap = row[j * stride] - 0.5 * (left + right)
             worst = max(worst, math.sqrt(sum(float(g) ** 2 for g in gap)))
     return worst
 
@@ -328,7 +328,8 @@ class TestLevel2Sup:
     @pytest.mark.parametrize("grid_level", [4, 7])
     def test_equals_per_time_loop(self, dim, grid_level):
         for seed in (20, 21):
-            values = make_sample(seed=seed, grid_level=grid_level, n_time=5, dim=dim).values
+            sample = make_sample(seed=seed, grid_level=grid_level, n_time=5, dim=dim)
+            values = sample.values
             for k in range(grid_level):
                 assert _level2_sup(values, grid_level, k) == level2_sup_loop(
                     values, grid_level, k
