@@ -2,9 +2,10 @@
 
 Every run writes its artifacts plus a manifest (resolved config, config
 hash, seed, version, wall time, output hashes, the numpy and BLAS
-runtime, and the resources: peak RSS and the run's minor page faults).
+runtime, and the resources: peak RSS and minor page faults of the run and
+of its worker processes).
 Re-running from a manifest reproduces the artifacts bit-for-bit at any
-thread count and equal BLAS thread counts; the sampled field does not
+--threads and equal BLAS thread counts; the sampled field does not
 depend on the BLAS at all.
 Exit codes: 0 success, 2 a heatlift.ParameterError (an invalid or
 infeasible parameter, a field past the allocation guard too), 1 any other.
@@ -46,6 +47,7 @@ from .ldp import (
     tail_probability,
     validate_cm_params,
 )
+from .parallel import check_threads
 from .sampler import SpectralConfig, sample_field, sample_row, save_field
 from .sheets import PathSlice, increment, lift_piecewise_linear, save_sheet
 
@@ -175,6 +177,7 @@ def resolve_config(experiment: str, file_config: dict, overrides: dict) -> dict:
         value = overrides.get(key)
         config[key] = file_config.get(key, default) if value is None else value
         _check_kind(key, config[key], default)
+    check_threads(config["threads"])
     config.update(spectral=spectral, params=params)
     for item in overrides.get("set", []) or []:
         if "=" not in item:
@@ -508,23 +511,26 @@ def _runtime() -> dict:
     }
 
 
-def _resources(before: resource.struct_rusage) -> dict:
+def _resources(before: dict) -> dict:
     """The process's peak resident set so far and the minor page faults
-    since `before`, summed over its threads.  ru_maxrss is in KiB on Linux
-    and in bytes on macOS."""
-    now = resource.getrusage(resource.RUSAGE_SELF)
+    since `before`, and the same for its reaped worker processes: the
+    largest worker's peak so far and the faults of all workers since
+    `before`.  ru_maxrss is in KiB on Linux and in bytes on macOS."""
     per_mib = 1024 * 1024 if sys.platform == "darwin" else 1024
-    return {
-        "peak_rss_mb": now.ru_maxrss / per_mib,
-        "minor_faults": now.ru_minflt - before.ru_minflt,
-    }
+    resources = {}
+    for prefix, who in (("", resource.RUSAGE_SELF), ("workers_", resource.RUSAGE_CHILDREN)):
+        now = resource.getrusage(who)
+        resources[prefix + "peak_rss_mb"] = now.ru_maxrss / per_mib
+        resources[prefix + "minor_faults"] = now.ru_minflt - before[who].ru_minflt
+    return resources
 
 
 def run(config: dict, out_dir: str) -> dict:
     """Execute one resolved experiment config; returns the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    usage = resource.getrusage(resource.RUSAGE_SELF)
+    usage = {who: resource.getrusage(who)
+             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)}
     start = time.perf_counter()
     summary = _BODIES[config["experiment"]](config, out)
     wall = time.perf_counter() - start
@@ -557,7 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="JSON config file (or a prior manifest)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="worker processes for tails and converge (default 1)",
+    )
     parser.add_argument("--out", default="heatlift-out")
     parser.add_argument(
         "--set",

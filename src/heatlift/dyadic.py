@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, is_integer
 from .group import _outer
-from .parallel import chunk_indices, deterministic_map
+from .parallel import chunk_indices, deterministic_map, worker_count
 from .sampler import (
     _MAX_FIELD_ENTRIES, FieldSample, GridTooLargeError, SpectralConfig, sample_field,
 )
@@ -301,8 +301,8 @@ def convergence_study(
     requires the full parameter chain to be feasible.
 
     Replicas run independently and are reduced in replica order.  They
-    are split into min(threads, replicas) contiguous runs, one per
-    worker.  In sup mode each run allocates one buffer of B fields, B as
+    are split into parallel.worker_count(threads, replicas) contiguous
+    runs (at most the usable CPUs), one per worker process.  In sup mode each run allocates one buffer of B fields, B as
     many as _SUP_BATCH_BYTES holds (at least one), samples its replicas
     into it B at a time, still through sample_field per replica, and
     reduces every level once per batch (_level1_sup, _level2_sup); each
@@ -318,7 +318,7 @@ def convergence_study(
     quadrature rows; sheets._besov_arena_shapes) would hold more values
     than the sampler's allocation guard.  Fewer than two replicas raise
     ParameterError (one has no standard error), after the checks above
-    and still before sampling.
+    and still before sampling; so does threads < 1.
     """
     k_range = sorted(int(k) for k in k_range)
     if not kinds:
@@ -337,7 +337,7 @@ def convergence_study(
         )
     use_besov = BESOV_KIND in kinds
     # Each worker takes one contiguous run of replicas (see run below).
-    workers = max(1, min(threads, replicas))
+    workers = worker_count(threads, replicas)
     if use_besov:
         if alpha is None or beta is None or m is None:
             raise ParameterError("besov kind needs alpha, beta and m")
@@ -414,7 +414,7 @@ def convergence_study(
         return results
 
     # Every norm has the same bits in any run, so the rows do not follow
-    # the thread count.
+    # the worker count.
     blocks = chunk_indices(replicas, run_length)
     results = [
         res for run_results in deterministic_map(run, blocks, threads=threads)

@@ -19,7 +19,7 @@ run of replicas and allocates its two sheets and work buffers once
 (sheets._replica_buffers); they live for its run, and every replica
 lifts and measures in them without a field-sized temporary.  A distance
 has the same bits however the replicas are split, so the rows do not
-depend on the thread count.  Chaos moment growth is fitted from batched
+depend on the worker count.  Chaos moment growth is fitted from batched
 scalar replicas, and the pointwise Schilder scaling check is fully
 analytic via the Gaussian tail.
 """
@@ -33,7 +33,7 @@ import numpy as np
 from .covariance import cov, dist_s1
 from .dyadic import _check_k, lift_level
 from .errors import ParameterError, is_integer, is_number
-from .parallel import chunk_indices, deterministic_map
+from .parallel import chunk_indices, deterministic_map, worker_count
 from .sampler import (
     FieldSample,
     SpectralConfig,
@@ -378,12 +378,14 @@ def tail_probability(
     ordered array of distances is thresholded at delta / eps for every
     eps.  When no replica exceeds a threshold, eps^2 * log of the Wilson
     upper bound is reported instead of -inf.  An empty eps_list, an eps
-    or delta outside (0, inf), replicas < 1 or k outside [0, grid_level]
-    raises ParameterError, naming it, before anything is sampled.
+    or delta outside (0, inf), replicas < 1, k outside [0, grid_level] or
+    threads < 1 raises ParameterError, naming it, before anything is
+    sampled.
 
-    The replicas are split into min(threads, replicas) contiguous runs,
-    one per worker, each lifting into its own buffers (see the module
-    docstring); the distances are joined in replica order.
+    The replicas are split into parallel.worker_count(threads, replicas)
+    contiguous runs (at most the usable CPUs), one per worker process,
+    each lifting into its own buffers (see the module docstring); the
+    distances are joined in replica order.
     """
     eps_list = _check_eps_list(eps_list)
     if not 0.0 < delta < np.inf:
@@ -391,6 +393,7 @@ def tail_probability(
     if replicas < 1:
         raise ParameterError(f"replicas >= 1 violated: replicas={replicas}")
     _check_k(k, config.grid_level)
+    workers = worker_count(threads, replicas)
 
     def run(block: range) -> list[float]:
         (full, approx), work = _replica_buffers(
@@ -404,7 +407,6 @@ def tail_probability(
             dists.append(dist_infty(full, approx, work=work))
         return dists
 
-    workers = max(1, min(threads, replicas))
     blocks = chunk_indices(replicas, -(-replicas // workers))
     dists = np.concatenate(deterministic_map(run, blocks, threads=threads))
     rows = []

@@ -38,6 +38,7 @@ CONFIG_FILES = {
     "notjson.json": "{not json",
     "seed.json": '{"seed": "x"}',
     "threads.json": '{"threads": 1.5}',
+    "threads0.json": '{"threads": 0}',
 }
 
 # Constraints that sample_field and tail_probability check on entry,
@@ -380,6 +381,13 @@ class TestExitCodes:
             (["converge"] + BESOV_DEFAULT_GRID[:-4] + ["--set", "m=Infinity"]
              + ["--set", "k_min=2", "--set", "k_max=3"] + SMALL_SPECTRAL,
              "m < inf violated: m=inf", "convergence.csv"),
+            # Thread counts below one once exited 0 and were recorded.
+            (["tails", "--threads", "0"] + SMALL_SPECTRAL,
+             "threads >= 1 violated: threads=0", "tails.csv"),
+            (["tails", "--threads", "-3"] + SMALL_SPECTRAL,
+             "threads >= 1 violated: threads=-3", "tails.csv"),
+            (["converge", "--config", "threads0.json"] + SMALL_SPECTRAL,
+             "threads >= 1 violated: threads=0", "convergence.csv"),
         ],
     )
     def test_invalid_parameters_exit_2(
@@ -605,6 +613,19 @@ class TestDeterminism:
         assert set(runtime["blas"]) == {"name", "version"}
         assert isinstance(runtime["openblas_num_threads"], str)
 
+    def test_manifest_records_worker_resources(self, tmp_path, usable_cpus):
+        # At --threads 2 the second run of replicas is mapped in a forked
+        # worker: its faults and its peak resident set are the workers'.
+        usable_cpus(2)
+        out = tmp_path / "run"
+        argv = ["tails", "--threads", "2", "--set", "replicas=4", "--set", "dim=2"]
+        assert main(argv + SMALL_SPECTRAL + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        resources = manifest["resources"]
+        assert manifest["threads"] == 2
+        assert resources["workers_minor_faults"] > 0
+        assert resources["workers_peak_rss_mb"] > 0
+
     def test_manifest_records_resources(self, tmp_path):
         # The resources block sits beside runtime, outside the hashed
         # outputs, and a manifest holding it still re-feeds as --config.
@@ -613,8 +634,11 @@ class TestDeterminism:
         assert main(argv + ["--out", str(out1)]) == 0
         manifest = json.loads((out1 / "manifest.json").read_text())
         resources = manifest["resources"]
-        assert set(resources) == {"peak_rss_mb", "minor_faults"}
+        assert set(resources) == {
+            "peak_rss_mb", "minor_faults", "workers_peak_rss_mb", "workers_minor_faults"
+        }
         assert isinstance(resources["minor_faults"], int)
+        assert isinstance(resources["workers_minor_faults"], int)
         for value in resources.values():
             assert math.isfinite(value) and value >= 0
         assert resources["peak_rss_mb"] > 0

@@ -450,6 +450,24 @@ class TestConvergenceStudy:
                 alpha=0.4, beta=0.04, m=30.0,
             )
 
+    @pytest.mark.parametrize("kinds", [("sup",), ("besov",)])
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_bad_threads_rejected_before_sampling(self, monkeypatch, kinds, threads):
+        def refuse(config, replica):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(dyadic, "sample_field", refuse)
+        cfg = SpectralConfig(
+            n_modes=16, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=0
+        )
+        with pytest.raises(
+            ParameterError, match=f"threads >= 1 violated: threads={threads}"
+        ):
+            convergence_study(
+                cfg, range(2, 4), replicas=2, kinds=kinds,
+                alpha=0.4, beta=0.04, m=30.0, threads=threads,
+            )
+
     def test_one_replica_rejected(self):
         # One replica has no standard error; the check follows the k-range
         # and Besov-parameter checks above.
@@ -459,13 +477,14 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="replicas >= 2 violated: replicas=1"):
             convergence_study(cfg, range(2, 4), replicas=1)
 
-    def test_threads_do_not_change_results(self, monkeypatch):
-        # 5 replicas run as [5], [3, 2] and [2, 2, 1] on 1, 2 and 3 threads;
-        # each run allocates one Besov arena.
-        arenas = []
+    def test_threads_do_not_change_results(self, monkeypatch, process_log, usable_cpus):
+        # 5 replicas run as [5], [3, 2] and [2, 2, 1] on 1, 2 and 3 worker
+        # processes (3 usable CPUs); each run allocates one Besov arena,
+        # logged from whichever process runs it.
+        usable_cpus(3)
 
         def counting(*args):
-            arenas.append(args)
+            process_log.append(args)
             return arena_class(*args)
 
         arena_class = dyadic._BesovArena
@@ -480,24 +499,30 @@ class TestConvergenceStudy:
 
         rows = []
         for threads in (1, 2, 3):
-            arenas.clear()
+            process_log.clear()
             rows.append(rows_of(
                 convergence_study(cfg, range(2, 5), replicas=5, threads=threads, **besov)
             ))
+            arenas = process_log.read()
             assert arenas == [(5, 5, 2)] * threads
         assert len(rows[0]) == 12
         assert rows[1] == rows[0] and rows[2] == rows[0]
-        arenas.clear()
+        process_log.clear()
         sup_only = convergence_study(cfg, range(2, 5), replicas=5, threads=2)
+        arenas = process_log.read()
         assert arenas == []
         assert rows_of(sup_only) == [row for row in rows[0] if row[2] == "sup"]
 
     @pytest.mark.parametrize("batch", [1, 3, 4])
-    def test_sup_batches_keep_per_replica_rows(self, monkeypatch, batch):
-        # 7 replicas run as [7] and [4, 3] on 1 and 2 threads; each run
-        # reduces batches of at most `batch` fields, and 3 and 4 leave a
+    def test_sup_batches_keep_per_replica_rows(
+        self, monkeypatch, process_log, usable_cpus, batch
+    ):
+        # 7 replicas run as [7] and [4, 3] on 1 and 2 worker processes; each
+        # run reduces batches of at most `batch` fields, and 3 and 4 leave a
         # short last batch.  Every row must be the mean and stderr of the
-        # per-replica loop references, each replica sampled once.
+        # per-replica loop references, each replica sampled once (counted
+        # over the workers through the process log).
+        usable_cpus(2)
         cfg = SpectralConfig(
             n_modes=32, time_horizon=1.0, n_time=4, grid_level=5, dim=3, seed=4
         )
@@ -514,29 +539,38 @@ class TestConvergenceStudy:
                     (k, level, float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(7)))
                 )
         expected.sort(key=lambda row: (row[1], row[0]))
-        calls = []
 
         def counting(config, replica):
-            calls.append(replica)
+            process_log.append(replica)
             return sample_field(config, replica)
 
         monkeypatch.setattr(dyadic, "sample_field", counting)
         for threads in (1, 2):
-            calls.clear()
+            process_log.clear()
             table = convergence_study(cfg, range(2, 5), replicas=7, threads=threads)
+            calls = process_log.read()
             assert sorted(calls) == list(range(7))
             got = [(r.k, r.level, r.estimate, r.stderr) for r in table.rows]
             assert got == expected, threads
 
     @pytest.mark.parametrize(
-        "threads, replicas, workers", [(1, 3, 1), (2, 3, 2), (4, 3, 3)]
+        "threads, replicas, cpus, workers",
+        [
+            pytest.param(1, 3, 8, 1, id="1-3-1"),
+            pytest.param(2, 3, 8, 2, id="2-3-2"),
+            pytest.param(4, 3, 8, 3, id="4-3-3"),
+            pytest.param(4, 3, 2, 2, id="4-3-2-on-2-cpus"),
+            pytest.param(64, 3, 1, 1, id="64-3-1-on-1-cpu"),
+        ],
     )
     def test_besov_guard_counts_one_arena_per_worker(
-        self, monkeypatch, threads, replicas, workers
+        self, monkeypatch, usable_cpus, threads, replicas, cpus, workers
     ):
         # Grid level 4 (136 node pairs), 4 times (6 time pairs), dim 2: two
         # tables of 4 * 136 * (2 + 4) values, 2 * 6 gather rows, the product
-        # row and 6 quadrature rows.
+        # row and 6 quadrature rows.  The workers are capped by the usable
+        # CPUs, and the guard counts the capped number.
+        usable_cpus(cpus)
         per_worker = 2 * 4 * 136 * 6 + (12 + 1 + 6) * 136
         cfg = SpectralConfig(
             n_modes=16, time_horizon=1.0, n_time=3, grid_level=4, dim=2, seed=0

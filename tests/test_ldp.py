@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -515,27 +513,33 @@ class TestTailProbability:
         assert tail_probability(*args, threads=2) == tail_probability(*args, threads=1)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_each_distance_equals_fresh_lifts(self, monkeypatch, threads):
+    def test_each_distance_equals_fresh_lifts(
+        self, monkeypatch, process_log, usable_cpus, threads
+    ):
         # Workers reuse their sheets and buffers over runs of replicas.  A
         # stale buffer that flips no count would not show in the rows, so
         # every distance handed to dist_infty's caller is compared, replica
-        # by replica, with the distance of two fresh lifts.
+        # by replica, with the distance of two fresh lifts.  The distances
+        # are logged from whichever worker process measures them.
+        usable_cpus(2)
         cfg = small_config(grid_level=6, n_time=4, n_modes=32, dim=2)
         k, replicas = 2, 7
-        current = threading.local()
-        seen = {}
+        current = {}
 
         def sampling(config, replica):
-            current.replica = replica
+            current["replica"] = replica
             return sample_field(config, replica)
 
         def measuring(a, b, **kwargs):
-            seen[current.replica] = dist_infty(a, b, **kwargs)
-            return seen[current.replica]
+            dist = dist_infty(a, b, **kwargs)
+            process_log.append((current["replica"], dist))
+            return dist
 
         monkeypatch.setattr(ldp, "sample_field", sampling)
         monkeypatch.setattr(ldp, "dist_infty", measuring)
         tail_probability(0.5, [1.0], k, replicas, cfg, threads=threads)
+        seen = dict(process_log.read())
+        assert len(seen) == len(process_log.read())
         expected = {}
         for r in range(replicas):
             sample = sample_field(cfg, r)
@@ -581,6 +585,17 @@ class TestTailProbability:
         monkeypatch.setattr(ldp, "sample_field", refuse)
         with pytest.raises(ParameterError, match=named):
             tail_probability(delta, eps_list, k, replicas, small_config())
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_bad_threads_rejected_before_sampling(self, monkeypatch, threads):
+        def refuse(config, replica):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(ldp, "sample_field", refuse)
+        with pytest.raises(
+            ParameterError, match=f"threads >= 1 violated: threads={threads}"
+        ):
+            tail_probability(0.5, [1.0], 2, 4, small_config(), threads=threads)
 
     def test_k_equal_to_grid_level_gives_zero_distance(self):
         cfg = small_config(grid_level=4, n_time=2, dim=2)
