@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, is_integer
-from .group import _outer
+from .group import AREA_COEFF, _outer
 from .parallel import chunk_indices, deterministic_map, worker_count
 from .sampler import (
     _MAX_FIELD_ENTRIES, FieldSample, GridTooLargeError, SpectralConfig, sample_field,
 )
 from .sheets import (
-    RoughSheet, _BesovArena, _besov_arena_shapes, _lift_values, _view,
-    spacetime_besov_norm,
+    RoughSheet, _BesovArena, _besov_arena_shapes, _lift_values, spacetime_besov_norm,
 )
 
 SUP_KIND = "sup"
@@ -43,6 +42,11 @@ BESOV_KIND = "besov"
 # larger batch saves little more time and costs resident memory: each
 # field adds its reductions' temporaries as well.
 _SUP_BATCH_BYTES = 1 << 19
+
+# Bytes of one component's values per block of time rows in _gap_sup:
+# its temporaries stay in cache (at grid level 10, blocks of 7 rows reduce
+# a field about a third faster than the whole field at once).
+_GAP_BLOCK_BYTES = 1 << 16
 
 
 def validate_besov_params(alpha: float, beta: float, m: float):
@@ -76,26 +80,18 @@ def _check_k(k: int, grid_level: int):
         )
 
 
-def restrict_values(
-    values: np.ndarray, grid_level: int, k: int, out=None, work=None
-) -> np.ndarray:
+def restrict_values(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
     """Linear interpolation between level-k nodes of values (..., 2^K + 1, d),
     on the full grid.  Elementwise in the leading axes, so a row restricted
     alone has the bits of that row of a stack.
 
-    Written into out and returned when out is given, else into a new
-    array; work, shaped like values, receives the right nodes' share in
-    place of a temporary.  Neither may overlap values; the bits are the
-    same either way.  Level K input is copied unchanged (every node is a
-    level-K node).  Raises ParameterError unless k is an integer in [0, K].
+    Level K input is copied unchanged (every node is a level-K node).
+    Raises ParameterError unless k is an integer in [0, K].
     """
     K = grid_level
     _check_k(k, K)
-    if out is None:
-        out = np.empty(values.shape)
     if k == K:
-        np.copyto(out, values)
-        return out
+        return values.copy()
     stride = 2 ** (K - k)
     n = 2**K
     j = np.arange(n + 1)
@@ -104,46 +100,29 @@ def restrict_values(
     # column broadcast over a short trailing axis doubles the products' cost.
     w = np.repeat((r.astype(float) / stride)[:, None], values.shape[-1], axis=1)
     w_left = 1.0 - w
-    # np.take writes straight into its out only in a mode other than
-    # "raise"; the indices are in range, so "clip" changes no value.
-    right = np.take(
-        values, np.minimum((q + 1) * stride, n), axis=-2, out=work, mode="clip"
-    )
+    # "clip" is faster than the default "raise"; the indices are in range,
+    # so it changes no value.
+    right = np.take(values, np.minimum((q + 1) * stride, n), axis=-2, mode="clip")
     right *= w
-    left = np.take(values, np.minimum(q * stride, n), axis=-2, out=out, mode="clip")
+    left = np.take(values, np.minimum(q * stride, n), axis=-2, mode="clip")
     left *= w_left
     # Exactness at the kept nodes (w = 0) is automatic.
     left += right
     return left
 
 
-def lift_level(
-    sample: FieldSample, k: int, out: RoughSheet | None = None, work=None
-) -> RoughSheet:
+def lift_level(sample: FieldSample, k: int) -> RoughSheet:
     """Natural lift of the level-k polygonal approximation, prefix-extended
     to the full grid; the initial-value path psi(., 0) rides along (node 0
     is a level-k node for every k, so it is unaffected by restriction).
-
-    With out, a sheet of the sample's shape (an earlier lift's), the lift
-    overwrites out's arrays, restricting into out.level1, and returns out;
-    with work (sheets._replica_buffers) no temporary of the field's size is
-    made.  The bits are those of a fresh lift.  At k = K the sample's
-    values are lifted as they are.
+    At k = K the sample's values are lifted as they are.
     """
     K = sample.config.grid_level
     _check_k(k, K)
     values = sample.values
-    if out is not None and out.level1.shape != values.shape:
-        raise ValueError(
-            f"out sheet holds {out.level1.shape} prefixes, the sample {values.shape}"
-        )
     if k < K:
-        values = restrict_values(
-            values, K, k,
-            out=None if out is None else out.level1,
-            work=None if work is None else _view(work[0], values.shape),
-        )
-    return _lift_values(sample.config.times(), values, K, out=out, work=work)
+        values = restrict_values(values, K, k)
+    return _lift_values(sample.config.times(), values, K)
 
 
 def _fine_nodes(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
@@ -240,6 +219,91 @@ def _level2_sup(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
             entry -= np.minimum(prefix.min(axis=-1), 0.0)
             np.maximum(spread, entry.max(axis=-1), out=spread)
     return 0.5 * spread
+
+
+def _gap_sup(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
+    """sup over (t, x) of ||Psi(K)(0, x)^{-1} ⊗ Psi(k)(0, x)|| for each
+    leading index of values (..., n_times, 2^K + 1, d), shaped like those
+    leading axes: sheets.dist_infty(lift_level(., K), lift_level(., k))
+    (whose initial-value gap is zero) without building either lift.
+
+    Level 1 is the gap delta = (psi(k) - psi(0)) - a1, a1 = psi - psi(0),
+    as the pair increment of the lifts forms it.  Level 2 needs only the
+    doubled areas a < b: the fine path's is the running sum of
+    a1_a Delta_b - a1_b Delta_a, and the coarse polygon's at r = 1..S fine
+    cells into its cell c (S = 2^(K-k), D = psi((c+1)S) - psi(cS)) is
+    area(cS) + (r/S) (a1_a(cS) D_b - a1_b(cS) D_a), which at r = S has the
+    running sum's bits (so the gap is exactly 0 at k = K).  Their
+    difference minus a1_a delta_b - a1_b delta_a is twice the
+    antisymmetric entry, normed as group._hom_norms norms it.  The roots
+    are taken of the maxima over (t, x) and over blocks of time rows
+    (_GAP_BLOCK_BYTES): sqrt and the scaling are monotone and correctly
+    rounded, so neither moves a bit.  Elementwise in the leading axes, so
+    a field reduced alone has the bits of its entry in a stack.  Raises
+    ParameterError unless k is an integer in [0, K].
+    """
+    _check_k(k, grid_level)
+    rows = max(1, _GAP_BLOCK_BYTES // (8 * math.prod(values.shape[:-3]) * values.shape[-2]))
+    level1 = level2 = None
+    for lo in range(0, values.shape[-3], rows):
+        sq1, sq2 = _gap_sumsq(values[..., lo : lo + rows, :, :], grid_level, k)
+        level1 = sq1 if level1 is None else np.maximum(level1, sq1)
+        level2 = sq2 if level2 is None else np.maximum(level2, sq2)
+    level2 = np.sqrt(np.sqrt(level2))
+    level2 *= AREA_COEFF
+    return np.maximum(np.sqrt(level1), level2)
+
+
+def _gap_sumsq(values: np.ndarray, grid_level: int, k: int):
+    """The maxima over (t, x) of the squared level-1 gap and of the sum of
+    squared antisymmetric entries (see _gap_sup)."""
+    stride = 2 ** (grid_level - k)
+    coarse = restrict_values(values, grid_level, k)
+    d = values.shape[-1]
+    # Each component contiguous, as numpy handles a short trailing axis slowly.
+    a1, gap = [], []
+    for c in range(d):
+        start = values[..., :1, c]
+        a1.append(values[..., c] - start)
+        g = coarse[..., c] - start
+        g -= a1[c]
+        gap.append(g)
+    del coarse
+    sumsq = gap[0] * gap[0]
+    for c in range(1, d):
+        sumsq += gap[c] * gap[c]
+    # The cell increments of the fine path and of the coarse polygon.
+    fine = [values[..., 1:, c] - values[..., :-1, c] for c in range(d)]
+    cells = [values[..., stride::stride, c] - values[..., :-stride:stride, c] for c in range(d)]
+    frac = np.arange(1, stride + 1) / stride
+    area_sumsq = None
+    for a in range(d):
+        for b in range(a + 1, d):
+            fine_area = a1[a][..., :-1] * fine[b]
+            fine_area -= a1[b][..., :-1] * fine[a]
+            np.cumsum(fine_area, axis=-1, out=fine_area)
+            swept = a1[a][..., :-1:stride] * cells[b]
+            swept -= a1[b][..., :-1:stride] * cells[a]
+            before = np.zeros(swept.shape)
+            np.cumsum(swept[..., :-1], axis=-1, out=before[..., 1:])
+            x = frac * swept[..., None]
+            x += before[..., None]
+            x = x.reshape(fine_area.shape)
+            x -= fine_area
+            cross = a1[a][..., 1:] * gap[b][..., 1:]
+            cross -= a1[b][..., 1:] * gap[a][..., 1:]
+            x -= cross
+            x *= 0.5
+            x *= x
+            x *= 2.0
+            if area_sumsq is None:
+                area_sumsq = x
+            else:
+                area_sumsq += x
+    level1 = sumsq.max(axis=(-2, -1))
+    if area_sumsq is None:
+        return level1, np.zeros(level1.shape)
+    return level1, area_sumsq.max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)

@@ -105,15 +105,13 @@ def dilate(lam: float, g: GroupElement) -> GroupElement:
     return GroupElement(lam * g.level1, lam * lam * g.level2)
 
 
-def _outer(x, y, out=None):
+def _outer(x, y):
     """x ⊗ y over the trailing axis, broadcast over any leading axes:
     out[..., a, b] = x[..., a] * y[..., b], one np.multiply per entry
-    (a, b) over the leading axes, written into out when given.  Each
-    entry is one rounded product, so the bits are those of
-    np.einsum("...a,...b->...ab", x, y)."""
+    (a, b) over the leading axes.  Each entry is one rounded product, so
+    the bits are those of np.einsum("...a,...b->...ab", x, y)."""
     d = x.shape[-1]
-    if out is None:
-        out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (d, d))
+    out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (d, d))
     for a in range(d):
         for b in range(d):
             np.multiply(x[..., a], y[..., b], out=out[..., a, b])
@@ -154,21 +152,18 @@ def _pair_increment(l1_i, l2_i, l1_j, l2_j, out=None, work=None):
 AREA_COEFF = 2.0 ** 0.75
 
 
-def _hom_norms(l1, l2, work=None):
+def _hom_norms(l1, l2):
     """Homogeneous norms of the elements (l1, l2), broadcast over any
     leading axes; no geometricity check.
 
     Reduced one entry at a time over the leading axes: |l1|^2 sums the
     squared components in component order, and |antisym(l2)|_F^2 forms
     each antisymmetric entry x = (l2_ab - l2_ba) / 2 with a < b once and
-    adds 2 x^2 (its two entries are ±x) in row-major order.  work = (n, s,
-    t), three arrays shaped like one entry (the leading axes), receives
-    the two sums and each square in place of temporaries, and the result
-    is returned in n; the bits are the same either way.
+    adds 2 x^2 (its two entries are ±x) in row-major order.
     """
     d = l1.shape[-1]
     lead = np.broadcast_shapes(l1.shape[:-1], l2.shape[:-2])
-    n, s, t = (np.empty(lead) for _ in range(3)) if work is None else work
+    n, s, t = (np.empty(lead) for _ in range(3))
     np.multiply(l1[..., 0], l1[..., 0], out=n)
     for a in range(1, d):
         n += np.multiply(l1[..., a], l1[..., a], out=t)

@@ -13,11 +13,10 @@ The rate function on lifted shifts is ||h||_H^2 / 2.  Tail probabilities
 of the approximation gap are estimated by Monte Carlo with Wilson
 intervals (a zero count reports the interval bound, never -inf).  The
 dilation eps only moves the threshold to delta / eps, so one pass
-samples, lifts and measures each replica once and thresholds the same
-distances for every eps.  Each worker of that pass takes one contiguous
-run of replicas and allocates its two sheets and work buffers once
-(sheets._replica_buffers); they live for its run, and every replica
-lifts and measures in them without a field-sized temporary.  A distance
+samples and measures each replica once and thresholds the same
+distances for every eps.  The gap of the two lifts is read from the
+sampled values by dyadic._gap_sup, without building either lift; each
+worker of the pass takes one contiguous run of replicas.  A distance
 has the same bits however the replicas are split, so the rows do not
 depend on the worker count.  Chaos moment growth is fitted from batched
 scalar replicas, and the pointwise Schilder scaling check is fully
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import cov, dist_s1
-from .dyadic import _check_k, lift_level
+from .dyadic import _check_k, _gap_sup, lift_level
 from .errors import ParameterError, is_integer, is_number
 from .parallel import chunk_indices, deterministic_map, worker_count
 from .sampler import (
@@ -44,15 +43,8 @@ from .sampler import (
     sample_field,
     sample_slice_marginal,
 )
-from .sheets import (
-    _holder_sup,
-    _increment_tables,
-    _lift_values,
-    _node_pairs,
-    _row_sumsq,
-    _replica_buffers,
-    dist_infty,
-)
+from .sheets import _holder_sup, _increment_tables, _lift_values, _node_pairs, _row_sumsq
+from .sheets import dist_infty  # noqa: F401  (unused; perfbench/spans.py binds it)
 from .special import erfcx, log_ndtr
 
 
@@ -245,7 +237,17 @@ def cm_regularity_check(path: CameronMartinPath, q: float) -> CMRegularityReport
     values = path.field.values
     K = path.config.grid_level
     iu, ju, sep = _node_pairs(2**K)
-    holder = max(_holder_sup(v.T[:, ju] - v.T[:, iu], sep, 0.5) for v in values)
+    # Gathered from each time's contiguous transpose into two buffers made
+    # once; the bits are those of v.T[:, ju] - v.T[:, iu].
+    at_j, at_i = (np.empty((values.shape[-1], iu.shape[0])) for _ in range(2))
+
+    def holder_at(v):
+        rows = np.ascontiguousarray(v.T)
+        np.take(rows, ju, axis=1, out=at_j, mode="clip")
+        np.subtract(at_j, np.take(rows, iu, axis=1, out=at_i, mode="clip"), out=at_j)
+        return _holder_sup(at_j, sep, 0.5)
+
+    holder = max(holder_at(v) for v in values)
     qvar = 0.0
     for t_index in range(values.shape[0]):
         total = 0.0
@@ -374,18 +376,17 @@ def tail_probability(
 
     By exact homogeneity of dist_inf each estimate is
     P(dist_inf(Psi, Psi(k)) > delta / eps).  Every replica is therefore
-    sampled, lifted at levels K and k and measured once, and the one
-    ordered array of distances is thresholded at delta / eps for every
-    eps.  When no replica exceeds a threshold, eps^2 * log of the Wilson
-    upper bound is reported instead of -inf.  An empty eps_list, an eps
-    or delta outside (0, inf), replicas < 1, k outside [0, grid_level] or
-    threads < 1 raises ParameterError, naming it, before anything is
-    sampled.
+    sampled and measured once (dyadic._gap_sup, from the field values),
+    and the one ordered array of distances is thresholded at delta / eps
+    for every eps.  When no replica exceeds a threshold, eps^2 * log of
+    the Wilson upper bound is reported instead of -inf.  An empty
+    eps_list, an eps or delta outside (0, inf), replicas < 1, k outside
+    [0, grid_level] or threads < 1 raises ParameterError, naming it,
+    before anything is sampled.
 
     The replicas are split into parallel.worker_count(threads, replicas)
-    contiguous runs (at most the usable CPUs), one per worker process,
-    each lifting into its own buffers (see the module docstring); the
-    distances are joined in replica order.
+    contiguous runs (at most the usable CPUs), one per worker process;
+    the distances are joined in replica order.
     """
     eps_list = _check_eps_list(eps_list)
     if not 0.0 < delta < np.inf:
@@ -396,16 +397,10 @@ def tail_probability(
     workers = worker_count(threads, replicas)
 
     def run(block: range) -> list[float]:
-        (full, approx), work = _replica_buffers(
-            config.times(), config.grid_level, config.dim, sheets=2
-        )
-        dists = []
-        for r in block:
-            sample = sample_field(config, r)
-            lift_level(sample, config.grid_level, out=full, work=work)
-            lift_level(sample, k, out=approx, work=work)
-            dists.append(dist_infty(full, approx, work=work))
-        return dists
+        return [
+            float(_gap_sup(sample_field(config, r).values, config.grid_level, k))
+            for r in block
+        ]
 
     blocks = chunk_indices(replicas, -(-replicas // workers))
     dists = np.concatenate(deterministic_map(run, blocks, threads=threads))

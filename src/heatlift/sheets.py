@@ -16,7 +16,9 @@ Each mathematical object has one kernel here:
   the vectorized homogeneous norm group._hom_norms.  Both, like the lift,
   form every outer product (group._outer) and small-axis sum one entry
   (a, b) at a time over the leading node and time axes, since numpy
-  handles trailing d x d axes far slower than long ones;
+  handles trailing d x d axes far slower than long ones (the tails
+  experiment's gap of a field's two lifts, dyadic._gap_sup, is read
+  from the field values without lifting);
 - the lift: _lift_values builds the prefixes of every path on its
   leading axis at once, for single slices (lift_piecewise_linear, also
   the sampled rows of the CLI's lift-check), dyadic levels
@@ -64,14 +66,6 @@ allocation made once: spacetime_besov_norm(work=) builds the tables,
 their difference (in place over relative_to's tables) and the rows
 there, with the same bits, and the fine sheet's tables stay in their
 slot to serve as the coarse ones of the next difference.
-
-A loop of lifts and distances can run without a field-sized temporary:
-_replica_buffers allocates one worker's sheets and work buffers once,
-dyadic.lift_level(out=, work=) overwrites such a sheet (dropping its
-tables) and dist_infty(work=) forms its increments in the work buffers.
-The buffers live as long as the worker's loop and belong to that worker
-alone.  Every kernel writes the same bits with or without them, so
-results do not depend on how replicas are split among workers.
 """
 
 from __future__ import annotations
@@ -172,8 +166,7 @@ class RoughSheet:
     initial_values: np.ndarray
     # Increment tables over all node pairs, built by the first Besov norm
     # that needs them (see _sheet_tables); the levels are not to be
-    # mutated in place after that, except by a lift into the sheet
-    # (_lift_values with out=), which drops them.
+    # mutated in place after that.
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -205,68 +198,23 @@ def _carve(shapes: list) -> list:
     return [part.reshape(shape) for part, shape in zip(flat, shapes)]
 
 
-def _replica_buffers(times: np.ndarray, grid_level: int, dim: int, sheets: int):
-    """One worker's buffers for a loop of lifts and distances on one grid:
-    `sheets` sheets to lift into (out= of lift_level) and the flat work
-    buffers (work= of lift_level and dist_infty: one as long as level1,
-    one as long as level2, and one of three rows of a level-2 entry,
-    n_times * nodes values each).  Returns (sheets, work), all views of
-    one allocation (_carve)."""
-    nt, nodes = times.shape[0], 2**grid_level + 1
-    size1 = nt * nodes * dim
-    per_sheet = [(nt, dim), (nt, nodes, dim), (nt, nodes, dim, dim)]
-    shapes = per_sheet * sheets + [(size1,), (size1 * dim,), (3 * nt * nodes,)]
-    parts = _carve(shapes)
-    made = [
-        RoughSheet(times, grid_level, parts[i + 1], parts[i + 2], parts[i])
-        for i in range(0, 3 * sheets, 3)
-    ]
-    return made, tuple(parts[3 * sheets :])
-
-
-def _view(buf: np.ndarray | None, shape: tuple) -> np.ndarray | None:
-    """The leading entries of the flat work buffer buf, shaped shape and
-    contiguous, so a kernel writing there runs as fast as into a fresh
-    array; None (numpy allocates) when buf is None."""
-    return None if buf is None else buf[: math.prod(shape)].reshape(shape)
-
-
-def _lift_values(
-    times: np.ndarray,
-    values: np.ndarray,
-    grid_level: int,
-    out: RoughSheet | None = None,
-    work: tuple | None = None,
-) -> RoughSheet:
+def _lift_values(times: np.ndarray, values: np.ndarray, grid_level: int) -> RoughSheet:
     """Lift every time slice of values (nt, 2^K + 1, d); prefix products
     vectorized in t.
 
     Each cell contributes the exact segment lift (Δ, Δ ⊗ Δ / 2); prefixes
     are the running Chen products, so every reconstructed increment equals
     the exact iterated integral of the interpolant.
-
-    With out, a sheet of values' shape, the lift overwrites out's arrays
-    (values may be out.level1 itself), drops its increment tables and
-    returns it.  With work (_replica_buffers), the cell increments, the
-    cross term and one entry of the half-square at a time are formed
-    there; without, in fresh arrays.  The bits are the same either way.
     """
     nt, nodes, d = values.shape
-    if out is None:
-        out = RoughSheet(
-            times=times,
-            grid_level=grid_level,
-            level1=np.empty((nt, nodes, d)),
-            level2=np.empty((nt, nodes, d, d)),
-            initial_values=np.empty((nt, d)),
-        )
-    else:
-        out.times = times
-        out.grid_level = grid_level
-        out._tables = None
-    w_delta, w_cross, w_half = (None, None, None) if work is None else work
-    cells = (nt, nodes - 1, d)
-    deltas = np.subtract(values[:, 1:], values[:, :-1], out=_view(w_delta, cells))
+    out = RoughSheet(
+        times=times,
+        grid_level=grid_level,
+        level1=np.empty((nt, nodes, d)),
+        level2=np.empty((nt, nodes, d, d)),
+        initial_values=np.empty((nt, d)),
+    )
+    deltas = values[:, 1:] - values[:, :-1]
     np.copyto(out.initial_values, values[:, 0, :])
     # Level-1 prefixes telescope exactly (values[j] - values[0]); one
     # component at a time, as numpy broadcasts a length-d axis slowly.
@@ -274,8 +222,8 @@ def _lift_values(
     for a in range(d):
         np.subtract(values[..., a], out.initial_values[:, a, None], out=level1[..., a])
     # level2[j+1] = level2[j] + level1[j] ⊗ Δ_j + Δ_j ⊗ Δ_j / 2
-    contrib = _outer(level1[:, :-1], deltas, out=_view(w_cross, cells + (d,)))
-    half = np.empty(cells[:-1]) if w_half is None else _view(w_half, cells[:-1])
+    contrib = _outer(level1[:, :-1], deltas)
+    half = np.empty((nt, nodes - 1))
     for a in range(d):
         for b in range(a, d):
             # Δ_a Δ_b / 2 is symmetric in (a, b): formed once per pair.
@@ -689,26 +637,16 @@ def _require_matching(a: RoughSheet, b: RoughSheet):
         raise GridMismatchError("sheets live on different time grids")
 
 
-def dist_infty(a: RoughSheet, b: RoughSheet, work: tuple | None = None) -> float:
+def dist_infty(a: RoughSheet, b: RoughSheet) -> float:
     """sup over (t, x) of the homogeneous group distance of prefixes,
     plus sup over t of the initial-value gap.
 
     Exactly homogeneous under slice-wise dilation: scaling both sheets
-    by eps scales the distance by eps.  work (_replica_buffers) holds the
-    increments and, one entry at a time, the product term and the norms'
-    squares and sums in place of temporaries; the bits are the same
-    either way.
+    by eps scales the distance by eps.
     """
     _require_matching(a, b)
-    w1, w2, w3 = (None, None, None) if work is None else work
-    shape = a.level2.shape
-    rows = None if w3 is None else _view(w3, (3,) + shape[:-2])
-    u1, u2 = _pair_increment(
-        a.level1, a.level2, b.level1, b.level2,
-        out=(_view(w1, shape[:-1]), _view(w2, shape)),
-        work=None if rows is None else rows[2],
-    )
-    group_part = float(np.max(_hom_norms(u1, u2, work=rows)))
+    u1, u2 = _pair_increment(a.level1, a.level2, b.level1, b.level2)
+    group_part = float(np.max(_hom_norms(u1, u2)))
     v_part = float(np.max(np.linalg.norm(b.initial_values - a.initial_values, axis=1)))
     return group_part + v_part
 

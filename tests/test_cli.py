@@ -438,7 +438,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(ldp, "dist_infty", broken)
+        monkeypatch.setattr(ldp, "_gap_sup", broken)
         code = main(
             ["tails", "--out", str(tmp_path), "--set", "replicas=2", "--set", "dim=2"]
             + SMALL_SPECTRAL

@@ -6,6 +6,7 @@ import pytest
 from heatlift import dyadic
 from heatlift.dyadic import (
     ConvergenceTable,
+    _gap_sup,
     _level1_sup,
     _level2_sup,
     _sibling_products,
@@ -18,7 +19,7 @@ from heatlift.dyadic import (
 from heatlift.errors import ParameterError
 from heatlift.sampler import FieldSample, GridTooLargeError, SpectralConfig, sample_field
 from heatlift.sheets import (
-    PathSlice, _replica_buffers, dilate_sheet, dist_infty, increment, lift_piecewise_linear,
+    PathSlice, dilate_sheet, dist_infty, increment, lift_piecewise_linear,
 )
 
 
@@ -114,41 +115,6 @@ class TestLiftLevel:
                     assert np.array_equal(sheet.level2[t_index], direct.level2)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("with_work", [False, True])
-    def test_reused_sheet_equals_fresh_lift(self, dim, with_work):
-        # One sheet (and one set of work buffers), NaN at first, lifted
-        # into over three replicas, each at k = 0, 0 < k < K and K, holds
-        # a fresh lift's bits each time: a value left behind would show.
-        cfg = SpectralConfig(
-            n_modes=64, time_horizon=1.0, n_time=5, grid_level=6, dim=dim, seed=11
-        )
-        K = cfg.grid_level
-        (sheet,), work = _replica_buffers(cfg.times(), K, dim, sheets=1)
-        if not with_work:
-            sheet, work = lift_level(sample_field(cfg, 7), 1), ()
-        for buf in (sheet.level1, sheet.level2, sheet.initial_values, *work):
-            buf.fill(np.nan)
-        work = work or None
-        for replica in range(3):
-            sample = sample_field(cfg, replica)
-            for k in (0, 3, K):
-                assert lift_level(sample, k, out=sheet, work=work) is sheet
-                fresh = lift_level(sample, k)
-                for name in ("times", "level1", "level2", "initial_values"):
-                    got, want = getattr(sheet, name), getattr(fresh, name)
-                    assert got.shape == want.shape, name
-                    assert got.tobytes() == want.tobytes(), (replica, k, name)
-
-    def test_restriction_into_buffers_equals_fresh(self):
-        sample = make_sample(seed=4, dim=3)
-        K = sample.config.grid_level
-        out, work = np.full_like(sample.values, np.nan), np.full_like(sample.values, np.nan)
-        for k in range(K + 1):
-            got = restrict_values(sample.values, K, k, out=out, work=work)
-            assert got is out
-            assert got.tobytes() == restrict_values(sample.values, K, k).tobytes()
-
-    @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
     def test_broadcast_weights_keep_the_bits(self, dim, lead):
         # The weights are built as wide as the trailing axis; the products
@@ -163,14 +129,6 @@ class TestLiftLevel:
             right = values[..., np.minimum((q + 1) * stride, 2**K), :] * w
             want = values[..., np.minimum(q * stride, 2**K), :] * (1.0 - w) + right
             assert restrict_values(values, K, k).tobytes() == want.tobytes()
-            out, work = np.full_like(values, np.nan), np.full_like(values, np.nan)
-            assert restrict_values(values, K, k, out=out, work=work) is out
-            assert out.tobytes() == want.tobytes()
-
-    def test_out_sheet_of_another_shape_rejected(self):
-        sheet = lift_level(make_sample(seed=1, grid_level=5), 2)
-        with pytest.raises(ValueError, match="out sheet"):
-            lift_level(make_sample(seed=1, grid_level=6), 2, out=sheet)
 
     def test_initial_value_path_attached(self):
         sample = make_sample(seed=6)
@@ -343,6 +301,74 @@ class TestLevel2Sup:
         sample = make_sample(seed=23, grid_level=4)
         with pytest.raises(ParameterError, match="need grid level >= 5, have 4"):
             _level2_sup(sample.values, 4, 4)
+
+
+class TestGapSup:
+    """_gap_sup reads the gap of a field's lifts at levels K and k from
+    the field values; it must match dist_infty of the two fresh lifts."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_level", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n_time", [1, 4])
+    def test_matches_fresh_lifts(self, dim, grid_level, n_time):
+        K = grid_level
+        sample = make_sample(seed=30 + dim, grid_level=K, n_time=n_time, dim=dim)
+        full = lift_level(sample, K)
+        for k in (0, 1, K - 1, K):
+            gap = _gap_sup(sample.values, K, k)
+            assert gap.shape == ()
+            dist = dist_infty(full, lift_level(sample, k))
+            assert abs(float(gap) - dist) <= 1e-13 * max(1.0, dist), k
+            if dim == 1:
+                # Level 1 alone: the gap is formed as the pair increment
+                # of the two lifts forms it, so the bits agree.
+                assert float(gap) == dist
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_level", [0, 1, 4, 8])
+    def test_zero_at_full_level(self, dim, grid_level):
+        # At k = K both doubled areas are the same sums (S = 1).
+        values = np.random.default_rng(dim).standard_normal((3, 2**grid_level + 1, dim))
+        values[:, 1::3] *= 1e150
+        assert _gap_sup(values, grid_level, grid_level) == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_doubling_values_doubles_gap(self, dim):
+        values = make_sample(seed=40 + dim, grid_level=6, n_time=4, dim=dim).values
+        for k in range(7):
+            gap = _gap_sup(values, 6, k)
+            assert _gap_sup(2.0 * values, 6, k) == 2.0 * gap
+            assert gap > 0.0 or k == 6
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stack_keeps_each_fields_bits(self, dim):
+        stack = stacked_fields(50 + dim, 5, dim)
+        for k in (0, 2, 4, 5):
+            flat = _gap_sup(stack, 5, k)
+            nested = _gap_sup(stack.reshape((2, 3) + stack.shape[1:]), 5, k)
+            assert flat.shape == (6,) and nested.shape == (2, 3)
+            for i, field in enumerate(stack):
+                alone = _gap_sup(field, 5, k)
+                assert flat[i].tobytes() == alone.tobytes()
+                assert nested[i // 3, i % 3].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_time_blocks_keep_the_bits(self, monkeypatch, dim):
+        # One time row per block, blocks of 2 and 3 rows (the last one
+        # short), and the whole field at once.
+        values = make_sample(seed=60 + dim, grid_level=5, n_time=6, dim=dim).values
+        row_bytes = 8 * values.shape[-2]
+        results = []
+        for rows in (1, 2, 3, 100):
+            monkeypatch.setattr(dyadic, "_GAP_BLOCK_BYTES", rows * row_bytes)
+            results.append([_gap_sup(values, 5, k).tobytes() for k in range(6)])
+        assert results[1:] == results[:-1]
+
+    @pytest.mark.parametrize("k", [-1, 5, 1.5])
+    def test_rejects_level_outside_grid(self, k):
+        values = make_sample(seed=1, grid_level=4, dim=2).values
+        with pytest.raises(ParameterError):
+            _gap_sup(values, 4, k)
 
 
 class TestBesovParamValidation:

@@ -3,7 +3,7 @@ import pytest
 
 from heatlift import ldp
 from heatlift.covariance import cov
-from heatlift.dyadic import lift_level
+from heatlift.dyadic import _gap_sup, lift_level
 from heatlift.errors import ParameterError
 from heatlift.ldp import (
     CMControl,
@@ -429,16 +429,14 @@ class TestWilson:
 
 def per_epsilon_reference(delta, eps_list, k, replicas, config):
     """The per-epsilon loop the single pass replaced: every epsilon
-    re-samples, re-lifts and re-measures every replica."""
+    re-samples and re-measures every replica."""
     rows = []
     for epsilon in eps_list:
         threshold = delta / epsilon
         dists = []
         for r in range(replicas):
-            sample = sample_field(config, r)
-            full = lift_level(sample, config.grid_level)
-            approx = lift_level(sample, k)
-            dists.append(dist_infty(full, approx))
+            values = sample_field(config, r).values
+            dists.append(float(_gap_sup(values, config.grid_level, k)))
         count = int(np.sum(np.asarray(dists) > threshold))
         p_hat = count / replicas
         lo, hi = wilson_interval(count, replicas)
@@ -516,11 +514,12 @@ class TestTailProbability:
     def test_each_distance_equals_fresh_lifts(
         self, monkeypatch, process_log, usable_cpus, threads
     ):
-        # Workers reuse their sheets and buffers over runs of replicas.  A
-        # stale buffer that flips no count would not show in the rows, so
-        # every distance handed to dist_infty's caller is compared, replica
-        # by replica, with the distance of two fresh lifts.  The distances
-        # are logged from whichever worker process measures them.
+        # A distance that flips no count would not show in the rows, so
+        # every distance handed to _gap_sup's caller is logged, from
+        # whichever worker process measures it, and compared replica by
+        # replica: bit for bit with _gap_sup of a fresh sample, and with
+        # dist_infty of the two fresh lifts within rounding (level 2 is
+        # formed from the doubled areas, not from the lifts).
         usable_cpus(2)
         cfg = small_config(grid_level=6, n_time=4, n_modes=32, dim=2)
         k, replicas = 2, 7
@@ -530,20 +529,23 @@ class TestTailProbability:
             current["replica"] = replica
             return sample_field(config, replica)
 
-        def measuring(a, b, **kwargs):
-            dist = dist_infty(a, b, **kwargs)
-            process_log.append((current["replica"], dist))
-            return dist
+        def measuring(values, grid_level, level):
+            gap = _gap_sup(values, grid_level, level)
+            process_log.append((current["replica"], float(gap)))
+            return gap
 
         monkeypatch.setattr(ldp, "sample_field", sampling)
-        monkeypatch.setattr(ldp, "dist_infty", measuring)
+        monkeypatch.setattr(ldp, "_gap_sup", measuring)
         tail_probability(0.5, [1.0], k, replicas, cfg, threads=threads)
         seen = dict(process_log.read())
         assert len(seen) == len(process_log.read())
+        assert len(list(process_log.directory.glob("*.log"))) == threads
         expected = {}
         for r in range(replicas):
             sample = sample_field(cfg, r)
-            expected[r] = dist_infty(lift_level(sample, cfg.grid_level), lift_level(sample, k))
+            expected[r] = float(_gap_sup(sample.values, cfg.grid_level, k))
+            dist = dist_infty(lift_level(sample, cfg.grid_level), lift_level(sample, k))
+            assert abs(expected[r] - dist) <= 1e-13 * max(1.0, dist)
         assert seen == expected
 
     def test_one_sample_per_replica(self, monkeypatch):

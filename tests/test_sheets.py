@@ -29,7 +29,6 @@ from heatlift.sheets import (
     _increment_tables,
     _logsumexp,
     _node_pairs,
-    _replica_buffers,
     _row_norms,
     _row_sumsq,
     _sheet_tables,
@@ -877,39 +876,6 @@ class TestDistInfty:
         base = dist_infty(a, b)
         scaled = dist_infty(dilate_sheet(lam, a), dilate_sheet(lam, b))
         assert abs(scaled - lam * base) <= 1e-14 * lam * base
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 4),
-        st.integers(1, 3),
-        st.integers(1, 3),
-    )
-    def test_work_buffers_keep_the_bits(self, seed, grid_level, n_times, dim):
-        # Buffers holding NaN, then another pair's scratch, change nothing.
-        rng = np.random.default_rng(seed)
-        a = random_sheet(rng, grid_level, n_times, dim)
-        b = random_sheet(rng, grid_level, n_times, dim)
-        _, work = _replica_buffers(a.times, grid_level, dim, sheets=0)
-        for buf in work:
-            buf.fill(np.nan)
-        assert dist_infty(a, b, work=work) == dist_infty(a, b)
-        assert dist_infty(b, a, work=work) == dist_infty(b, a)
-        assert dist_infty(a, a, work=work) == 0.0
-
-    def test_reused_sheet_drops_its_tables(self):
-        cfg = SpectralConfig(
-            n_modes=32, time_horizon=1.0, n_time=3, grid_level=4, dim=2, seed=1
-        )
-        sheet = lift_level(sample_field(cfg, 0), 4)
-        spacetime_besov_norm(sheet, 0.04, 0.4, 30)
-        assert sheet._tables is not None
-        other = sample_field(cfg, 1)
-        lift_level(other, 2, out=sheet)
-        assert sheet._tables is None
-        assert spacetime_besov_norm(sheet, 0.04, 0.4, 30) == spacetime_besov_norm(
-            lift_level(other, 2), 0.04, 0.4, 30
-        )
 
     def test_self_distance_zero(self):
         sheet = small_sheet(2)
