@@ -364,25 +364,27 @@ def convergence_study(
     mean space-time Besov norms of the successive differences and
     requires the full parameter chain to be feasible.
 
-    Replicas run independently and are reduced in replica order.  They
-    are split into parallel.worker_count(threads, replicas) contiguous
-    runs (at most the usable CPUs), one per worker process.  In sup mode each run allocates one buffer of B fields, B as
-    many as _SUP_BATCH_BYTES holds (at least one), samples its replicas
-    into it B at a time, still through sample_field per replica, and
-    reduces every level once per batch (_level1_sup, _level2_sup); each
-    replica's values are float(level1[i]) ** 2 and float(level2[i]), with
-    the bits of that replica reduced alone.  Besov-only mode allocates no
-    such buffer.  In Besov mode each run allocates one sheets._BesovArena
-    and builds every norm's tables, difference and quadrature rows in it;
-    a mixed study lifts the fields of the sup buffer.  No
-    kind or no k, a kind other than sup and besov, or a negative k raises
-    ParameterError before sampling.  Besov mode raises GridTooLargeError
-    before sampling when the arenas of all runs together (each: two
-    increment tables, the gather and product rows and one block of
-    quadrature rows; sheets._besov_arena_shapes) would hold more values
-    than the sampler's allocation guard.  Fewer than two replicas raise
-    ParameterError (one has no standard error), after the checks above
-    and still before sampling; so does threads < 1.
+    Replicas run independently and are reduced in replica order.  They are
+    split into parallel.worker_count(threads, replicas) contiguous runs
+    (at most the usable CPUs), one per worker process.  In sup mode each
+    run allocates one buffer of B fields, B as many as _SUP_BATCH_BYTES
+    holds (at least one), samples its replicas into it B at a time, still
+    through sample_field per replica, and reduces every level once per
+    batch (_level1_sup, _level2_sup); each replica's values are
+    float(level1[i]) ** 2 and float(level2[i]), with the bits of that
+    replica reduced alone.  Besov-only mode allocates no such buffer.  In
+    Besov mode each run allocates one sheets._BesovArena and builds every
+    norm's tables, difference and quadrature rows in it; each fine lift is
+    passed back as the next k's coarse lift, whose tables the arena kept.
+    A mixed study lifts the fields of the sup buffer.  No kind or no k, a
+    kind other than sup and besov, or a negative k raises ParameterError
+    before sampling.  Besov mode raises GridTooLargeError before sampling
+    when the arenas of all runs together (each: two increment tables, the
+    gather and product rows and one block of quadrature rows;
+    sheets._besov_arena_shapes) would hold more values than the sampler's
+    allocation guard.  Fewer than two replicas raise ParameterError (one
+    has no standard error), after the checks above and still before
+    sampling; so does threads < 1.
     """
     k_range = sorted(int(k) for k in k_range)
     if not kinds:
@@ -463,8 +465,8 @@ def convergence_study(
                     out[(k, 2, SUP_KIND)] = float(level2[i])
                 if use_besov:
                     # Walking k upward, the fine lift of one difference is
-                    # the coarse lift of the next and carries its increment
-                    # tables along in its arena slot.
+                    # the coarse lift of the next: the same object, which
+                    # the arena recognizes as the sheet it kept.
                     lifts = {}
                     for k in k_range:
                         coarse = lifts.pop(k) if k in lifts else lift_level(sample, k)

@@ -32,7 +32,7 @@ import numpy as np
 from .covariance import cov, dist_s1
 from .dyadic import _check_k, _gap_sup, lift_level
 from .errors import ParameterError, is_integer, is_number
-from .parallel import chunk_indices, deterministic_map, worker_count
+from .parallel import deterministic_map
 from .sampler import (
     FieldSample,
     SpectralConfig,
@@ -384,9 +384,8 @@ def tail_probability(
     [0, grid_level] or threads < 1 raises ParameterError, naming it,
     before anything is sampled.
 
-    The replicas are split into parallel.worker_count(threads, replicas)
-    contiguous runs (at most the usable CPUs), one per worker process;
-    the distances are joined in replica order.
+    parallel.deterministic_map splits the replicas into contiguous runs,
+    one per worker process; the distances come back in replica order.
     """
     eps_list = _check_eps_list(eps_list)
     if not 0.0 < delta < np.inf:
@@ -394,16 +393,11 @@ def tail_probability(
     if replicas < 1:
         raise ParameterError(f"replicas >= 1 violated: replicas={replicas}")
     _check_k(k, config.grid_level)
-    workers = worker_count(threads, replicas)
 
-    def run(block: range) -> list[float]:
-        return [
-            float(_gap_sup(sample_field(config, r).values, config.grid_level, k))
-            for r in block
-        ]
+    def gap(r: int) -> float:
+        return float(_gap_sup(sample_field(config, r).values, config.grid_level, k))
 
-    blocks = chunk_indices(replicas, -(-replicas // workers))
-    dists = np.concatenate(deterministic_map(run, blocks, threads=threads))
+    dists = np.array(deterministic_map(gap, range(replicas), threads=threads))
     rows = []
     for epsilon in eps_list:
         count = int(np.sum(dists > delta / epsilon))

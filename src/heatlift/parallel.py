@@ -8,9 +8,9 @@ os._exit.  Results are collected in item order, and any reduction happens
 sequentially over that ordered list.  Output is therefore bit-identical
 for a fixed partitioning regardless of scheduling.  A partition may follow
 the worker count only where each result is independent of it:
-ldp.tail_probability hands each worker one contiguous run of replicas
-(chunk_indices) so that the worker can reuse its buffers, and every
-replica's distance has the same bits in any run.
+dyadic.convergence_study maps one contiguous run of replicas
+(chunk_indices) per worker, which allocates its buffers once, and every
+replica's values have the same bits in any run.
 
 The workers are processes, not threads, because the lift does not scale
 on threads: its level-2 prefix sum (np.cumsum over a multi-axis array)

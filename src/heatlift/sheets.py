@@ -47,10 +47,14 @@ log-sum-exp about its largest term.  No term overflows or underflows to
 a subnormal, whatever m is, so the cost does not depend on m; a Besov
 norm that still comes out non-finite raises FloatingPointError.
 
-A sheet's increment tables over all node pairs are built once, on its
-first Besov norm, and kept on the sheet, so a lift shared by two
-consecutive differences (fine in one, coarse in the next) is tabulated
-once.  Each (s, t) row of the space-time sum is the difference of two
+Every space-time Besov norm runs in a _BesovArena, one allocation that
+holds two sheets' increment tables over all node pairs, their gathers
+and the quadrature's rows.  A walk passes one worker's arena to every
+norm (spacetime_besov_norm(work=)); otherwise each norm makes its own.
+The arena keeps the last sheet whose tables it built, so a lift shared by
+two consecutive differences (fine in one, coarse in the next) is
+tabulated once; the difference is formed in place over the coarse
+tables.  Each (s, t) row of the space-time sum is the difference of two
 table rows, reduced to squared magnitudes by _row_sumsq one component row
 at a time: each component's difference is formed in one row buffer,
 squared there and added into the time pair's row of squared norms, so no
@@ -60,19 +64,13 @@ _BESOV_BLOCK time pairs are filled for level 1 and reduced, then filled
 for level 2 in the same block.  The sum is a plain loop on one thread
 over the blocks, combined in block order; callers parallelize over
 replicas instead.
-
-A walk of such norms can run in one worker's _BesovArena, one
-allocation made once: spacetime_besov_norm(work=) builds the tables,
-their difference (in place over relative_to's tables) and the rows
-there, with the same bits, and the fine sheet's tables stay in their
-slot to serve as the coarse ones of the next difference.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,10 +162,6 @@ class RoughSheet:
     level1: np.ndarray
     level2: np.ndarray
     initial_values: np.ndarray
-    # Increment tables over all node pairs, built by the first Besov norm
-    # that needs them (see _sheet_tables); the levels are not to be
-    # mutated in place after that.
-    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -464,21 +458,23 @@ def _besov_arena_shapes(n_times: int, grid_level: int, dim: int) -> list:
 
 
 class _BesovArena:
-    """One worker's buffers for a walk of space-time Besov norms on one
-    grid (spacetime_besov_norm(work=)), views of one allocation (_carve
-    of _besov_arena_shapes):
+    """The buffers of a walk of space-time Besov norms on one grid
+    (spacetime_besov_norm(work=)), views of one allocation (_carve of
+    _besov_arena_shapes):
 
-    - slots: two table slots.  A sheet whose tables are built here keeps
-      them in its slot until the slot is taken for another sheet's tables
-      or for a difference, which drops them from the sheet;
+    - slots: two table slots, each one sheet's two increment tables;
     - gather and row: the work of _increment_tables; row is also the
       quadrature's row buffer;
     - block: the quadrature's rows of one block of time pairs, one level
       at a time.
 
-    It also keeps the grid's node pairs (_node_pairs), made once rather
-    than on every norm and table.  An arena belongs to one worker and
-    serves one call at a time."""
+    kept is the last sheet whose tables were built here, and held the slot
+    that still holds them, so a walk that passes that sheet back as
+    relative_to reads its tables instead of building them again.  The
+    sheet is recognized by identity: its levels are not to be changed in
+    place while it is kept.  The arena also keeps the grid's node pairs
+    (_node_pairs), made once rather than on every norm.  An arena belongs
+    to one worker and serves one call at a time."""
 
     def __init__(self, n_times: int, grid_level: int, dim: int):
         parts = _carve(_besov_arena_shapes(n_times, grid_level, dim))
@@ -486,27 +482,16 @@ class _BesovArena:
         self.gather = tuple(parts[4:8])
         self.row, self.block = parts[8:]
         self.pairs = _node_pairs(2**grid_level)
-        self._owners = [None, None]
+        self.kept: RoughSheet | None = None
+        self.held = 0
 
-    def _holds(self, i: int, sheet: RoughSheet | None) -> bool:
-        return (
-            sheet is not None
-            and sheet._tables is not None
-            and sheet._tables[0] is self.slots[i][0]
+    def tables(self, sheet: RoughSheet, slot: int) -> tuple:
+        """sheet's increment tables over all node pairs, built in slot."""
+        iu, ju, _ = self.pairs
+        return _increment_tables(
+            sheet.level1, sheet.level2, iu, ju,
+            out=self.slots[slot], work=self.gather + (self.row,),
         )
-
-    def other(self, sheet: RoughSheet | None) -> int:
-        """The index of a slot that sheet's tables do not occupy."""
-        return 1 if self._holds(0, sheet) else 0
-
-    def take(self, i: int, owner: RoughSheet | None = None) -> tuple:
-        """Slot i, for owner's tables (None: for a difference); the sheet
-        whose tables it held drops them."""
-        held = self._owners[i]
-        if self._holds(i, held):
-            held._tables = None
-        self._owners[i] = owner
-        return self.slots[i]
 
     def check(self, sheet: RoughSheet):
         n = 2**sheet.grid_level
@@ -516,20 +501,6 @@ class _BesovArena:
                 f"Besov arena holds tables of shape {self.slots[0][0].shape}, "
                 f"the sheet needs {need}"
             )
-
-
-def _sheet_tables(sheet: RoughSheet, work: _BesovArena | None = None, keep=None):
-    """The sheet's increment tables over all node pairs, built on first
-    use and kept on the sheet: in new arrays, or with work in the arena
-    slot that keep's tables do not occupy."""
-    if sheet._tables is None:
-        iu, ju, _ = _node_pairs(2**sheet.grid_level) if work is None else work.pairs
-        sheet._tables = _increment_tables(
-            sheet.level1, sheet.level2, iu, ju,
-            out=None if work is None else work.take(work.other(keep), sheet),
-            work=None if work is None else work.gather + (work.row,),
-        )
-    return sheet._tables
 
 
 def spacetime_besov_norm(
@@ -551,22 +522,20 @@ def spacetime_besov_norm(
     the two sheets' increments and initial values (the distance whose
     level-wise decay the dyadic convergence study estimates).
 
-    Both sheets keep their increment tables (_sheet_tables).  Each (s, t)
-    pair's squared norms come from the two table rows through _row_sumsq,
-    one component row at a time, into a block of rows: first level 1's,
-    which are reduced, then level 2's in the same block.  The sum is taken
-    in log space (_log_besov_sum) over blocks of _BESOV_BLOCK (s, t)
-    pairs, one block after another on the calling thread, and their logs
-    are combined in block order, so the block size alone fixes the
+    The norm runs in work (a _BesovArena on the sheet's grid), or else in
+    an arena made for the call.  It builds the sheet's increment tables
+    there and relative_to's, unless relative_to is the sheet the arena
+    kept, writes the difference over relative_to's and keeps the sheet.
+    Neither sheet is changed.
+
+    Each (s, t) pair's squared norms come from the two table rows through
+    _row_sumsq, one component row at a time, into a block of rows: first
+    level 1's, which are reduced, then level 2's in the same block.  The
+    sum is taken in log space (_log_besov_sum) over blocks of _BESOV_BLOCK
+    (s, t) pairs, one block after another on the calling thread, and their
+    logs are combined in block order, so the block size alone fixes the
     result's bits.  Raises FloatingPointError when any component is not
     finite.
-
-    With work (a _BesovArena on the sheet's grid), the tables, the
-    difference and the rows are formed in the arena, with the same bits.
-    A sheet without tables gets them in the slot relative_to's do not
-    occupy, and the difference overwrites the slot the sheet's do not
-    occupy: relative_to's, which then drops its tables, so the sheet's
-    tables can serve as the coarse ones of the next difference.
     """
     if beta <= 1.0 / m:
         raise ParameterError(
@@ -578,23 +547,30 @@ def spacetime_besov_norm(
         )
     if relative_to is not None:
         _require_matching(sheet, relative_to)
-    if work is not None:
-        work.check(sheet)
+    if work is None:
+        work = _BesovArena(sheet.n_times, sheet.grid_level, sheet.dim)
+    work.check(sheet)
     nt = sheet.n_times
     times = sheet.times
     n = 2**sheet.grid_level
-    _, _, sep = _node_pairs(n) if work is None else work.pairs
+    _, _, sep = work.pairs
     log_wx = _log_weights(sep, 1.0 / n, 1.0 + m * alpha)
 
-    f1m, f2m = _sheet_tables(sheet, work, keep=relative_to)
+    coarse, fine = work.held, 1 - work.held
+    # Both slots may be written below: until the sheet's tables stand, the
+    # arena keeps no sheet, so an exception on the way leaves no stale one.
+    kept, work.kept = work.kept, None
+    if relative_to is not None and relative_to is not kept:
+        work.tables(relative_to, coarse)
+    f1m, f2m = work.tables(sheet, fine)
     v = sheet.initial_values
     if relative_to is not None:
-        g1m, g2m = _sheet_tables(relative_to, work, keep=sheet)
-        # f - g written into out= has the bits of f - g.
-        d1, d2 = (None, None) if work is None else work.take(work.other(sheet))
-        f1m = np.subtract(f1m, g1m, out=d1)
-        f2m = np.subtract(f2m, g2m, out=d2)
+        g1m, g2m = work.slots[coarse]
+        # f - g written over g has the bits of f - g.
+        f1m = np.subtract(f1m, g1m, out=g1m)
+        f2m = np.subtract(f2m, g2m, out=g2m)
         v = v - relative_to.initial_values
+    work.kept, work.held = sheet, fine
 
     si, ti = np.triu_indices(nt, k=1)
     tsep = times[ti] - times[si]
@@ -604,11 +580,7 @@ def spacetime_besov_norm(
         dt = 1.0
     log_wt = _log_weights(tsep, dt, 1.0 + beta * m)
 
-    if work is None:
-        rows = np.empty((min(_BESOV_BLOCK, si.shape[0]), sep.shape[0]))
-        row = np.empty(sep.shape[0])
-    else:
-        rows, row = work.block, work.row
+    rows, row = work.block, work.row
     logs = []
     for block in chunk_indices(si.shape[0], _BESOV_BLOCK):
         sumsq = rows[: len(block)]

@@ -20,6 +20,7 @@ from heatlift.errors import ParameterError
 from heatlift.sampler import FieldSample, GridTooLargeError, SpectralConfig, sample_field
 from heatlift.sheets import (
     PathSlice, dilate_sheet, dist_infty, increment, lift_piecewise_linear,
+    spacetime_besov_norm,
 )
 
 
@@ -538,6 +539,41 @@ class TestConvergenceStudy:
         arenas = process_log.read()
         assert arenas == []
         assert rows_of(sup_only) == [row for row in rows[0] if row[2] == "sup"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k_range", [[2, 4], range(2, 5)], ids=["2-4", "2-3-4"])
+    def test_besov_walk_equals_fresh_norms(self, usable_cpus, k_range, threads):
+        # 5 replicas run as [5] or [3, 2].  Each run's arena reads the tables
+        # of the fine lift it kept when that lift comes back as the next
+        # coarse one; [2, 4] lifts level 4 afresh.  Every row must be the
+        # mean and stderr of per-replica norms of fresh lifts, bit for bit.
+        usable_cpus(2)
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=9
+        )
+        replicas, beta, alpha, m = 5, 0.04, 0.4, 30.0
+        table = convergence_study(
+            cfg, k_range, replicas, kinds=("besov",), alpha=alpha, beta=beta, m=m,
+            threads=threads,
+        )
+        norms = []
+        for r in range(replicas):
+            sample = sample_field(cfg, r)
+            norms.append([
+                spacetime_besov_norm(
+                    lift_level(sample, k + 1), beta, alpha, m,
+                    relative_to=lift_level(sample, k),
+                )
+                for k in k_range
+            ])
+        expected = []
+        for level in (1, 2):
+            for i, k in enumerate(k_range):
+                vals = np.array([getattr(norm[i], f"level{level}") for norm in norms])
+                se = float(vals.std(ddof=1) / np.sqrt(replicas))
+                expected.append((k, level, "besov", float(vals.mean()), se))
+        got = [(r.k, r.level, r.norm_kind, r.estimate, r.stderr) for r in table.rows]
+        assert got == expected
 
     @pytest.mark.parametrize("batch", [1, 3, 4])
     def test_sup_batches_keep_per_replica_rows(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatlift import sheets
 from heatlift.dyadic import convergence_study, lift_level
 from heatlift.group import _pair_increment, group_dist
 from heatlift.sampler import FieldSample, SpectralConfig, sample_field
@@ -31,7 +32,6 @@ from heatlift.sheets import (
     _node_pairs,
     _row_norms,
     _row_sumsq,
-    _sheet_tables,
     spacetime_besov_norm,
 )
 
@@ -429,10 +429,10 @@ class TestSpacetimeBesovMatchesReference:
         sample = sample_field(cfg, 0)
         fine, coarse = lift_level(sample, 4), lift_level(sample, 3)
         params = dict(beta=0.04, alpha=0.4, m=30.0)
-        # Coarse first alone, then as relative_to with its tables already
-        # built, then the fine sheet alone from its kept tables.  The sum is
-        # now taken in log space, so it agrees to rounding, not bit for bit
-        # (measured gap <= 4e-16; TestBesovMatchesMpmath gates accuracy).
+        # Coarse alone, then fine relative to coarse, then fine alone.  The
+        # sum is now taken in log space, so it agrees to rounding, not bit
+        # for bit (measured gap <= 4e-16; TestBesovMatchesMpmath gates
+        # accuracy).
         for sheet, other in ((coarse, None), (fine, coarse), (fine, None)):
             norm = spacetime_besov_norm(sheet, relative_to=other, **params)
             got = (norm.initial_value, norm.level1, norm.level2)
@@ -500,10 +500,10 @@ def subtract_then_sumsq_besov(sheet, beta, alpha, m, relative_to=None):
     n = 2**sheet.grid_level
     _, _, sep = _node_pairs(n)
     log_wx = _log_weights(sep, 1.0 / n, 1.0 + m * alpha)
-    f1m, f2m = _sheet_tables(sheet)
+    f1m, f2m = fresh_tables(sheet)
     v = sheet.initial_values
     if relative_to is not None:
-        g1m, g2m = _sheet_tables(relative_to)
+        g1m, g2m = fresh_tables(relative_to)
         f1m, f2m = f1m - g1m, f2m - g2m
         v = v - relative_to.initial_values
     times, nt = sheet.times, sheet.n_times
@@ -529,9 +529,23 @@ def subtract_then_sumsq_besov(sheet, beta, alpha, m, relative_to=None):
     )
 
 
+def fresh_tables(sheet):
+    """The sheet's increment tables over all node pairs, in new arrays."""
+    iu, ju, _ = _node_pairs(2**sheet.grid_level)
+    return _increment_tables(sheet.level1, sheet.level2, iu, ju)
+
+
+def snapshot(sheet):
+    """The sheet's attributes, each array as its bytes."""
+    return {
+        name: value.tobytes() if isinstance(value, np.ndarray) else value
+        for name, value in vars(sheet).items()
+    }
+
+
 class TestRowFusedQuadrature:
     """The row-fused quadrature keeps the bits of the former
-    subtract-then-reduce block loop and leaves both sheets' tables alone."""
+    subtract-then-reduce block loop and leaves both sheets alone."""
 
     @pytest.mark.parametrize("a_shape", [(1, 300), (3, 300), (2, 2, 300), (3, 3, 300)])
     def test_fused_difference_equals_difference_first(self, a_shape):
@@ -563,15 +577,11 @@ class TestRowFusedQuadrature:
         fine, coarse = lift_level(sample, 4), lift_level(sample, 3)
         for sheet, other in ((fine, None), (fine, coarse)):
             expected = subtract_then_sumsq_besov(sheet, beta, alpha, m, relative_to=other)
-            kept = [sh._tables for sh in (sheet, other) if sh is not None]
-            saved = [tuple(t.copy() for t in tables) for tables in kept]
+            before = [snapshot(sh) for sh in (fine, coarse)]
             norm = spacetime_besov_norm(sheet, beta, alpha, m, relative_to=other)
             assert (norm.initial_value, norm.level1, norm.level2) == expected
             assert np.all(np.isfinite(expected)) and expected[1] > 0
-            for sh, tables, copies in zip((sheet, other), kept, saved):
-                assert sh._tables is tables
-                for table, copy in zip(tables, copies):
-                    assert table.tobytes() == copy.tobytes()
+            assert [snapshot(sh) for sh in (fine, coarse)] == before
 
 
 def nan_arena(n_times, grid_level, dim):
@@ -583,7 +593,8 @@ def nan_arena(n_times, grid_level, dim):
 
 class TestBesovArena:
     """Tables, differences and quadrature rows formed in one worker's arena
-    have the bits of fresh ones, and a slot serves one sheet at a time."""
+    have the bits of fresh ones, and the arena reads only the tables of the
+    sheet it kept."""
 
     # A slice is one time; n_time=16 is 17 times, 136 time pairs, 2 blocks.
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -637,23 +648,28 @@ class TestBesovArena:
                 assert got == want
                 # The difference overwrote the coarse tables; the fine ones
                 # are kept, with the bits of a fresh build.
-                assert coarse._tables is None
-                kept = fine._tables
-                assert any(kept[0] is slot[0] for slot in arena.slots)
-                for table, fresh in zip(kept, _sheet_tables(lift_level(sample, k + 1))):
-                    assert table.tobytes() == fresh.tobytes()
-                # Against itself: the norms are exactly 0, the tables kept.
+                fine_tables = fresh_tables(lift_level(sample, k + 1))
+                coarse_tables = fresh_tables(lift_level(sample, k))
+                assert arena.kept is fine
+                difference = arena.slots[1 - arena.held]
+                for table, f, g in zip(difference, fine_tables, coarse_tables):
+                    assert table.tobytes() == (f - g).tobytes()
+                for table, f in zip(arena.slots[arena.held], fine_tables):
+                    assert table.tobytes() == f.tobytes()
+                # Against itself: the norms are exactly 0, the sheet kept.
                 zero = spacetime_besov_norm(fine, relative_to=fine, work=arena, **params)
                 assert (zero.initial_value, zero.level1, zero.level2) == (0.0, 0.0, 0.0)
                 assert zero == spacetime_besov_norm(fine, relative_to=fine, **params)
-                assert fine._tables is kept
-                # Alone, from the kept tables.
+                assert arena.kept is fine
+                for table, f in zip(arena.slots[arena.held], fine_tables):
+                    assert table.tobytes() == f.tobytes()
+                # Alone, with the arena keeping it.
                 assert spacetime_besov_norm(fine, work=arena, **params) == (
                     spacetime_besov_norm(lift_level(sample, k + 1), **params)
                 )
                 coarse = fine
 
-    def test_taken_slot_drops_its_sheet_tables(self):
+    def test_kept_sheet_is_the_last_one_tabulated(self):
         cfg = SpectralConfig(
             n_modes=32, time_horizon=1.0, n_time=3, grid_level=4, dim=2, seed=1
         )
@@ -661,15 +677,82 @@ class TestBesovArena:
         arena = nan_arena(4, 4, 2)
         first, second, third = (lift_level(sample_field(cfg, r), 4) for r in range(3))
         spacetime_besov_norm(first, work=arena, **params)
-        assert first._tables[0] is arena.slots[0][0]
-        # second's tables take slot 0, third's slot 1, which the difference
-        # then overwrites: first and third drop their tables.
+        assert arena.kept is first
+        # third is not kept: its tables go over first's in the held slot,
+        # second's into the other, which the arena then holds for second.
         spacetime_besov_norm(second, relative_to=third, work=arena, **params)
-        assert first._tables is None and third._tables is None
-        assert second._tables[0] is arena.slots[0][0]
+        assert arena.kept is second
+        for table, fresh in zip(arena.slots[arena.held], fresh_tables(second)):
+            assert table.tobytes() == fresh.tobytes()
         for sheet, r in ((first, 0), (second, 1), (third, 2)):
             want = spacetime_besov_norm(lift_level(sample_field(cfg, r), 4), **params)
             assert spacetime_besov_norm(sheet, **params) == want
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_relative_to_not_kept_is_rebuilt(self, dim):
+        # The kept sheet and relative_to share the grid and every time but
+        # not their values: reading the kept tables would change the norm.
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=4, grid_level=5, dim=dim, seed=dim
+        )
+        params = dict(beta=0.04, alpha=0.4, m=30.0)
+        arena = nan_arena(5, 5, dim)
+        sample, other = sample_field(cfg, 0), sample_field(cfg, 1)
+        spacetime_besov_norm(lift_level(sample, 4), work=arena, **params)
+        # relative_to is first another sample's lift at the kept sheet's
+        # level, then a new lift equal to the sheet kept first, which the
+        # first norm's fine lift has replaced.
+        for source in (other, sample):
+            coarse = lift_level(source, 4)
+            assert coarse is not arena.kept
+            got = spacetime_besov_norm(
+                lift_level(sample, 5), relative_to=coarse, work=arena, **params
+            )
+            want = spacetime_besov_norm(
+                lift_level(sample, 5), relative_to=lift_level(source, 4), **params
+            )
+            assert got == want
+
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_self_difference_is_exactly_zero(self, kept):
+        sheet = small_sheet(3, grid_level=4, n_time=5)
+        params = dict(beta=0.04, alpha=0.4, m=30.0)
+        arena = nan_arena(6, 4, 2)
+        if kept:
+            spacetime_besov_norm(sheet, work=arena, **params)
+        for work in (arena, None):
+            zero = spacetime_besov_norm(sheet, relative_to=sheet, work=work, **params)
+            assert (zero.initial_value, zero.level1, zero.level2) == (0.0, 0.0, 0.0)
+
+    def test_norm_leaves_its_sheets_alone(self):
+        fine, coarse = small_sheet(4, grid_level=4), small_sheet(5, grid_level=4)
+        before = [snapshot(sh) for sh in (fine, coarse)]
+        arena = nan_arena(7, 4, 2)
+        for work in (None, arena, arena):
+            spacetime_besov_norm(fine, 0.04, 0.4, 30.0, relative_to=coarse, work=work)
+            spacetime_besov_norm(coarse, 0.04, 0.4, 30.0, work=work)
+            assert [snapshot(sh) for sh in (fine, coarse)] == before
+
+    def test_interrupted_norm_keeps_no_sheet(self, monkeypatch):
+        first, second, third = (small_sheet(seed, grid_level=4) for seed in (6, 7, 8))
+        params = dict(beta=0.04, alpha=0.4, m=30.0)
+        arena = nan_arena(7, 4, 2)
+        spacetime_besov_norm(first, work=arena, **params)
+        build = sheets._increment_tables
+
+        def interrupted(level1, *args, **kwargs):
+            if level1 is second.level1:
+                raise KeyboardInterrupt
+            return build(level1, *args, **kwargs)
+
+        # third's tables go over first's, then second's build is cut short.
+        monkeypatch.setattr(sheets, "_increment_tables", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            spacetime_besov_norm(second, relative_to=third, work=arena, **params)
+        monkeypatch.undo()
+        assert arena.kept is None
+        got = spacetime_besov_norm(second, relative_to=first, work=arena, **params)
+        assert got == spacetime_besov_norm(second, relative_to=first, **params)
 
     def test_arena_of_another_grid_rejected(self):
         sheet = small_sheet(0, grid_level=4, n_time=3)
