@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import resource
 import sys
@@ -217,12 +218,14 @@ def _write_json(path: Path, payload: dict):
     path.write_text(_canonical_json(payload) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, schema: str, header: str, rows):
+def _write_csv(path: Path, schema: str, header: str, blocks):
+    """The one CSV writer: the schema and header lines, then each block
+    of text, one or more rows joined by newlines, in one write call.
+    blocks may be a generator, so no list of every row need exist."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# heatlift-csv {schema} v1\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write(f"# heatlift-csv {schema} v1\n{header}\n")
+        for block in blocks:
+            fh.write(block + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +234,24 @@ def _write_csv(path: Path, schema: str, header: str, rows):
 def _exp_sample(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     sample = sample_field(cfg, int(config["params"]["replica"]))
-    # Each time and node is formatted once; the values are read one time
-    # row at a time as Python floats, whose repr is the shortest
-    # round-trip text (converting the whole field at once holds a float
-    # object per value beside the rows, which raised the next call's peak
-    # RSS).
-    times = [repr(t) for t in cfg.times().tolist()]
-    nodes = [repr(x) for x in cfg.nodes().tolist()]
-    rows = [
-        f"{t},{x},{c},{v!r}"
-        for t, plane in zip(times, sample.values)
-        for x, point in zip(nodes, plane.tolist())
-        for c, v in enumerate(point)
+    # One block per time row.  The "x,c," prefixes are formatted once, and
+    # a row's values are formatted in C: the repr of a list of Python
+    # floats holds each float's repr, the shortest round-trip text, and no
+    # repr holds ", ".  The row's "t," prefix is the join separator's
+    # tail, so only one row's floats and text exist at a time.
+    prefixes = [
+        f"{x!r},{c},"
+        for x in cfg.nodes().tolist()
+        for c in range(cfg.dim)
     ]
-    _write_csv(out / "field.csv", "field", "t,x,component,value", rows)
+
+    def blocks():
+        for t, plane in zip(cfg.times().tolist(), sample.values):
+            lead = f"{t!r},"
+            values = repr(plane.ravel().tolist())[1:-1].split(", ")
+            yield lead + ("\n" + lead).join(map(operator.add, prefixes, values))
+
+    _write_csv(out / "field.csv", "field", "t,x,component,value", blocks())
     outputs = ["field.csv"]
     if config["params"].get("write_binary", True):
         save_field(sample, str(out / "field.bin"))
@@ -377,10 +384,10 @@ def _exp_converge(config: dict, out: Path) -> dict:
         out / "convergence.csv",
         "convergence",
         "k,level,norm_kind,estimate,stderr,replicas",
-        [
+        ["\n".join(
             f"{r.k},{r.level},{r.norm_kind},{r.estimate!r},{r.stderr!r},{r.replicas}"
             for r in table.rows
-        ],
+        )],
     )
     fits = {key: asdict(f) for key, f in table.fits.items()}
     _write_json(out / "convergence_fits.json", fits)
@@ -398,11 +405,11 @@ def _exp_tails(config: dict, out: Path) -> dict:
         out / "tails.csv",
         "tails",
         "epsilon,delta,k,replicas,count,p_hat,ci_low,ci_high,eps2_log,zero_count",
-        [
+        ["\n".join(
             f"{r.epsilon!r},{r.delta!r},{r.k},{r.replicas},{r.count},"
             f"{r.p_hat!r},{r.ci_low!r},{r.ci_high!r},{r.eps2_log!r},{int(r.zero_count)}"
             for r in rows
-        ],
+        )],
     )
     return {
         "outputs": ["tails.csv"],
@@ -462,10 +469,10 @@ def _exp_schilder(config: dict, out: Path) -> dict:
         out / "schilder.csv",
         "schilder",
         "epsilon,threshold,probability,eps2_log",
-        [
+        ["\n".join(
             f"{r.epsilon!r},{r.threshold!r},{r.probability!r},{r.eps2_log!r}"
             for r in report.rows
-        ],
+        )],
     )
     _write_json(
         out / "schilder.json",

@@ -411,26 +411,39 @@ def save_field(sample: FieldSample, path: str):
             )
         )
         fh.write(struct.pack("<d", cfg.time_horizon))
-        fh.write(np.ascontiguousarray(sample.values, dtype="<f8").tobytes())
+        # A file object takes the array's buffer: no bytes copy.
+        fh.write(np.ascontiguousarray(sample.values, dtype="<f8"))
 
 
 def load_field(path: str) -> FieldSample:
+    """Read a save_field cache.  A file that is not one, or whose length
+    does not match its header (truncated, or with trailing bytes), raises
+    ValueError."""
     with open(path, "rb") as fh:
-        if fh.read(len(_FIELD_MAGIC)) != _FIELD_MAGIC:
-            raise ValueError("not a heatlift field cache")
-        n_modes, n_time, k, dim, seed, replica = struct.unpack("<qqqqqq", fh.read(48))
-        (horizon,) = struct.unpack("<d", fh.read(8))
-        cfg = SpectralConfig(
-            n_modes=n_modes,
-            time_horizon=horizon,
-            n_time=n_time,
-            grid_level=k,
-            dim=dim,
-            seed=seed,
+        raw = fh.read()
+    if raw[: len(_FIELD_MAGIC)] != _FIELD_MAGIC:
+        raise ValueError("not a heatlift field cache")
+    head = len(_FIELD_MAGIC) + 56
+    if len(raw) < head:
+        raise ValueError(f"field cache is {len(raw)} bytes, expected at least {head}")
+    n_modes, n_time, k, dim, seed, replica, horizon = struct.unpack_from(
+        "<qqqqqqd", raw, len(_FIELD_MAGIC)
+    )
+    shape = (n_time + 1, 2**k + 1, dim)
+    expected = head + 8 * shape[0] * shape[1] * shape[2]
+    if len(raw) != expected:
+        raise ValueError(
+            f"field cache is {len(raw)} bytes, expected {expected} for a "
+            f"{shape} field"
         )
-        count = (n_time + 1) * cfg.n_nodes * dim
-        values = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(
-            n_time + 1, cfg.n_nodes, dim
-        )
-        return FieldSample(values=values.astype(float), config=cfg, replica=replica)
+    cfg = SpectralConfig(
+        n_modes=n_modes,
+        time_horizon=horizon,
+        n_time=n_time,
+        grid_level=k,
+        dim=dim,
+        seed=seed,
+    )
+    values = np.frombuffer(raw, dtype="<f8", offset=head).reshape(shape)
+    return FieldSample(values=values.astype(float), config=cfg, replica=replica)
 

@@ -708,28 +708,43 @@ def save_sheet(sheet: RoughSheet, path: str):
             sheet.level1,
             sheet.level2,
         ):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            # A file object takes the array's buffer: no bytes copy.
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_sheet(path: str) -> RoughSheet:
+    """Read a save_sheet cache.  A file that is not one, or whose length
+    does not match its header (truncated, or with trailing bytes), raises
+    ValueError."""
     with open(path, "rb") as fh:
-        if fh.read(len(_BINARY_MAGIC)) != _BINARY_MAGIC:
-            raise ValueError("not a heatlift sheet cache")
-        d, k, nt = struct.unpack("<qqq", fh.read(24))
-        n = 2**k + 1
-
-        def read(shape):
-            count = int(np.prod(shape))
-            return np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-
-        times = read((nt,)).astype(float)
-        iv = read((nt, d)).astype(float)
-        l1 = read((nt, n, d)).astype(float)
-        l2 = read((nt, n, d, d)).astype(float)
-        return RoughSheet(
-            times=times,
-            grid_level=k,
-            level1=l1,
-            level2=l2,
-            initial_values=iv,
+        raw = fh.read()
+    if raw[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
+        raise ValueError("not a heatlift sheet cache")
+    offset = len(_BINARY_MAGIC) + 24
+    if len(raw) < offset:
+        raise ValueError(f"sheet cache is {len(raw)} bytes, expected at least {offset}")
+    d, k, nt = struct.unpack_from("<qqq", raw, len(_BINARY_MAGIC))
+    n = 2**k + 1
+    shapes = ((nt,), (nt, d), (nt, n, d), (nt, n, d, d))
+    expected = offset + 8 * sum(math.prod(shape) for shape in shapes)
+    if len(raw) != expected:
+        raise ValueError(
+            f"sheet cache is {len(raw)} bytes, expected {expected} for "
+            f"{nt} times at grid level {k} and dim {d}"
         )
+    arrays = []
+    for shape in shapes:
+        count = math.prod(shape)
+        arrays.append(
+            np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+            .reshape(shape).astype(float)
+        )
+        offset += 8 * count
+    times, iv, l1, l2 = arrays
+    return RoughSheet(
+        times=times,
+        grid_level=k,
+        level1=l1,
+        level2=l2,
+        initial_values=iv,
+    )

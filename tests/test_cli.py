@@ -773,18 +773,94 @@ def loop_field_csv(sample) -> bytes:
     return text.encode()
 
 
+def loop_csv(path: Path, schema: str, header: str, rows):
+    """Reference: a CSV written one row and one write call at a time, each
+    column read from the row's attribute of the header's name; floats by
+    repr, booleans as 0/1."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# heatlift-csv {schema} v1\n")
+        fh.write(header + "\n")
+        for row in rows:
+            cells = []
+            for name in header.split(","):
+                value = getattr(row, name)
+                if isinstance(value, bool):
+                    value = int(value)
+                cells.append(repr(value) if isinstance(value, float) else str(value))
+            fh.write(",".join(cells) + "\n")
+
+
 class TestExperiments:
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_sample_field_csv_matches_loop(self, tmp_path, dim):
+    @pytest.mark.parametrize(
+        "dim,write_binary",
+        [(dim, binary) for binary in ("false", "true") for dim in (1, 2, 3)],
+        ids=["1", "2", "3", "1-binary", "2-binary", "3-binary"],
+    )
+    def test_sample_field_csv_matches_loop(self, tmp_path, dim, write_binary):
         code = main(
             ["sample", "--out", str(tmp_path), "--seed", "5", "--set", "n_modes=64"]
             + ["--set", "n_time=7", "--set", "grid_level=6", "--set", f"dim={dim}"]
-            + ["--set", "replica=2", "--set", "write_binary=false"]
+            + ["--set", "replica=2", "--set", f"write_binary={write_binary}"]
         )
         assert code == 0
         cfg = SpectralConfig(n_modes=64, n_time=7, grid_level=6, dim=dim, seed=5)
         expected = loop_field_csv(sample_field(cfg, 2))
         assert (tmp_path / "field.csv").read_bytes() == expected
+        assert (tmp_path / "field.bin").exists() == (write_binary == "true")
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_sample_field_csv_values_are_the_cache_bits(self, tmp_path, dim):
+        code = main(
+            ["sample", "--out", str(tmp_path), "--seed", "8", "--set", "n_modes=32"]
+            + ["--set", "n_time=5", "--set", "grid_level=5", "--set", f"dim={dim}"]
+        )
+        assert code == 0
+        cached = sampler.load_field(str(tmp_path / "field.bin"))
+        cfg = cached.config
+        lines = (tmp_path / "field.csv").read_text().splitlines()[2:]
+        assert len(lines) == cached.values.size
+        cells = [line.split(",") for line in lines]
+        # (t, x, component) order is the cache's C order.
+        t, x, c = (np.array([float(r[i]) for r in cells]) for i in range(3))
+        shape = cached.values.shape
+        assert np.array_equal(t.reshape(shape), np.broadcast_to(cfg.times()[:, None, None], shape))
+        assert np.array_equal(x.reshape(shape), np.broadcast_to(cfg.nodes()[None, :, None], shape))
+        assert np.array_equal(c.reshape(shape), np.broadcast_to(np.arange(dim), shape))
+        values = np.array([float(r[3]) for r in cells])
+        assert np.array_equal(values.view(np.uint64), cached.values.ravel().view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "experiment,name,schema,function,argv",
+        [
+            ("converge", "convergence.csv", "convergence", "convergence_study",
+             SMALL_SPECTRAL + ["--set", "dim=2", "--set", "k_min=1", "--set", "k_max=3",
+                               "--set", "replicas=3"]),
+            ("tails", "tails.csv", "tails", "tail_probability",
+             SMALL_SPECTRAL + ["--set", "dim=2", "--set", "replicas=5",
+                               "--set", "eps_list=[1.0,0.5,0.25]"]),
+            ("schilder", "schilder.csv", "schilder", "schilder_point_check",
+             ["--set", "eps_list=[0.5,0.25,0.125,1e-170]"]),
+        ],
+        ids=["converge", "tails", "schilder"],
+    )
+    def test_small_csvs_match_row_by_row_writer(
+        self, tmp_path, monkeypatch, experiment, name, schema, function, argv
+    ):
+        results = []
+        call = getattr(cli, function)
+
+        def keep(*args, **kwargs):
+            results.append(call(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, function, keep)
+        assert main([experiment, "--out", str(tmp_path / "run")] + argv) == 0
+        (result,) = results
+        rows = result if isinstance(result, tuple) else result.rows
+        written = (tmp_path / "run" / name).read_text().splitlines()
+        assert len(rows) >= 3 and len(written) == 2 + len(rows)
+        loop_csv(tmp_path / name, schema, written[1], rows)
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_sample_field_csv_layout(self, tmp_path):
         code = main(

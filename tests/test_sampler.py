@@ -683,3 +683,38 @@ class TestFieldIO:
         assert np.array_equal(back.values, sample.values)
         assert back.config == cfg
         assert back.replica == 2
+
+    def test_binary_is_little_endian_f64(self, tmp_path):
+        cfg = SpectralConfig(n_modes=8, n_time=3, grid_level=3, dim=2, seed=5)
+        sample = sample_field(cfg, 2)
+        path = tmp_path / "field.bin"
+        save_field(sample, str(path))
+        raw = path.read_bytes()
+        assert raw[:8] == b"HLFIELD1"
+        assert len(raw) == 64 + 8 * sample.values.size
+        assert raw[64:] == sample.values.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize(
+        "edit,found",
+        [
+            (lambda raw: raw[:70], 70),
+            (lambda raw: raw[:-8], 632),
+            (lambda raw: raw + b"\0" * 8, 648),
+            (lambda raw: raw[:30], 30),
+        ],
+        ids=["truncated-values", "one-value-short", "trailing-bytes", "truncated-header"],
+    )
+    def test_wrong_length_rejected(self, tmp_path, edit, found):
+        cfg = SpectralConfig(n_modes=8, n_time=3, grid_level=3, dim=2, seed=5)
+        path = tmp_path / "field.bin"
+        save_field(sample_field(cfg, 2), str(path))
+        path.write_bytes(edit(path.read_bytes()))
+        expected = "at least 64" if found < 64 else "640 for a \\(4, 9, 2\\) field"
+        with pytest.raises(ValueError, match=f"field cache is {found} bytes, expected {expected}"):
+            load_field(str(path))
+
+    def test_non_field_file_rejected(self, tmp_path):
+        path = tmp_path / "field.bin"
+        path.write_bytes(b"HLSHEET1" + bytes(56))
+        with pytest.raises(ValueError, match="not a heatlift field cache"):
+            load_field(str(path))

@@ -1062,6 +1062,27 @@ class TestSerialization:
         assert np.array_equal(back.level2, sheet.level2)
         assert np.array_equal(back.initial_values, sheet.initial_values)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda raw: raw[:-8], "is {short} bytes, expected {size} for 3 times"),
+            (lambda raw: raw[:100], "is 100 bytes, expected {size} for 3 times"),
+            (lambda raw: raw + b"\0", "is {long} bytes, expected {size} for 3 times"),
+            (lambda raw: raw[:20], "is 20 bytes, expected at least 32"),
+        ],
+        ids=["one-value-short", "truncated-values", "trailing-bytes", "truncated-header"],
+    )
+    def test_wrong_length_rejected(self, tmp_path, edit, message):
+        sheet = small_sheet(6, grid_level=2, n_time=2)
+        path = tmp_path / "sheet.bin"
+        save_sheet(sheet, str(path))
+        raw = path.read_bytes()
+        size = len(raw)
+        path.write_bytes(edit(raw))
+        message = message.format(short=size - 8, long=size + 1, size=size)
+        with pytest.raises(ValueError, match=f"sheet cache {message}"):
+            load_sheet(str(path))
+
     def test_non_sheet_file_rejected(self, tmp_path):
         path = tmp_path / "sheet.json"
         path.write_text('{"format": "heatlift-sheet", "version": 1}')
