@@ -195,7 +195,7 @@ def cameron_martin_path(ctrl: CMControl, config: SpectralConfig) -> CameronMarti
     for c in ctrl.controls:
         lam = mode_rate(abs(c.mode))
         drive = _step_values(c, times) * _ou_integral(lam, delta)
-        coeff = _ou_paths(np.exp(-lam * delta), drive)
+        coeff = _ou_paths(np.exp(-lam * delta), np.concatenate(([0.0], drive)))
         values[:, :, c.component] += np.outer(coeff, basis_eval(c.mode, nodes))
     return CameronMartinPath(
         field=FieldSample(values=values, config=config, replica=-1),

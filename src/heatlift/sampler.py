@@ -10,8 +10,9 @@ are attributable to truncation or Monte Carlo noise only.  Each OU
 formula is written once: _ou_integral (int_0^h e^{-a r} dr, the one
 rate -> 0 limit) gives the transition deviation _ou_sd at rate 2*lam
 and the Cameron-Martin gain at rate lam, and _ou_paths is the one
-recursion c_{j+1} = decay*c_j + drive_j, driven by sd*xi here and by
-gain*f in ldp.cameron_martin_path.
+recursion c_{j+1} = decay*c_j + drive_j, run in place, driven by sd*xi
+here (all components in one call) and by gain*f in
+ldp.cameron_martin_path.
 
 Randomness is counter-based: one Philox stream per (seed, replica,
 component), with each mode reading a fixed block of that stream (blocks
@@ -22,14 +23,18 @@ replicas below 2^56.
 
 sample_field evaluates the mode sum at the dyadic nodes by one inverse
 real FFT per component, with modes past the Nyquist frequency folded
-onto their aliases.  What does not depend on the replica (the mode
-order, each mode's OU decay and step deviation, its fold bin and its
-cosine and sine weights) is one read-only _SynthesisPlan per grid,
-built once and cached (_synthesis_plan), so a study that samples many
-replicas on one grid builds it once.  sample_row is the same synthesis (_synthesize) for
-one time row: it draws the same streams, runs the OU recursion only up
-to that time and folds and transforms that row alone, with the bits of
-that row of sample_field.  sample_slice_marginal draws through _node_factor,
+onto their aliases.  A replica draws all its streams into one buffer
+and steps all components' coefficients together; the first n/2 modes
+are written straight into the spectrum, and only folded grids add
+later blocks of modes on top.  What does not depend on the replica
+(the mode order, each mode's OU decay and step deviation, its fold bin
+and its interleaved cosine and sine weights) is one read-only
+_SynthesisPlan per grid, built once and cached (_synthesis_plan), so a
+study that samples many replicas on one grid builds it once.
+sample_row is the same synthesis (_synthesize) for one time row: it
+draws the same streams, runs the OU recursion only up to that time and
+folds and transforms that row alone, with the bits of that row of
+sample_field.  sample_slice_marginal draws through _node_factor,
 a thin factor of the truncated node covariance at one time, and forms
 its rank-one terms elementwise.  Neither projection calls the BLAS, so
 their bits do not depend on the BLAS or its thread count.
@@ -169,13 +174,15 @@ def _ou_sd(lam, h: float) -> np.ndarray:
     return np.sqrt(_ou_integral(2.0 * lam, h))
 
 
-def _ou_paths(decay, drive: np.ndarray) -> np.ndarray:
-    """Paths c_0 = 0, c_{j+1} = decay*c_j + drive[j]; drive has one row
-    per time step, the result one more."""
-    drive = np.asarray(drive, dtype=float)
-    paths = np.zeros((drive.shape[0] + 1,) + drive.shape[1:])
-    for j, step in enumerate(drive):
-        paths[j + 1] = decay * paths[j] + step
+def _ou_paths(decay, paths: np.ndarray) -> np.ndarray:
+    """Run c_{j+1} = decay*c_j + drive_j in place and return paths: on
+    entry paths[0] holds c_0 and paths[j + 1] drive_j, on return paths[j]
+    holds c_j.  decay broadcasts over a row, so one call steps every
+    component.  A step is paths[j + 1] += paths[j] * decay, one multiply
+    and one add per value: the bits of decay*c_j + drive_j, as IEEE + and
+    * commute."""
+    for j in range(paths.shape[0] - 1):
+        paths[j + 1] += paths[j] * decay
     return paths
 
 
@@ -193,17 +200,18 @@ class _SynthesisPlan:
     and component (_synthesis_plan); every array is read-only.
 
     order, decay and sd are per mode in canonical order: the mode, and
-    the exact transition's decay and deviation over one time step.  bins,
-    cos_weight and sin_weight fold modes 1..n_modes onto the inverse real
-    FFT's bins (see _synthesize), block modes at a time.
+    the exact transition's decay and deviation over one time step.  bins
+    and weight fold modes 1..n_modes onto the inverse real FFT's bins (see
+    _synthesize), block modes at a time: mode k's bin is bins[k - 1], and
+    weight[2k - 2], weight[2k - 1] are its cosine and sine weights, in the
+    (real, imaginary) order of a complex bin.
     """
 
     order: np.ndarray
     decay: np.ndarray
     sd: np.ndarray
     bins: np.ndarray
-    cos_weight: np.ndarray
-    sin_weight: np.ndarray
+    weight: np.ndarray
     block: int
 
 
@@ -223,9 +231,10 @@ def _synthesis_plan(
     r = np.arange(1, n_modes + 1) % n
     bins = np.minimum(r, n - r)
     real = (bins == 0) | (2 * bins == n)
-    cos_weight = np.where(real, np.sqrt(2.0), np.sqrt(0.5))
-    sin_weight = np.where(real, 0.0, np.where(r > bins, np.sqrt(0.5), -np.sqrt(0.5)))
-    arrays = (order, decay, sd, bins, cos_weight, sin_weight)
+    weight = np.empty(2 * n_modes)
+    weight[0::2] = np.where(real, np.sqrt(2.0), np.sqrt(0.5))
+    weight[1::2] = np.where(real, 0.0, np.where(r > bins, np.sqrt(0.5), -np.sqrt(0.5)))
+    arrays = (order, decay, sd, bins, weight)
     for array in arrays:
         array.flags.writeable = False
     # Modes (j*n/2, (j+1)*n/2] fold onto distinct bins.
@@ -233,19 +242,25 @@ def _synthesis_plan(
 
 
 def _simulate_coefficients(
-    config: SpectralConfig, replica: int, component: int, steps: int | None = None
+    config: SpectralConfig, replica: int, *, steps: int | None = None
 ) -> np.ndarray:
-    """Exact OU paths of all mode coefficients over the first `steps` time
-    steps (all n_time by default); shape (steps + 1, n_rows).  The whole
-    stream is drawn for any steps, so a shorter run is a prefix of the
-    full one, bit for bit."""
+    """Exact OU paths of every component's mode coefficients over the
+    first `steps` time steps (all n_time by default); shape (steps + 1,
+    dim, 2*n_modes + 1).  Every component's stream is drawn whole into one
+    buffer for any steps, so a shorter run is a prefix of the full one,
+    bit for bit; the drive sd*xi is written time-major, and one in-place
+    recursion steps all components."""
     plan = _synthesis_plan(
         config.n_modes, config.n_time, config.time_horizon, config.grid_level
     )
-    n_rows = plan.order.shape[0]
-    gen = _philox(config.seed, replica, component)
-    xi = gen.standard_normal(n_rows * config.n_time).reshape(n_rows, config.n_time)
-    return _ou_paths(plan.decay, (plan.sd[:, None] * xi[:, :steps]).T)
+    steps = config.n_time if steps is None else steps
+    xi = np.empty((config.dim, plan.order.shape[0], config.n_time))
+    for component in range(config.dim):
+        _philox(config.seed, replica, component).standard_normal(out=xi[component])
+    paths = np.empty((steps + 1,) + xi.shape[:2])
+    paths[0] = 0.0
+    np.multiply(xi[..., :steps].transpose(2, 0, 1), plan.sd, out=paths[1:])
+    return _ou_paths(plan.decay, paths)
 
 
 def _synthesize(
@@ -255,14 +270,22 @@ def _synthesize(
     row t_index alone, (1, n_nodes, dim).
 
     The mode sum at the nodes j/n, n = 2**grid_level, is one inverse real
-    FFT per row.  The constant mode fills bin 0; mode k's cosine and sine
-    coefficients a_k, b_k enter bin r = k mod n as (a_k - i*b_k)/sqrt(2),
-    or bin n - r with the sine's sign flipped when r > n/2.  On bins 0 and
-    n/2 the cosine enters once as sqrt(2)*a_k and the sine, zero at every
-    node, drops.  Folded modes add up in their bin.  One row runs the OU
-    recursion up to t_index and folds and transforms that row only; every
-    step is elementwise in the rows, so it has the bits of that row of the
-    full field.  The bins and weights come from the grid's plan.
+    FFT per row, one call per component.  The constant mode fills bin 0;
+    mode k's cosine and sine coefficients a_k, b_k enter bin r = k mod n
+    as (a_k - i*b_k)/sqrt(2), or bin n - r with the sine's sign flipped
+    when r > n/2.  On bins 0 and n/2 the cosine enters once as
+    sqrt(2)*a_k and the sine, zero at every node, gets weight 0 (the
+    transform reads only the real part of these bins).  Modes
+    1..min(n_modes, n/2) land on bins 1, 2, ... in order, so one multiply
+    by the plan's interleaved weights writes them straight into the
+    spectrum's (real, imaginary) pairs.  Only folded grids have more
+    modes: their weighted pairs are added one block of n/2 modes at a
+    time, each block onto distinct bins by one fancy-indexed +=, so every
+    bin sums its modes in mode order.  One row runs the OU recursion up to
+    t_index and folds and transforms that row only; every step is
+    elementwise in the rows, so it has the bits of that row of the full
+    field.  The field and the longest run's coefficients are checked
+    against _MAX_FIELD_ENTRIES before either is built.
     """
     if not 0 <= replica < 2**56:
         raise ParameterError(f"0 <= replica < 2^56 violated: replica={replica}")
@@ -281,22 +304,34 @@ def _synthesize(
             f"field would hold {entries} values "
             f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid"
         )
+    # The coefficient paths of the longest run, checked before the plan's
+    # per-mode arrays are built.
+    coefficients = (config.n_time + 1) * config.dim * (2 * config.n_modes + 1)
+    if coefficients > _MAX_FIELD_ENTRIES:
+        raise GridTooLargeError(
+            f"n_modes={config.n_modes} needs {coefficients} mode coefficients "
+            f"(guard is {_MAX_FIELD_ENTRIES}); lower n_modes"
+        )
     plan = _synthesis_plan(
         config.n_modes, config.n_time, config.time_horizon, config.grid_level
     )
     n = 2**config.grid_level
-    bins, block = plan.bins, plan.block
-    cos_weight, sin_weight = plan.cos_weight, plan.sin_weight
-    # Each block of modes adds by one fancy-indexed +=; blocks run in mode
-    # order, so every bin sums its modes in mode order.
+    first = min(config.n_modes, n // 2)
+    coeffs = _simulate_coefficients(config, replica, steps=steps)[-n_rows:]
+    # One spectrum serves every component: bins 0..first are rewritten
+    # for each, and the bins past the last mode stay zero.
+    spectrum = np.zeros((n_rows, n // 2 + 1), dtype=complex)
+    pairs = spectrum.view(float)[:, 2 : 2 * first + 2]
     values = np.empty((n_rows, config.n_nodes, config.dim))
     for component in range(config.dim):
-        coeffs = _simulate_coefficients(config, replica, component, steps)[-n_rows:]
-        spectrum = np.zeros((n_rows, n // 2 + 1), dtype=complex)
-        spectrum[:, 0] = coeffs[:, 0]
-        terms = coeffs[:, 1::2] * cos_weight + 1j * (coeffs[:, 2::2] * sin_weight)
-        for lo in range(0, config.n_modes, block):
-            spectrum[:, bins[lo : lo + block]] += terms[:, lo : lo + block]
+        c = coeffs[:, component]
+        spectrum[:, 0] = c[:, 0]
+        np.multiply(c[:, 1 : 2 * first + 1], plan.weight[: 2 * first], out=pairs)
+        if first < config.n_modes:
+            terms = (c[:, 2 * first + 1 :] * plan.weight[2 * first :]).view(complex)
+            for lo in range(0, config.n_modes - first, plan.block):
+                bins = plan.bins[first + lo : first + lo + plan.block]
+                spectrum[:, bins] += terms[:, lo : lo + plan.block]
         values[:, :n, component] = np.fft.irfft(spectrum, n=n, norm="forward")
     values[:, n] = values[:, 0]
     return values

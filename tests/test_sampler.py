@@ -71,9 +71,9 @@ class TestOuStep:
 
     @staticmethod
     def step(lam, delta, prev, xi):
-        # c_1 = prev, then c_2 = exp(-lam*delta)*prev + sd*xi.
-        drive = np.array([prev, _ou_sd(lam, delta) * xi])
-        return _ou_paths(np.exp(-lam * delta), drive)[2]
+        # c_0 = prev, then c_1 = exp(-lam*delta)*prev + sd*xi.
+        paths = np.array([prev, _ou_sd(lam, delta) * xi], dtype=float)
+        return _ou_paths(np.exp(-lam * delta), paths)[1]
 
     def test_brownian_limit(self):
         assert self.step(0.0, 0.25, 0.0, 1.0) == 0.5
@@ -105,7 +105,8 @@ class TestOuStep:
         n_steps = 100_000
         xi = rng.standard_normal(n_steps)
         decay = np.exp(-lam * delta)
-        samples = _ou_paths(decay, _ou_sd(lam, delta) * xi)[1:]
+        paths = np.concatenate([[0.0], _ou_sd(lam, delta) * xi])
+        samples = _ou_paths(decay, paths)[1:]
         burn = 100
         var = samples[burn:].var()
         rho2 = decay**2
@@ -193,10 +194,32 @@ class TestOuIntegral:
         assert got[3] == pytest.approx(1e-4, rel=1e-15)
 
     def test_paths_recursion(self):
+        # Row 0 is c_0, rows 1.. the drives; the recursion runs in place.
         decay = np.array([1.0, 0.5])
-        drive = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
+        paths = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
         expected = np.array([[0.0, 0.0], [1.0, 2.0], [4.0, 5.0], [4.0, 2.5]])
-        assert np.array_equal(_ou_paths(decay, drive), expected)
+        assert _ou_paths(decay, paths) is paths
+        assert np.array_equal(paths, expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_paths_across_components_equal_per_column_runs(self, dim):
+        # One run over a trailing (dim, rows) axis has the bits of the run
+        # of every column alone, in full and for every prefix of steps (a
+        # sample_row run), with c_0 = 0 and decays 0, 1 and in between.
+        lam = mode_rate(_mode_order(20))
+        decay = np.exp(-lam / 16)
+        assert decay[0] == 1.0 and decay[-1] == 0.0
+        rng = np.random.default_rng(dim)
+        drive = rng.standard_normal((17, dim, lam.size)) * _ou_sd(lam, 1 / 16)
+        drive[0] = 0.0
+        full = _ou_paths(decay, drive.copy())
+        for c in range(dim):
+            for m in range(decay.size):
+                alone = _ou_paths(decay[m], drive[:, c, m].copy())
+                assert alone.tobytes() == full[:, c, m].tobytes(), (c, m)
+        for steps in range(17):
+            prefix = _ou_paths(decay, drive[: steps + 1].copy())
+            assert prefix.tobytes() == full[: steps + 1].tobytes(), steps
 
 
 class TestOuDeviation:
@@ -213,16 +236,16 @@ class TestOuDeviation:
         assert np.array_equal(sd, np.sqrt(_ou_integral(2.0 * lam, h)))
 
     def test_ou_paths_matches_separate_form(self):
-        # A step from prev: c_1 = prev, c_2 = decay*prev + sd*xi.
+        # A step from prev: c_0 = prev, c_1 = decay*prev + sd*xi.
         rng = np.random.default_rng(7)
         rates = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 49)])
         prev = rng.standard_normal(11)
         xi = rng.standard_normal(11)
         for lam in rates:
             for delta in (1.0 / 128, 0.25, 1.0):
-                drive = np.stack([prev, _ou_sd(lam, delta) * xi])
+                paths = np.stack([prev, _ou_sd(lam, delta) * xi])
                 assert np.array_equal(
-                    _ou_paths(np.exp(-lam * delta), drive)[2],
+                    _ou_paths(np.exp(-lam * delta), paths)[1],
                     separate_ou_step(lam, delta, prev, xi),
                 )
 
@@ -232,7 +255,7 @@ class TestOuDeviation:
         for replica in range(3):
             for component in range(cfg.dim):
                 assert np.array_equal(
-                    _simulate_coefficients(cfg, replica, component),
+                    _simulate_coefficients(cfg, replica)[:, component],
                     separate_coefficients(cfg, replica, component),
                 )
 
@@ -356,8 +379,8 @@ class TestSampleField:
         # modes already present (canonical block order).
         small = SpectralConfig(n_modes=8, n_time=4, grid_level=3, dim=1, seed=3)
         big = SpectralConfig(n_modes=16, n_time=4, grid_level=3, dim=1, seed=3)
-        ca = _simulate_coefficients(small, 0, 0)
-        cb = _simulate_coefficients(big, 0, 0)
+        ca = _simulate_coefficients(small, 0)[:, 0]
+        cb = _simulate_coefficients(big, 0)[:, 0]
         assert np.array_equal(ca, cb[:, : ca.shape[1]])
 
     def test_stream_key_bounds(self):
@@ -380,6 +403,23 @@ class TestSampleField:
         with pytest.raises(GridTooLargeError):
             sample_field(cfg, 0)
 
+    def test_mode_coefficients_count_against_the_guard(self, monkeypatch):
+        # 25 field values but (4 + 1) * 1 * 2001 mode coefficients: the
+        # guard names n_modes before the plan or any buffer is built.
+        monkeypatch.setattr(sampler_module, "_MAX_FIELD_ENTRIES", 100)
+        plans_built = sampler_module._synthesis_plan.cache_info().misses
+        cfg = SpectralConfig(n_modes=1000, grid_level=2, n_time=4, seed=0)
+        for sample in (lambda: sample_field(cfg, 0), lambda: sample_row(cfg, 0, 2)):
+            with pytest.raises(GridTooLargeError, match="n_modes=1000 needs 10005"):
+                sample()
+        assert sampler_module._synthesis_plan.cache_info().misses == plans_built
+        # 40 values and 4 * 2 * 9 = 72 coefficients fit; at dim 3 the 60
+        # values still fit, the 108 coefficients do not.
+        small = SpectralConfig(n_modes=4, grid_level=2, n_time=3, dim=2, seed=0)
+        assert sample_field(small, 0).values.shape == (4, 5, 2)
+        with pytest.raises(GridTooLargeError, match="n_modes=4 needs 108"):
+            sample_field(dataclasses.replace(small, dim=3), 0)
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
     def test_time_horizon_bounds(self, horizon):
         with pytest.raises(ParameterError, match="0 < time_horizon < inf violated"):
@@ -396,7 +436,7 @@ class TestSampleField:
 def gemm_field(cfg, replica):
     basis = basis_matrix(cfg.n_modes, cfg.nodes())
     return np.stack(
-        [_simulate_coefficients(cfg, replica, c) @ basis for c in range(cfg.dim)],
+        [_simulate_coefficients(cfg, replica)[:, c] @ basis for c in range(cfg.dim)],
         axis=-1,
     )
 
@@ -411,7 +451,7 @@ def add_at_field(cfg, replica):
     sin_weight = np.where(real, 0.0, np.where(r > bins, np.sqrt(0.5), -np.sqrt(0.5)))
     values = np.empty((cfg.n_time + 1, cfg.n_nodes, cfg.dim))
     for component in range(cfg.dim):
-        coeffs = _simulate_coefficients(cfg, replica, component)
+        coeffs = _simulate_coefficients(cfg, replica)[:, component]
         spectrum = np.zeros((cfg.n_time + 1, n // 2 + 1), dtype=complex)
         spectrum[:, 0] = coeffs[:, 0]
         terms = coeffs[:, 1::2] * cos_weight + 1j * (coeffs[:, 2::2] * sin_weight)
@@ -446,17 +486,20 @@ class TestFieldSynthesis:
                 assert error <= 1e-13 * np.max(np.abs(reference)), (cfg, r)
 
     def test_block_fold_equals_add_at(self):
-        # Each block of n/2 modes folds onto distinct bins, in mode order:
-        # the same sums, in the same order, as one np.add.at.
+        # The first n/2 modes are written straight into their bins and each
+        # later block of n/2 modes folds onto distinct bins, in mode order:
+        # the same sums, in the same order, as one np.add.at, at every dim
+        # (all components are stepped and folded together).
         for n_modes, grid_level in self.GRIDS:
-            cfg = SpectralConfig(
-                n_modes=n_modes, n_time=3, grid_level=grid_level, dim=2, seed=30
-            )
-            for r in range(2):
-                values = sample_field(cfg, r).values
-                reference = add_at_field(cfg, r)
-                assert np.array_equal(values, reference), (cfg, r)
-                assert np.array_equal(np.signbit(values), np.signbit(reference))
+            for dim in (1, 2, 3):
+                cfg = SpectralConfig(
+                    n_modes=n_modes, n_time=3, grid_level=grid_level, dim=dim, seed=30
+                )
+                for r in range(2):
+                    values = sample_field(cfg, r).values
+                    reference = add_at_field(cfg, r)
+                    assert np.array_equal(values, reference), (cfg, r)
+                    assert np.array_equal(np.signbit(values), np.signbit(reference))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_row_alone_equals_field_row(self, dim):
@@ -544,6 +587,41 @@ class TestFieldSynthesis:
         assert payloads[0] == payloads[1]
 
 
+class TestPinnedFieldBits:
+    """sha256 of sample_field(cfg, r).values.tobytes() at seed 0, dim 2 and
+    256 modes, replicas 0 and 1.  add_at_field and gemm_field call
+    _simulate_coefficients and _ou_paths themselves, so they would follow
+    a defect there; these digests would not.  A change that moves the
+    sampled bits must re-pin them and say why."""
+
+    DIGESTS = {
+        # converge-sup: n_modes = 2^(K-1), so the last mode is the Nyquist bin.
+        (9, 16): (
+            "13ba60983376781b56853b512259780f44163f46d98cae24e7af31fff5ba5a12",
+            "e15eec3cde3969b3bd96dcf0dbaef0ea474245d68a608bad581ad0d80ba8e2b9",
+        ),
+        # tails-dist: every mode has its own bin.
+        (10, 16): (
+            "bf62c28b4ea196d742fe907eb58ff642a4187a930946f970db25f47011752362",
+            "307013edf7429ce6a08cfcf4aafe3248fa3eb6f7b9db0344411ddbe47cc90b54",
+        ),
+        # besov-sheet: modes 129..256 fold onto bins already filled.
+        (8, 8): (
+            "dee4fe8df1ad1b85d228f42d356ef213f20b53a34ac95f52c1e0c764438153fb",
+            "d4ef8c6f16e30d8837840bd59d5f76db7dcae1c18b9aae1e9a545289804b84d8",
+        ),
+    }
+
+    @pytest.mark.parametrize("grid_level, n_time", list(DIGESTS))
+    def test_field_digests(self, grid_level, n_time):
+        cfg = SpectralConfig(
+            n_modes=256, n_time=n_time, grid_level=grid_level, dim=2, seed=0
+        )
+        for replica, digest in enumerate(self.DIGESTS[grid_level, n_time]):
+            values = sample_field(cfg, replica).values
+            assert hashlib.sha256(values.tobytes()).hexdigest() == digest, replica
+
+
 class TestSynthesisPlan:
     """The synthesis constants of a grid are built once, read-only and
     shared by every replica and component."""
@@ -552,7 +630,7 @@ class TestSynthesisPlan:
         plan = _synthesis_plan(24, 3, 1.0, 5)
         arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-        assert len(arrays) == 6
+        assert len(arrays) == 5
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
