@@ -35,7 +35,7 @@ from .covariance import (  # noqa: F401
 )
 from .dyadic import convergence_study, level2_telescope, lift_level, restrict_values
 from .errors import ParameterError
-from .group import GEOMETRIC_TOL, multiply
+from .group import GEOMETRIC_TOL, _outer, _pair_increment, _symmetric_defect
 from .ldp import (
     CMControl,
     cameron_martin_path,
@@ -302,7 +302,14 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
     that row of the full field and of its full-sheet lift.  The time is
     drawn before the row: the check's generator and the field's Philox
     streams are independent, so no draw changes.  The counts and the
-    telescoping level are checked before any row is synthesized."""
+    telescoping level are checked before any row is synthesized.
+
+    A slice's ten Chen/geometricity triples are checked as arrays: the
+    three increments of every triple come from one group._pair_increment
+    call each, and the Chen product's level 2 is a2 + b2 + group._outer(a1,
+    b1).  Every entry is the one rounded operation it is in
+    sheets.increment and group.multiply, so each defect has the bits of
+    the per-triple GroupElement check, and the max is exact."""
     cfg = _spectral(config)
     p = config["params"]
     K = cfg.grid_level
@@ -326,16 +333,17 @@ def _exp_lift_check(config: dict, out: Path) -> dict:
     for replica in range(p["n_slices"]):
         t_index = int(rng.integers(0, cfg.n_time + 1))
         sl = lift_row(sample_row(cfg, replica, t_index), K)
-        n = sl.n_cells
-        idx = np.sort(rng.integers(0, n + 1, size=30))
-        for a_i in range(0, len(idx) - 2, 3):
-            i, j, k = idx[a_i], idx[a_i + 1], idx[a_i + 2]
-            left = increment(sl, int(i), int(k))
-            right_a = increment(sl, int(i), int(j))
-            right_b = increment(sl, int(j), int(k))
-            comp = multiply(right_a, right_b)
-            max_chen = max(max_chen, float(np.max(np.abs(left.level2 - comp.level2))))
-            max_sym = max(max_sym, left.symmetric_defect())
+        idx = np.sort(rng.integers(0, sl.n_cells + 1, size=30))
+        # Ten sorted triples i <= j <= k, each as one row of arrays.
+        (l1i, l2i), (l1j, l2j), (l1k, l2k) = (
+            (sl.level1[at], sl.level2[at]) for at in (idx[0::3], idx[1::3], idx[2::3])
+        )
+        left1, left2 = _pair_increment(l1i, l2i, l1k, l2k)
+        a1, a2 = _pair_increment(l1i, l2i, l1j, l2j)
+        b1, b2 = _pair_increment(l1j, l2j, l1k, l2k)
+        comp2 = a2 + b2 + _outer(a1, b1)
+        max_chen = max(max_chen, float(np.max(np.abs(left2 - comp2))))
+        max_sym = max(max_sym, _symmetric_defect(left1, left2))
     # Telescoping identity on random node pairs.
     max_tel = 0.0
     for case in range(p["n_telescope"]):
@@ -443,10 +451,10 @@ def _exp_chaos(config: dict, out: Path) -> dict:
 def _exp_cm(config: dict, out: Path) -> dict:
     cfg = _spectral(config)
     p = config["params"]
-    validate_cm_params(float(p["q"]), p["k_range"], cfg.grid_level)
+    levels = validate_cm_params(float(p["q"]), p["k_range"], cfg.grid_level)
     ctrl = CMControl(tuple(control_from_dict(doc) for doc in p["controls"]))
     path = cameron_martin_path(ctrl, cfg)
-    decay = cm_lift_uniform_convergence(path, p["k_range"])
+    decay = cm_lift_uniform_convergence(path, levels)
     reg = cm_regularity_check(path, float(p["q"]))
     payload = {
         "rate_function": rate_function(ctrl),

@@ -79,8 +79,7 @@ class GroupElement:
 
     def symmetric_defect(self) -> float:
         """Max entrywise |sym(level2) - level1 ⊗ level1 / 2|."""
-        sym = 0.5 * (self.level2 + self.level2.T)
-        return float(np.max(np.abs(sym - 0.5 * np.outer(self.level1, self.level1))))
+        return _symmetric_defect(self.level1, self.level2)
 
 
 def unit(dim: int) -> GroupElement:
@@ -116,6 +115,14 @@ def _outer(x, y):
         for b in range(d):
             np.multiply(x[..., a], y[..., b], out=out[..., a, b])
     return out
+
+
+def _symmetric_defect(l1, l2) -> float:
+    """Max entrywise |sym(l2) - l1 ⊗ l1 / 2| over the elements (l1, l2),
+    broadcast over any leading axes; each entry has the bits of
+    GroupElement.symmetric_defect on its element."""
+    sym = 0.5 * (l2 + np.swapaxes(l2, -1, -2))
+    return float(np.max(np.abs(sym - 0.5 * _outer(l1, l1))))
 
 
 def _pair_increment(l1_i, l2_i, l1_j, l2_j, out=None, work=None):

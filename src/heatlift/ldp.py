@@ -32,6 +32,7 @@ import numpy as np
 from .covariance import cov, dist_s1
 from .dyadic import _check_k, _gap_sup, lift_level
 from .errors import ParameterError, is_integer, is_number
+from .group import _pair_increment
 from .parallel import deterministic_map
 from .sampler import (
     FieldSample,
@@ -43,8 +44,11 @@ from .sampler import (
     sample_field,
     sample_slice_marginal,
 )
-from .sheets import _holder_sup, _increment_tables, _lift_values, _node_pairs, _row_sumsq
-from .sheets import dist_infty  # noqa: F401  (unused; perfbench/spans.py binds it)
+from .sheets import _lift_values, _node_pairs, _row_sumsq
+# Neither is called here any more, but perfbench/spans.py patches
+# heatlift.ldp._increment_tables and heatlift.ldp.dist_infty, so both
+# names stay bound.
+from .sheets import _increment_tables, dist_infty  # noqa: F401
 from .special import erfcx, log_ndtr
 
 
@@ -217,37 +221,89 @@ class CMRegularityReport:
     qvar_normalized: float
 
 
-def validate_cm_params(q: float, k_range=(), grid_level: int = 0):
-    """The checks of cm_regularity_check (q) and cm_lift_uniform_convergence
-    (k_range), so a caller that runs both can refuse before either runs."""
+def _check_q(q: float):
     if not (4.0 / 3.0 < q < 2.0):
         raise ParameterError(f"q must lie in (4/3, 2), got {q}")
+
+
+def _cm_levels(k_range, grid_level: int) -> tuple:
+    """The distinct levels of k_range, sorted, each checked against the
+    grid level; at least one is required."""
     for k in k_range:
         _check_k(k, grid_level)
+    levels = tuple(sorted({int(k) for k in k_range}))
+    if not levels:
+        raise ParameterError("k_range must hold at least one level")
+    return levels
+
+
+def validate_cm_params(q: float, k_range, grid_level: int) -> tuple:
+    """The checks of cm_regularity_check (q) and cm_lift_uniform_convergence
+    (k_range), so a caller that runs both can refuse before either runs;
+    returns the distinct levels, sorted."""
+    _check_q(q)
+    return _cm_levels(k_range, grid_level)
+
+
+# The cm reductions take _CM_BLOCK // dim node pairs per block, so that a
+# block's gathers, at both ends of every pair and for every stacked sheet
+# or time row, stay in cache.  Any block size gives the same bits.
+_CM_BLOCK = 4096
+
+
+def _pair_blocks(pairs: int, dim: int):
+    """(start, stop) of each block of node pairs, in order."""
+    step = max(1, _CM_BLOCK // dim)
+    return [(lo, min(lo + step, pairs)) for lo in range(0, pairs, step)]
+
+
+def _head(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first rows * width entries of the flat buf, as a contiguous
+    (rows, width) block (np.take writes straight only into contiguous
+    out)."""
+    return buf[: rows * width].reshape(rows, width)
 
 
 def cm_regularity_check(path: CameronMartinPath, q: float) -> CMRegularityReport:
     """Grid 1/2-Hoelder constant and dyadic q-variation majorant
     sum_k k^gamma sum_i |increment at scale 2^-k|^q, both linearized
-    (the majorant via its q-th root) and normalized by ||h||_H."""
-    validate_cm_params(q)
+    (the majorant via its q-th root) and normalized by ||h||_H.
+
+    The Hoelder sup is reduced over blocks of node pairs (_pair_blocks),
+    each block for every time row at once: the values of all times,
+    stacked component-major, are gathered at both ends of the block's
+    pairs into two buffers made once per call, differenced, reduced by
+    _row_sumsq, rooted and divided by the pairs' sep**0.5, formed once per
+    call.  Each (time, pair) ratio has the bits of _holder_sup over one
+    time's pairs, and the max is exact."""
+    _check_q(q)
     # Any gamma > q - 1 works; staying close to that edge keeps the
     # k-sum's tail small so the report stabilizes at moderate grids.
     gamma = q - 0.75
     values = path.field.values
     K = path.config.grid_level
+    nt, _, d = values.shape
     iu, ju, sep = _node_pairs(2**K)
-    # Gathered from each time's contiguous transpose into two buffers made
-    # once; the bits are those of v.T[:, ju] - v.T[:, iu].
-    at_j, at_i = (np.empty((values.shape[-1], iu.shape[0])) for _ in range(2))
-
-    def holder_at(v):
-        rows = np.ascontiguousarray(v.T)
-        np.take(rows, ju, axis=1, out=at_j, mode="clip")
-        np.subtract(at_j, np.take(rows, iu, axis=1, out=at_i, mode="clip"), out=at_j)
-        return _holder_sup(at_j, sep, 0.5)
-
-    holder = max(holder_at(v) for v in values)
+    root_sep = sep**0.5
+    blocks = _pair_blocks(iu.shape[0], d)
+    width = blocks[0][1]
+    # Component-major over every time row: row c * nt + t is component c
+    # of time t, so _row_sumsq sums each (time, pair) in component order.
+    rows = np.ascontiguousarray(values.transpose(2, 0, 1)).reshape(d * nt, -1)
+    at_j, at_i = np.empty(d * nt * width), np.empty(d * nt * width)
+    sumsq, row = np.empty(nt * width), np.empty(nt * width)
+    holder = np.zeros(())
+    for lo, hi in blocks:
+        n = hi - lo
+        diff = np.take(rows, ju[lo:hi], 1, out=_head(at_j, d * nt, n), mode="clip")
+        at = np.take(rows, iu[lo:hi], 1, out=_head(at_i, d * nt, n), mode="clip")
+        np.subtract(diff, at, out=diff)
+        ratio = _row_sumsq(diff.reshape(d, nt * n), out=sumsq[: nt * n], work=row[: nt * n])
+        np.sqrt(ratio, out=ratio)
+        ratio = ratio.reshape(nt, n)
+        ratio /= root_sep[lo:hi]
+        np.maximum(holder, np.max(ratio), out=holder)
+    holder = float(holder)
     qvar = 0.0
     for t_index in range(values.shape[0]):
         total = 0.0
@@ -280,47 +336,83 @@ def cm_lift_uniform_convergence(
     path: CameronMartinPath, k_range
 ) -> list[LiftDecayRow]:
     """sup over t and grid pairs of |H(k)^i - H(k_max)^i|, i = 1, 2,
-    with k_max the full grid level.  Every k is checked before anything
-    is lifted; one time's tables, the reference's and one level's, are
-    live at once.  They, the work rows of _increment_tables and the two
-    rows of _row_sumsq are allocated once per call and rebuilt in place
-    for every time and level; the bits are those of fresh tables."""
+    with k_max the full grid level, for each distinct k of k_range in
+    sorted order.  Every k is checked before anything is lifted.
+
+    The prefixes of the reference lift and of every level are stacked
+    per time row, component-major: row c * s + l of a time's level-1
+    stack is component c of sheet l (the reference is sheet 0), and row
+    (a * d + b) * s + l of its level-2 stack is entry (a, b) of sheet l.
+    Each block of node pairs (_pair_blocks) is gathered once at both ends
+    into buffers made once per call (their views once per block width),
+    and _pair_increment forms every sheet's increments at once over the
+    gathers at the far end.  Every level is then differenced against the
+    reference in place, reduced by _row_sumsq one component row at a time
+    in component order, and folded into its running elementwise max,
+    which is max-reduced over the pairs and rooted once at the end.  Each
+    pair's value comes from the operations of full increment tables, max
+    is exact and sqrt is monotone and correctly rounded, so every row has
+    their bits, whatever the block size."""
     K = path.config.grid_level
-    for k in k_range:
-        _check_k(k, K)
-    ks = sorted(int(k) for k in k_range)
-    ref = lift_level(path.field, K)
-    lifts = [lift_level(path.field, k) for k in ks]
+    ks = _cm_levels(k_range, K)
+    nt, nodes, d = path.field.values.shape
+    s = len(ks) + 1
+    p1, p2 = np.empty((nt, d, s, nodes)), np.empty((nt, d * d, s, nodes))
+    for i, k in enumerate((K, *ks)):
+        sheet = lift_level(path.field, k)
+        p1[:, :, i] = sheet.level1.transpose(0, 2, 1)
+        p2[:, :, i] = sheet.level2.reshape(nt, nodes, d * d).transpose(0, 2, 1)
     iu, ju, _ = _node_pairs(2**K)
-    d, pairs = path.config.dim, iu.shape[0]
-    # Separate arrays, not one block (sheets._carve): a freed block raises
-    # glibc's mmap threshold to its size, and the arrays of later calls in
-    # the process then stay on the heap (oracle-suite's peak RSS rose from
-    # 60.7 to 69.3 MiB with one block).
-    ref_t = (np.empty((1, d, pairs)), np.empty((1, d * d, pairs)))
-    level_t = (np.empty((1, d, pairs)), np.empty((1, d * d, pairs)))
-    # The gathers at iu and at ju, then the product row.
-    work = tuple(
-        np.empty(shape)
-        for shape in ((d, pairs), (d * d, pairs), (d, pairs), (d * d, pairs), (pairs,))
-    )
-    sumsq, row = np.empty(pairs), np.empty(pairs)
-    sups = np.empty((len(ks), 2, ref.n_times))
-    for t in range(ref.n_times):
-        at = slice(t, t + 1)
-        _increment_tables(ref.level1[at], ref.level2[at], iu, ju, out=ref_t, work=work)
-        for i, lifted in enumerate(lifts):
-            _increment_tables(
-                lifted.level1[at], lifted.level2[at], iu, ju, out=level_t, work=work
-            )
-            for level, (f, r) in enumerate(zip(level_t, ref_t)):
-                # sqrt is monotone and correctly rounded and max is exact,
-                # so the root of the max, time by time, moves no bit.
-                _row_sumsq(f[0], minus=r[0], out=sumsq, work=row)
-                sups[i, level, t] = np.sqrt(np.max(sumsq))
+    blocks = _pair_blocks(iu.shape[0], d)
+    r1, r2 = d * s, d * d * s
+    # The gathers at iu and at ju of both levels, _pair_increment's product
+    # row and _row_sumsq's two rows over the levels; each level's running
+    # elementwise max of the squared gaps.
+    rows = (r1, r2, r1, r2, s, s - 1, s - 1)
+    bufs = [np.empty(r * blocks[0][1]) for r in rows]
+    sup_sq = np.zeros((2, s - 1, blocks[0][1]))
+
+    def views(n: int):
+        """Contiguous views of the buffers for a block of n pairs."""
+        g1i, g2i, g1j, g2j, product, sumsq, row = (
+            _head(buf, r, n) for buf, r in zip(bufs, rows)
+        )
+        # (sheet, pair, component...) views for _pair_increment, which
+        # writes every sheet's increments over the gathers at ju.
+        pair_major = (
+            g1i.reshape(d, s, n).transpose(1, 2, 0),
+            g2i.reshape(d, d, s, n).transpose(2, 3, 0, 1),
+            g1j.reshape(d, s, n).transpose(1, 2, 0),
+            g2j.reshape(d, d, s, n).transpose(2, 3, 0, 1),
+        )
+        # Per level: every sheet's gap to the reference (sheet 0), its
+        # rows of all levels as one table for _row_sumsq, and the running
+        # max.
+        levels = [
+            (g[:, 1:], g[:, :1], g[:, 1:].reshape(len(g), -1), sup[:, :n])
+            for g, sup in zip((g1j.reshape(-1, s, n), g2j.reshape(-1, s, n)), sup_sq)
+        ]
+        return (g1i, g2i, g1j, g2j), pair_major, product, levels, sumsq, row
+
+    by_width = {n: views(n) for n in {hi - lo for lo, hi in blocks}}
+    for t in range(nt):
+        tables = (p1[t].reshape(r1, nodes), p2[t].reshape(r2, nodes)) * 2
+        for lo, hi in blocks:
+            gathers, pair_major, product, levels, sumsq, row = by_width[hi - lo]
+            # np.take writes straight into its out only in a mode other
+            # than "raise"; the indices are in range, so "clip" changes no
+            # value.
+            for table, index, out in zip(tables, (iu, iu, ju, ju), gathers):
+                np.take(table, index[lo:hi], 1, out=out, mode="clip")
+            _pair_increment(*pair_major, out=pair_major[2:], work=product)
+            for gap, ref, table, sup in levels:
+                np.subtract(gap, ref, out=gap)
+                _row_sumsq(table, out=sumsq.reshape(-1), work=row.reshape(-1))
+                np.maximum(sup, sumsq, out=sup)
+    sups = np.sqrt(np.max(sup_sq, axis=2))
     return [
-        LiftDecayRow(k=k, level1_sup=float(s1.max()), level2_sup=float(s2.max()))
-        for k, (s1, s2) in zip(ks, sups)
+        LiftDecayRow(k=k, level1_sup=float(s1), level2_sup=float(s2))
+        for k, s1, s2 in zip(ks, *sups)
     ]
 
 

@@ -32,10 +32,13 @@ Each mathematical object has one kernel here:
   Euclidean norm of every pair's entries (of one table, or of the
   difference of two), its component rows formed and summed one at a time
   in memory order (_row_norms its root), _holder_sup the sup-over-pairs
-  Hoelder ratio (also of the Cameron-Martin paths in
-  ldp.cm_regularity_check) and _log_besov_sum the one log-domain Besov
-  sum, behind the slice norms, the initial-value term and every block of
-  the space-time norm.
+  Hoelder ratio and _log_besov_sum the one log-domain Besov sum, behind
+  the slice norms, the initial-value term and every block of the
+  space-time norm.  The Cameron-Martin sups of ldp (the lift decay and
+  the Hoelder constant) build no table over all pairs: they gather
+  blocks of _node_pairs, component-major, and reduce each block through
+  _row_sumsq (the lift decay forms its increments through
+  group._pair_increment), with the bits of full tables.
 
 Besov integrals are discretized as node-pair Riemann sums with uniform
 weight (2^-K)^2 per pair; the near-diagonal singularity is integrable

@@ -706,11 +706,11 @@ class TestLiftCheckOneRow:
     """lift-check lifts only the time row each check reads."""
 
     @staticmethod
-    def config(dim, seed, **params):
+    def config(dim, seed, grid_level=6, **params):
         return resolve_config(
             "lift-check",
             {"seed": seed},
-            {"set": [f"dim={dim}", "n_modes=32", "n_time=6", "grid_level=6"]
+            {"set": [f"dim={dim}", "n_modes=32", "n_time=6", f"grid_level={grid_level}"]
              + [f"{key}={value}" for key, value in params.items()]},
         )
 
@@ -718,6 +718,28 @@ class TestLiftCheckOneRow:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_report_equals_full_sheet_reference(self, tmp_path, dim, seed):
         config = self.config(dim, seed, n_slices=4, n_telescope=4)
+        summary = run(config, str(tmp_path))["summary"]
+        report = json.loads((tmp_path / "lift_check.json").read_text())
+        assert report == reference_lift_check(config)
+        assert summary == report
+
+    # On 2 and 4 cells the 30 sorted draws repeat nodes (i == j, j == k)
+    # and hit both endpoints.
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("grid_level", [1, 2])
+    def test_report_equals_full_sheet_reference_with_repeated_nodes(
+        self, tmp_path, dim, grid_level
+    ):
+        config = self.config(
+            dim, 5, grid_level=grid_level, n_slices=6, n_telescope=3, telescope_k=0
+        )
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([5, 0x11F7], dtype=np.uint64))
+        )
+        rng.integers(0, 7)
+        idx = np.sort(rng.integers(0, 2**grid_level + 1, size=30))
+        assert np.any(idx[0::3] == idx[1::3]) and np.any(idx[1::3] == idx[2::3])
+        assert idx[0] == 0 and idx[-1] == 2**grid_level
         summary = run(config, str(tmp_path))["summary"]
         report = json.loads((tmp_path / "lift_check.json").read_text())
         assert report == reference_lift_check(config)
@@ -1051,6 +1073,32 @@ class TestExperiments:
             assert all(a > b for a, b in zip(sups, sups[1:]))
         assert payload["regularity"]["holder_half"] > 0
         assert "np.float64" not in capsys.readouterr().out
+
+    def test_cm_empty_k_range_exit_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lifted before validation")
+
+        monkeypatch.setattr(ldp, "lift_level", refuse)
+        monkeypatch.setattr(cli, "cameron_martin_path", refuse)
+        out = tmp_path / "out"
+        code = main(
+            ["cm", "--out", str(out), "--set", "k_range=[]", "--set", "grid_level=6",
+             "--set", "n_time=2", "--set", "n_modes=4"]
+        )
+        assert code == 2
+        assert "k_range must hold at least one level" in capsys.readouterr().err
+        assert not (out / "cm.json").exists()
+
+    def test_cm_duplicate_levels_reported_once(self, tmp_path):
+        grid = ["--set", "grid_level=6", "--set", "n_time=2", "--set", "n_modes=4",
+                "--set", 'controls=[{"mode": 1, "breakpoints": [0.0, 1.0], "values": [1.0]}]']
+        payloads = []
+        for k_range in ("[3,2,2,3]", "[2,3]"):
+            out = tmp_path / k_range
+            assert main(["cm", "--out", str(out), "--set", f"k_range={k_range}"] + grid) == 0
+            payloads.append(json.loads((out / "cm.json").read_text()))
+        assert [r["k"] for r in payloads[0]["lift_decay"]] == [2, 3]
+        assert payloads[0] == payloads[1]
 
     def test_cm_rejects_mode_beyond_cutoff(self, tmp_path):
         code = main(

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -412,6 +415,158 @@ class TestLiftDecayMatchesReference:
             got = [(r.k, r.level1_sup, r.level2_sup) for r in rows]
             assert got == reference_lift_decay(path, range(2, 7)), dim
             assert all(r.level1_sup > 0 and r.level2_sup > 0 for r in rows)
+
+
+def mode_one_three_control(dim):
+    """Modes 1 and -3 on every component, with component-dependent values:
+    every lift-decay row is nonzero at both levels (unlike the mode-0
+    control), and at dim > 1 the components' areas do not cancel."""
+    return CMControl(
+        tuple(
+            c
+            for comp in range(dim)
+            for c in (
+                ModeControl(1, comp, (0.0, 0.5, 1.0), (1.0 + comp, -2.0)),
+                ModeControl(-3, comp, (0.0, 1.0), (0.5 - 0.25 * comp,)),
+            )
+        )
+    )
+
+
+def cm_digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def decay_digest(rows) -> str:
+    return cm_digest([v for r in rows for v in (r.k, r.level1_sup, r.level2_sup)])
+
+
+def per_time_holder(path):
+    """The Hoelder sup as one np.linalg.norm pass per time index."""
+    values = path.field.values
+    iu, ju, sep = _node_pairs(2**path.config.grid_level)
+    holder = 0.0
+    for t_index in range(values.shape[0]):
+        diffs = np.linalg.norm(values[t_index, ju, :] - values[t_index, iu, :], axis=1)
+        holder = max(holder, float(np.max(diffs / np.sqrt(sep))))
+    return holder
+
+
+# sha256 of the k = 2..8 lift-decay rows (k, level1_sup, level2_sup as
+# float64) and of the regularity report's fields, taken before the
+# node-pair reductions were blocked, at cm's benchmark grid (grid_level 9,
+# n_time 8, n_modes 8) with mode_one_three_control.
+CM_PINS = {
+    1: (
+        "5caf5920a5b6d1c4057c69b0e744f1ac1330b08c5ac5b65cbda2fa972e955f3d",
+        "8b352ab2df058068098bb06469be574eba920330c828078a3880e0b319625603",
+    ),
+    2: (
+        "49e08aa06df7a27e05e785dd53dd591fa23980fcba0588bccdfa21c80155a156",
+        "a0910b9ad5fc14e2b60a70daf4cb2ce2ada58db366bc4ab8f6ef63c75d2932b4",
+    ),
+    3: (
+        "50086e060030660df1adac1119b3ef77fe3887ac69e3694fa72aaac8e1755853",
+        "3c226ea1e06155077e8cf3cbee09fccf370453b47ce35289992c44f062486346",
+    ),
+}
+
+
+class TestCmBlockedReductions:
+    """The node-pair reductions of cm keep the bits of full tables."""
+
+    @staticmethod
+    def path(dim, grid_level=9, n_time=8):
+        cfg = small_config(grid_level=grid_level, n_time=n_time, n_modes=8, dim=dim)
+        return cameron_martin_path(mode_one_three_control(dim), cfg)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pinned_bits(self, dim):
+        path = self.path(dim)
+        rows = cm_lift_uniform_convergence(path, range(2, 9))
+        report = cm_regularity_check(path, q=1.5)
+        assert all(r.level1_sup > 0 and r.level2_sup > 0 for r in rows)
+        assert (decay_digest(rows), cm_digest(dataclasses.astuple(report))) == CM_PINS[dim]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pinned_bits_in_one_block(self, dim, monkeypatch):
+        path = self.path(dim)
+        # _CM_BLOCK // dim pairs per block: more than the 513 * 512 / 2.
+        monkeypatch.setattr(ldp, "_CM_BLOCK", 4 * 513 * 512 // 2)
+        rows = cm_lift_uniform_convergence(path, range(2, 9))
+        report = cm_regularity_check(path, q=1.5)
+        assert (decay_digest(rows), cm_digest(dataclasses.astuple(report))) == CM_PINS[dim]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 7, 4 * 2080])
+    def test_block_size_moves_no_bit(self, dim, block, monkeypatch):
+        # grid_level 6 has 2080 node pairs, and a block holds
+        # _CM_BLOCK // dim of them: blocks of one pair, blocks that leave a
+        # short last block, and one block of every pair.
+        path = self.path(dim, grid_level=6, n_time=4)
+        rows = cm_lift_uniform_convergence(path, range(0, 7))
+        report = cm_regularity_check(path, q=1.5)
+        monkeypatch.setattr(ldp, "_CM_BLOCK", block)
+        assert cm_lift_uniform_convergence(path, range(0, 7)) == rows
+        assert cm_regularity_check(path, q=1.5) == report
+        got = [(r.k, r.level1_sup, r.level2_sup) for r in rows]
+        assert got == reference_lift_decay(path, range(0, 7))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("grid_level", [0, 1])
+    def test_one_and_three_node_pairs(self, dim, grid_level):
+        path = self.path(dim, grid_level=grid_level)
+        assert len(_node_pairs(2**grid_level)[0]) == (1, 3)[grid_level]
+        k_range = range(0, grid_level + 1)
+        rows = cm_lift_uniform_convergence(path, k_range)
+        got = [(r.k, r.level1_sup, r.level2_sup) for r in rows]
+        assert got == reference_lift_decay(path, k_range)
+        assert cm_regularity_check(path, q=1.5).holder_half == per_time_holder(path)
+
+    # test_holder_half_matches_per_time_loop covers dim 1.
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_holder_half_matches_per_time_reference(self, dim):
+        path = self.path(dim)
+        holder = per_time_holder(path)
+        assert holder > 0.0
+        assert cm_regularity_check(path, q=1.5).holder_half == holder
+
+
+class TestCmLevels:
+    def test_empty_k_range_refused_before_any_lift(self, monkeypatch):
+        path = cameron_martin_path(CMControl((constant_control(mode=1),)), small_config())
+
+        def refuse(*args):
+            raise AssertionError("lifted")
+
+        monkeypatch.setattr(ldp, "lift_level", refuse)
+        for k_range in ([], (), range(0)):
+            with pytest.raises(ParameterError, match="k_range must hold at least one level"):
+                validate_cm_params(1.5, k_range, 5)
+            with pytest.raises(ParameterError, match="k_range must hold at least one level"):
+                cm_lift_uniform_convergence(path, k_range)
+
+    def test_bad_level_named_before_empty(self):
+        with pytest.raises(ParameterError, match="violated: k=9, grid_level=5"):
+            validate_cm_params(1.5, [9, 9], 5)
+
+    def test_duplicate_levels_measured_once(self, monkeypatch):
+        path = cameron_martin_path(
+            CMControl((constant_control(mode=1),)), small_config(n_modes=8)
+        )
+        lifted = []
+
+        def counting(sample, k):
+            lifted.append(k)
+            return lift_level(sample, k)
+
+        monkeypatch.setattr(ldp, "lift_level", counting)
+        rows = cm_lift_uniform_convergence(path, [4, 2, 4, np.int64(3), 2])
+        assert [r.k for r in rows] == [2, 3, 4]
+        assert sorted(lifted) == [2, 3, 4, 5]
+        assert rows == cm_lift_uniform_convergence(path, [2, 3, 4])
+        assert validate_cm_params(1.5, [4, 2, 4, np.int64(3), 2], 5) == (2, 3, 4)
+        assert all(type(k) is int for k in validate_cm_params(1.5, [np.int64(3)], 5))
 
 
 class TestWilson:
