@@ -16,16 +16,12 @@ from .group import (
     unit,
 )
 from .sheets import (
-    EmbeddingRatioReport,
     GridMismatchError,
     PathSlice,
     RoughSheet,
     RoughSlice,
-    besov_norm,
     dilate_sheet,
     dist_infty,
-    embedding_ratio,
-    holder_norm,
     increment,
     lift_piecewise_linear,
     load_sheet,

@@ -98,7 +98,6 @@ _PARAM_DEFAULTS = {
     "schilder": {
         "t": 1.0,
         "x": 0.0,
-        "component": 0,
         "a": None,
         "eps_list": [0.5, 0.25, 0.125],
     },
@@ -470,9 +469,7 @@ def _exp_schilder(config: dict, out: Path) -> dict:
     p = config["params"]
     # A null threshold is one standard deviation of the marginal.
     threshold = None if p["a"] is None else float(p["a"])
-    report = schilder_point_check(
-        float(p["t"]), float(p["x"]), int(p["component"]), threshold, p["eps_list"]
-    )
+    report = schilder_point_check(float(p["t"]), float(p["x"]), threshold, p["eps_list"])
     _write_csv(
         out / "schilder.csv",
         "schilder",

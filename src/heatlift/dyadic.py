@@ -70,10 +70,16 @@ def validate_besov_params(alpha: float, beta: float, m: float):
         )
 
 
-def _check_k(k: int, grid_level: int):
-    """A polygonal level k is an integer in [0, grid_level]."""
+def _integer_k(k) -> int:
+    """k as an int; raises ParameterError unless k is an integer."""
     if not is_integer(k):
         raise ParameterError(f"k must be an integer, got {k!r}")
+    return int(k)
+
+
+def _check_k(k: int, grid_level: int):
+    """A polygonal level k is an integer in [0, grid_level]."""
+    _integer_k(k)
     if not 0 <= k <= grid_level:
         raise ParameterError(
             f"0 <= k <= grid_level violated: k={k}, grid_level={grid_level}"
@@ -376,9 +382,10 @@ def convergence_study(
     Besov mode each run allocates one sheets._BesovArena and builds every
     norm's tables, difference and quadrature rows in it; each fine lift is
     passed back as the next k's coarse lift, whose tables the arena kept.
-    A mixed study lifts the fields of the sup buffer.  No kind or no k, a
-    kind other than sup and besov, or a negative k raises ParameterError
-    before sampling.  Besov mode raises GridTooLargeError before sampling
+    A mixed study lifts the fields of the sup buffer.  Each distinct level
+    runs once.  A level that is not an integer, no kind or no k, a kind
+    other than sup and besov, or a negative k raises ParameterError before
+    sampling.  Besov mode raises GridTooLargeError before sampling
     when the arenas of all runs together (each: two increment tables, the
     gather and product rows and one block of quadrature rows;
     sheets._besov_arena_shapes) would hold more values than the sampler's
@@ -386,7 +393,7 @@ def convergence_study(
     has no standard error), after the checks above and still before
     sampling; so does threads < 1.
     """
-    k_range = sorted(int(k) for k in k_range)
+    k_range = sorted({_integer_k(k) for k in k_range})
     if not kinds:
         raise ParameterError("kinds must hold at least one kind")
     if not k_range:

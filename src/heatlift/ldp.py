@@ -274,8 +274,8 @@ def cm_regularity_check(path: CameronMartinPath, q: float) -> CMRegularityReport
     stacked component-major, are gathered at both ends of the block's
     pairs into two buffers made once per call, differenced, reduced by
     _row_sumsq, rooted and divided by the pairs' sep**0.5, formed once per
-    call.  Each (time, pair) ratio has the bits of _holder_sup over one
-    time's pairs, and the max is exact."""
+    call.  Each (time, pair) ratio has the bits of that time's full pair
+    table reduced alone, and the max is exact."""
     _check_q(q)
     # Any gamma > q - 1 works; staying close to that edge keeps the
     # k-sum's tail small so the report stabilizes at moderate grids.
@@ -690,7 +690,6 @@ class SchilderRow:
 class SchilderReport:
     t: float
     x: float
-    component: int
     sigma_sq: float
     limit: float
     rows: tuple
@@ -699,7 +698,6 @@ class SchilderReport:
 def schilder_point_check(
     t: float,
     x: float,
-    component: int,
     a: float | None,
     eps_list,
     method: str = "fourier",
@@ -746,7 +744,6 @@ def schilder_point_check(
     return SchilderReport(
         t=t,
         x=x,
-        component=component,
         sigma_sq=sigma_sq,
         limit=limit,
         rows=tuple(rows),

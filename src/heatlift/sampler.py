@@ -51,8 +51,8 @@ import numpy as np
 import numpy.fft
 import numpy.random
 
+from .covariance import cov
 from .errors import ParameterError
-from .special import trigamma
 
 _FIELD_MAGIC = b"HLFIELD1"
 
@@ -77,8 +77,9 @@ class GridTooLargeError(ParameterError):
 class SpectralConfig:
     """Simulation grid and mode cutoff.
 
-    Modes |n| <= n_modes are simulated; the omitted pointwise variance is
-    truncation_residual(n_modes, t).
+    Modes |n| <= n_modes are simulated; the omitted pointwise variance,
+    truncation_residual(n_modes, t), is the Fourier-route covariance
+    oracle's variance less its truncation to these modes.
     """
 
     n_modes: int = 256
@@ -411,22 +412,18 @@ def truncation_residual(n_modes: int, t: float) -> float:
     """Pointwise variance omitted by the cutoff: sum over |n| > N of
     (1 - exp(-2*lam_n*t))/(2*lam_n).
 
-    Independent of x by translation invariance, decreasing in N, and
-    bounded by 1/(4*pi^2*N) uniformly in t.
+    Read from the Fourier route of the covariance oracle as the full
+    variance at (t, 0) less its truncation to |n| <= N, so its error is a
+    rounding of those variances, near t + 1/12: under an ulp of t + 1 as
+    measured against mpmath.  Independent of x by translation invariance,
+    decreasing in N, and bounded by 1/(4*pi^2*N) uniformly in t.
     """
     if n_modes < 0:
         raise ParameterError(f"n_modes >= 0 violated: n_modes={n_modes}")
     if not 0 <= t < np.inf:
         raise ParameterError(f"0 <= t < inf violated: t={t!r}")
-    if t == 0.0:
-        return 0.0
-    # sum_{n>N} 1/lam_n is the trigamma tail; the exponential part decays
-    # like a Gaussian in n, so direct summation terminates quickly.
-    tail = trigamma(n_modes + 1) / (4.0 * np.pi**2)
-    n = np.arange(n_modes + 1, n_modes + 2000)
-    lam = mode_rate(n)
-    exp_part = float(np.sum(np.exp(-2.0 * lam * t) / lam))
-    return tail - exp_part
+    full = cov(t, 0.0, t, 0.0, method="fourier")
+    return full - cov(t, 0.0, t, 0.0, method="fourier", n_modes=n_modes)
 
 
 def save_field(sample: FieldSample, path: str):

@@ -31,14 +31,13 @@ Each mathematical object has one kernel here:
   gives the logs of their Riemann weights, _row_sumsq the squared
   Euclidean norm of every pair's entries (of one table, or of the
   difference of two), its component rows formed and summed one at a time
-  in memory order (_row_norms its root), _holder_sup the sup-over-pairs
-  Hoelder ratio and _log_besov_sum the one log-domain Besov sum, behind
-  the slice norms, the initial-value term and every block of the
-  space-time norm.  The Cameron-Martin sups of ldp (the lift decay and
-  the Hoelder constant) build no table over all pairs: they gather
-  blocks of _node_pairs, component-major, and reduce each block through
-  _row_sumsq (the lift decay forms its increments through
-  group._pair_increment), with the bits of full tables.
+  in memory order, and _log_besov_sum the one log-domain Besov sum, behind
+  the initial-value term and every block of the space-time norm.  The
+  Cameron-Martin sups of ldp (the lift decay and the Hoelder constant)
+  build no table over all pairs: they gather blocks of _node_pairs,
+  component-major, and reduce each block through _row_sumsq (the lift
+  decay forms its increments through group._pair_increment), with the
+  bits of full tables.
 
 Besov integrals are discretized as node-pair Riemann sums with uniform
 weight (2^-K)^2 per pair; the near-diagonal singularity is integrable
@@ -300,16 +299,6 @@ def _row_sumsq(
     return out
 
 
-def _row_norms(table: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each pair's entries (see _row_sumsq)."""
-    return np.sqrt(_row_sumsq(table))
-
-
-def _holder_sup(table: np.ndarray, sep: np.ndarray, expo: float) -> float:
-    """sup over pairs p of |table[..., p]| / sep[p]^expo."""
-    return float(np.max(_row_norms(table) / sep**expo))
-
-
 def _logsumexp(terms: np.ndarray) -> float:
     """log of sum(exp(terms)), reduced about the largest term; overwrites
     terms.  Empty or all -inf terms give -inf; a non-finite largest term
@@ -354,42 +343,6 @@ def _besov(table: np.ndarray, level: int, m: float, log_w: np.ndarray) -> float:
     """Level-wise Besov Riemann sum over pairs p,
     (sum_p |table[..., p]|^(m/level) * w[p])^(level/m), with log_w = log w."""
     return _besov_root(_log_besov_sum(_row_sumsq(table), level, m, log_w), level, m)
-
-
-def _check_level(level: int):
-    if level not in (1, 2):
-        raise ParameterError(f"level must be 1 or 2, got {level}")
-
-
-def holder_norm(rough: RoughSlice, level: int, alpha: float) -> float:
-    """sup over grid pairs of |A^level(x,y)| / (y-x)^(level*alpha).
-
-    Level 2 is measured with exponent 2*alpha, matching the convention
-    that a level-i object carries i times the base regularity.
-    """
-    _check_level(level)
-    iu, ju, sep = _node_pairs(rough.n_cells)
-    (a1,), (a2,) = _increment_tables(rough.level1[None], rough.level2[None], iu, ju)
-    return _holder_sup(a1 if level == 1 else a2, sep, level * alpha)
-
-
-def besov_norm(rough: RoughSlice, level: int, alpha: float, m: float) -> float:
-    """Node-pair Riemann sum for the (alpha, m)-Besov norm of one level.
-
-    Level 1 integrates |A^1|^m / (y-x)^(1+m*alpha); level 2 uses the
-    (2*alpha, m/2) convention, whose integrand denominator is the same
-    (y-x)^(1+m*alpha), and takes the 2/m power.  Requires m*alpha > 1,
-    otherwise the integral diverges on the diagonal.
-    """
-    _check_level(level)
-    if m * alpha <= 1.0:
-        raise ParameterError(
-            f"need m*alpha > 1 for integrability, got {m * alpha:.4g}"
-        )
-    iu, ju, sep = _node_pairs(rough.n_cells)
-    (a1,), (a2,) = _increment_tables(rough.level1[None], rough.level2[None], iu, ju)
-    log_w = _log_weights(sep, 1.0 / rough.n_cells, 1.0 + m * alpha)
-    return _besov(a1 if level == 1 else a2, level, m, log_w)
 
 
 @dataclass(frozen=True)
@@ -634,65 +587,6 @@ def dilate_sheet(lam: float, sheet: RoughSheet) -> RoughSheet:
         level1=lam * sheet.level1,
         level2=(lam * lam) * sheet.level2,
         initial_values=lam * sheet.initial_values,
-    )
-
-
-@dataclass(frozen=True)
-class EmbeddingRatioReport:
-    """Both sides of the two Besov-to-Hoelder embedding inequalities.
-
-    ratio1 compares the (alpha - 1/m)-Hoelder norm of the level-1
-    difference against its (alpha, m)-Besov norm; ratio2 compares the
-    (2*alpha - 2/m)-Hoelder norm of the level-2 difference against the
-    product bound (difference Besov norms times the sum of all four
-    one-path Besov norms).  Ratios are NaN when the denominator vanishes.
-    """
-
-    holder1: float
-    besov1: float
-    holder2: float
-    product_bound: float
-
-    @property
-    def ratio1(self) -> float:
-        return self.holder1 / self.besov1 if self.besov1 > 0 else float("nan")
-
-    @property
-    def ratio2(self) -> float:
-        return (
-            self.holder2 / self.product_bound
-            if self.product_bound > 0
-            else float("nan")
-        )
-
-
-def embedding_ratio(
-    a: RoughSlice, b: RoughSlice, alpha: float, m: float
-) -> EmbeddingRatioReport:
-    """Evaluate both embedding inequalities on one slice pair."""
-    if alpha - 1.0 / m <= 1.0 / 3.0:
-        raise ParameterError(
-            f"need alpha - 1/m > 1/3, got {alpha - 1.0 / m:.4g}"
-        )
-    if a.grid_level != b.grid_level or a.dim != b.dim:
-        raise GridMismatchError("slices live on different grids")
-    iu, ju, sep = _node_pairs(a.n_cells)
-    (a1,), (a2,) = _increment_tables(a.level1[None], a.level2[None], iu, ju)
-    (b1,), (b2,) = _increment_tables(b.level1[None], b.level2[None], iu, ju)
-    d1 = a1 - b1
-    d2 = a2 - b2
-    log_w = _log_weights(sep, 1.0 / a.n_cells, 1.0 + m * alpha)
-
-    def bes(table, level):
-        return _besov(table, level, m, log_w)
-
-    besov1 = bes(d1, 1)
-    paths_b = bes(a1, 1) + bes(a2, 2) + bes(b1, 1) + bes(b2, 2)
-    return EmbeddingRatioReport(
-        holder1=_holder_sup(d1, sep, alpha - 1.0 / m),
-        besov1=besov1,
-        holder2=_holder_sup(d2, sep, 2.0 * alpha - 2.0 / m),
-        product_bound=(besov1 + bes(d2, 2)) * paths_b,
     )
 
 

@@ -15,8 +15,6 @@ evaluated from the bottom up; ten levels reach double precision at 8.
 Each interval's elements are gathered once and take scalar-coefficient
 Horner steps, so no coefficient is gathered per element.  Measured
 against mpmath, the relative error is at most 2 ulp on [0, 40].
-
-trigamma is the one scalar tail sampler.truncation_residual needs.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import ParameterError
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -61,12 +57,6 @@ _PIECES = (
 )
 _CF_FROM = 8.0
 _CF_DEPTH = 10
-
-# Bernoulli numbers B_2 .. B_16, highest first: psi_1(x) ~ 1/x + 1/(2x^2)
-# + sum_k B_2k / x^(2k+1).  At x >= 10 the first omitted term, B_18/x^19,
-# is below 1e-16 of psi_1.
-_BERNOULLI = (-3617 / 510, 7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
-_TRIGAMMA_FROM = 10.0
 
 
 def erfcx(x) -> np.ndarray:
@@ -109,24 +99,3 @@ def log_ndtr(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
         return np.log(erfcx(-z / math.sqrt(2.0)) / 2.0) - z * z / 2.0
-
-
-def trigamma(x: float) -> float:
-    """psi_1(x) = sum_{n >= 0} 1 / (x + n)^2 for x > 0.
-
-    The recurrence psi_1(x) = psi_1(x + 1) + 1/x^2 shifts x up to
-    _TRIGAMMA_FROM, where the Bernoulli asymptotic series is summed;
-    the shifted-off terms are then added from the smallest up.
-    """
-    if not 0.0 < x < math.inf:
-        raise ParameterError(f"0 < x < inf violated: x={x!r}")
-    shift = max(0, math.ceil(_TRIGAMMA_FROM - x))
-    y = x + shift
-    w = 1.0 / (y * y)
-    series = 0.0
-    for b in _BERNOULLI:
-        series = series * w + b
-    total = (series * w / y + w / 2.0) + 1.0 / y
-    for k in range(shift - 1, -1, -1):
-        total += 1.0 / ((x + k) * (x + k))
-    return total

@@ -283,7 +283,7 @@ def test_criterion_08_chaos_moment_growth():
 def test_criterion_09_schilder_pointwise_scaling():
     sigma_sq = cov(1.0, 0.0, 1.0, 0.0, method="fourier")
     a = np.sqrt(sigma_sq)
-    rep = schilder_point_check(1.0, 0.0, 0, a, [0.5, 0.25, 0.125])
+    rep = schilder_point_check(1.0, 0.0, a, [0.5, 0.25, 0.125])
     logs = [row.eps2_log for row in rep.rows]
     monotone_from_below = logs[0] < logs[1] < logs[2] < rep.limit
     gap = abs(logs[-1] - rep.limit) / abs(rep.limit)

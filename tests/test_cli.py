@@ -388,6 +388,9 @@ class TestExitCodes:
              "threads >= 1 violated: threads=-3", "tails.csv"),
             (["converge", "--config", "threads0.json"] + SMALL_SPECTRAL,
              "threads >= 1 violated: threads=0", "convergence.csv"),
+            # Every component has the same marginal: schilder takes none.
+            (["schilder", "--set", "component=0"],
+             "unknown parameter 'component' for schilder", "schilder.csv"),
         ],
     )
     def test_invalid_parameters_exit_2(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -476,6 +477,36 @@ class TestConvergenceStudy:
                 cfg, range(k_min, 3), replicas=2, kinds=kinds,
                 alpha=0.4, beta=0.04, m=30.0,
             )
+
+    @pytest.mark.parametrize("k_range", [[2.5, 3], [True, 2], ["3"]])
+    def test_non_integer_level_rejected_before_sampling(self, monkeypatch, k_range):
+        # Such levels were once truncated: 2.5 ran k = 2, True k = 1.
+        def refuse(config, replica):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(dyadic, "sample_field", refuse)
+        cfg = SpectralConfig(
+            n_modes=16, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=0
+        )
+        named = re.escape(f"k must be an integer, got {k_range[0]!r}")
+        with pytest.raises(ParameterError, match=named):
+            convergence_study(cfg, k_range, replicas=2)
+
+    def test_repeated_level_runs_once(self, monkeypatch):
+        reduced = []
+
+        def counting(values, K, k):
+            reduced.append(k)
+            return level1_sup(values, K, k)
+
+        level1_sup = dyadic._level1_sup
+        monkeypatch.setattr(dyadic, "_level1_sup", counting)
+        cfg = SpectralConfig(
+            n_modes=16, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=0
+        )
+        table = convergence_study(cfg, [3, 2, 3], replicas=2)
+        assert reduced == [2, 3]
+        assert table.rows == convergence_study(cfg, [2, 3], replicas=2).rows
 
     @pytest.mark.parametrize("kinds", [("sup",), ("besov",)])
     @pytest.mark.parametrize("threads", [0, -3])

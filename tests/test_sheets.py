@@ -11,11 +11,8 @@ from heatlift.sheets import (
     GridMismatchError,
     PathSlice,
     RoughSheet,
-    besov_norm,
     dilate_sheet,
     dist_infty,
-    embedding_ratio,
-    holder_norm,
     increment,
     lift_piecewise_linear,
     load_sheet,
@@ -30,7 +27,6 @@ from heatlift.sheets import (
     _increment_tables,
     _logsumexp,
     _node_pairs,
-    _row_norms,
     _row_sumsq,
     spacetime_besov_norm,
 )
@@ -64,6 +60,70 @@ def small_sheet(seed: int, grid_level: int = 5, n_time: int = 6, dim: int = 2):
         seed=seed,
     )
     return lift_level(sample_field(cfg, 0), grid_level)
+
+
+# The slice norms below are references built from the quadrature kernels
+# that the space-time norm and the Cameron-Martin sups use.
+
+
+def slice_tables(rough):
+    """A slice's increment tables A^1, A^2 over all node pairs, and the
+    pairs' separations."""
+    iu, ju, sep = _node_pairs(rough.n_cells)
+    (a1,), (a2,) = _increment_tables(rough.level1[None], rough.level2[None], iu, ju)
+    return a1, a2, sep
+
+
+def holder_sup(table, sep, expo):
+    """sup over node pairs p of |table[..., p]| / sep[p]^expo."""
+    return float(np.max(np.sqrt(_row_sumsq(table)) / sep**expo))
+
+
+def besov_sum(table, sep, level, alpha, m):
+    """Node-pair Riemann sum for the (alpha, m)-Besov norm of one level of a
+    slice table; level 2 in the (2*alpha, m/2) convention, whose weight
+    (y-x)^-(1+m*alpha) is level 1's.  The mesh is the least separation."""
+    return _besov(table, level, m, _log_weights(sep, sep[0], 1.0 + m * alpha))
+
+
+def slice_holder(rough, level, alpha):
+    """sup over grid pairs of |A^level(x,y)| / (y-x)^(level*alpha)."""
+    a1, a2, sep = slice_tables(rough)
+    return holder_sup(a1 if level == 1 else a2, sep, level * alpha)
+
+
+def slice_besov(rough, level, alpha, m):
+    """The (alpha, m)-Besov Riemann sum of one level of a slice."""
+    a1, a2, sep = slice_tables(rough)
+    return besov_sum(a1 if level == 1 else a2, sep, level, alpha, m)
+
+
+def embedding_sides(a, b, alpha, m):
+    """Both sides of the two Besov-to-Hoelder embedding inequalities on one
+    slice pair: (holder1, besov1, holder2, product_bound).  holder1 is the
+    (alpha - 1/m)-Hoelder norm of the level-1 difference and besov1 its
+    (alpha, m)-Besov norm; holder2 is the (2*alpha - 2/m)-Hoelder norm of
+    the level-2 difference and product_bound the difference Besov norms
+    times the sum of all four one-path Besov norms."""
+    a1, a2, sep = slice_tables(a)
+    b1, b2, _ = slice_tables(b)
+    d1, d2 = a1 - b1, a2 - b2
+    besov1 = besov_sum(d1, sep, 1, alpha, m)
+    paths = sum(
+        besov_sum(table, sep, level, alpha, m)
+        for table, level in ((a1, 1), (a2, 2), (b1, 1), (b2, 2))
+    )
+    return (
+        holder_sup(d1, sep, alpha - 1.0 / m),
+        besov1,
+        holder_sup(d2, sep, 2.0 * alpha - 2.0 / m),
+        (besov1 + besov_sum(d2, sep, 2, alpha, m)) * paths,
+    )
+
+
+def ratio(num, den):
+    """num / den, NaN where den vanishes."""
+    return num / den if den > 0 else float("nan")
 
 
 class TestLift:
@@ -145,24 +205,24 @@ class TestHolderNorm:
     def test_constant_is_zero(self):
         values = np.ones((2**4 + 1, 1))
         rough = lift_piecewise_linear(PathSlice(values=values, grid_level=4))
-        assert holder_norm(rough, 1, 0.5) == 0.0
-        assert holder_norm(rough, 2, 0.5) == 0.0
+        assert slice_holder(rough, 1, 0.5) == 0.0
+        assert slice_holder(rough, 2, 0.5) == 0.0
 
     def test_linear_level1(self):
         rough = lift_piecewise_linear(linear_slice(6))
         # sup (y-x)/(y-x)^0.5 = sup (y-x)^0.5 = 1 at the full interval.
-        assert holder_norm(rough, 1, 0.5) == pytest.approx(1.0, rel=1e-12)
+        assert slice_holder(rough, 1, 0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_linear_level2(self):
         rough = lift_piecewise_linear(linear_slice(6))
         # A^2 = (y-x)^2/2, so sup A^2/(y-x)^{2*0.5} = 1/2.
-        assert holder_norm(rough, 2, 0.5) == pytest.approx(0.5, rel=1e-12)
+        assert slice_holder(rough, 2, 0.5) == pytest.approx(0.5, rel=1e-12)
 
     def test_closed_form_level2_general_alpha(self):
         rough = lift_piecewise_linear(linear_slice(6))
         alpha = 0.4
         # sup (y-x)^{2-2a}/2 attained at y-x = 1.
-        assert holder_norm(rough, 2, alpha) == pytest.approx(0.5, rel=1e-12)
+        assert slice_holder(rough, 2, alpha) == pytest.approx(0.5, rel=1e-12)
 
     def test_homogeneity_under_dilation(self):
         slice_ = sampled_slice(5, grid_level=6)
@@ -171,8 +231,8 @@ class TestHolderNorm:
             PathSlice(values=0.5 * slice_.values, grid_level=6)
         )
         for level in (1, 2):
-            a = holder_norm(scaled, level, 0.45)
-            b = 0.5**level * holder_norm(rough, level, 0.45)
+            a = slice_holder(scaled, level, 0.45)
+            b = 0.5**level * slice_holder(rough, level, 0.45)
             assert a == pytest.approx(b, rel=1e-13)
 
 
@@ -180,12 +240,7 @@ class TestBesovNorm:
     def test_constant_is_zero(self):
         values = np.zeros((2**4 + 1, 1))
         rough = lift_piecewise_linear(PathSlice(values=values, grid_level=4))
-        assert besov_norm(rough, 1, 0.4, 4.0) == 0.0
-
-    def test_divergent_parameters_rejected(self):
-        rough = lift_piecewise_linear(linear_slice(4))
-        with pytest.raises(ValueError):
-            besov_norm(rough, 1, 0.2, 4.0)  # m*alpha = 0.8 <= 1
+        assert slice_besov(rough, 1, 0.4, 4.0) == 0.0
 
     def test_linear_slice_closed_form(self):
         # For a(x) = x, level 1, alpha=0.4, m=4 the integral is
@@ -195,7 +250,7 @@ class TestBesovNorm:
         vals = []
         for K in (6, 8, 10):
             rough = lift_piecewise_linear(linear_slice(K))
-            vals.append(besov_norm(rough, 1, 0.4, 4.0))
+            vals.append(slice_besov(rough, 1, 0.4, 4.0))
         errs = [abs(v - exact) / exact for v in vals]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 2e-3
@@ -222,7 +277,7 @@ class TestBesovNorm:
             coarse = lift_piecewise_linear(
                 PathSlice(values=sample.values[1, ::2, :], grid_level=8)
             )
-            if besov_norm(coarse, 1, alpha, m) <= besov_norm(fine, 1, alpha, m) + 1e-6:
+            if slice_besov(coarse, 1, alpha, m) <= slice_besov(fine, 1, alpha, m) + 1e-6:
                 count += 1
         assert count == 100
 
@@ -231,7 +286,7 @@ class TestBesovNorm:
         # A^2 = (y-x)^2/2 pointwise; with (2a, m/2) the integrand is
         # ((y-x)^2/2)^{m/2}/(y-x)^{1+m*alpha}.
         alpha, m = 0.4, 4.0
-        val = besov_norm(rough, 2, alpha, m)
+        val = slice_besov(rough, 2, alpha, m)
         sep_exp = m - 1.0 - m * alpha  # (2)*(m/2) - 1 - m*alpha
         exact = (0.5 ** (m / 2.0) / ((sep_exp + 1.0) * (sep_exp + 2.0))) ** (2.0 / m)
         assert val == pytest.approx(exact, rel=5e-3)
@@ -267,7 +322,7 @@ class TestSpacetimeBesov:
         sheet = lift_level(FieldSample(values=values, config=cfg, replica=0), K)
         norm = spacetime_besov_norm(sheet, beta, alpha, m)
 
-        space = besov_norm(
+        space = slice_besov(
             lift_piecewise_linear(PathSlice(values=profile[:, None], grid_level=K)),
             1,
             alpha,
@@ -306,7 +361,7 @@ class TestSpacetimeBesov:
         rough = lift_piecewise_linear(linear_slice(4))
         rough.level2[5, 0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite level-2 Besov norm"):
-            besov_norm(rough, 2, 0.4, 8.0)
+            slice_besov(rough, 2, 0.4, 8.0)
         # One time: no Besov sum runs, only |v_0|.
         single = RoughSheet(
             times=np.zeros(1),
@@ -404,7 +459,7 @@ class TestSpacetimeBesovMatchesReference:
         expected = table[0] * table[0]
         for c in range(1, comps):
             expected = expected + table[c] * table[c]
-        got = _row_norms(table)
+        got = np.sqrt(_row_sumsq(table))
         assert np.array_equal(got, np.sqrt(expected))
         assert np.array_equal(got, np.linalg.norm(table, axis=0))
 
@@ -416,7 +471,7 @@ class TestSpacetimeBesovMatchesReference:
         for a in range(dim):
             for b in range(dim):
                 expected = expected + table[a, b] * table[a, b]
-        assert np.array_equal(_row_norms(table), np.sqrt(expected))
+        assert np.array_equal(np.sqrt(_row_sumsq(table)), np.sqrt(expected))
 
     # n_time=16 gives 136 time pairs, i.e. two blocks.
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -866,7 +921,7 @@ class TestBesovMatchesMpmath:
             x_w = mp_weights(((ju - iu) / n).tolist(), 1.0 / n, 1.0 + m * alpha)
             for level in (1, 2):
                 exact = mp_besov(sumsq[level - 1], [1], x_w, level, m)
-                got = besov_norm(rough, level, alpha, m)
+                got = slice_besov(rough, level, alpha, m)
                 assert got == pytest.approx(exact, rel=1e-13)
 
     @needs_mpmath
@@ -995,27 +1050,25 @@ class TestDistInfty:
 
 class TestEmbeddingRatio:
     def test_equal_slices_skipped(self):
+        # A zero difference gives exactly 0 on both sides of both
+        # inequalities, so its ratios are NaN and a study skips them.
         rough = lift_piecewise_linear(sampled_slice(7, grid_level=6))
-        rep = embedding_ratio(rough, rough, alpha=0.4, m=20.0)
-        assert np.isnan(rep.ratio1) and np.isnan(rep.ratio2)
+        holder1, besov1, holder2, bound = embedding_sides(rough, rough, 0.4, 20.0)
+        assert holder1 == besov1 == holder2 == bound == 0.0
+        assert np.isnan(ratio(holder1, besov1)) and np.isnan(ratio(holder2, bound))
 
     def test_against_unit_slice_reduces_to_plain_embedding(self):
         rough = lift_piecewise_linear(sampled_slice(8, grid_level=6))
         unit_slice = lift_piecewise_linear(
             PathSlice(values=np.zeros((2**6 + 1, 1)), grid_level=6)
         )
-        rep = embedding_ratio(rough, unit_slice, alpha=0.4, m=20.0)
+        holder1, besov1, holder2, bound = embedding_sides(rough, unit_slice, 0.4, 20.0)
         # The level-1 sides coincide with the one-path Hoelder/Besov norms.
-        assert rep.holder1 == pytest.approx(
-            holder_norm(rough, 1, 0.4 - 1.0 / 20.0), rel=1e-12
+        assert holder1 == pytest.approx(
+            slice_holder(rough, 1, 0.4 - 1.0 / 20.0), rel=1e-12
         )
-        assert rep.besov1 == pytest.approx(besov_norm(rough, 1, 0.4, 20.0), rel=1e-12)
-        assert rep.ratio1 > 0 and np.isfinite(rep.ratio2)
-
-    def test_precondition(self):
-        rough = lift_piecewise_linear(sampled_slice(9, grid_level=5))
-        with pytest.raises(ValueError):
-            embedding_ratio(rough, rough, alpha=0.35, m=20.0)  # a - 1/m = 0.3
+        assert besov1 == pytest.approx(slice_besov(rough, 1, 0.4, 20.0), rel=1e-12)
+        assert ratio(holder1, besov1) > 0 and np.isfinite(ratio(holder2, bound))
 
     def test_sampling_study_stable_across_grids(self):
         # Max ratio over sampled slice pairs is finite and moves by well
@@ -1040,9 +1093,9 @@ class TestEmbeddingRatio:
                 sb = lift_piecewise_linear(
                     PathSlice(values=vb[::stride], grid_level=K)
                 )
-                rep = embedding_ratio(sa, sb, alpha, m)
-                r1.append(rep.ratio1)
-                r2.append(rep.ratio2)
+                holder1, besov1, holder2, bound = embedding_sides(sa, sb, alpha, m)
+                r1.append(ratio(holder1, besov1))
+                r2.append(ratio(holder2, bound))
             maxima[K] = (np.nanmax(r1), np.nanmax(r2))
         for idx in (0, 1):
             vals = np.array([maxima[K][idx] for K in (8, 9, 10)])

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from heatlift import special
-from heatlift.errors import ParameterError
-from heatlift.special import erfcx, log_ndtr, trigamma
+from heatlift.special import erfcx, log_ndtr
 
 mp = pytest.importorskip("mpmath")
 
@@ -83,25 +82,3 @@ class TestLogNdtr:
         # Past z = -1.3e154 log Phi itself overflows: -inf, with no
         # floating-point warning (which the suite turns into an error).
         assert np.all(log_ndtr([-1e155, -1e300, -np.inf]) == -np.inf)
-
-
-class TestTrigamma:
-    def test_truncation_tail_accuracy(self):
-        # truncation_residual's tail is psi_1(N + 1), N = n_modes >= 1.
-        n = np.unique(
-            np.concatenate([np.arange(1, 201), np.logspace(0, 6, 200).round()])
-        ).astype(int)
-        with mp.workdps(40):
-            want = [float(mp.psi(1, int(k) + 1)) for k in n]
-        assert max_rel([trigamma(int(k) + 1) for k in n], want) <= 1e-15
-
-    def test_non_integer_arguments(self):
-        x = [0.25, 1.5, 9.75, 10.0, 37.3]
-        with mp.workdps(40):
-            want = [float(mp.psi(1, mp.mpf(v))) for v in x]
-        assert max_rel([trigamma(v) for v in x], want) <= 1e-15
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
-    def test_domain(self, x):
-        with pytest.raises(ParameterError, match="0 < x < inf violated"):
-            trigamma(x)

@@ -40,11 +40,14 @@ def test_cli_import_loads_no_scipy():
         "import heatlift.cli\n"
         "print(json.dumps({\n"
         "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "    'mpmath': sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'),\n"
         "    'preloaded': [m in sys.modules for m in ('numpy.random', 'numpy.fft')],\n"
         "}))\n"
     )
     report = json.loads(out)
     assert report["scipy"] == []
+    # numpy is the one runtime dependency (pyproject.toml).
+    assert report["mpmath"] == []
     # The sampler's first call pays no lazy numpy import.
     assert report["preloaded"] == [True, True]
 
