@@ -32,7 +32,6 @@ import numpy as np
 from .covariance import cov, dist_s1
 from .dyadic import _check_k, _gap_sup, lift_level
 from .errors import ParameterError, is_integer, is_number
-from .group import _pair_increment
 from .parallel import deterministic_map
 from .sampler import (
     FieldSample,
@@ -44,7 +43,7 @@ from .sampler import (
     sample_field,
     sample_slice_marginal,
 )
-from .sheets import _lift_values, _node_pairs, _row_sumsq
+from .sheets import _lift_values, _node_pairs, _pair_increments, _row_sumsq
 # Neither is called here any more, but perfbench/spans.py patches
 # heatlift.ldp._increment_tables and heatlift.ldp.dist_infty, so both
 # names stay bound.
@@ -229,9 +228,10 @@ def _check_q(q: float):
 def _cm_levels(k_range, grid_level: int) -> tuple:
     """The distinct levels of k_range, sorted, each checked against the
     grid level; at least one is required."""
-    for k in k_range:
+    given = list(k_range)
+    for k in given:
         _check_k(k, grid_level)
-    levels = tuple(sorted({int(k) for k in k_range}))
+    levels = tuple(sorted({int(k) for k in given}))
     if not levels:
         raise ParameterError("k_range must hold at least one level")
     return levels
@@ -245,23 +245,21 @@ def validate_cm_params(q: float, k_range, grid_level: int) -> tuple:
     return _cm_levels(k_range, grid_level)
 
 
-# The cm reductions take _CM_BLOCK // dim node pairs per block, so that a
-# block's gathers, at both ends of every pair and for every stacked sheet
-# or time row, stay in cache.  Any block size gives the same bits.
+# The cm reductions take at most _CM_BLOCK // dim node pairs per block, so
+# that a block's gathers, at both ends of every pair and for every stacked
+# sheet or time row, stay in cache.  Any block size gives the same bits.
 _CM_BLOCK = 4096
 
 
 def _pair_blocks(pairs: int, dim: int):
-    """(start, stop) of each block of node pairs, in order."""
-    step = max(1, _CM_BLOCK // dim)
-    return [(lo, min(lo + step, pairs)) for lo in range(0, pairs, step)]
-
-
-def _head(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """The first rows * width entries of the flat buf, as a contiguous
-    (rows, width) block (np.take writes straight only into contiguous
-    out)."""
-    return buf[: rows * width].reshape(rows, width)
+    """The width of the blocks of node pairs and the start of each, in
+    order: as few blocks of one width as _CM_BLOCK allows, the last moved
+    back to end at the last pair.  A pair that it shares with the block
+    before repeats a value, so it cannot move a max, and one set of
+    buffers serves every block."""
+    blocks = -(-pairs // max(1, _CM_BLOCK // dim))
+    width = -(-pairs // blocks)
+    return width, [min(lo, pairs - width) for lo in range(0, pairs, width)]
 
 
 def cm_regularity_check(path: CameronMartinPath, q: float) -> CMRegularityReport:
@@ -285,22 +283,23 @@ def cm_regularity_check(path: CameronMartinPath, q: float) -> CMRegularityReport
     nt, _, d = values.shape
     iu, ju, sep = _node_pairs(2**K)
     root_sep = sep**0.5
-    blocks = _pair_blocks(iu.shape[0], d)
-    width = blocks[0][1]
+    width, starts = _pair_blocks(iu.shape[0], d)
     # Component-major over every time row: row c * nt + t is component c
     # of time t, so _row_sumsq sums each (time, pair) in component order.
     rows = np.ascontiguousarray(values.transpose(2, 0, 1)).reshape(d * nt, -1)
-    at_j, at_i = np.empty(d * nt * width), np.empty(d * nt * width)
+    at_j, at_i = np.empty((d * nt, width)), np.empty((d * nt, width))
     sumsq, row = np.empty(nt * width), np.empty(nt * width)
     holder = np.zeros(())
-    for lo, hi in blocks:
-        n = hi - lo
-        diff = np.take(rows, ju[lo:hi], 1, out=_head(at_j, d * nt, n), mode="clip")
-        at = np.take(rows, iu[lo:hi], 1, out=_head(at_i, d * nt, n), mode="clip")
-        np.subtract(diff, at, out=diff)
-        ratio = _row_sumsq(diff.reshape(d, nt * n), out=sumsq[: nt * n], work=row[: nt * n])
+    for lo in starts:
+        hi = lo + width
+        # np.take writes straight into its out only in a mode other than
+        # "raise"; the indices are in range, so "clip" changes no value.
+        np.take(rows, ju[lo:hi], 1, out=at_j, mode="clip")
+        at = np.take(rows, iu[lo:hi], 1, out=at_i, mode="clip")
+        diff = np.subtract(at_j, at, out=at_j)
+        ratio = _row_sumsq(diff.reshape(d, nt * width), out=sumsq, work=row)
         np.sqrt(ratio, out=ratio)
-        ratio = ratio.reshape(nt, n)
+        ratio = ratio.reshape(nt, width)
         ratio /= root_sep[lo:hi]
         np.maximum(holder, np.max(ratio), out=holder)
     holder = float(holder)
@@ -340,19 +339,17 @@ def cm_lift_uniform_convergence(
     sorted order.  Every k is checked before anything is lifted.
 
     The prefixes of the reference lift and of every level are stacked
-    per time row, component-major: row c * s + l of a time's level-1
-    stack is component c of sheet l (the reference is sheet 0), and row
-    (a * d + b) * s + l of its level-2 stack is entry (a, b) of sheet l.
-    Each block of node pairs (_pair_blocks) is gathered once at both ends
-    into buffers made once per call (their views once per block width),
-    and _pair_increment forms every sheet's increments at once over the
-    gathers at the far end.  Every level is then differenced against the
-    reference in place, reduced by _row_sumsq one component row at a time
-    in component order, and folded into its running elementwise max,
-    which is max-reduced over the pairs and rooted once at the end.  Each
-    pair's value comes from the operations of full increment tables, max
-    is exact and sqrt is monotone and correctly rounded, so every row has
-    their bits, whatever the block size."""
+    per time row, component-major, as s = len(levels) + 1 paths, the
+    reference first: (d, s, nodes) and (d^2, s, nodes).  For each time
+    row and block of node pairs (_pair_blocks), sheets._pair_increments
+    forms every path's increments at once in buffers made once per call;
+    every level is differenced against the reference in place, reduced
+    by _row_sumsq one component row at a time in component order and
+    folded into its running elementwise max, which is max-reduced over
+    the pairs and rooted once at the end.  Each pair's value comes from
+    the operations of full increment tables, max is exact and sqrt is
+    monotone and correctly rounded, so every row has their bits,
+    whatever the block size."""
     K = path.config.grid_level
     ks = _cm_levels(k_range, K)
     nt, nodes, d = path.field.values.shape
@@ -363,53 +360,23 @@ def cm_lift_uniform_convergence(
         p1[:, :, i] = sheet.level1.transpose(0, 2, 1)
         p2[:, :, i] = sheet.level2.reshape(nt, nodes, d * d).transpose(0, 2, 1)
     iu, ju, _ = _node_pairs(2**K)
-    blocks = _pair_blocks(iu.shape[0], d)
-    r1, r2 = d * s, d * d * s
-    # The gathers at iu and at ju of both levels, _pair_increment's product
-    # row and _row_sumsq's two rows over the levels; each level's running
-    # elementwise max of the squared gaps.
-    rows = (r1, r2, r1, r2, s, s - 1, s - 1)
-    bufs = [np.empty(r * blocks[0][1]) for r in rows]
-    sup_sq = np.zeros((2, s - 1, blocks[0][1]))
-
-    def views(n: int):
-        """Contiguous views of the buffers for a block of n pairs."""
-        g1i, g2i, g1j, g2j, product, sumsq, row = (
-            _head(buf, r, n) for buf, r in zip(bufs, rows)
-        )
-        # (sheet, pair, component...) views for _pair_increment, which
-        # writes every sheet's increments over the gathers at ju.
-        pair_major = (
-            g1i.reshape(d, s, n).transpose(1, 2, 0),
-            g2i.reshape(d, d, s, n).transpose(2, 3, 0, 1),
-            g1j.reshape(d, s, n).transpose(1, 2, 0),
-            g2j.reshape(d, d, s, n).transpose(2, 3, 0, 1),
-        )
-        # Per level: every sheet's gap to the reference (sheet 0), its
-        # rows of all levels as one table for _row_sumsq, and the running
-        # max.
-        levels = [
-            (g[:, 1:], g[:, :1], g[:, 1:].reshape(len(g), -1), sup[:, :n])
-            for g, sup in zip((g1j.reshape(-1, s, n), g2j.reshape(-1, s, n)), sup_sq)
-        ]
-        return (g1i, g2i, g1j, g2j), pair_major, product, levels, sumsq, row
-
-    by_width = {n: views(n) for n in {hi - lo for lo, hi in blocks}}
+    width, starts = _pair_blocks(iu.shape[0], d)
+    out = (np.empty((d, s, width)), np.empty((d * d, s, width)))
+    work = (np.empty((d, s, width)), np.empty((d * d, s, width)), np.empty((s, width)))
+    sumsq, row = np.empty((s - 1) * width), np.empty((s - 1) * width)
+    sup_sq = np.zeros((2, (s - 1) * width))
     for t in range(nt):
-        tables = (p1[t].reshape(r1, nodes), p2[t].reshape(r2, nodes)) * 2
-        for lo, hi in blocks:
-            gathers, pair_major, product, levels, sumsq, row = by_width[hi - lo]
-            # np.take writes straight into its out only in a mode other
-            # than "raise"; the indices are in range, so "clip" changes no
-            # value.
-            for table, index, out in zip(tables, (iu, iu, ju, ju), gathers):
-                np.take(table, index[lo:hi], 1, out=out, mode="clip")
-            _pair_increment(*pair_major, out=pair_major[2:], work=product)
-            for gap, ref, table, sup in levels:
-                np.subtract(gap, ref, out=gap)
-                _row_sumsq(table, out=sumsq.reshape(-1), work=row.reshape(-1))
+        for lo in starts:
+            hi = lo + width
+            _pair_increments(p1[t], p2[t], iu[lo:hi], ju[lo:hi], out, work)
+            for table, sup in zip(out, sup_sq):
+                gap = table[:, 1:]
+                np.subtract(gap, table[:, :1], out=gap)
+                # (components, levels * pairs): each level's pairs sum
+                # their components in component order.
+                _row_sumsq(gap.reshape(len(table), -1), out=sumsq, work=row)
                 np.maximum(sup, sumsq, out=sup)
-    sups = np.sqrt(np.max(sup_sq, axis=2))
+    sups = np.sqrt(np.max(sup_sq.reshape(2, s - 1, width), axis=2))
     return [
         LiftDecayRow(k=k, level1_sup=float(s1), level2_sup=float(s2))
         for k, s1, s2 in zip(ks, *sups)

@@ -24,9 +24,10 @@ Each mathematical object has one kernel here:
   the sampled rows of the CLI's lift-check), dyadic levels
   (dyadic.lift_level) and the per-replica chaos paths of
   ldp.chaos_moment_ratio alike;
-- the pair-increment table: _increment_tables, in its one layout,
-  component-major (times, components, pairs), for sheets and slices (one
-  time) alike;
+- the pair increments: _pair_increments, component-major, for s stacked
+  paths at a run of node pairs; every pair-increment table comes from it:
+  _increment_tables (times, components, pairs), for sheets and slices
+  (one time) alike, and the blocks of ldp's Cameron-Martin lift decay;
 - the quadrature: _node_pairs enumerates the grid pairs, _log_weights
   gives the logs of their Riemann weights, _row_sumsq the squared
   Euclidean norm of every pair's entries (of one table, or of the
@@ -34,10 +35,9 @@ Each mathematical object has one kernel here:
   in memory order, and _log_besov_sum the one log-domain Besov sum, behind
   the initial-value term and every block of the space-time norm.  The
   Cameron-Martin sups of ldp (the lift decay and the Hoelder constant)
-  build no table over all pairs: they gather blocks of _node_pairs,
-  component-major, and reduce each block through _row_sumsq (the lift
-  decay forms its increments through group._pair_increment), with the
-  bits of full tables.
+  build no table over all pairs: they reduce blocks of _node_pairs
+  through _row_sumsq, with the bits of full tables (the Hoelder constant
+  gathers its level-1 values itself).
 
 Besov integrals are discretized as node-pair Riemann sums with uniform
 weight (2^-K)^2 per pair; the near-diagonal singularity is integrable
@@ -50,9 +50,10 @@ a subnormal, whatever m is, so the cost does not depend on m; a Besov
 norm that still comes out non-finite raises FloatingPointError.
 
 Every space-time Besov norm runs in a _BesovArena, one allocation that
-holds two sheets' increment tables over all node pairs, their gathers
-and the quadrature's rows.  A walk passes one worker's arena to every
-norm (spacetime_besov_norm(work=)); otherwise each norm makes its own.
+holds two sheets' increment tables over all node pairs, one time's
+gathers at the near end of each pair and the quadrature's rows.  A walk
+passes one worker's arena to every norm (spacetime_besov_norm(work=));
+otherwise each norm makes its own.
 The arena keeps the last sheet whose tables it built, so a lift shared by
 two consecutive differences (fine in one, coarse in the next) is
 tabulated once; the difference is formed in place over the coarse
@@ -354,6 +355,33 @@ class SpacetimeBesovNorm:
     level2: float
 
 
+def _pair_increments(p1, p2, iu, ju, out, work):
+    """Increments A(x_i, x_j) at the node pairs (iu, ju) of s stacked
+    paths, from their component-major prefixes p1 (d, s, nodes) and p2
+    (d^2, s, nodes), row a*d + b of p2 holding entry (a, b).
+
+    The prefixes at ju are gathered straight into out = (A^1, A^2),
+    shaped (d, s, pairs) and (d^2, s, pairs), those at iu into work[:2]
+    (shaped as out), and _pair_increment writes over out in place, its
+    product term in work[2] (s, pairs).  Every entry has the bits of
+    _pair_increment on its own pair.  Returns out."""
+    d, s, _ = p1.shape
+    pairs = iu.shape[0]
+    o1, o2 = out
+    w1, w2, row = work
+    # np.take gathers as fancy indexing does at a third of its cost, and
+    # writes straight into out only in a mode other than "raise"; the
+    # indices are in range, so "clip" changes no value.
+    for src, index, dst in ((p1, ju, o1), (p2, ju, o2), (p1, iu, w1), (p2, iu, w2)):
+        np.take(src, index, 2, out=dst, mode="clip")
+    at_j = (o1.transpose(1, 2, 0), o2.reshape(d, d, s, pairs).transpose(2, 3, 0, 1))
+    _pair_increment(
+        w1.transpose(1, 2, 0), w2.reshape(d, d, s, pairs).transpose(2, 3, 0, 1),
+        *at_j, out=at_j, work=row,
+    )
+    return out
+
+
 def _increment_tables(
     level1: np.ndarray, level2: np.ndarray, iu, ju, out=None, work=None
 ):
@@ -363,37 +391,28 @@ def _increment_tables(
     a*d + b of the second holding A^2_ab.  A slice is one time (its
     prefixes with a leading axis of length 1).
 
-    Built one time at a time, so only one time's gathered prefixes are
-    live next to the tables.  Each time's prefixes are transposed to
-    (d, nodes) and (d^2, nodes), so every gather is already
-    component-major (np.take gathers the same columns as fancy indexing,
-    at a third of its cost), and _pair_increment writes through
-    transposed views of the table rows in place.
-
-    Written into out = (A^1, A^2) when given, else into new arrays.  work
-    = (level-1 and level-2 rows gathered at iu, the same at ju, product
-    row), shaped (d, pairs), (d^2, pairs), (d, pairs), (d^2, pairs) and
-    (pairs,), takes each time's gathers and _pair_increment's product
+    Built one time at a time by _pair_increments, as one path, so only
+    one time's gathers at iu are live next to the tables.  Written into
+    out = (A^1, A^2) when given, else into new arrays.  work = (level-1
+    and level-2 rows gathered at iu, product row), shaped (d, pairs),
+    (d^2, pairs) and (pairs,), takes each time's gathers and the product
     term in place of temporaries.  The bits are the same either way.
     """
     nt, nodes, d = level1.shape
     pairs = iu.shape[0]
     if out is None:
         out = (np.empty((nt, d, pairs)), np.empty((nt, d * d, pairs)))
+    if work is None:
+        work = (np.empty((d, pairs)), np.empty((d * d, pairs)), np.empty(pairs))
     f1, f2 = out
-    g1i, g2i, g1j, g2j, row = (None,) * 5 if work is None else work
+    w1, w2, row = work
+    one_path = (w1[:, None], w2[:, None], row[None])
     for t in range(nt):
+        # np.take copies a non-contiguous source on every call.
         p1 = np.ascontiguousarray(level1[t].T)
         p2 = np.ascontiguousarray(level2[t].reshape(nodes, d * d).T)
-        # np.take writes straight into its out only in a mode other than
-        # "raise"; the indices are in range, so "clip" changes no value.
-        _pair_increment(
-            np.take(p1, iu, 1, out=g1i, mode="clip").T,
-            np.take(p2, iu, 1, out=g2i, mode="clip").T.reshape(pairs, d, d),
-            np.take(p1, ju, 1, out=g1j, mode="clip").T,
-            np.take(p2, ju, 1, out=g2j, mode="clip").T.reshape(pairs, d, d),
-            out=(f1[t].T, f2[t].reshape(d, d, pairs).transpose(2, 0, 1)),
-            work=row,
+        _pair_increments(
+            p1[:, None], p2[:, None], iu, ju, (f1[t][:, None], f2[t][:, None]), one_path
         )
     return f1, f2
 
@@ -402,13 +421,13 @@ def _besov_arena_shapes(n_times: int, grid_level: int, dim: int) -> list:
     """Shapes of the buffers of one _BesovArena for sheets of n_times times
     on a level-grid_level grid in R^dim, in order: two table slots (each
     the two _increment_tables over all node pairs), the work of
-    _increment_tables (four gather rows and the product row) and the
+    _increment_tables (two gather rows and the product row) and the
     quadrature's block of time-pair rows.  Their entries are what
     dyadic.convergence_study's memory guard counts per worker."""
     n = 2**grid_level
     pairs = n * (n + 1) // 2
     slot = [(n_times, dim, pairs), (n_times, dim * dim, pairs)]
-    gather = [(dim, pairs), (dim * dim, pairs)] * 2
+    gather = [(dim, pairs), (dim * dim, pairs)]
     time_pairs = n_times * (n_times - 1) // 2
     return slot * 2 + gather + [(pairs,), (min(_BESOV_BLOCK, time_pairs), pairs)]
 
@@ -435,8 +454,8 @@ class _BesovArena:
     def __init__(self, n_times: int, grid_level: int, dim: int):
         parts = _carve(_besov_arena_shapes(n_times, grid_level, dim))
         self.slots = (tuple(parts[0:2]), tuple(parts[2:4]))
-        self.gather = tuple(parts[4:8])
-        self.row, self.block = parts[8:]
+        self.gather = tuple(parts[4:6])
+        self.row, self.block = parts[6:]
         self.pairs = _node_pairs(2**grid_level)
         self.kept: RoughSheet | None = None
         self.held = 0

@@ -289,7 +289,7 @@ class TestExitCodes:
             (["sample", "--set", "grid_level=22"], "field would hold 541065345 values",
              "field.csv"),
             (["converge"] + BESOV_DEFAULT_GRID,
-             "Besov increment tables would hold, with their rows, 886387200 values",
+             "Besov increment tables would hold, with their rows, 883238400 values",
              "convergence.csv"),
             (["schilder", "--set", "a=Infinity"], "0 <= a < inf violated: a=inf",
              "schilder.csv"),
@@ -521,8 +521,8 @@ class TestExitCodes:
         # At the default grid (K=10, 129 times, 8,256 time pairs) one dim-2
         # table holds 129 * 524,800 * 6 = 406,195,200 values over the
         # 2^10 * (2^10 + 1) / 2 = 524,800 node pairs.  The one worker's arena
-        # holds two tables and 2 * 6 gather rows, the product row and 128
-        # quadrature rows of 524,800 each: 2 * 406,195,200 + 141 * 524,800.
+        # holds two tables and 6 gather rows, the product row and 128
+        # quadrature rows of 524,800 each: 2 * 406,195,200 + 135 * 524,800.
         def refuse(config, replica):
             raise AssertionError("sampled before the guard")
 
@@ -534,7 +534,7 @@ class TestExitCodes:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "Besov increment tables would hold, with their rows, 886387200 values" in err
+        assert "Besov increment tables would hold, with their rows, 883238400 values" in err
         assert "guard is 268435456" in err
         assert not (tmp_path / "convergence.csv").exists()
 

@@ -660,11 +660,12 @@ class TestConvergenceStudy:
         self, monkeypatch, usable_cpus, threads, replicas, cpus, workers
     ):
         # Grid level 4 (136 node pairs), 4 times (6 time pairs), dim 2: two
-        # tables of 4 * 136 * (2 + 4) values, 2 * 6 gather rows, the product
-        # row and 6 quadrature rows.  The workers are capped by the usable
-        # CPUs, and the guard counts the capped number.
+        # tables of 4 * 136 * (2 + 4) values, 6 gather rows (at one end of
+        # each pair), the product row and 6 quadrature rows.  The workers
+        # are capped by the usable CPUs, and the guard counts the capped
+        # number.
         usable_cpus(cpus)
-        per_worker = 2 * 4 * 136 * 6 + (12 + 1 + 6) * 136
+        per_worker = 2 * 4 * 136 * 6 + (6 + 1 + 6) * 136
         cfg = SpectralConfig(
             n_modes=16, time_horizon=1.0, n_time=3, grid_level=4, dim=2, seed=0
         )

@@ -17,7 +17,12 @@ from heatlift.group import (
     multiply,
     unit,
 )
-from heatlift.sheets import _increment_tables, _lift_values, _node_pairs
+from heatlift.sheets import (
+    _increment_tables,
+    _lift_values,
+    _node_pairs,
+    _pair_increments,
+)
 
 
 # (seed, dim, scale) of a batch of random geometric elements.
@@ -378,8 +383,8 @@ class TestEntrywiseKernels:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_increment_tables_match_einsum(self, d):
-        # The tables call the kernel on transposed gathers and write
-        # through transposed views of the component-major rows.
+        # The tables call _pair_increments on one time at a time, which
+        # writes through transposed views of the component-major rows.
         rng = np.random.default_rng(70 + d)
         nt, n = 3, 8
         level1 = rng.standard_normal((nt, n + 1, d))
@@ -391,6 +396,39 @@ class TestEntrywiseKernels:
         )
         assert same_bits(f1, r1.transpose(0, 2, 1))
         assert same_bits(f2, r2.reshape(nt, iu.shape[0], d * d).transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_pair_increments_match_einsum(self, d):
+        # Three stacked paths, component-major, over runs of node pairs:
+        # all of them, a run from the middle, one pair, and runs of 7 that
+        # leave a short last run.
+        rng = np.random.default_rng(90 + d)
+        s, n = 3, 8
+        level1 = rng.standard_normal((s, n + 1, d))
+        level2 = rng.standard_normal((s, n + 1, d, d))
+        p1 = np.ascontiguousarray(level1.transpose(2, 0, 1))
+        p2 = np.ascontiguousarray(level2.reshape(s, n + 1, d * d).transpose(2, 0, 1))
+        iu, ju, _ = _node_pairs(n)
+        pairs = iu.shape[0]
+        runs = [(0, pairs), (5, 17), (11, 12)]
+        runs += [(lo, min(lo + 7, pairs)) for lo in range(0, pairs, 7)]
+        assert runs[-1][1] - runs[-1][0] < 7
+        for lo, hi in runs:
+            i, j = iu[lo:hi], ju[lo:hi]
+            m = hi - lo
+            out = (np.full((d, s, m), np.nan), np.full((d * d, s, m), np.nan))
+            work = (
+                np.full((d, s, m), np.nan),
+                np.full((d * d, s, m), np.nan),
+                np.full((s, m), np.nan),
+            )
+            got = _pair_increments(p1, p2, i, j, out, work)
+            assert got[0] is out[0] and got[1] is out[1]
+            r1, r2 = pair_increment_reference(
+                level1[:, i], level2[:, i], level1[:, j], level2[:, j]
+            )
+            assert same_bits(got[0], r1.transpose(2, 0, 1))
+            assert same_bits(got[1], r2.reshape(s, m, d * d).transpose(2, 0, 1))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_hom_norms_match_sum_form(self, d):

@@ -546,6 +546,18 @@ class TestCmLevels:
             with pytest.raises(ParameterError, match="k_range must hold at least one level"):
                 cm_lift_uniform_convergence(path, k_range)
 
+    def test_k_range_generator_read_once(self):
+        # A generator is exhausted by one pass: the levels are collected
+        # once, then checked and sorted.
+        assert validate_cm_params(1.5, (k for k in [3, 2]), 5) == (2, 3)
+        with pytest.raises(ParameterError, match="violated: k=9, grid_level=5"):
+            validate_cm_params(1.5, (k for k in [2, 9]), 5)
+        path = cameron_martin_path(
+            CMControl((constant_control(mode=1),)), small_config(n_modes=8)
+        )
+        rows = cm_lift_uniform_convergence(path, (k for k in [2, 3]))
+        assert rows == cm_lift_uniform_convergence(path, [2, 3])
+
     def test_bad_level_named_before_empty(self):
         with pytest.raises(ParameterError, match="violated: k=9, grid_level=5"):
             validate_cm_params(1.5, [9, 9], 5)

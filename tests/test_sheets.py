@@ -677,7 +677,7 @@ class TestBesovArena:
         # 3 times and 3 time pairs; 16 * 17 / 2 = 136 node pairs.
         assert _besov_arena_shapes(3, 4, 2) == [
             (3, 2, 136), (3, 4, 136), (3, 2, 136), (3, 4, 136),
-            (2, 136), (4, 136), (2, 136), (4, 136), (136,), (3, 136),
+            (2, 136), (4, 136), (136,), (3, 136),
         ]
         assert _besov_arena_shapes(17, 4, 1)[-1] == (_BESOV_BLOCK, 136)
 
