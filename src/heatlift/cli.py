@@ -49,7 +49,10 @@ from .ldp import (
     validate_cm_params,
 )
 from .parallel import check_threads
-from .sampler import SpectralConfig, sample_field, sample_row, save_field
+from .sampler import (
+    _MAX_FIELD_ENTRIES, GridTooLargeError, SpectralConfig, sample_field, sample_row,
+    save_field,
+)
 from .sheets import PathSlice, increment, lift_piecewise_linear, save_sheet
 
 # Top-level keys of a config file; a manifest's resolved_config holds
@@ -129,7 +132,13 @@ def _config_hash(config: dict) -> str:
 
 
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """sha256 of a file, read in 1 MiB chunks so that no output is held
+    whole (hashlib.file_digest needs Python 3.11)."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _check_kind(key: str, value, default):
@@ -270,6 +279,15 @@ def _exp_cov_check(config: dict, out: Path) -> dict:
     if not 0 < p["tolerance"] < math.inf:
         raise ParameterError(
             f"0 < tolerance < inf violated: tolerance={p['tolerance']!r}"
+        )
+    # dual_method_check holds four grid-sized float arrays at once at its
+    # peak (tracemalloc: 4.0 x 8 bytes per point at 17^4, 33^4 and 49^4).
+    points = p["n_s"] ** 2 * p["n_x"] ** 2
+    if 4 * points > _MAX_FIELD_ENTRIES:
+        raise GridTooLargeError(
+            f"cov-check at n_s={p['n_s']}, n_x={p['n_x']} has {points} grid points "
+            f"and would hold {4 * points} values at once "
+            f"(guard is {_MAX_FIELD_ENTRIES}); lower n_s or n_x"
         )
     s_values = np.linspace(0.2, 1.0, p["n_s"])
     x_values = np.linspace(0.0, 1.0, p["n_x"])

@@ -21,7 +21,9 @@ float equality) is summed once and the sums are scattered back, with the
 bits of the sum at every point.  The time pairs are read off the time
 axis and the offsets off the offset axis; on a product grid of n times
 this is at most n(n+1)/2 time pairs times the distinct offsets:
-153 x 17 = 2,601 rows for cov-check's 17^4 grid of 83,521 points.
+153 x 17 = 2,601 rows for cov-check's 17^4 grid of 83,521 points.  The
+rows' terms over all images are formed and summed in blocks of about
+_THETA_BLOCK terms, so only one block of them is live at a time.
 
 Route "fourier" sums the mode-wise Ornstein-Uhlenbeck covariances:
 
@@ -59,6 +61,8 @@ from .errors import ParameterError
 from .special import erfcx
 
 _THETA_WINDOW = 64  # image cap; terms decay like exp(-n^2/(8T))
+# Terms (triples x images) per block of the theta route's image sum.
+_THETA_BLOCK = 1 << 13
 # -ln of the term cutoff (1e-16, with margin): summation stops once the
 # Gaussian factor drops below it.
 _LOG_CUTOFF = 37.5
@@ -163,10 +167,17 @@ def _theta_cov(s, x, t, y) -> np.ndarray:
         first, inverse = _distinct_rows(code.reshape(-1))
         triples, inverse = code.reshape(-1)[first], inverse.reshape(code.shape)
     pair, offset = np.divmod(triples, n_deltas)
-    q = np.abs(delta.reshape(-1)[deltas[offset], None] - images[None, :])
+    dq = delta.reshape(-1)[deltas[offset], None]
     lo, hi = (l.reshape(-1)[pairs[pair], None] for l in (l0, l1))
-    terms = _antideriv(q, hi) - _antideriv(q, lo)
-    return (terms.sum(axis=1) / (4.0 * np.sqrt(np.pi)))[inverse]
+    # Each triple sums its own row of images, so the block size leaves
+    # every sum's bits alone.
+    sums = np.empty(triples.size)
+    step = max(1, _THETA_BLOCK // images.size)
+    for b in range(0, triples.size, step):
+        q = np.abs(dq[b : b + step] - images)
+        terms = _antideriv(q, hi[b : b + step]) - _antideriv(q, lo[b : b + step])
+        terms.sum(axis=1, out=sums[b : b + step])
+    return (sums / (4.0 * np.sqrt(np.pi)))[inverse]
 
 
 def _antideriv(q: np.ndarray, l: np.ndarray) -> np.ndarray:

@@ -387,11 +387,11 @@ def convergence_study(
     other than sup and besov, or a negative k raises ParameterError before
     sampling.  Besov mode raises GridTooLargeError before sampling
     when the arenas of all runs together (each: two increment tables, the
-    gather and product rows and one block of quadrature rows;
-    sheets._besov_arena_shapes) would hold more values than the sampler's
-    allocation guard.  Fewer than two replicas raise ParameterError (one
-    has no standard error), after the checks above and still before
-    sampling; so does threads < 1.
+    gather and product rows and one block of quadrature rows, as many as
+    1 MiB holds and at least one; sheets._besov_arena_shapes) would hold
+    more values than the sampler's allocation guard.  Fewer than two
+    replicas raise ParameterError (one has no standard error), after the
+    checks above and still before sampling; so does threads < 1.
     """
     k_range = sorted({_integer_k(k) for k in k_range})
     if not kinds:

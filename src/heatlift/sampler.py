@@ -19,7 +19,9 @@ component), with each mode reading a fixed block of that stream (blocks
 ordered 0, +1, -1, +2, -2, ...).  Replicas are therefore reproducible
 independently and in parallel.  The key packs replica << 8 | component
 into one uint64, so streams stay distinct only for dim <= 256 and
-replicas below 2^56.
+replicas below 2^56.  Every stream is the calling thread's one Generator
+with its state reset to the stream's key (_philox), so opening a stream
+reads no OS entropy.
 
 sample_field evaluates the mode sum at the dyadic nodes by one inverse
 real FFT per component, with modes past the Nyquist frequency folded
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,12 +190,38 @@ def _ou_paths(decay, paths: np.ndarray) -> np.ndarray:
     return paths
 
 
+# Each thread's one stream Generator (_philox).
+_streams = threading.local()
+
+
 def _philox(seed: int, replica: int, component: int) -> np.random.Generator:
+    """The stream of (seed, replica, component): Philox keyed (seed,
+    replica << 8 | component) at counter 0.
+
+    The calling thread's one Generator is returned, its bit generator's
+    state reset to that key, counter 0, an empty buffer and no spare
+    32-bit half: the draws of a fresh np.random.Philox(key=...), without
+    the OS entropy each such construction reads (through the SeedSequence
+    it makes when no seed is given) and the key then overrides.  A stream
+    is therefore only valid until the thread's next _philox call: draw it
+    first, as _simulate_coefficients does, one component after another."""
     key = np.array(
         [np.uint64(seed), np.uint64(replica) << np.uint64(8) | np.uint64(component)],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key))
+    gen = getattr(_streams, "gen", None)
+    if gen is None:
+        # A fixed seed reads no OS entropy; the state below replaces it.
+        gen = _streams.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,15 @@ table rows, reduced to squared magnitudes by _row_sumsq one component row
 at a time: each component's difference is formed in one row buffer,
 squared there and added into the time pair's row of squared norms, so no
 block-sized gather and no table-row difference is ever live, and the
-working set of a row stays in cache.  The rows of one block of
-_BESOV_BLOCK time pairs are filled for level 1 and reduced, then filled
-for level 2 in the same block.  The sum is a plain loop on one thread
-over the blocks, combined in block order; callers parallelize over
-replicas instead.
+working set of a row stays in cache.  A block holds as many time
+pairs' rows as _BESOV_BLOCK_BYTES (1 MiB) holds, at least one
+(_besov_block_rows): its rows are filled for level 1 and reduced, then
+filled for level 2 in the same block.  The budget is in bytes because
+rows of all time pairs would be a quarter of the arena at grid level 8
+and gigabytes at level 10, while the per-block work only shows at one
+row per block (about 5% slower at level 8).  The sum is a plain loop on
+one thread over the blocks, combined in block order; callers
+parallelize over replicas instead.
 """
 
 from __future__ import annotations
@@ -85,9 +89,10 @@ from .parallel import chunk_indices, deterministic_map  # noqa: F401
 
 _BINARY_MAGIC = b"HLSHEET1"
 
-# (s, t) pairs per partial sum of the space-time Besov quadrature; the
-# sums are combined in block order, so this fixes the result's bits.
-_BESOV_BLOCK = 128
+# Bytes of one block of the space-time Besov quadrature's rows, one row
+# of node pairs per (s, t) pair (_besov_block_rows); the blocks' sums are
+# combined in block order, so this and the grid fix the result's bits.
+_BESOV_BLOCK_BYTES = 1 << 20
 
 # Logs above this overflow exp.
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -417,19 +422,26 @@ def _increment_tables(
     return f1, f2
 
 
+def _besov_block_rows(time_pairs: int, pairs: int) -> int:
+    """(s, t) pairs per block of the space-time Besov quadrature: as many
+    rows of pairs node pairs as _BESOV_BLOCK_BYTES holds, at least one and
+    at most time_pairs."""
+    return max(1, min(_BESOV_BLOCK_BYTES // (8 * pairs), time_pairs))
+
+
 def _besov_arena_shapes(n_times: int, grid_level: int, dim: int) -> list:
     """Shapes of the buffers of one _BesovArena for sheets of n_times times
     on a level-grid_level grid in R^dim, in order: two table slots (each
     the two _increment_tables over all node pairs), the work of
     _increment_tables (two gather rows and the product row) and the
-    quadrature's block of time-pair rows.  Their entries are what
-    dyadic.convergence_study's memory guard counts per worker."""
+    quadrature's block of _besov_block_rows time-pair rows.  Their entries
+    are what dyadic.convergence_study's memory guard counts per worker."""
     n = 2**grid_level
     pairs = n * (n + 1) // 2
     slot = [(n_times, dim, pairs), (n_times, dim * dim, pairs)]
     gather = [(dim, pairs), (dim * dim, pairs)]
     time_pairs = n_times * (n_times - 1) // 2
-    return slot * 2 + gather + [(pairs,), (min(_BESOV_BLOCK, time_pairs), pairs)]
+    return slot * 2 + gather + [(pairs,), (_besov_block_rows(time_pairs, pairs), pairs)]
 
 
 class _BesovArena:
@@ -506,11 +518,11 @@ def spacetime_besov_norm(
     Each (s, t) pair's squared norms come from the two table rows through
     _row_sumsq, one component row at a time, into a block of rows: first
     level 1's, which are reduced, then level 2's in the same block.  The
-    sum is taken in log space (_log_besov_sum) over blocks of _BESOV_BLOCK
-    (s, t) pairs, one block after another on the calling thread, and their
-    logs are combined in block order, so the block size alone fixes the
-    result's bits.  Raises FloatingPointError when any component is not
-    finite.
+    sum is taken in log space (_log_besov_sum) over blocks of
+    _besov_block_rows (s, t) pairs, one block after another on the calling
+    thread, and their logs are combined in block order, so the block size
+    (set by _BESOV_BLOCK_BYTES and the grid) alone fixes the result's
+    bits.  Raises FloatingPointError when any component is not finite.
     """
     if beta <= 1.0 / m:
         raise ParameterError(
@@ -557,7 +569,8 @@ def spacetime_besov_norm(
 
     rows, row = work.block, work.row
     logs = []
-    for block in chunk_indices(si.shape[0], _BESOV_BLOCK):
+    step = _besov_block_rows(si.shape[0], sep.shape[0])
+    for block in chunk_indices(si.shape[0], step):
         sumsq = rows[: len(block)]
         log_wt_block = log_wt[block, None]
         for level, table in ((1, f1m), (2, f2m)):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import heatlift
-from heatlift import cli, dyadic, ldp, sampler, sheets
+from heatlift import cli, covariance, dyadic, ldp, sampler, sheets
 from heatlift.cli import main, resolve_config, run
 from heatlift.dyadic import level2_telescope, lift_level
 from heatlift.errors import ParameterError
@@ -289,7 +289,7 @@ class TestExitCodes:
             (["sample", "--set", "grid_level=22"], "field would hold 541065345 values",
              "field.csv"),
             (["converge"] + BESOV_DEFAULT_GRID,
-             "Besov increment tables would hold, with their rows, 883238400 values",
+             "Besov increment tables would hold, with their rows, 816588800 values",
              "convergence.csv"),
             (["schilder", "--set", "a=Infinity"], "0 <= a < inf violated: a=inf",
              "schilder.csv"),
@@ -521,8 +521,9 @@ class TestExitCodes:
         # At the default grid (K=10, 129 times, 8,256 time pairs) one dim-2
         # table holds 129 * 524,800 * 6 = 406,195,200 values over the
         # 2^10 * (2^10 + 1) / 2 = 524,800 node pairs.  The one worker's arena
-        # holds two tables and 6 gather rows, the product row and 128
-        # quadrature rows of 524,800 each: 2 * 406,195,200 + 135 * 524,800.
+        # holds two tables and 6 gather rows, the product row and 1
+        # quadrature row of 524,800 each (a row is 4.2 MB, past the 1 MiB
+        # block budget): 2 * 406,195,200 + 8 * 524,800.
         def refuse(config, replica):
             raise AssertionError("sampled before the guard")
 
@@ -534,9 +535,49 @@ class TestExitCodes:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "Besov increment tables would hold, with their rows, 883238400 values" in err
+        assert "Besov increment tables would hold, with their rows, 816588800 values" in err
         assert "guard is 268435456" in err
         assert not (tmp_path / "convergence.csv").exists()
+
+    def test_oversized_cov_check_exit_2(self, tmp_path, capsys, monkeypatch):
+        # n_s = n_x = 100 is 10^8 grid points; the dual check would hold four
+        # grid-sized arrays at once, past the guard, before any covariance.
+        def refuse(*args, **kwargs):
+            raise AssertionError("covariance evaluated before the guard")
+
+        monkeypatch.setattr(covariance, "cov", refuse)
+        code = main(
+            ["cov-check", "--out", str(tmp_path), "--set", "n_s=100", "--set", "n_x=100"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_s=100, n_x=100 has 100000000 grid points" in err
+        assert "would hold 400000000 values at once (guard is 268435456)" in err
+        assert not (tmp_path / "cov_check.json").exists()
+
+    def test_cov_check_guard_counts_four_grid_arrays(self, tmp_path, capsys, monkeypatch):
+        # n_s=3, n_x=2: 9 time pairs x 4 position pairs = 36 points, 144 values.
+        argv = ["cov-check", "--set", "n_s=3", "--set", "n_x=2", "--out"]
+        monkeypatch.setattr(cli, "_MAX_FIELD_ENTRIES", 144)
+        assert main(argv + [str(tmp_path / "fits")]) == 0
+        assert json.loads((tmp_path / "fits" / "cov_check.json").read_text())["grid_points"] == 36
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("covariance evaluated before the guard")
+
+        monkeypatch.setattr(cli, "_MAX_FIELD_ENTRIES", 143)
+        monkeypatch.setattr(covariance, "cov", refuse)
+        capsys.readouterr()
+        assert main(argv + [str(tmp_path / "refused")]) == 2
+        assert "would hold 144 values at once (guard is 143)" in capsys.readouterr().err
+        assert not (tmp_path / "refused" / "cov_check.json").exists()
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
+    def test_output_hash_streams_whole_file(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "out.bin"
+        path.write_bytes(data)
+        assert cli._sha256_file(path) == hashlib.sha256(data).hexdigest()
 
     def test_non_finite_besov_norm_exits_1(self, tmp_path, capsys, monkeypatch):
         # A non-finite norm is an internal failure, not a parameter error.

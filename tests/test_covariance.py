@@ -229,7 +229,23 @@ class TestThetaDistinctTriples:
         cov(s, x, t, y, method="theta")
         assert s.size == 17**4
         assert len(triples) == 153 * 17
-        assert rows == [len(triples)] * 2
+        # Two calls (the ends s + t and |s - t|) per block of triples; the
+        # blocks cover each distinct triple once.
+        assert len(rows) > 2
+        assert rows[0::2] == rows[1::2]
+        assert sum(rows[0::2]) == len(triples)
+
+    # One triple per block, a block of 5 triples and a few terms over at
+    # 39 images (the 9^4 grid's window), and every triple in one block.
+    @pytest.mark.parametrize("block", [1, 39 * 5 + 7, 1 << 30])
+    def test_block_size_keeps_bits(self, monkeypatch, block):
+        rng = np.random.default_rng(11)
+        points = rng.random((4, 500)) * np.array([[2.0], [3.0], [2.0], [3.0]])
+        cases = [grid_points(9), (points[0], points[2], points[1], points[3])]
+        want = [cov(s, x, t, y, method="theta") for s, t, x, y in cases]
+        monkeypatch.setattr(covariance, "_THETA_BLOCK", block)
+        for (s, t, x, y), w in zip(cases, want):
+            assert cov(s, x, t, y, method="theta").tobytes() == w.tobytes()
 
 
 class TestRectVar:

@@ -684,6 +684,30 @@ class TestConvergenceStudy:
         ):
             convergence_study(cfg, range(2, 4), replicas=replicas, **besov)
 
+    # At grid level 10 (524,800 node pairs) a quadrature row is 4.2 MB,
+    # past the block budget, so the arena holds one: at dim 2 the guard
+    # admits n_time=40 (262,400,000 values) and refuses 41 (268,697,600);
+    # at dim 1, 125 (266,598,400) and 126 (268,697,600).
+    @pytest.mark.parametrize(
+        "dim, n_time, admitted",
+        [(2, 40, True), (2, 41, False), (1, 125, True), (1, 126, False)],
+    )
+    def test_besov_guard_at_grid_level_10(self, monkeypatch, dim, n_time, admitted):
+        class Sampled(Exception):
+            pass
+
+        def refuse(config, replica):
+            raise Sampled
+
+        monkeypatch.setattr(dyadic, "sample_field", refuse)
+        cfg = SpectralConfig(
+            n_modes=16, time_horizon=1.0, n_time=n_time, grid_level=10, dim=dim, seed=0
+        )
+        besov = dict(kinds=("besov",), alpha=0.4, beta=0.04, m=30.0)
+        # An admitted run allocates its arena (untouched) and then samples.
+        with pytest.raises(Sampled if admitted else GridTooLargeError):
+            convergence_study(cfg, [2], replicas=2, **besov)
+
 
 class TestMonotoneRefinement:
     def test_dist_to_full_lift_decreases_in_k(self):

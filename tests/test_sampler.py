@@ -383,6 +383,26 @@ class TestSampleField:
         cb = _simulate_coefficients(big, 0)[:, 0]
         assert np.array_equal(ca, cb[:, : ca.shape[1]])
 
+    def test_streams_equal_fresh_philox(self):
+        # Each stream resets one Generator to its key at counter 0: the
+        # draws of a freshly built Philox, also after the previous stream
+        # left a partly used buffer and a spare 32-bit half behind.
+        def fresh(seed, replica, component):
+            key = [seed, replica << 8 | component]
+            return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+        keys = [(0, 0, 0), (3, 5, 1), (7, 0, 255), (2**64 - 1, 2**56 - 1, 255)]
+        for seed, replica, component in keys * 2:
+            gen = _philox(seed, replica, component)
+            want = fresh(seed, replica, component)
+            assert gen.standard_normal(7).tobytes() == want.standard_normal(7).tobytes()
+            assert gen.integers(2**32, dtype=np.uint32) == want.integers(2**32, dtype=np.uint32)
+            assert gen.bit_generator.state["has_uint32"] == 1
+            out, expected = np.empty(1001), np.empty(1001)
+            gen.standard_normal(out=out)
+            want.standard_normal(out=expected)
+            assert out.tobytes() == expected.tobytes()
+
     def test_stream_key_bounds(self):
         # Component 256 would read replica 1's component-0 stream.
         a = _philox(0, 0, 256).standard_normal(4)

@@ -17,10 +17,10 @@ from heatlift.sheets import (
     lift_piecewise_linear,
     load_sheet,
     save_sheet,
-    _BESOV_BLOCK,
     _BesovArena,
     _besov,
     _besov_arena_shapes,
+    _besov_block_rows,
     _besov_root,
     _log_besov_sum,
     _log_weights,
@@ -566,8 +566,9 @@ def subtract_then_sumsq_besov(sheet, beta, alpha, m, relative_to=None):
     dt = (times[-1] - times[0]) / (nt - 1)
     log_wt = _log_weights(times[ti] - times[si], dt, 1.0 + beta * m)
     log1, log2 = [], []
-    for lo in range(0, si.shape[0], _BESOV_BLOCK):
-        block = range(lo, min(lo + _BESOV_BLOCK, si.shape[0]))
+    rows = _besov_block_rows(si.shape[0], sep.shape[0])
+    for lo in range(0, si.shape[0], rows):
+        block = range(lo, min(lo + rows, si.shape[0]))
         sumsq1 = np.empty((len(block), sep.shape[0]))
         sumsq2 = np.empty_like(sumsq1)
         for row, p in enumerate(block):
@@ -619,11 +620,13 @@ class TestRowFusedQuadrature:
         work.fill(np.nan)
         assert _row_sumsq(a, out=out, work=work).tobytes() == former_row_sumsq(a).tobytes()
 
-    # n_time=16 gives 136 time pairs, i.e. two blocks.
+    # n_time=16 gives 136 time pairs, two blocks under the budget below.
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n_time", [5, 16])
     @pytest.mark.parametrize("alpha, beta, m", [(0.4, 0.04, 30.0), (0.49, 0.004, 300.0)])
-    def test_equals_subtract_then_reduce(self, dim, n_time, alpha, beta, m):
+    def test_equals_subtract_then_reduce(self, monkeypatch, dim, n_time, alpha, beta, m):
+        if n_time == 16:
+            two_blocks(monkeypatch)
         cfg = SpectralConfig(
             n_modes=32, time_horizon=1.0, n_time=n_time, grid_level=5, dim=dim,
             seed=dim,
@@ -639,6 +642,15 @@ class TestRowFusedQuadrature:
             assert [snapshot(sh) for sh in (fine, coarse)] == before
 
 
+def two_blocks(monkeypatch):
+    """A block budget of 128 time pairs' rows at grid level 5 (528 node
+    pairs): n_time=16's 136 time pairs take two blocks, the last short.
+    Under the default budget they take one."""
+    assert _besov_block_rows(136, 528) == 136
+    monkeypatch.setattr(sheets, "_BESOV_BLOCK_BYTES", 128 * 8 * 528)
+    assert _besov_block_rows(136, 528) == 128
+
+
 def nan_arena(n_times, grid_level, dim):
     arena = _BesovArena(n_times, grid_level, dim)
     for buf in arena.slots[0] + arena.slots[1] + arena.gather + (arena.row, arena.block):
@@ -651,7 +663,7 @@ class TestBesovArena:
     have the bits of fresh ones, and the arena reads only the tables of the
     sheet it kept."""
 
-    # A slice is one time; n_time=16 is 17 times, 136 time pairs, 2 blocks.
+    # A slice is one time; n_time=16 is 17 times.
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n_time", [0, 4, 16])
     def test_increment_tables_into_buffers(self, dim, n_time):
@@ -679,12 +691,20 @@ class TestBesovArena:
             (3, 2, 136), (3, 4, 136), (3, 2, 136), (3, 4, 136),
             (2, 136), (4, 136), (136,), (3, 136),
         ]
-        assert _besov_arena_shapes(17, 4, 1)[-1] == (_BESOV_BLOCK, 136)
+        # The block holds as many time pairs' rows as 1 MiB holds, at
+        # least one: all 136 of 17 times at 136 node pairs, 3 of 36 at grid
+        # level 8 (32,896 node pairs) and 1 at level 10 (524,800).
+        assert _besov_arena_shapes(17, 4, 1)[-1] == (136, 136)
+        assert _besov_arena_shapes(9, 8, 2)[-1] == (3, 32896)
+        assert _besov_arena_shapes(129, 10, 2)[-1] == (1, 524800)
 
-    # Two replicas walk k upward in one arena, as convergence_study does.
+    # Two replicas walk k upward in one arena, as convergence_study does;
+    # n_time=16 takes two blocks.
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n_time", [5, 16])
-    def test_k_walk_equals_fresh_norms(self, dim, n_time):
+    def test_k_walk_equals_fresh_norms(self, monkeypatch, dim, n_time):
+        if n_time == 16:
+            two_blocks(monkeypatch)
         cfg = SpectralConfig(
             n_modes=32, time_horizon=1.0, n_time=n_time, grid_level=5, dim=dim,
             seed=dim,
