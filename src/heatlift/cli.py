@@ -20,6 +20,7 @@ import math
 import operator
 import os
 import resource
+import shutil
 import sys
 import time
 from dataclasses import asdict
@@ -556,13 +557,20 @@ def _resources(before: dict) -> dict:
 
 
 def run(config: dict, out_dir: str) -> dict:
-    """Execute one resolved experiment config; returns the manifest."""
+    """Execute one resolved experiment config; returns the manifest.  A
+    ParameterError from the body removes the directories the run made."""
     out = Path(out_dir)
+    made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
     usage = {who: resource.getrusage(who)
              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)}
     start = time.perf_counter()
-    summary = _BODIES[config["experiment"]](config, out)
+    try:
+        summary = _BODIES[config["experiment"]](config, out)
+    except ParameterError:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
     wall = time.perf_counter() - start
     resources = _resources(usage)
     outputs = {

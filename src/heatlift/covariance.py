@@ -215,19 +215,17 @@ def _fourier_series(tau: np.ndarray, delta: np.ndarray) -> np.ndarray:
     if tau.size * n_offsets == 0:
         return np.empty((*tau.shape, n_offsets))
     flat = tau.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    ranked = flat[order]
-    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    tvals = ranked[new]
+    first, inverse = _distinct_rows(flat)
+    tvals = flat[first]
+    counts = np.bincount(inverse)
     if n_shared == 1:
         # Every row meets the one offset row: one table, one gather.
-        inverse = np.empty(flat.size, dtype=np.intp)
-        inverse[order] = np.cumsum(new) - 1
-        points = np.bincount(inverse) * n_offsets
-        table = _series_table(tvals, delta[0], points)
+        table = _series_table(tvals, delta[0], counts * n_offsets)
         return table[inverse].reshape(*tau.shape, n_offsets)
     out = np.empty((flat.size, n_offsets))
-    for tval, rows in zip(tvals, np.split(order, np.flatnonzero(new)[1:])):
+    # Each distinct tau's rows, in ascending row order.
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    for tval, rows in zip(tvals, groups):
         d = delta[rows % n_shared]
         out[rows] = _series_table(tval[None], d.reshape(-1), [d.size]).reshape(d.shape)
     return out.reshape(*tau.shape, n_offsets)

@@ -303,15 +303,13 @@ def cm_regularity_check(path: CameronMartinPath, q: float) -> CMRegularityReport
         ratio /= root_sep[lo:hi]
         np.maximum(holder, np.max(ratio), out=holder)
     holder = float(holder)
-    qvar = 0.0
-    for t_index in range(values.shape[0]):
-        total = 0.0
-        for k in range(1, K + 1):
-            stride = 2 ** (K - k)
-            nodes = values[t_index, ::stride, :]
-            incs = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
-            total += k**gamma * float(np.sum(incs**q))
-        qvar = max(qvar, total)
+    # One level at a time over every time row; each row's total adds the
+    # levels in order, as a per-row loop would.
+    totals = np.zeros(nt)
+    for k in range(1, K + 1):
+        incs = np.linalg.norm(np.diff(values[:, :: 2 ** (K - k)], axis=1), axis=2)
+        totals += k**gamma * np.sum(incs**q, axis=1)
+    qvar = float(np.max(totals))
     qvar_lin = qvar ** (1.0 / q)
     h = float(np.sqrt(path.h_norm_sq))
     return CMRegularityReport(
@@ -519,6 +517,9 @@ def validate_chaos_params(q_list) -> tuple:
 # Finest level2 cell 2^-level: x + 2^-52 != x for every double x in [0, 1].
 _MAX_CHAOS_LEVEL = 52
 
+# Equal batches of the replicas behind the chaos standard errors.
+_CHAOS_BATCHES = 25
+
 
 def _fit_exponent(qs: np.ndarray, ratios: np.ndarray) -> float:
     # ratios are relative to q = 2, so the q = 2 point is exact (log 1).
@@ -534,7 +535,6 @@ def chaos_moment_ratio(
     x: float = 0.0,
     y: float | None = None,
     level: int = 5,
-    batches: int = 25,
 ) -> ChaosReport:
     """Monte Carlo L^q/L^2 norm ratios of one chaos element and the
     fitted growth exponent of q -> ||Z||_q.
@@ -543,8 +543,8 @@ def chaos_moment_ratio(
     increment (first Wiener chaos); "level2" evaluates an off-diagonal
     entry of the level-`level` polygonal lift between x and y (second
     chaos; needs dim >= 2).  Scalar replicas are drawn from the exact
-    single-time marginal.  Standard errors come from `batches` equal
-    batches, so replicas >= batches.
+    single-time marginal.  Standard errors come from _CHAOS_BATCHES equal
+    batches, so replicas >= _CHAOS_BATCHES.
 
     y defaults to x + 1/2 for level1 and to one dyadic cell x + 2^-level
     for level2: over a single cell the entry is a plain product of
@@ -559,9 +559,9 @@ def chaos_moment_ratio(
     """
     q_sorted = validate_chaos_params(q_list)
     q_arr = np.asarray(q_sorted)
-    if replicas < batches:
+    if replicas < _CHAOS_BATCHES:
         raise ParameterError(
-            f"replicas >= batches violated: replicas={replicas}, batches={batches}"
+            f"replicas >= batches violated: replicas={replicas}, batches={_CHAOS_BATCHES}"
         )
     if not 0 < t < np.inf:
         raise ParameterError(f"0 < t < inf violated: t={t!r}")
@@ -621,7 +621,7 @@ def chaos_moment_ratio(
     q4 = int(np.flatnonzero(np.isclose(q_arr, 4.0))[0])
     batch_exp = []
     batch_r4 = []
-    for part in np.array_split(absz, batches):
+    for part in np.array_split(absz, _CHAOS_BATCHES):
         r = ratios_of(part)
         batch_exp.append(_fit_exponent(q_arr, r))
         batch_r4.append(r[q4])
@@ -645,6 +645,10 @@ def chaos_moment_ratio(
 # ---------------------------------------------------------------------------
 # Pointwise Schilder scaling (analytic)
 
+# The covariance route of the marginal variance sigma^2.
+_SCHILDER_ROUTE = "fourier"
+
+
 @dataclass(frozen=True)
 class SchilderRow:
     epsilon: float
@@ -662,13 +666,7 @@ class SchilderReport:
     rows: tuple
 
 
-def schilder_point_check(
-    t: float,
-    x: float,
-    a: float | None,
-    eps_list,
-    method: str = "fourier",
-) -> SchilderReport:
+def schilder_point_check(t: float, x: float, a: float | None, eps_list) -> SchilderReport:
     """Analytic curve eps^2 log P(N(0, sigma^2) > a / eps).
 
     The Gaussian tail gives the exact scaled log-probability through
@@ -686,7 +684,7 @@ def schilder_point_check(
         raise ParameterError(f"-inf < x < inf violated: x={x!r}")
     if a is not None and not 0.0 <= a < np.inf:
         raise ParameterError(f"0 <= a < inf violated: a={a!r}")
-    sigma_sq = float(cov(t, x, t, x, method=method))
+    sigma_sq = float(cov(t, x, t, x, method=_SCHILDER_ROUTE))
     if sigma_sq <= 0.0:
         raise ParameterError(f"degenerate marginal at t={t} (variance {sigma_sq})")
     sigma = np.sqrt(sigma_sq)

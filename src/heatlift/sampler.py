@@ -45,7 +45,6 @@ their bits do not depend on the BLAS or its thread count.
 from __future__ import annotations
 
 import functools
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -56,8 +55,11 @@ import numpy.random
 
 from .covariance import cov
 from .errors import ParameterError
+from .sheets import _read_cache, _write_cache
 
+# field.bin: the magic, then the header save_field writes.
 _FIELD_MAGIC = b"HLFIELD1"
+_FIELD_HEADER = "<qqqqqqd"
 
 # Refuse allocations beyond this many float64 entries instead of dying
 # with an opaque MemoryError mid-simulation.
@@ -455,56 +457,28 @@ def truncation_residual(n_modes: int, t: float) -> float:
     return full - cov(t, 0.0, t, 0.0, method="fourier", n_modes=n_modes)
 
 
+def _field_layout(n_modes, n_time, k, dim, *_):
+    shape = (n_time + 1, 2**k + 1, dim)
+    return (shape,), f"a {shape} field"
+
+
 def save_field(sample: FieldSample, path: str):
-    """Binary cache: header then little-endian float64 values (C order)."""
+    """Write a field cache: n_modes, n_time, grid level, dim, seed, replica
+    and time horizon, then the values."""
     cfg = sample.config
-    with open(path, "wb") as fh:
-        fh.write(_FIELD_MAGIC)
-        fh.write(
-            struct.pack(
-                "<qqqqqq",
-                cfg.n_modes,
-                cfg.n_time,
-                cfg.grid_level,
-                cfg.dim,
-                cfg.seed,
-                sample.replica,
-            )
-        )
-        fh.write(struct.pack("<d", cfg.time_horizon))
-        # A file object takes the array's buffer: no bytes copy.
-        fh.write(np.ascontiguousarray(sample.values, dtype="<f8"))
+    header = (cfg.n_modes, cfg.n_time, cfg.grid_level, cfg.dim, cfg.seed,
+              sample.replica, cfg.time_horizon)
+    _write_cache(path, _FIELD_MAGIC, _FIELD_HEADER, header, (sample.values,))
 
 
 def load_field(path: str) -> FieldSample:
     """Read a save_field cache.  A file that is not one, or whose length
     does not match its header (truncated, or with trailing bytes), raises
     ValueError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(_FIELD_MAGIC)] != _FIELD_MAGIC:
-        raise ValueError("not a heatlift field cache")
-    head = len(_FIELD_MAGIC) + 56
-    if len(raw) < head:
-        raise ValueError(f"field cache is {len(raw)} bytes, expected at least {head}")
-    n_modes, n_time, k, dim, seed, replica, horizon = struct.unpack_from(
-        "<qqqqqqd", raw, len(_FIELD_MAGIC)
+    (n_modes, n_time, k, dim, seed, replica, horizon), (values,) = _read_cache(
+        path, _FIELD_MAGIC, "field", _FIELD_HEADER, _field_layout
     )
-    shape = (n_time + 1, 2**k + 1, dim)
-    expected = head + 8 * shape[0] * shape[1] * shape[2]
-    if len(raw) != expected:
-        raise ValueError(
-            f"field cache is {len(raw)} bytes, expected {expected} for a "
-            f"{shape} field"
-        )
-    cfg = SpectralConfig(
-        n_modes=n_modes,
-        time_horizon=horizon,
-        n_time=n_time,
-        grid_level=k,
-        dim=dim,
-        seed=seed,
-    )
-    values = np.frombuffer(raw, dtype="<f8", offset=head).reshape(shape)
-    return FieldSample(values=values.astype(float), config=cfg, replica=replica)
+    cfg = SpectralConfig(n_modes=n_modes, time_horizon=horizon, n_time=n_time,
+                         grid_level=k, dim=dim, seed=seed)
+    return FieldSample(values=values, config=cfg, replica=replica)
 

@@ -87,7 +87,9 @@ from .group import GroupElement, _hom_norms, _outer, _pair_increment
 # patches heatlift.sheets.deterministic_map, so the name stays bound.
 from .parallel import chunk_indices, deterministic_map  # noqa: F401
 
-_BINARY_MAGIC = b"HLSHEET1"
+# lift.bin: the magic, then dim, grid level and time count.
+_SHEET_MAGIC = b"HLSHEET1"
+_SHEET_HEADER = "<qqq"
 
 # Bytes of one block of the space-time Besov quadrature's rows, one row
 # of node pairs per (s, t) pair (_besov_block_rows); the blocks' sums are
@@ -623,44 +625,36 @@ def dilate_sheet(lam: float, sheet: RoughSheet) -> RoughSheet:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (cache format shared with the CLI)
+# Serialization: the one binary cache codec, behind lift.bin and field.bin.
+# A cache is an 8-byte magic, a little-endian struct header and then
+# little-endian float64 arrays in C order, whose shapes the header fixes.
 
-def save_sheet(sheet: RoughSheet, path: str):
-    """Write a sheet cache: header then little-endian float64 throughout."""
-    nt = sheet.n_times
+def _write_cache(path: str, magic: bytes, header_format: str, header, arrays):
     with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<qqq", sheet.dim, sheet.grid_level, nt))
-        for arr in (
-            sheet.times,
-            sheet.initial_values,
-            sheet.level1,
-            sheet.level2,
-        ):
+        fh.write(magic)
+        fh.write(struct.pack(header_format, *header))
+        for arr in arrays:
             # A file object takes the array's buffer: no bytes copy.
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
-def load_sheet(path: str) -> RoughSheet:
-    """Read a save_sheet cache.  A file that is not one, or whose length
-    does not match its header (truncated, or with trailing bytes), raises
-    ValueError."""
+def _read_cache(path: str, magic: bytes, kind: str, header_format: str, layout):
+    """(header, arrays) of a _write_cache file.  layout(*header) gives the
+    arrays' shapes and the words naming them in the length error.  A file
+    without `magic`, or whose length does not match its header (truncated,
+    or with trailing bytes), raises ValueError naming the `kind` cache."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
-        raise ValueError("not a heatlift sheet cache")
-    offset = len(_BINARY_MAGIC) + 24
+    if raw[: len(magic)] != magic:
+        raise ValueError(f"not a heatlift {kind} cache")
+    offset = len(magic) + struct.calcsize(header_format)
     if len(raw) < offset:
-        raise ValueError(f"sheet cache is {len(raw)} bytes, expected at least {offset}")
-    d, k, nt = struct.unpack_from("<qqq", raw, len(_BINARY_MAGIC))
-    n = 2**k + 1
-    shapes = ((nt,), (nt, d), (nt, n, d), (nt, n, d, d))
+        raise ValueError(f"{kind} cache is {len(raw)} bytes, expected at least {offset}")
+    header = struct.unpack_from(header_format, raw, len(magic))
+    shapes, what = layout(*header)
     expected = offset + 8 * sum(math.prod(shape) for shape in shapes)
     if len(raw) != expected:
-        raise ValueError(
-            f"sheet cache is {len(raw)} bytes, expected {expected} for "
-            f"{nt} times at grid level {k} and dim {d}"
-        )
+        raise ValueError(f"{kind} cache is {len(raw)} bytes, expected {expected} for {what}")
     arrays = []
     for shape in shapes:
         count = math.prod(shape)
@@ -669,11 +663,29 @@ def load_sheet(path: str) -> RoughSheet:
             .reshape(shape).astype(float)
         )
         offset += 8 * count
-    times, iv, l1, l2 = arrays
-    return RoughSheet(
-        times=times,
-        grid_level=k,
-        level1=l1,
-        level2=l2,
-        initial_values=iv,
+    return header, arrays
+
+
+def _sheet_layout(d, k, nt):
+    n = 2**k + 1
+    shapes = ((nt,), (nt, d), (nt, n, d), (nt, n, d, d))
+    return shapes, f"{nt} times at grid level {k} and dim {d}"
+
+
+def save_sheet(sheet: RoughSheet, path: str):
+    """Write a sheet cache: the header, then the times, initial values,
+    level 1 and level 2."""
+    header = (sheet.dim, sheet.grid_level, sheet.n_times)
+    arrays = (sheet.times, sheet.initial_values, sheet.level1, sheet.level2)
+    _write_cache(path, _SHEET_MAGIC, _SHEET_HEADER, header, arrays)
+
+
+def load_sheet(path: str) -> RoughSheet:
+    """Read a save_sheet cache.  A file that is not one, or whose length
+    does not match its header (truncated, or with trailing bytes), raises
+    ValueError."""
+    (_, k, _), (times, iv, l1, l2) = _read_cache(
+        path, _SHEET_MAGIC, "sheet", _SHEET_HEADER, _sheet_layout
     )
+    return RoughSheet(times=times, grid_level=k, level1=l1, level2=l2,
+                      initial_values=iv)

@@ -572,6 +572,27 @@ class TestExitCodes:
         assert "would hold 144 values at once (guard is 143)" in capsys.readouterr().err
         assert not (tmp_path / "refused" / "cov_check.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["cov-check", "--set", "n_s=100", "--set", "n_x=100"], "(guard is 268435456)"),
+            (["tails", "--set", "eps_list=[0.0]"], "0 < epsilon < inf violated"),
+        ],
+        ids=["cov-check-huge", "tails-bad"],
+    )
+    def test_body_exit_2_removes_only_new_directories(self, tmp_path, capsys, argv, message):
+        # Both checks run in the experiment's body, after --out is made.
+        assert main(argv + ["--out", str(tmp_path / "made" / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "made").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "note.txt").write_text("kept")
+        assert main(argv + ["--out", str(kept)]) == 2
+        assert main(argv + ["--out", str(kept / "new")]) == 2
+        assert sorted(p.name for p in kept.iterdir()) == ["note.txt"]
+        assert (kept / "note.txt").read_text() == "kept"
+
     @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
     def test_output_hash_streams_whole_file(self, tmp_path, size):
         data = np.random.default_rng(size).bytes(size)

@@ -452,6 +452,21 @@ def per_time_holder(path):
     return holder
 
 
+def per_time_qvar(path, q):
+    """The q-variation majorant as one loop over levels per time index."""
+    values = path.field.values
+    K = path.config.grid_level
+    qvar = 0.0
+    for t_index in range(values.shape[0]):
+        total = 0.0
+        for k in range(1, K + 1):
+            nodes = values[t_index, :: 2 ** (K - k), :]
+            incs = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
+            total += k ** (q - 0.75) * float(np.sum(incs**q))
+        qvar = max(qvar, total)
+    return qvar ** (1.0 / q)
+
+
 # sha256 of the k = 2..8 lift-decay rows (k, level1_sup, level2_sup as
 # float64) and of the regularity report's fields, taken before the
 # node-pair reductions were blocked, at cm's benchmark grid (grid_level 9,
@@ -530,6 +545,15 @@ class TestCmBlockedReductions:
         holder = per_time_holder(path)
         assert holder > 0.0
         assert cm_regularity_check(path, q=1.5).holder_half == holder
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("grid_level,n_time", [(9, 8), (6, 4)])
+    def test_qvar_matches_per_time_reference(self, dim, grid_level, n_time):
+        path = self.path(dim, grid_level=grid_level, n_time=n_time)
+        for q in (1.5, 1.9):
+            qvar = cm_regularity_check(path, q=q).qvar_surrogate
+            assert qvar > 0.0
+            assert qvar == per_time_qvar(path, q)
 
 
 class TestCmLevels:

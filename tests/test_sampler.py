@@ -13,6 +13,7 @@ import pytest
 
 import heatlift.sampler as sampler_module
 from heatlift.covariance import cov
+from heatlift.dyadic import lift_level
 from heatlift.errors import ParameterError
 from heatlift.sampler import (
     FieldSample,
@@ -36,6 +37,7 @@ from heatlift.sampler import (
     save_field,
     truncation_residual,
 )
+from heatlift.sheets import save_sheet
 
 
 class TestBasis:
@@ -827,6 +829,14 @@ class TestFieldIO:
         path.write_bytes(edit(path.read_bytes()))
         expected = "at least 64" if found < 64 else "640 for a \\(4, 9, 2\\) field"
         with pytest.raises(ValueError, match=f"field cache is {found} bytes, expected {expected}"):
+            load_field(str(path))
+
+    def test_sheet_cache_rejected(self, tmp_path):
+        # Both caches go through one codec; the magic keeps them apart.
+        cfg = SpectralConfig(n_modes=8, n_time=2, grid_level=2, dim=2, seed=1)
+        path = tmp_path / "lift.bin"
+        save_sheet(lift_level(sample_field(cfg, 0), cfg.grid_level), str(path))
+        with pytest.raises(ValueError, match="not a heatlift field cache"):
             load_field(str(path))
 
     def test_non_field_file_rejected(self, tmp_path):

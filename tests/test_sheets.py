@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from heatlift import sheets
 from heatlift.dyadic import convergence_study, lift_level
 from heatlift.group import _pair_increment, group_dist
-from heatlift.sampler import FieldSample, SpectralConfig, sample_field
+from heatlift.sampler import FieldSample, SpectralConfig, sample_field, save_field
 from heatlift.sheets import (
     GridMismatchError,
     PathSlice,
@@ -1159,6 +1159,14 @@ class TestSerialization:
     def test_non_sheet_file_rejected(self, tmp_path):
         path = tmp_path / "sheet.json"
         path.write_text('{"format": "heatlift-sheet", "version": 1}')
+        with pytest.raises(ValueError, match="not a heatlift sheet cache"):
+            load_sheet(str(path))
+
+    def test_field_cache_rejected(self, tmp_path):
+        # Both caches go through one codec; the magic keeps them apart.
+        cfg = SpectralConfig(n_modes=8, n_time=2, grid_level=2, dim=2, seed=1)
+        path = tmp_path / "field.bin"
+        save_field(sample_field(cfg, 0), str(path))
         with pytest.raises(ValueError, match="not a heatlift sheet cache"):
             load_sheet(str(path))
 
