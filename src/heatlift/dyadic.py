@@ -26,21 +26,22 @@ import numpy as np
 
 from .errors import ParameterError, is_integer
 from .group import AREA_COEFF, _outer
-from .parallel import chunk_indices, deterministic_map, worker_count
+from .parallel import deterministic_map, worker_runs
 from .sampler import (
     _MAX_FIELD_ENTRIES, FieldSample, GridTooLargeError, SpectralConfig, sample_field,
 )
 from .sheets import (
-    RoughSheet, _BesovArena, _besov_arena_shapes, _lift_values, spacetime_besov_norm,
+    RoughSheet, _BesovArena, _besov_arena_shapes, _lift_values, check_besov_m,
+    spacetime_besov_norm,
 )
 
 SUP_KIND = "sup"
 BESOV_KIND = "besov"
 
-# Bytes of sampled fields one convergence_study worker reduces at once in
-# sup mode (three fields at dim 2, grid level 9 and 16 time steps).  A
-# larger batch saves little more time and costs resident memory: each
-# field adds its reductions' temporaries as well.
+# Bytes of sampled fields one convergence_study worker samples and
+# measures per batch (three fields at dim 2, grid level 9 and 16 time
+# steps).  A larger batch saves the sup reductions little more time and
+# costs resident memory: each field adds their temporaries as well.
 _SUP_BATCH_BYTES = 1 << 19
 
 # Bytes of one component's values per block of time rows in _gap_sup:
@@ -58,12 +59,7 @@ def validate_besov_params(alpha: float, beta: float, m: float):
         raise ParameterError(
             f"4*beta < 1 - 2*alpha violated: beta={beta:.6g}, alpha={alpha:.6g}"
         )
-    if not m > 0:
-        raise ParameterError(f"m > 0 violated: m={m:.6g}")
-    if not m < np.inf:
-        raise ParameterError(f"m < inf violated: m={m:.6g}")
-    if not (beta > 1.0 / m):
-        raise ParameterError(f"beta > 1/m violated: beta={beta:.6g}, m={m:.6g}")
+    check_besov_m(beta, m)
     if not (alpha - 1.0 / m > 1.0 / 3.0):
         raise ParameterError(
             f"alpha - 1/m > 1/3 violated: alpha={alpha:.6g}, m={m:.6g}"
@@ -133,8 +129,11 @@ def lift_level(sample: FieldSample, k: int) -> RoughSheet:
 
 def _fine_nodes(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
     """The level-(k+1) nodes of values (..., 2^K + 1, d), a view shaped
-    (..., 2^(k+1) + 1, d); raises ParameterError when k + 1 > K."""
+    (..., 2^(k+1) + 1, d); raises ParameterError unless k is an integer
+    with 0 <= k < K."""
     K = grid_level
+    if _integer_k(k) < 0:
+        raise ParameterError(f"k >= 0 violated: k={k}")
     if k + 1 > K:
         raise ParameterError(f"need grid level >= {k + 1}, have {K}")
     return values[..., :: 2 ** (K - (k + 1)), :]
@@ -166,10 +165,11 @@ def level2_telescope(
 
     Must agree entrywise with the direct lift difference; this is the
     central algebraic identity the whole convergence argument rides on.
+    Raises ParameterError unless k is an integer with 0 <= k < grid_level.
     """
+    w = _sibling_products(row, grid_level, k)
     if not (0 <= i_node <= j_node <= 2**k):
         raise IndexError(f"need 0 <= I <= J <= {2 ** k}")
-    w = _sibling_products(row, grid_level, k)
     return 0.5 * np.sum(w[i_node:j_node], axis=0)
 
 
@@ -371,18 +371,20 @@ def convergence_study(
     requires the full parameter chain to be feasible.
 
     Replicas run independently and are reduced in replica order.  They are
-    split into parallel.worker_count(threads, replicas) contiguous runs
-    (at most the usable CPUs), one per worker process.  In sup mode each
-    run allocates one buffer of B fields, B as many as _SUP_BATCH_BYTES
-    holds (at least one), samples its replicas into it B at a time, still
-    through sample_field per replica, and reduces every level once per
-    batch (_level1_sup, _level2_sup); each replica's values are
+    split into the contiguous runs of parallel.worker_runs(replicas,
+    threads), one per worker process.  Each run allocates one buffer of B
+    fields, B as many as _SUP_BATCH_BYTES holds (at least one, at most the
+    run), and samples its replicas into it B at a time, through
+    sample_field per replica.  Each kind turns a batch into one array of
+    shape (replicas, level, k).  Sup reduces every level once per batch
+    (_level1_sup, _level2_sup); each replica's values are
     float(level1[i]) ** 2 and float(level2[i]), with the bits of that
-    replica reduced alone.  Besov-only mode allocates no such buffer.  In
-    Besov mode each run allocates one sheets._BesovArena and builds every
-    norm's tables, difference and quadrature rows in it; each fine lift is
-    passed back as the next k's coarse lift, whose tables the arena kept.
-    A mixed study lifts the fields of the sup buffer.  Each distinct level
+    replica reduced alone.  Besov walks each replica's k upward in one
+    sheets._BesovArena per run, which builds every norm's tables,
+    difference and quadrature rows; each fine lift is passed back as the
+    next k's coarse lift, whose tables the arena kept.  The runs' arrays
+    are joined in replica order, and each row is the mean and standard
+    error of one column, in the order kind, level, k.  Each distinct level
     runs once.  A level that is not an integer, no kind or no k, a kind
     other than sup and besov, or a negative k raises ParameterError before
     sampling.  Besov mode raises GridTooLargeError before sampling
@@ -409,14 +411,14 @@ def convergence_study(
             f"{k_range[-1] + 1}, have {config.grid_level}"
         )
     use_besov = BESOV_KIND in kinds
-    # Each worker takes one contiguous run of replicas (see run below).
-    workers = worker_count(threads, replicas)
+    # Each worker maps one contiguous run of replicas (see run below).
+    runs = worker_runs(replicas, threads)
     if use_besov:
         if alpha is None or beta is None or m is None:
             raise ParameterError("besov kind needs alpha, beta and m")
         validate_besov_params(alpha, beta, m)
         shapes = _besov_arena_shapes(config.n_time + 1, config.grid_level, config.dim)
-        entries = workers * sum(math.prod(shape) for shape in shapes)
+        entries = len(runs) * sum(math.prod(shape) for shape in shapes)
         if entries > _MAX_FIELD_ENTRIES:
             raise GridTooLargeError(
                 f"Besov increment tables would hold, with their rows, {entries} values "
@@ -427,94 +429,66 @@ def convergence_study(
         # One replica has no standard error: every stderr would be NaN.
         raise ParameterError(f"replicas >= 2 violated: replicas={replicas}")
 
-    table = ConvergenceTable()
-    use_sup = SUP_KIND in kinds
     K = config.grid_level
+    measured = sorted(set(kinds))  # the row order: kind, then level, then k
     field_shape = (config.n_time + 1, config.n_nodes, config.dim)
-    # Replicas per sup batch: as many fields as _SUP_BATCH_BYTES holds, at
-    # least one and at most one worker's run.
-    run_length = -(-replicas // workers)
-    batch = max(1, min(_SUP_BATCH_BYTES // (8 * math.prod(field_shape)), run_length))
+    batch = max(1, min(_SUP_BATCH_BYTES // (8 * math.prod(field_shape)), len(runs[0])))
 
-    def run(block: range) -> list[dict]:
-        # One arena for the worker's whole run of replicas: every norm
-        # builds its tables, difference and rows there.
-        arena = (
-            _BesovArena(config.n_time + 1, config.grid_level, config.dim)
-            if use_besov else None
-        )
-        # One buffer for the run's sup batches: each batch of fields is
-        # sampled into it and every level reduced once per batch.
-        fields = np.empty((min(batch, len(block)),) + field_shape) if use_sup else None
-        step = batch if use_sup else 1
-        results = []
-        sups = []
-        for lo in range(0, len(block), step):
-            reps = block[lo : lo + step]
-            if use_sup:
-                values = fields[: len(reps)]
-                for i, r in enumerate(reps):
-                    values[i] = sample_field(config, r).values
-                sups = [
-                    (k, _level1_sup(values, K, k), _level2_sup(values, K, k))
-                    for k in k_range
-                ]
-                samples = [
-                    FieldSample(values=values[i], config=config, replica=r)
-                    for i, r in enumerate(reps)
-                ]
-            else:
-                samples = [sample_field(config, r) for r in reps]
-            for i, sample in enumerate(samples):
-                out = {}
-                for k, level1, level2 in sups:
-                    out[(k, 1, SUP_KIND)] = float(level1[i]) ** 2
-                    out[(k, 2, SUP_KIND)] = float(level2[i])
-                if use_besov:
-                    # Walking k upward, the fine lift of one difference is
-                    # the coarse lift of the next: the same object, which
-                    # the arena recognizes as the sheet it kept.
-                    lifts = {}
-                    for k in k_range:
-                        coarse = lifts.pop(k) if k in lifts else lift_level(sample, k)
-                        lifts = {k + 1: lift_level(sample, k + 1)}
-                        norm = spacetime_besov_norm(
-                            lifts[k + 1], beta, alpha, m, relative_to=coarse, work=arena
-                        )
-                        out[(k, 1, BESOV_KIND)] = norm.level1
-                        out[(k, 2, BESOV_KIND)] = norm.level2
-                results.append(out)
-        return results
+    def sup(values: np.ndarray, out: np.ndarray):
+        for j, k in enumerate(k_range):
+            # Python's float ** 2 (libm's pow), not numpy's x * x: the two
+            # may differ in the last bit.
+            out[:, 0, j] = [float(x) ** 2 for x in _level1_sup(values, K, k)]
+            out[:, 1, j] = _level2_sup(values, K, k)
 
-    # Every norm has the same bits in any run, so the rows do not follow
+    def besov(values: np.ndarray, reps: range, arena: _BesovArena, out: np.ndarray):
+        for i, r in enumerate(reps):
+            sample = FieldSample(values=values[i], config=config, replica=r)
+            # Walking k upward, the fine lift of one difference is the
+            # coarse lift of the next: the same object, which the arena
+            # recognizes as the sheet it kept.
+            fine = fine_k = None
+            for j, k in enumerate(k_range):
+                coarse = fine if fine_k == k else lift_level(sample, k)
+                fine, fine_k = lift_level(sample, k + 1), k + 1
+                norm = spacetime_besov_norm(
+                    fine, beta, alpha, m, relative_to=coarse, work=arena
+                )
+                out[i, :, j] = norm.level1, norm.level2
+
+    def run(block: range) -> np.ndarray:
+        # One buffer for the run's batches of fields and, in Besov mode,
+        # one arena for every norm's tables, difference and rows.
+        fields = np.empty((min(batch, len(block)),) + field_shape)
+        arena = _BesovArena(config.n_time + 1, K, config.dim) if use_besov else None
+        out = np.empty((len(block), len(measured), 2, len(k_range)))
+        for lo in range(0, len(block), batch):
+            reps = block[lo : lo + batch]
+            values = fields[: len(reps)]
+            for i, r in enumerate(reps):
+                values[i] = sample_field(config, r).values
+            for a, kind in enumerate(measured):
+                if kind == SUP_KIND:
+                    sup(values, out[lo : lo + len(reps), a])
+                else:
+                    besov(values, reps, arena, out[lo : lo + len(reps), a])
+        return out
+
+    # Every value has the same bits in any run, so the rows do not follow
     # the worker count.
-    blocks = chunk_indices(replicas, run_length)
-    results = [
-        res for run_results in deterministic_map(run, blocks, threads=threads)
-        for res in run_results
-    ]
-
-    keys = sorted(results[0].keys(), key=lambda kk: (kk[2], kk[1], kk[0]))
-    for key in keys:
-        vals = np.array([res[key] for res in results])
-        k, level, kind = key
-        table.rows.append(
-            ConvergenceRow(
-                k=k,
-                level=level,
-                norm_kind=kind,
-                estimate=float(vals.mean()),
-                stderr=float(vals.std(ddof=1) / np.sqrt(replicas)),
-                replicas=replicas,
-            )
-        )
-
-    for kind in kinds:
+    columns = np.concatenate(deterministic_map(run, runs, threads=threads))
+    table = ConvergenceTable()
+    for a, kind in enumerate(measured):
         for level in (1, 2):
-            rows = [r for r in table.rows if r.norm_kind == kind and r.level == level]
-            if len(rows) >= 2 and all(r.estimate > 0 for r in rows):
+            estimates = []
+            for j, k in enumerate(k_range):
+                # A contiguous copy: the sums run in the order of a 1-d array.
+                vals = np.ascontiguousarray(columns[:, a, level - 1, j])
+                estimates.append(float(vals.mean()))
+                stderr = float(vals.std(ddof=1) / np.sqrt(replicas))
+                table.rows.append(ConvergenceRow(k, level, kind, estimates[-1], stderr, replicas))
+            if len(estimates) >= 2 and all(e > 0 for e in estimates):
                 table.fits[f"{kind}:{level}"] = _fit_log2_slope(
-                    np.array([r.k for r in rows]),
-                    np.array([r.estimate for r in rows]),
+                    np.array(k_range), np.array(estimates)
                 )
     return table

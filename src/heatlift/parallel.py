@@ -1,16 +1,16 @@
 """Deterministic parallel mapping over forked worker processes.
 
-deterministic_map splits its items into at most worker_count(threads,
-len(items)) contiguous runs.  The calling process maps the first run
-itself; each further run is mapped in one child made by os.fork, which
-pickles its results (or its exception) into a pipe and leaves through
-os._exit.  Results are collected in item order, and any reduction happens
-sequentially over that ordered list.  Output is therefore bit-identical
-for a fixed partitioning regardless of scheduling.  A partition may follow
-the worker count only where each result is independent of it:
-dyadic.convergence_study maps one contiguous run of replicas
-(chunk_indices) per worker, which allocates its buffers once, and every
-replica's values have the same bits in any run.
+deterministic_map splits its items into the contiguous runs of
+worker_runs, at most worker_count(threads, len(items)).  The calling
+process maps the first run itself; each further run is mapped in one
+child made by os.fork, which pickles its results (or its exception) into
+a pipe and leaves through os._exit.  Results are collected in item
+order, and any reduction happens sequentially over that ordered list.
+Output is therefore bit-identical for a fixed partitioning regardless of
+scheduling.  A partition may follow the worker count only where each
+result is independent of it: dyadic.convergence_study maps one
+contiguous run of replicas (worker_runs) per worker, which allocates its
+buffers once, and every replica's values have the same bits in any run.
 
 The workers are processes, not threads, because the lift does not scale
 on threads: its level-2 prefix sum (np.cumsum over a multi-axis array)
@@ -68,14 +68,22 @@ def worker_count(threads: int, items: int) -> int:
     return max(1, min(threads, items, cpus))
 
 
+def worker_runs(n: int, threads: int) -> list[range]:
+    """The contiguous runs of range(n) that deterministic_map maps at
+    threads, one per worker process: ceil(n / worker_count(threads, n))
+    items each, the last one shorter, none when n < 1.  threads < 1
+    raises ParameterError."""
+    workers = worker_count(threads, n)
+    return chunk_indices(n, max(1, -(-n // workers)))
+
+
 def deterministic_map(
     fn: Callable[[T], R], items: Sequence[T], threads: int = 1
 ) -> list[R]:
     """Map fn over items, returning results in input order."""
-    workers = worker_count(threads, len(items))
-    if workers == 1:
+    runs = worker_runs(len(items), threads)
+    if len(runs) <= 1:
         return [fn(it) for it in items]
-    runs = chunk_indices(len(items), -(-len(items) // workers))
     children = {}  # run index -> (pid, read end of its pipe)
     try:
         for j in range(1, len(runs)):

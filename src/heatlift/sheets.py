@@ -492,6 +492,17 @@ class _BesovArena:
             )
 
 
+def check_besov_m(beta: float, m: float):
+    """The exponent m of a Besov norm lies in (0, inf), NaN excluded, and
+    beta > 1/m; raises ParameterError naming the violated inequality."""
+    if not m > 0:
+        raise ParameterError(f"m > 0 violated: m={m:.6g}")
+    if not m < np.inf:
+        raise ParameterError(f"m < inf violated: m={m:.6g}")
+    if not beta > 1.0 / m:
+        raise ParameterError(f"beta > 1/m violated: beta={beta:.6g}, m={m:.6g}")
+
+
 def spacetime_besov_norm(
     sheet: RoughSheet,
     beta: float,
@@ -524,12 +535,11 @@ def spacetime_besov_norm(
     _besov_block_rows (s, t) pairs, one block after another on the calling
     thread, and their logs are combined in block order, so the block size
     (set by _BESOV_BLOCK_BYTES and the grid) alone fixes the result's
-    bits.  Raises FloatingPointError when any component is not finite.
+    bits.  Raises FloatingPointError when any component is not finite,
+    and ParameterError before any table is built when m is not in
+    (0, inf) (check_besov_m), beta <= 1/m or m * alpha <= 1.
     """
-    if beta <= 1.0 / m:
-        raise ParameterError(
-            f"need beta > 1/m, got beta={beta:.4g}, 1/m={1.0 / m:.4g}"
-        )
+    check_besov_m(beta, m)
     if m * alpha <= 1.0:
         raise ParameterError(
             f"need m*alpha > 1 for integrability, got {m * alpha:.4g}"
@@ -595,7 +605,7 @@ def spacetime_besov_norm(
 def _require_matching(a: RoughSheet, b: RoughSheet):
     if a.grid_level != b.grid_level or a.dim != b.dim:
         raise GridMismatchError("sheets live on different spatial grids")
-    if a.n_times != b.n_times or not np.allclose(a.times, b.times, atol=0.0):
+    if not np.array_equal(a.times, b.times):
         raise GridMismatchError("sheets live on different time grids")
 
 

@@ -207,6 +207,23 @@ class TestTelescope:
         with pytest.raises(IndexError):
             level2_telescope(sample.values[0], sample.config.grid_level, 3, 5, 3)
 
+    @pytest.mark.parametrize("k", [-1, -2, 1.5, True])
+    @pytest.mark.parametrize(
+        "reduce",
+        [
+            lambda v, K, k: level2_telescope(v[0], K, k, 0, 0),
+            _level1_sup,
+            _level2_sup,
+        ],
+        ids=["telescope", "level1_sup", "level2_sup"],
+    )
+    def test_bad_level_refused(self, reduce, k):
+        # Negative levels once read a zero matrix, 1.5 a TypeError and True
+        # level 1.
+        sample = make_sample(seed=12)
+        with pytest.raises(ParameterError, match=r"k >= 0 violated|k must be an integer"):
+            reduce(sample.values, sample.config.grid_level, k)
+
     def test_level1_difference_vanishes_at_coarse_nodes(self):
         sample = make_sample(seed=13)
         k = 3
@@ -605,6 +622,36 @@ class TestConvergenceStudy:
                 expected.append((k, level, "besov", float(vals.mean()), se))
         got = [(r.k, r.level, r.norm_kind, r.estimate, r.stderr) for r in table.rows]
         assert got == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mixed_besov_rows_equal_besov_only(self, usable_cpus, threads):
+        # 5 replicas run as [5] or [3, 2]; a mixed study measures the sup
+        # kind on the same batches, which must not move a Besov bit.
+        usable_cpus(2)
+        cfg = SpectralConfig(
+            n_modes=32, time_horizon=1.0, n_time=4, grid_level=5, dim=2, seed=7
+        )
+        params = dict(alpha=0.4, beta=0.04, m=30.0, threads=threads)
+        mixed = convergence_study(cfg, range(2, 5), 5, kinds=("sup", "besov"), **params)
+        besov = convergence_study(cfg, range(2, 5), 5, kinds=("besov",), **params)
+        assert [r for r in mixed.rows if r.norm_kind == "besov"] == besov.rows
+        assert {key: fit for key, fit in mixed.fits.items() if key.startswith("besov")} == (
+            besov.fits
+        )
+
+    def test_besov_guard_counts_runs(self, monkeypatch, usable_cpus):
+        # 5 replicas at 4 threads run as [2, 2, 1]: three arenas, not four.
+        usable_cpus(8)
+        per_worker = 2 * 4 * 136 * 6 + (6 + 1 + 6) * 136
+        cfg = SpectralConfig(
+            n_modes=16, time_horizon=1.0, n_time=3, grid_level=4, dim=2, seed=0
+        )
+        monkeypatch.setattr(dyadic, "_MAX_FIELD_ENTRIES", 3 * per_worker)
+        table = convergence_study(
+            cfg, range(2, 4), replicas=5, kinds=("besov",), alpha=0.4, beta=0.04, m=30.0,
+            threads=4,
+        )
+        assert len(table.rows) == 4
 
     @pytest.mark.parametrize("batch", [1, 3, 4])
     def test_sup_batches_keep_per_replica_rows(

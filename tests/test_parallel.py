@@ -8,7 +8,7 @@ import pytest
 
 from heatlift.errors import ParameterError
 from heatlift.ldp import tail_probability
-from heatlift.parallel import WorkerTraceback, deterministic_map, worker_count
+from heatlift.parallel import WorkerTraceback, deterministic_map, worker_count, worker_runs
 from heatlift.sampler import SpectralConfig
 
 
@@ -33,6 +33,23 @@ class TestWorkerCount:
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ParameterError, match=f"threads >= 1 violated: threads={threads}"):
             worker_count(threads, 4)
+
+    @pytest.mark.parametrize(
+        "n, threads, cpus, runs",
+        [
+            (10, 3, 3, [(0, 4), (4, 8), (8, 10)]),
+            (5, 4, 8, [(0, 2), (2, 4), (4, 5)]),
+            (5, 1, 8, [(0, 5)]),
+            (3, 64, 2, [(0, 2), (2, 3)]),
+            (0, 2, 2, []),
+        ],
+    )
+    def test_worker_runs_are_the_maps_runs(self, usable_cpus, n, threads, cpus, runs):
+        usable_cpus(cpus)
+        assert [(r.start, r.stop) for r in worker_runs(n, threads)] == runs
+        pids = deterministic_map(lambda x: os.getpid(), range(n), threads)
+        assert [len(set(pids[lo:hi])) for lo, hi in runs] == [1] * len(runs)
+        assert len(set(pids)) == len(runs)
 
     def test_sequential_without_fork(self, monkeypatch, usable_cpus):
         usable_cpus(8)

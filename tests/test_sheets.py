@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from heatlift import sheets
 from heatlift.dyadic import convergence_study, lift_level
+from heatlift.errors import ParameterError
 from heatlift.group import _pair_increment, group_dist
 from heatlift.sampler import FieldSample, SpectralConfig, sample_field, save_field
 from heatlift.sheets import (
@@ -293,6 +297,27 @@ class TestBesovNorm:
 
 
 class TestSpacetimeBesov:
+    @pytest.mark.parametrize(
+        "m, named",
+        [
+            (0.0, "m > 0 violated: m=0"),
+            (-2.0, "m > 0 violated: m=-2"),
+            (float("nan"), "m > 0 violated: m=nan"),
+            (float("inf"), "m < inf violated: m=inf"),
+            (20.0, "beta > 1/m"),
+        ],
+    )
+    def test_bad_m_refused_before_any_table(self, monkeypatch, m, named):
+        # m = 0 once raised ZeroDivisionError, and NaN and inf a
+        # non-finite level-1 norm.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a table before the check")
+
+        sheet = small_sheet(0)
+        monkeypatch.setattr(sheets, "_increment_tables", refuse)
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            spacetime_besov_norm(sheet, beta=0.04, alpha=0.4, m=m)
+
     def test_zero_sheet(self):
         cfg = SpectralConfig(
             n_modes=4, time_horizon=1.0, n_time=4, grid_level=3, dim=1, seed=0
@@ -1066,6 +1091,16 @@ class TestDistInfty:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(GridMismatchError):
             dist_infty(small_sheet(0, grid_level=5), small_sheet(0, grid_level=4))
+
+    def test_near_equal_times_rejected(self):
+        # Times off by a relative 1e-6 once passed as one grid, and the
+        # distance read 0.0.
+        sheet = small_sheet(0)
+        shifted = dataclasses.replace(sheet, times=sheet.times * (1 + 1e-6))
+        with pytest.raises(GridMismatchError, match="different time grids"):
+            dist_infty(sheet, shifted)
+        with pytest.raises(GridMismatchError, match="different time grids"):
+            spacetime_besov_norm(sheet, 0.04, 0.4, 30.0, relative_to=shifted)
 
 
 class TestEmbeddingRatio:
