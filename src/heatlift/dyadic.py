@@ -139,21 +139,12 @@ def _fine_nodes(values: np.ndarray, grid_level: int, k: int) -> np.ndarray:
     return values[..., :: 2 ** (K - (k + 1)), :]
 
 
-def _sibling_deltas(
-    values: np.ndarray, grid_level: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(D_{2l-1}, D_{2l}): increments of the level-(k+1) siblings of values
-    (..., 2^K + 1, d), each shaped (..., 2^k, d)."""
-    deltas = np.diff(_fine_nodes(values, grid_level, k), axis=-2)
-    return deltas[..., 0::2, :], deltas[..., 1::2, :]
-
-
 def _sibling_products(row: np.ndarray, grid_level: int, k: int) -> np.ndarray:
     """w_l = D_{2l-1} ⊗ D_{2l} - D_{2l} ⊗ D_{2l-1} over the level-(k+1)
     siblings of one time row (2^K + 1, d)."""
-    odd, even = _sibling_deltas(row, grid_level, k)
+    deltas = np.diff(_fine_nodes(row, grid_level, k), axis=-2)
     # even ⊗ odd is odd ⊗ even transposed, entry for entry.
-    prod = _outer(odd, even)
+    prod = _outer(deltas[..., 0::2, :], deltas[..., 1::2, :])
     return prod - np.swapaxes(prod, -1, -2)
 
 

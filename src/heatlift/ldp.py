@@ -7,7 +7,8 @@ sum ||f_n||_{L^2}^2.  With piecewise-constant controls whose breakpoints
 sit on the time grid, the convolution is exact step by step: each step
 adds the gain sampler._ou_integral(lam, step) times the control value,
 through the same recursion sampler._ou_paths that steps the sampled
-coefficients.
+coefficients.  A path's checks read its grid values: the Hoelder constant
+one lag j - i at a time, the lift decay through sheets._lift_decay_sups.
 
 The rate function on lifted shifts is ||h||_H^2 / 2.  Tail probabilities
 of the approximation gap are estimated by Monte Carlo with Wilson
@@ -25,6 +26,7 @@ analytic via the Gaussian tail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,8 @@ from .parallel import deterministic_map
 from .sampler import (
     FieldSample,
     SpectralConfig,
+    _check_entries,
+    _check_marginal,
     _ou_integral,
     _ou_paths,
     basis_eval,
@@ -43,7 +47,7 @@ from .sampler import (
     sample_field,
     sample_slice_marginal,
 )
-from .sheets import _lift_values, _node_pairs, _pair_increments, _row_sumsq
+from .sheets import _lift_decay_entries, _lift_decay_sups, _lift_values
 # Neither is called here any more, but perfbench/spans.py patches
 # heatlift.ldp._increment_tables and heatlift.ldp.dist_infty, so both
 # names stay bound.
@@ -191,6 +195,8 @@ def cameron_martin_path(ctrl: CMControl, config: SpectralConfig) -> CameronMarti
             )
         if not 0 <= c.component < config.dim:
             raise ParameterError(f"component {c.component} outside dim {config.dim}")
+    entries = (config.n_time + 1) * config.n_nodes * config.dim
+    _check_entries("Cameron-Martin path", entries, "shrink the grid")
     times = config.times()
     nodes = config.nodes()
     delta = config.time_horizon / config.n_time
@@ -245,67 +251,36 @@ def validate_cm_params(q: float, k_range, grid_level: int) -> tuple:
     return _cm_levels(k_range, grid_level)
 
 
-# The cm reductions take at most _CM_BLOCK // dim node pairs per block, so
-# that a block's gathers, at both ends of every pair and for every stacked
-# sheet or time row, stay in cache.  Any block size gives the same bits.
-_CM_BLOCK = 4096
-
-
-def _pair_blocks(pairs: int, dim: int):
-    """The width of the blocks of node pairs and the start of each, in
-    order: as few blocks of one width as _CM_BLOCK allows, the last moved
-    back to end at the last pair.  A pair that it shares with the block
-    before repeats a value, so it cannot move a max, and one set of
-    buffers serves every block."""
-    blocks = -(-pairs // max(1, _CM_BLOCK // dim))
-    width = -(-pairs // blocks)
-    return width, [min(lo, pairs - width) for lo in range(0, pairs, width)]
-
-
 def cm_regularity_check(path: CameronMartinPath, q: float) -> CMRegularityReport:
     """Grid 1/2-Hoelder constant and dyadic q-variation majorant
     sum_k k^gamma sum_i |increment at scale 2^-k|^q, both linearized
     (the majorant via its q-th root) and normalized by ||h||_H.
 
-    The Hoelder sup is reduced over blocks of node pairs (_pair_blocks),
-    each block for every time row at once: the values of all times,
-    stacked component-major, are gathered at both ends of the block's
-    pairs into two buffers made once per call, differenced, reduced by
-    _row_sumsq, rooted and divided by the pairs' sep**0.5, formed once per
-    call.  Each (time, pair) ratio has the bits of that time's full pair
-    table reduced alone, and the max is exact."""
+    The Hoelder sup is taken one lag L = j - i at a time over every time
+    row and node: the squared norms of v[:, L:] - v[:, :-L], summed in
+    component order, are max-reduced, rooted and divided by sqrt(L / 2^K);
+    both are monotone and correctly rounded, so no bit moves."""
     _check_q(q)
     # Any gamma > q - 1 works; staying close to that edge keeps the
     # k-sum's tail small so the report stabilizes at moderate grids.
     gamma = q - 0.75
     values = path.field.values
     K = path.config.grid_level
-    nt, _, d = values.shape
-    iu, ju, sep = _node_pairs(2**K)
-    root_sep = sep**0.5
-    width, starts = _pair_blocks(iu.shape[0], d)
-    # Component-major over every time row: row c * nt + t is component c
-    # of time t, so _row_sumsq sums each (time, pair) in component order.
-    rows = np.ascontiguousarray(values.transpose(2, 0, 1)).reshape(d * nt, -1)
-    at_j, at_i = np.empty((d * nt, width)), np.empty((d * nt, width))
-    sumsq, row = np.empty(nt * width), np.empty(nt * width)
-    holder = np.zeros(())
-    for lo in starts:
-        hi = lo + width
-        # np.take writes straight into its out only in a mode other than
-        # "raise"; the indices are in range, so "clip" changes no value.
-        np.take(rows, ju[lo:hi], 1, out=at_j, mode="clip")
-        at = np.take(rows, iu[lo:hi], 1, out=at_i, mode="clip")
-        diff = np.subtract(at_j, at, out=at_j)
-        ratio = _row_sumsq(diff.reshape(d, nt * width), out=sumsq, work=row)
-        np.sqrt(ratio, out=ratio)
-        ratio = ratio.reshape(nt, width)
-        ratio /= root_sep[lo:hi]
-        np.maximum(holder, np.max(ratio), out=holder)
-    holder = float(holder)
+    n = 2**K
+    holder = 0.0
+    for lag in range(1, n + 1):
+        for c in range(values.shape[2]):
+            x = values[..., c]
+            diff = x[:, lag:] - x[:, :-lag]
+            diff *= diff
+            if c == 0:
+                sumsq = diff
+            else:
+                sumsq += diff
+        holder = max(holder, math.sqrt(float(np.max(sumsq))) / math.sqrt(lag / n))
     # One level at a time over every time row; each row's total adds the
     # levels in order, as a per-row loop would.
-    totals = np.zeros(nt)
+    totals = np.zeros(values.shape[0])
     for k in range(1, K + 1):
         incs = np.linalg.norm(np.diff(values[:, :: 2 ** (K - k)], axis=1), axis=2)
         totals += k**gamma * np.sum(incs**q, axis=1)
@@ -334,47 +309,14 @@ def cm_lift_uniform_convergence(
 ) -> list[LiftDecayRow]:
     """sup over t and grid pairs of |H(k)^i - H(k_max)^i|, i = 1, 2,
     with k_max the full grid level, for each distinct k of k_range in
-    sorted order.  Every k is checked before anything is lifted.
-
-    The prefixes of the reference lift and of every level are stacked
-    per time row, component-major, as s = len(levels) + 1 paths, the
-    reference first: (d, s, nodes) and (d^2, s, nodes).  For each time
-    row and block of node pairs (_pair_blocks), sheets._pair_increments
-    forms every path's increments at once in buffers made once per call;
-    every level is differenced against the reference in place, reduced
-    by _row_sumsq one component row at a time in component order and
-    folded into its running elementwise max, which is max-reduced over
-    the pairs and rooted once at the end.  Each pair's value comes from
-    the operations of full increment tables, max is exact and sqrt is
-    monotone and correctly rounded, so every row has their bits,
-    whatever the block size."""
+    sorted order, by sheets._lift_decay_sups.  Every k, and the node pairs
+    and prefixes against the sampler's guard, are checked before any lift."""
     K = path.config.grid_level
     ks = _cm_levels(k_range, K)
-    nt, nodes, d = path.field.values.shape
-    s = len(ks) + 1
-    p1, p2 = np.empty((nt, d, s, nodes)), np.empty((nt, d * d, s, nodes))
-    for i, k in enumerate((K, *ks)):
-        sheet = lift_level(path.field, k)
-        p1[:, :, i] = sheet.level1.transpose(0, 2, 1)
-        p2[:, :, i] = sheet.level2.reshape(nt, nodes, d * d).transpose(0, 2, 1)
-    iu, ju, _ = _node_pairs(2**K)
-    width, starts = _pair_blocks(iu.shape[0], d)
-    out = (np.empty((d, s, width)), np.empty((d * d, s, width)))
-    work = (np.empty((d, s, width)), np.empty((d * d, s, width)), np.empty((s, width)))
-    sumsq, row = np.empty((s - 1) * width), np.empty((s - 1) * width)
-    sup_sq = np.zeros((2, (s - 1) * width))
-    for t in range(nt):
-        for lo in starts:
-            hi = lo + width
-            _pair_increments(p1[t], p2[t], iu[lo:hi], ju[lo:hi], out, work)
-            for table, sup in zip(out, sup_sq):
-                gap = table[:, 1:]
-                np.subtract(gap, table[:, :1], out=gap)
-                # (components, levels * pairs): each level's pairs sum
-                # their components in component order.
-                _row_sumsq(gap.reshape(len(table), -1), out=sumsq, work=row)
-                np.maximum(sup, sumsq, out=sup)
-    sups = np.sqrt(np.max(sup_sq.reshape(2, s - 1, width), axis=2))
+    entries = _lift_decay_entries(path.config.n_time + 1, K, path.config.dim, len(ks))
+    _check_entries("the lift decay's node pairs and prefixes", entries, "shrink the grid")
+    lifts = (lift_level(path.field, k) for k in (K, *ks))
+    sups = _lift_decay_sups(lifts, len(ks))
     return [
         LiftDecayRow(k=k, level1_sup=float(s1), level2_sup=float(s2))
         for k, s1, s2 in zip(ks, *sups)
@@ -601,6 +543,7 @@ def chaos_moment_ratio(
                 f"y - x = {hi - lo} is not a positive multiple of 2^-{level}"
             )
         n_cells = int(round(n_cells))
+        _check_marginal(config.n_modes, replicas, n_cells + 1, config.dim, lifted=True)
         nodes = lo + np.arange(n_cells + 1) * 2.0**-level
         fields = sample_slice_marginal(config, t, replicas, rng, nodes=nodes)
         # One path per replica on the leading axis; only level2 is read.

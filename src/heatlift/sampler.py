@@ -78,6 +78,15 @@ class GridTooLargeError(ParameterError):
     """Requested field exceeds the sampler's allocation guard."""
 
 
+def _check_entries(what: str, count: int, remedy: str):
+    """Raise GridTooLargeError, naming what, count and remedy, when what
+    would hold more than _MAX_FIELD_ENTRIES values."""
+    if count > _MAX_FIELD_ENTRIES:
+        raise GridTooLargeError(
+            f"{what} would hold {count} values (guard is {_MAX_FIELD_ENTRIES}); {remedy}"
+        )
+
+
 @dataclass(frozen=True)
 class SpectralConfig:
     """Simulation grid and mode cutoff.
@@ -330,12 +339,7 @@ def _synthesize(
             f"0 <= t_index <= n_time violated: t_index={t_index}, "
             f"n_time={config.n_time}"
         )
-    entries = n_rows * config.n_nodes * config.dim
-    if entries > _MAX_FIELD_ENTRIES:
-        raise GridTooLargeError(
-            f"field would hold {entries} values "
-            f"(guard is {_MAX_FIELD_ENTRIES}); shrink the grid"
-        )
+    _check_entries("field", n_rows * config.n_nodes * config.dim, "shrink the grid")
     # The coefficient paths of the longest run, checked before the plan's
     # per-mode arrays are built.
     coefficients = (config.n_time + 1) * config.dim * (2 * config.n_modes + 1)
@@ -396,6 +400,17 @@ def _node_factor(n_modes: int, t: float, nodes) -> np.ndarray:
     return factor[:, inverse]
 
 
+def _check_marginal(n_modes: int, replicas: int, nodes: int, dim: int, lifted: bool = False):
+    """The guard of a batch of slice marginals, before any array is built:
+    its basis, (2*n_modes + 1) * nodes values, its draws, replicas * nodes
+    * dim, and when lifted its level-2 lift, replicas * nodes * 4."""
+    remedy = "lower the nodes, replicas or n_modes"
+    _check_entries("the slice marginal's basis", (2 * n_modes + 1) * nodes, remedy)
+    _check_entries("the slice marginal's draws", replicas * nodes * dim, remedy)
+    if lifted:
+        _check_entries("the slice marginal's level-2 lift", replicas * nodes * 4, remedy)
+
+
 def sample_slice_marginal(
     config: SpectralConfig,
     t: float,
@@ -415,10 +430,12 @@ def sample_slice_marginal(
     draw's r normals.  Returns shape (n_replicas, len(nodes), dim).
     This batch entry point draws from the supplied generator, component
     by component and chunk by chunk, rather than the per-replica streams
-    of sample_field.
+    of sample_field.  _check_marginal guards its arrays.
     """
     if not 0 < t < np.inf:
         raise ParameterError(f"0 < t < inf violated: t={t!r}")
+    n_nodes = config.n_nodes if nodes is None else len(nodes)
+    _check_marginal(config.n_modes, n_replicas, n_nodes, config.dim)
     if nodes is None:
         nodes = config.nodes()
     # Over sorted distinct nodes R is upper trapezoidal: row i is zero left

@@ -25,19 +25,15 @@ Each mathematical object has one kernel here:
   (dyadic.lift_level) and the per-replica chaos paths of
   ldp.chaos_moment_ratio alike;
 - the pair increments: _pair_increments, component-major, for s stacked
-  paths at a run of node pairs; every pair-increment table comes from it:
-  _increment_tables (times, components, pairs), for sheets and slices
-  (one time) alike, and the blocks of ldp's Cameron-Martin lift decay;
-- the quadrature: _node_pairs enumerates the grid pairs, _log_weights
-  gives the logs of their Riemann weights, _row_sumsq the squared
-  Euclidean norm of every pair's entries (of one table, or of the
-  difference of two), its component rows formed and summed one at a time
-  in memory order, and _log_besov_sum the one log-domain Besov sum, behind
-  the initial-value term and every block of the space-time norm.  The
-  Cameron-Martin sups of ldp (the lift decay and the Hoelder constant)
-  build no table over all pairs: they reduce blocks of _node_pairs
-  through _row_sumsq, with the bits of full tables (the Hoelder constant
-  gathers its level-1 values itself).
+  paths at a run of node pairs, behind every pair-increment table: the
+  Besov tables (_increment_tables, for sheets and slices alike) and the
+  blocks of _lift_decay_sups, the Cameron-Martin lift decay of ldp, which
+  keeps the bits of full tables without one over all pairs;
+- the quadrature: _node_pairs enumerates the grid pairs (node pairs live
+  here alone), _log_weights gives the logs of their Riemann weights,
+  _row_sumsq the squared Euclidean norm of every pair's entries, its
+  component rows summed one at a time in memory order, and _log_besov_sum
+  the one log-domain Besov sum.
 
 Besov integrals are discretized as node-pair Riemann sums with uniform
 weight (2^-K)^2 per pair; the near-diagonal singularity is integrable
@@ -51,25 +47,14 @@ norm that still comes out non-finite raises FloatingPointError.
 
 Every space-time Besov norm runs in a _BesovArena, one allocation that
 holds two sheets' increment tables over all node pairs, one time's
-gathers at the near end of each pair and the quadrature's rows.  A walk
-passes one worker's arena to every norm (spacetime_besov_norm(work=));
-otherwise each norm makes its own.
-The arena keeps the last sheet whose tables it built, so a lift shared by
-two consecutive differences (fine in one, coarse in the next) is
-tabulated once; the difference is formed in place over the coarse
-tables.  Each (s, t) row of the space-time sum is the difference of two
-table rows, reduced to squared magnitudes by _row_sumsq one component row
-at a time: each component's difference is formed in one row buffer,
-squared there and added into the time pair's row of squared norms, so no
-block-sized gather and no table-row difference is ever live, and the
-working set of a row stays in cache.  A block holds as many time
-pairs' rows as _BESOV_BLOCK_BYTES (1 MiB) holds, at least one
-(_besov_block_rows): its rows are filled for level 1 and reduced, then
-filled for level 2 in the same block.  The budget is in bytes because
+gathers and the quadrature's rows; a walk passes one worker's arena to
+every norm, and the arena keeps the last sheet tabulated, so a lift
+shared by two consecutive differences is tabulated once.  Each (s, t)
+row of the sum is reduced by _row_sumsq one component row at a time, in
+blocks of _BESOV_BLOCK_BYTES (see spacetime_besov_norm): in bytes, since
 rows of all time pairs would be a quarter of the arena at grid level 8
-and gigabytes at level 10, while the per-block work only shows at one
-row per block (about 5% slower at level 8).  The sum is a plain loop on
-one thread over the blocks, combined in block order; callers
+and gigabytes at level 10, while one row per block is only about 5%
+slower at level 8.  The sum is a plain loop on one thread; callers
 parallelize over replicas instead.
 """
 
@@ -422,6 +407,67 @@ def _increment_tables(
             p1[:, None], p2[:, None], iu, ju, (f1[t][:, None], f2[t][:, None]), one_path
         )
     return f1, f2
+
+
+# At most _PAIR_BLOCK // dim node pairs per block of _lift_decay_sups, so
+# that a block's gathers stay in cache.  Any block size gives the same bits.
+_PAIR_BLOCK = 4096
+
+
+def _pair_blocks(pairs: int, dim: int):
+    """The width of the blocks of node pairs and the start of each, in
+    order: as few blocks of one width as _PAIR_BLOCK allows, the last moved
+    back to end at the last pair.  A pair that it shares with the block
+    before repeats a value, so it cannot move a max, and one set of
+    buffers serves every block."""
+    blocks = -(-pairs // max(1, _PAIR_BLOCK // dim))
+    width = -(-pairs // blocks)
+    return width, [min(lo, pairs - width) for lo in range(0, pairs, width)]
+
+
+def _lift_decay_entries(n_times: int, grid_level: int, dim: int, levels: int) -> int:
+    """Values held by the large arrays of _lift_decay_sups over `levels`
+    lifts and their reference: the three arrays of _node_pairs and the
+    stacked prefixes of both levels."""
+    n = 2**grid_level
+    return 3 * (n * (n + 1) // 2) + n_times * (dim + dim * dim) * (levels + 1) * (n + 1)
+
+
+def _lift_decay_sups(lifts, levels: int) -> np.ndarray:
+    """sup over times and node pairs of |A(x_i, x_j) - R(x_i, x_j)| at
+    levels 1 and 2, (2, levels), for `levels` lifts A against a reference
+    R.  lifts yields R first; each sheet is read in turn into stacked
+    component-major prefixes.  Per time row and block of node pairs
+    (_pair_blocks), _pair_increments forms every path's increments; each
+    level is differenced against R in place, reduced by _row_sumsq and
+    folded into a running max, rooted at the end.  Max is exact and sqrt
+    monotone and correctly rounded: any block size gives the bits of full
+    increment tables."""
+    s = levels + 1
+    for i, sheet in enumerate(lifts):
+        if i == 0:
+            nt, nodes, d = sheet.level1.shape
+            p1, p2 = np.empty((nt, d, s, nodes)), np.empty((nt, d * d, s, nodes))
+        p1[:, :, i] = sheet.level1.transpose(0, 2, 1)
+        p2[:, :, i] = sheet.level2.reshape(nt, nodes, d * d).transpose(0, 2, 1)
+    iu, ju, _ = _node_pairs(nodes - 1)
+    width, starts = _pair_blocks(iu.shape[0], d)
+    out = (np.empty((d, s, width)), np.empty((d * d, s, width)))
+    work = (np.empty((d, s, width)), np.empty((d * d, s, width)), np.empty((s, width)))
+    sumsq, row = np.empty(levels * width), np.empty(levels * width)
+    sup_sq = np.zeros((2, levels * width))
+    for t in range(nt):
+        for lo in starts:
+            hi = lo + width
+            _pair_increments(p1[t], p2[t], iu[lo:hi], ju[lo:hi], out, work)
+            for table, sup in zip(out, sup_sq):
+                gap = table[:, 1:]
+                np.subtract(gap, table[:, :1], out=gap)
+                # (components, levels * pairs): each level's pairs sum
+                # their components in component order.
+                _row_sumsq(gap.reshape(len(table), -1), out=sumsq, work=row)
+                np.maximum(sup, sumsq, out=sup)
+    return np.sqrt(np.max(sup_sq.reshape(2, levels, width), axis=2))
 
 
 def _besov_block_rows(time_pairs: int, pairs: int) -> int:

@@ -517,6 +517,37 @@ class TestExitCodes:
         assert not (tmp_path / "field.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "argv,message,refused",
+        [
+            # 2^20 + 1 nodes: their basis would hold 513 * 1,048,577 values.
+            (["chaos", "--set", "functional=level2", "--set", "dim=2",
+              "--set", "level=20", "--set", "y=1.0"],
+             "basis would hold 537920001 values",
+             [(ldp, "sample_slice_marginal"), (ldp, "_lift_values")]),
+            # 2^16 cells: three arrays of 2,147,516,416 node pairs.
+            (["cm", "--set", "grid_level=16", "--set", "n_time=1",
+              "--set", "n_modes=8", "--set", "k_range=[2]"],
+             "would hold 6443073544 values",
+             [(ldp, "lift_level"), (sheets, "_node_pairs")]),
+        ],
+        ids=["chaos-level20", "cm-grid16"],
+    )
+    def test_oversized_marginal_and_lift_decay_exit_2(
+        self, tmp_path, capsys, monkeypatch, argv, message, refused
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled or lifted before the guard")
+
+        for module, name in refused:
+            monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "guard is 268435456" in err
+        assert not out.exists()
+
     def test_oversized_besov_tables_exit_2(self, tmp_path, capsys, monkeypatch):
         # At the default grid (K=10, 129 times, 8,256 time pairs) one dim-2
         # table holds 129 * 524,800 * 6 = 406,195,200 values over the

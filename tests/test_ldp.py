@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from heatlift import ldp
+from heatlift import ldp, sampler, sheets
 from heatlift.covariance import cov
 from heatlift.dyadic import _gap_sup, lift_level
 from heatlift.errors import ParameterError
@@ -26,6 +26,7 @@ from heatlift.ldp import (
     wilson_interval,
 )
 from heatlift.sampler import (
+    GridTooLargeError,
     SpectralConfig,
     basis_eval,
     mode_rate,
@@ -506,8 +507,8 @@ class TestCmBlockedReductions:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_pinned_bits_in_one_block(self, dim, monkeypatch):
         path = self.path(dim)
-        # _CM_BLOCK // dim pairs per block: more than the 513 * 512 / 2.
-        monkeypatch.setattr(ldp, "_CM_BLOCK", 4 * 513 * 512 // 2)
+        # _PAIR_BLOCK // dim pairs per block: more than the 513 * 512 / 2.
+        monkeypatch.setattr(sheets, "_PAIR_BLOCK", 4 * 513 * 512 // 2)
         rows = cm_lift_uniform_convergence(path, range(2, 9))
         report = cm_regularity_check(path, q=1.5)
         assert (decay_digest(rows), cm_digest(dataclasses.astuple(report))) == CM_PINS[dim]
@@ -516,16 +517,31 @@ class TestCmBlockedReductions:
     @pytest.mark.parametrize("block", [1, 7, 4 * 2080])
     def test_block_size_moves_no_bit(self, dim, block, monkeypatch):
         # grid_level 6 has 2080 node pairs, and a block holds
-        # _CM_BLOCK // dim of them: blocks of one pair, blocks that leave a
+        # _PAIR_BLOCK // dim of them: blocks of one pair, blocks that leave a
         # short last block, and one block of every pair.
         path = self.path(dim, grid_level=6, n_time=4)
         rows = cm_lift_uniform_convergence(path, range(0, 7))
         report = cm_regularity_check(path, q=1.5)
-        monkeypatch.setattr(ldp, "_CM_BLOCK", block)
+        monkeypatch.setattr(sheets, "_PAIR_BLOCK", block)
         assert cm_lift_uniform_convergence(path, range(0, 7)) == rows
         assert cm_regularity_check(path, q=1.5) == report
         got = [(r.k, r.level1_sup, r.level2_sup) for r in rows]
         assert got == reference_lift_decay(path, range(0, 7))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("grid_level,n_time", [(0, 4), (1, 4), (6, 4), (9, 8)])
+    def test_holder_half_builds_no_node_pairs(self, dim, grid_level, n_time, monkeypatch):
+        # The Hoelder sup runs one lag at a time over whole slices: no
+        # node-pair table (_node_pairs, np.triu_indices) is built.
+        path = self.path(dim, grid_level=grid_level, n_time=n_time)
+        holder = per_time_holder(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("node pairs built")
+
+        monkeypatch.setattr(sheets, "_node_pairs", refuse)
+        monkeypatch.setattr(np, "triu_indices", refuse)
+        assert cm_regularity_check(path, q=1.5).holder_half == holder
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("grid_level", [0, 1])
@@ -603,6 +619,49 @@ class TestCmLevels:
         assert rows == cm_lift_uniform_convergence(path, [2, 3, 4])
         assert validate_cm_params(1.5, [4, 2, 4, np.int64(3), 2], 5) == (2, 3, 4)
         assert all(type(k) is int for k in validate_cm_params(1.5, [np.int64(3)], 5))
+
+
+class TestCmGuards:
+    """Grids whose CM path, node pairs or prefixes would pass the sampler's
+    guard are refused before the arrays are built."""
+
+    def test_lift_decay_refused_before_any_lift(self, monkeypatch):
+        # 2^16 cells have 2,147,516,416 node pairs, and the two levels'
+        # stacked prefixes 2 * 2 * 2 * 65,537 values.
+        cfg = small_config(grid_level=16, n_time=1, n_modes=8)
+        path = cameron_martin_path(CMControl((constant_control(mode=1),)), cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lifted or paired before the guard")
+
+        monkeypatch.setattr(ldp, "lift_level", refuse)
+        monkeypatch.setattr(sheets, "_node_pairs", refuse)
+        with pytest.raises(GridTooLargeError, match="would hold 6443073544 values"):
+            cm_lift_uniform_convergence(path, [2])
+
+    def test_lift_decay_counts_pairs_and_prefixes(self, monkeypatch):
+        # grid_level 5: 3 * 528 pair entries and 9 * (1 + 1) * (2 + 1) * 33
+        # prefix entries at dim 1, n_time 8, two levels.
+        path = cameron_martin_path(
+            CMControl((constant_control(mode=1),)), small_config(n_modes=8)
+        )
+        rows = cm_lift_uniform_convergence(path, [2, 3])
+        monkeypatch.setattr(sampler, "_MAX_FIELD_ENTRIES", 3 * 528 + 1782)
+        assert cm_lift_uniform_convergence(path, [2, 3]) == rows
+        monkeypatch.setattr(sampler, "_MAX_FIELD_ENTRIES", 3 * 528 + 1781)
+        with pytest.raises(GridTooLargeError, match="would hold 3366 values"):
+            cm_lift_uniform_convergence(path, [2, 3])
+
+    def test_path_refused_before_its_values(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("path built before the guard")
+
+        monkeypatch.setattr(SpectralConfig, "nodes", refuse)
+        monkeypatch.setattr(ldp, "basis_eval", refuse)
+        # (1 + 1) * (2^28 + 1) values.
+        cfg = small_config(grid_level=28, n_time=1, n_modes=8)
+        with pytest.raises(GridTooLargeError, match="would hold 536870914 values"):
+            cameron_martin_path(CMControl((constant_control(mode=1),)), cfg)
 
 
 class TestWilson:
@@ -826,6 +885,19 @@ class TestChaosMoments:
         assert abs(rep.ratio4 - np.sqrt(3.0)) <= 3.0 * rep.ratio4_stderr
         assert rep.q_list == (2.0, 4.0)
         assert all(type(q) is float for q in rep.q_list)
+
+    def test_level2_grid_refused_before_any_node(self, monkeypatch):
+        # level 20 over [0, 1] has 2^20 + 1 nodes: their basis would hold
+        # 513 * 1,048,577 values.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the guard")
+
+        monkeypatch.setattr(ldp, "sample_slice_marginal", refuse)
+        monkeypatch.setattr(ldp, "_lift_values", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
+        cfg = small_config(n_modes=256, dim=2)
+        with pytest.raises(GridTooLargeError, match="basis would hold 537920001 values"):
+            chaos_moment_ratio("level2", [2, 4], 100_000, cfg, y=1.0, level=20)
 
     @staticmethod
     def cumsum_level2_ratios(cfg, q_list, replicas, y, level=5):

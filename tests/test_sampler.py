@@ -735,6 +735,30 @@ class TestMarginalSampler:
         with pytest.raises(ParameterError, match="0 < t < inf violated"):
             sample_slice_marginal(cfg, t, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "n_modes,replicas,nodes,message",
+        [
+            # 2^28 replicas at two nodes: 2^29 draws.
+            (8, 2**28, 2, "draws would hold 536870912 values"),
+            # 2^20 + 1 nodes: a basis of 513 * 1,048,577 values.
+            (256, 1, 2**20 + 1, "basis would hold 537920001 values"),
+        ],
+    )
+    def test_guard_refuses_before_any_array(self, monkeypatch, n_modes, replicas, nodes, message):
+        class RefusingRng:
+            def standard_normal(self, shape):
+                raise AssertionError("drew before the guard")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored before the guard")
+
+        monkeypatch.setattr(sampler_module, "_node_factor", refuse)
+        monkeypatch.setattr(np, "unique", refuse)
+        cfg = SpectralConfig(n_modes=n_modes, grid_level=2, seed=0)
+        grid = np.linspace(0.0, 1.0, nodes)
+        with pytest.raises(GridTooLargeError, match=message):
+            sample_slice_marginal(cfg, 1.0, replicas, RefusingRng(), nodes=grid)
+
 
 class TestTruncationResidual:
     def test_uniform_bound(self):
